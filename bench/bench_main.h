@@ -49,9 +49,9 @@
  *                 disable the process-wide shared cost-table cache:
  *                 every engine run builds its own lazy cost table
  *                 (the pre-cache behaviour). Results are
- *                 byte-identical either way — this flag exists so
- *                 CI can prove that and perf_hotpath can measure
- *                 the difference.
+ *                 byte-identical either way; only throughput
+ *                 changes. CI runs fig02 with and without it and
+ *                 cmp's the two outputs.
  *
  * Malformed values of any flag (e.g. a --chunk with B > E,
  * non-numeric or negative positions) are rejected with an error and

@@ -101,10 +101,11 @@ main(int argc, char** argv)
             continue;
         std::printf("\n%s subnet usage:", ts.model.c_str());
         for (size_t v = 0; v < ts.variantStarts.size(); ++v) {
-            std::printf(" %s=%llu",
-                        v == 0 ? "Original"
-                               : ("v" + std::to_string(v)).c_str(),
-                        (unsigned long long)ts.variantStarts[v]);
+            const auto starts = (unsigned long long)ts.variantStarts[v];
+            if (v == 0)
+                std::printf(" Original=%llu", starts);
+            else
+                std::printf(" v%zu=%llu", v, starts);
         }
         std::printf("\n");
     }

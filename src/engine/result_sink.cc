@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "runner/table.h"
+#include "util/json.h"
 
 namespace dream {
 namespace engine {
@@ -27,24 +28,6 @@ paramFragment(const ParamMap& params)
 }
 
 } // anonymous namespace
-
-std::string
-jsonString(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n";  break;
-          case '\r': out += "\\r";  break;
-          case '\t': out += "\\t";  break;
-          default:   out += c;      break;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 std::string
 csvQuote(const std::string& s)
@@ -337,16 +320,16 @@ JsonSink::write(const RunRecord& r)
     *out_ << (opened_ ? ",\n" : "[\n");
     opened_ = true;
     *out_ << "  {\"index\": " << r.index
-          << ", \"scenario\": " << jsonString(r.scenario)
-          << ", \"system\": " << jsonString(r.system)
-          << ", \"scheduler\": " << jsonString(r.scheduler)
+          << ", \"scenario\": " << json::quote(r.scenario)
+          << ", \"system\": " << json::quote(r.system)
+          << ", \"scheduler\": " << json::quote(r.scheduler)
           << ", \"params\": {";
     bool first = true;
     for (const auto& kv : r.params) {
         if (!first)
             *out_ << ", ";
         first = false;
-        *out_ << jsonString(kv.first) << ": " << formatValue(kv.second);
+        *out_ << json::quote(kv.first) << ": " << formatValue(kv.second);
     }
     *out_ << "}, \"breakdown\": {";
     first = true;
@@ -354,7 +337,7 @@ JsonSink::write(const RunRecord& r)
         if (!first)
             *out_ << ", ";
         first = false;
-        *out_ << jsonString(kv.first) << ": " << formatValue(kv.second);
+        *out_ << json::quote(kv.first) << ": " << formatValue(kv.second);
     }
     *out_ << "}, \"seed\": " << r.seed
           << ", \"window_us\": " << formatValue(r.windowUs)

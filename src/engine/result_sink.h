@@ -239,9 +239,6 @@ private:
 /** Quote one CSV cell the way CsvSink does (RFC-4180 style). */
 std::string csvQuote(const std::string& cell);
 
-/** Escape + quote a JSON string value the way JsonSink does. */
-std::string jsonString(const std::string& value);
-
 /**
  * The fixed identity columns every result CSV starts with
  * ("index", "scenario", "system", "scheduler").

@@ -27,8 +27,10 @@ trailNet()
     int stage_idx = 0;
     for (const auto& st : stages) {
         for (int b = 0; b < st.blocks; ++b) {
-            const std::string name = "s" + std::to_string(stage_idx) +
-                ".b" + std::to_string(b);
+            std::string name = "s";
+            name += std::to_string(stage_idx);
+            name += ".b";
+            name += std::to_string(b);
             addBasicBlock(m.layers, cur, name, st.c,
                           b == 0 ? st.stride : 1);
         }

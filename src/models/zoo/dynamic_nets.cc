@@ -28,8 +28,10 @@ skipNet()
     int stage_idx = 0;
     for (const auto& st : stages) {
         for (int b = 0; b < st.blocks; ++b) {
-            const std::string name = "g" + std::to_string(stage_idx) +
-                ".b" + std::to_string(b);
+            std::string name = "g";
+            name += std::to_string(stage_idx);
+            name += ".b";
+            name += std::to_string(b);
             const uint32_t stride = (b == 0 && stage_idx > 0) ? 2 : 1;
             const size_t begin = m.layers.size();
             addBasicBlock(m.layers, cur, name, st.c, stride);

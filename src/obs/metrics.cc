@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "runner/table.h"
+#include "util/json.h"
 
 namespace dream {
 namespace obs {
@@ -131,34 +131,6 @@ MetricsRegistry::merge(const MetricsRegistry& other)
     volatile_.insert(other.volatile_.begin(), other.volatile_.end());
 }
 
-namespace {
-
-/** JSON string literal (metric names never need full escaping, but
- *  quote defensively anyway). */
-std::string
-jsonName(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-/** A double as a JSON value: null for NaN/inf (not representable). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    return runner::preciseDouble(v);
-}
-
-} // anonymous namespace
-
 void
 MetricsRegistry::writeJson(std::ostream& out,
                            bool include_volatile) const
@@ -172,7 +144,7 @@ MetricsRegistry::writeJson(std::ostream& out,
     for (const auto& kv : counters_) {
         if (skip(kv.first))
             continue;
-        out << (first ? "\n" : ",\n") << "    " << jsonName(kv.first)
+        out << (first ? "\n" : ",\n") << "    " << json::quote(kv.first)
             << ": " << kv.second;
         first = false;
     }
@@ -181,8 +153,8 @@ MetricsRegistry::writeJson(std::ostream& out,
     for (const auto& kv : gauges_) {
         if (skip(kv.first))
             continue;
-        out << (first ? "\n" : ",\n") << "    " << jsonName(kv.first)
-            << ": " << jsonNumber(kv.second);
+        out << (first ? "\n" : ",\n") << "    " << json::quote(kv.first)
+            << ": " << json::number(kv.second);
         first = false;
     }
     out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -191,16 +163,16 @@ MetricsRegistry::writeJson(std::ostream& out,
         if (skip(kv.first))
             continue;
         const LatencyHistogram& h = kv.second;
-        out << (first ? "\n" : ",\n") << "    " << jsonName(kv.first)
+        out << (first ? "\n" : ",\n") << "    " << json::quote(kv.first)
             << ": {\"count\": " << h.count()
-            << ", \"min\": " << jsonNumber(h.min())
-            << ", \"max\": " << jsonNumber(h.max())
-            << ", \"sum\": " << jsonNumber(h.sum())
-            << ", \"mean\": " << jsonNumber(h.mean())
-            << ", \"p50\": " << jsonNumber(h.quantile(0.50))
-            << ", \"p90\": " << jsonNumber(h.quantile(0.90))
-            << ", \"p99\": " << jsonNumber(h.quantile(0.99))
-            << ", \"p999\": " << jsonNumber(h.quantile(0.999))
+            << ", \"min\": " << json::number(h.min())
+            << ", \"max\": " << json::number(h.max())
+            << ", \"sum\": " << json::number(h.sum())
+            << ", \"mean\": " << json::number(h.mean())
+            << ", \"p50\": " << json::number(h.quantile(0.50))
+            << ", \"p90\": " << json::number(h.quantile(0.90))
+            << ", \"p99\": " << json::number(h.quantile(0.99))
+            << ", \"p999\": " << json::number(h.quantile(0.999))
             << "}";
         first = false;
     }

@@ -113,8 +113,8 @@ public:
      * "histograms" sections, each ordered by metric name. Histograms
      * dump the fixed layout {count, min, max, sum, mean, p50, p90,
      * p99, p999}; statistics of an empty histogram are null. Doubles
-     * render with runner::preciseDouble, so equal sample sets dump
-     * equal bytes.
+     * render with json::number, so equal sample sets dump equal
+     * bytes.
      */
     void writeJson(std::ostream& out,
                    bool include_volatile = false) const;

@@ -1,55 +1,21 @@
 #include "obs/trace_event.h"
 
-#include <cmath>
-
-#include "runner/table.h"
+#include "util/json.h"
 
 namespace dream {
 namespace obs {
 
-namespace {
-
-/** JSON string literal with the usual control escapes. */
-std::string
-jsonQuote(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n";  break;
-          case '\r': out += "\\r";  break;
-          case '\t': out += "\\t";  break;
-          default:   out += c;      break;
-        }
-    }
-    out += '"';
-    return out;
-}
-
-/** A double as a JSON value: null for NaN/inf. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    return runner::preciseDouble(v);
-}
-
-} // anonymous namespace
-
 TraceArgs&
 TraceArgs::str(const std::string& key, const std::string& value)
 {
-    kv_.push_back({key, jsonQuote(value)});
+    kv_.push_back({key, json::quote(value)});
     return *this;
 }
 
 TraceArgs&
 TraceArgs::num(const std::string& key, double value)
 {
-    kv_.push_back({key, jsonNumber(value)});
+    kv_.push_back({key, json::number(value)});
     return *this;
 }
 
@@ -66,7 +32,7 @@ TraceEventSink::processName(const std::string& name)
     TraceEvent e;
     e.name = "process_name";
     e.ph = 'M';
-    e.args.push_back({"name", jsonQuote(name)});
+    e.args.push_back({"name", json::quote(name)});
     events_.push_back(std::move(e));
 }
 
@@ -77,7 +43,7 @@ TraceEventSink::threadName(int64_t tid, const std::string& name)
     e.name = "thread_name";
     e.ph = 'M';
     e.tid = tid;
-    e.args.push_back({"name", jsonQuote(name)});
+    e.args.push_back({"name", json::quote(name)});
     events_.push_back(std::move(e));
 }
 
@@ -128,14 +94,14 @@ TraceEventSink::writeJson(std::ostream& out) const
     out << "[\n";
     for (size_t i = 0; i < events_.size(); ++i) {
         const TraceEvent& e = events_[i];
-        out << "{\"name\": " << jsonQuote(e.name);
+        out << "{\"name\": " << json::quote(e.name);
         if (!e.cat.empty())
-            out << ", \"cat\": " << jsonQuote(e.cat);
+            out << ", \"cat\": " << json::quote(e.cat);
         out << ", \"ph\": \"" << e.ph << '"';
         if (e.ph != 'M') {
-            out << ", \"ts\": " << jsonNumber(e.tsUs);
+            out << ", \"ts\": " << json::number(e.tsUs);
             if (e.ph == 'X')
-                out << ", \"dur\": " << jsonNumber(e.durUs);
+                out << ", \"dur\": " << json::number(e.durUs);
             if (e.ph == 'i')
                 out << ", \"s\": \"t\"";
         }
@@ -145,7 +111,7 @@ TraceEventSink::writeJson(std::ostream& out) const
             for (size_t a = 0; a < e.args.size(); ++a) {
                 if (a)
                     out << ", ";
-                out << jsonQuote(e.args[a].first) << ": "
+                out << json::quote(e.args[a].first) << ": "
                     << e.args[a].second;
             }
             out << '}';

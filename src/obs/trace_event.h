@@ -29,7 +29,7 @@ namespace obs {
 
 /**
  * Argument list of one trace event. Values are pre-rendered as JSON
- * (strings escaped, doubles via runner::preciseDouble) so the sink
+ * (strings via json::quote, doubles via json::number) so the sink
  * stores plain pairs and serialisation is a straight join.
  */
 class TraceArgs {

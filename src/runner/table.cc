@@ -147,19 +147,5 @@ readCsvRecord(std::istream& in, std::vector<std::string>& cells)
     return true;
 }
 
-std::string
-preciseDouble(double v)
-{
-    char buf[40];
-    // Shortest round-trip: 15 digits suffice for most values, 17
-    // always do.
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            return buf;
-    }
-    return buf; // non-finite: strtod-compatible "nan"/"inf"/"-inf"
-}
-
 } // namespace runner
 } // namespace dream

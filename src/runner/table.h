@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 namespace dream {
 namespace runner {
 
@@ -74,13 +76,11 @@ std::string csvQuote(const std::string& cell);
 bool readCsvRecord(std::istream& in, std::vector<std::string>& cells);
 
 /**
- * Shortest decimal rendering of @p v that parses back to exactly
- * the same double (tries %.15g, %.16g, %.17g). The frame-trace
- * writer uses it so recorded arrival/deadline times replay
- * bit-for-bit; non-finite values render as strtod-compatible
- * "nan"/"inf"/"-inf".
+ * Shortest round-trip double rendering (json::preciseDouble). The
+ * frame-trace writer uses it so recorded arrival/deadline times
+ * replay bit-for-bit.
  */
-std::string preciseDouble(double v);
+using json::preciseDouble;
 
 } // namespace runner
 } // namespace dream

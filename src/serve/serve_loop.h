@@ -64,10 +64,10 @@ struct ServeConfig {
     std::string metricsPrefix = "serve/";
     /** Tag of per-report log lines ("[<label>] t=..."). */
     std::string logLabel = "serve";
-    /** Attach the simulator's own metric hooks (frames/*, sim/*,
-     *  accel/*) to @ref metrics. A cluster disables this for N > 1:
-     *  those keys are not device-namespaced, and their gauges would
-     *  be last-writer-wins across devices. */
+    /** Attach the simulator's own metric hooks (the frames/, sim/
+     *  and accel/ keys) to @ref metrics. A cluster disables this for
+     *  N > 1: those keys are not device-namespaced, and their gauges
+     *  would be last-writer-wins across devices. */
     bool attachSimMetrics = true;
 };
 

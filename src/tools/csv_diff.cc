@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/json.h"
+
 namespace dream {
 namespace tools {
 
@@ -189,17 +191,17 @@ printDiffJson(const DiffResult& result, std::ostream& out)
         << (result.identical() ? "true" : "false");
     out << ", \"added\": [";
     for (size_t i = 0; i < result.added.size(); ++i)
-        out << (i ? ", " : "") << engine::jsonString(result.added[i]);
+        out << (i ? ", " : "") << json::quote(result.added[i]);
     out << "], \"removed\": [";
     for (size_t i = 0; i < result.removed.size(); ++i)
-        out << (i ? ", " : "") << engine::jsonString(result.removed[i]);
+        out << (i ? ", " : "") << json::quote(result.removed[i]);
     out << "], \"changed\": [";
     for (size_t i = 0; i < result.changed.size(); ++i) {
         const auto& c = result.changed[i];
-        out << (i ? ", " : "") << "{\"key\": " << engine::jsonString(c.key)
-            << ", \"column\": " << engine::jsonString(c.column)
-            << ", \"before\": " << engine::jsonString(c.before)
-            << ", \"after\": " << engine::jsonString(c.after) << '}';
+        out << (i ? ", " : "") << "{\"key\": " << json::quote(c.key)
+            << ", \"column\": " << json::quote(c.column)
+            << ", \"before\": " << json::quote(c.before)
+            << ", \"after\": " << json::quote(c.after) << '}';
     }
     out << "]}\n";
 }

@@ -8,246 +8,69 @@
 #include <utility>
 
 #include "tools/csv_merge.h"
+#include "util/json.h"
 
 namespace dream {
 namespace tools {
 
 namespace {
 
-/**
- * One parsed JSON value of the shapes JsonSink emits: a string, a
- * scalar token (number; NaN/inf render as bare tokens, so scalars
- * keep their verbatim text), or a flat object of key -> scalar.
- */
-struct JsonValue {
-    enum Kind { String, Scalar, Object } kind = Scalar;
-    std::string text; ///< decoded string, or verbatim scalar token
-    std::vector<std::pair<std::string, std::string>> members;
-};
+using json::Value;
+using Kind = json::Value::Kind;
 
-/** Minimal recursive-descent parser over the whole input text. */
-class Parser {
-public:
-    explicit Parser(const std::string& text) : text_(text) {}
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-    bool atEnd()
-    {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-    char peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of JSON input");
-        return text_[pos_];
-    }
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-    bool consume(char c)
-    {
-        if (atEnd() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-    size_t pos() const { return pos_; }
-    std::string span(size_t from) const
-    {
-        return text_.substr(from, pos_ - from);
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out += '"';  break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/';  break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              default:
-                  fail(std::string("unsupported escape \\") + esc);
-            }
-        }
-        fail("unterminated JSON string");
-        return out; // unreachable
-    }
-
-    /** A bare scalar token (number, nan, inf, ...), verbatim. */
-    std::string parseScalar()
-    {
-        skipWs();
-        const size_t start = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == ',' || c == '}' || c == ']' ||
-                std::isspace(static_cast<unsigned char>(c)))
-                break;
-            ++pos_;
-        }
-        if (pos_ == start)
-            fail("empty JSON scalar");
-        return text_.substr(start, pos_ - start);
-    }
-
-    JsonValue parseValue()
-    {
-        JsonValue v;
-        const char c = peek();
-        if (c == '"') {
-            v.kind = JsonValue::String;
-            v.text = parseString();
-        } else if (c == '{') {
-            v.kind = JsonValue::Object;
-            expect('{');
-            if (!consume('}')) {
-                for (;;) {
-                    std::string key = parseString();
-                    expect(':');
-                    v.members.push_back({std::move(key),
-                                         parseScalar()});
-                    if (consume('}'))
-                        break;
-                    expect(',');
-                }
-            }
-        } else {
-            v.kind = JsonValue::Scalar;
-            v.text = parseScalar();
-        }
-        return v;
-    }
-
-    /** A record object: key -> value, any member order. */
-    std::vector<std::pair<std::string, JsonValue>> parseRecord()
-    {
-        std::vector<std::pair<std::string, JsonValue>> members;
-        expect('{');
-        if (consume('}'))
-            return members;
-        for (;;) {
-            std::string key = parseString();
-            expect(':');
-            members.push_back({std::move(key), parseValue()});
-            if (consume('}'))
-                return members;
-            expect(',');
-        }
-    }
-
-    [[noreturn]] void fail(const std::string& what) const
-    {
-        throw std::runtime_error("result JSON: " + what +
-                                 " at offset " +
-                                 std::to_string(pos_));
-    }
-
-private:
-    const std::string& text_;
-    size_t pos_ = 0;
-};
-
-using Record = std::vector<std::pair<std::string, JsonValue>>;
-
-const JsonValue*
-find(const Record& record, const std::string& key)
+/** A "params"/"breakdown" object: flat, number or string values. */
+const Value&
+needFlat(const json::Document& doc, const Value& record,
+         const std::string& key)
 {
-    for (const auto& kv : record) {
-        if (kv.first == key)
-            return &kv.second;
+    const Value& v = doc.member(record, key, Kind::Object);
+    for (const auto& [name, cell] : v.members) {
+        if (cell.kind != Kind::Number && cell.kind != Kind::String)
+            doc.fail(cell, "\"" + key + "\" value \"" + name +
+                               "\" must be a number or a string");
     }
-    return nullptr;
+    return v;
 }
-
-const JsonValue&
-need(const Record& record, const std::string& key,
-     JsonValue::Kind kind)
-{
-    const JsonValue* v = find(record, key);
-    if (!v)
-        throw std::runtime_error(
-            "result JSON: record is missing \"" + key + "\"");
-    if (v->kind != kind)
-        throw std::runtime_error(
-            "result JSON: \"" + key + "\" has the wrong type");
-    return *v;
-}
-
-} // anonymous namespace
 
 JsonTable
-readResultJson(std::istream& in)
+readResult(std::istream& in, const std::string& context)
 {
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
-
+    std::string text = buf.str();
     JsonTable out;
-    Parser p(text);
-    if (p.atEnd())
+    if (text.find_first_not_of(" \t\n\r") == std::string::npos)
         return out; // empty stream == rowless run, like the reader
-    p.expect('[');
-    std::vector<Record> records;
-    if (!p.consume(']')) {
-        for (;;) {
-            p.peek(); // position on the record's first byte
-            const size_t start = p.pos();
-            records.push_back(p.parseRecord());
-            out.raw.push_back(p.span(start));
-            if (p.consume(']'))
-                break;
-            p.expect(',');
-        }
+
+    const json::Document doc(std::move(text), context);
+    const Value& root = doc.root();
+    if (root.kind != Kind::Array)
+        doc.fail(root, "result JSON must be an array of records");
+    for (const Value& record : root.items) {
+        if (record.kind != Kind::Object)
+            doc.fail(record, "record must be an object");
+        out.raw.push_back(doc.source(record));
     }
-    if (!p.atEnd())
-        p.fail("trailing content after the record array");
 
     // Schema: parameter keys come from the first record (and must
     // agree everywhere — one file is one grid); breakdown columns
     // are the union in first-seen order, exactly like CsvSink.
     engine::CsvSchema& schema = out.table.schema;
-    if (!records.empty()) {
+    if (!root.items.empty()) {
         for (const auto& kv :
-             need(records.front(), "params", JsonValue::Object)
-                 .members)
+             needFlat(doc, root.items.front(), "params").members)
             schema.paramColumns.push_back(kv.first);
     }
-    for (const auto& record : records) {
-        const auto& params =
-            need(record, "params", JsonValue::Object);
+    for (const Value& record : root.items) {
+        const Value& params = needFlat(doc, record, "params");
         std::vector<std::string> keys;
         for (const auto& kv : params.members)
             keys.push_back(kv.first);
         if (keys != schema.paramColumns)
-            throw std::runtime_error(
-                "result JSON: records disagree on the parameter "
-                "keys (different grids?)");
+            doc.fail(params, "records disagree on the parameter keys "
+                             "(different grids?)");
         for (const auto& kv :
-             need(record, "breakdown", JsonValue::Object).members) {
+             needFlat(doc, record, "breakdown").members) {
             if (std::find(schema.breakdownColumns.begin(),
                           schema.breakdownColumns.end(),
                           kv.first) ==
@@ -266,34 +89,32 @@ readResultJson(std::istream& in)
                           schema.breakdownColumns.begin(),
                           schema.breakdownColumns.end());
 
-    for (const auto& record : records) {
+    for (const Value& record : root.items) {
         std::vector<std::string> row;
         row.reserve(schema.columns.size());
-        row.push_back(
-            need(record, "index", JsonValue::Scalar).text);
-        row.push_back(
-            need(record, "scenario", JsonValue::String).text);
-        row.push_back(need(record, "system", JsonValue::String).text);
-        row.push_back(
-            need(record, "scheduler", JsonValue::String).text);
-        for (const auto& kv :
-             need(record, "params", JsonValue::Object).members)
-            row.push_back(kv.second);
+        row.push_back(doc.member(record, "index", Kind::Number).text);
+        for (const char* key : {"scenario", "system", "scheduler"})
+            row.push_back(doc.member(record, key, Kind::String).text);
+        for (const auto& kv : record.find("params")->members)
+            row.push_back(kv.second.text);
         for (const auto& name : metrics)
-            row.push_back(
-                need(record, name, JsonValue::Scalar).text);
-        const auto& breakdown =
-            need(record, "breakdown", JsonValue::Object);
+            row.push_back(doc.member(record, name, Kind::Number).text);
+        const Value* breakdown = record.find("breakdown");
         for (const auto& name : schema.breakdownColumns) {
-            const auto it = std::find_if(
-                breakdown.members.begin(), breakdown.members.end(),
-                [&](const auto& kv) { return kv.first == name; });
-            row.push_back(it == breakdown.members.end() ? ""
-                                                        : it->second);
+            const Value* cell = breakdown->find(name);
+            row.push_back(cell ? cell->text : "");
         }
         out.table.rows.push_back(std::move(row));
     }
     return out;
+}
+
+} // anonymous namespace
+
+JsonTable
+readResultJson(std::istream& in)
+{
+    return readResult(in, "<result>");
 }
 
 JsonTable
@@ -302,11 +123,7 @@ readResultJson(const std::string& path)
     std::ifstream in(path);
     if (!in.is_open())
         throw std::runtime_error("cannot open result JSON: " + path);
-    try {
-        return readResultJson(in);
-    } catch (const std::runtime_error& e) {
-        throw std::runtime_error(path + ": " + e.what());
-    }
+    return readResult(in, path);
 }
 
 void

@@ -41,13 +41,15 @@ struct JsonTable {
 /**
  * Parse a result JSON array produced by JsonSink.
  *
- * @throws std::runtime_error on malformed JSON, records missing the
- * fixed metric fields, or records disagreeing on the parameter keys
- * (different grids in one file).
+ * @throws std::runtime_error "<result>:<line>:<col>: <what>" on
+ * malformed JSON (duplicate keys included), records missing the
+ * fixed metric fields or holding values of the wrong type, or
+ * records disagreeing on the parameter keys (different grids in one
+ * file).
  */
 JsonTable readResultJson(std::istream& in);
 
-/** readResultJson from a file; the error names @p path. */
+/** readResultJson from a file; errors name @p path, not "<result>". */
 JsonTable readResultJson(const std::string& path);
 
 /**

@@ -1,7 +1,7 @@
 #include "tools/trace_prof.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -11,184 +11,15 @@
 
 #include "obs/metrics.h"
 #include "runner/table.h"
+#include "util/json.h"
 
 namespace dream {
 namespace tools {
 
 namespace {
 
-/**
- * One parsed member value of a trace event: a decoded string, a
- * verbatim scalar token, or a flat object (the "args" member, whose
- * values are themselves strings or scalars).
- */
-struct EventValue {
-    enum Kind { String, Scalar, Object } kind = Scalar;
-    bool wasString = false; ///< object members: value was a string
-    std::string text;
-    std::vector<std::pair<std::string, std::string>> members;
-};
-
-/**
- * Recursive-descent parser for the trace-event files TraceEventSink
- * writes. Deliberately separate from the result-JSON parser in
- * json_result.cc: event args nest string values inside objects,
- * which the flat result records never do.
- */
-class EventParser {
-public:
-    EventParser(const std::string& text, const std::string& name)
-        : text_(text), name_(name)
-    {}
-
-    bool atEnd()
-    {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-    char peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-    bool consume(char c)
-    {
-        if (atEnd() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out += '"';  break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/';  break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              default:
-                  fail(std::string("unsupported escape \\") + esc);
-            }
-        }
-        fail("unterminated string");
-        return out; // unreachable
-    }
-
-    std::string parseScalar()
-    {
-        skipWs();
-        const size_t start = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == ',' || c == '}' || c == ']' ||
-                std::isspace(static_cast<unsigned char>(c)))
-                break;
-            ++pos_;
-        }
-        if (pos_ == start)
-            fail("empty scalar");
-        return text_.substr(start, pos_ - start);
-    }
-
-    EventValue parseValue()
-    {
-        EventValue v;
-        const char c = peek();
-        if (c == '"') {
-            v.kind = EventValue::String;
-            v.text = parseString();
-        } else if (c == '{') {
-            v.kind = EventValue::Object;
-            expect('{');
-            if (!consume('}'))
-                for (;;) {
-                    std::string key = parseString();
-                    expect(':');
-                    std::string val = peek() == '"' ? parseString()
-                                                    : parseScalar();
-                    v.members.push_back(
-                        {std::move(key), std::move(val)});
-                    if (consume('}'))
-                        break;
-                    expect(',');
-                }
-        } else {
-            v.kind = EventValue::Scalar;
-            v.text = parseScalar();
-        }
-        return v;
-    }
-
-    std::vector<std::pair<std::string, EventValue>> parseEvent()
-    {
-        std::vector<std::pair<std::string, EventValue>> members;
-        expect('{');
-        if (consume('}'))
-            return members;
-        for (;;) {
-            std::string key = parseString();
-            expect(':');
-            members.push_back({std::move(key), parseValue()});
-            if (consume('}'))
-                return members;
-            expect(',');
-        }
-    }
-
-    [[noreturn]] void fail(const std::string& what) const
-    {
-        throw std::runtime_error(name_ + ": " + what +
-                                 " at byte " + std::to_string(pos_));
-    }
-
-private:
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    const std::string& text_;
-    const std::string name_;
-    size_t pos_ = 0;
-};
-
-double
-parseNumber(const std::string& token, const std::string& name,
-            const std::string& field, size_t index)
-{
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0')
-        throw std::runtime_error(
-            name + ": event " + std::to_string(index) +
-            ": non-numeric \"" + field + "\": " + token);
-    return v;
-}
+using json::Value;
+using Kind = json::Value::Kind;
 
 /** Union length of [begin, end) intervals (modifies @p spans). */
 double
@@ -236,111 +67,96 @@ ProfEvent::arg(const std::string& key) const
 TraceProfile
 readTraceEventJson(std::istream& in, const std::string& name)
 {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    EventParser p(text, name);
-    if (p.atEnd() || p.peek() != '[')
-        throw std::runtime_error(
-            name + ": not a trace-event array (expected '[')");
-    p.expect('[');
+    const json::Document doc(in, name);
+    const Value& root = doc.root();
+    if (root.kind != Kind::Array)
+        doc.fail(root, "not a trace-event array (expected '[')");
 
     TraceProfile profile;
-    if (!p.consume(']'))
-        for (;;) {
-            const size_t index = profile.events.size();
-            auto members = p.parseEvent();
+    for (size_t index = 0; index < root.items.size(); ++index) {
+        const Value& item = root.items[index];
+        const std::string tag = "event " + std::to_string(index) + ": ";
+        if (item.kind != Kind::Object)
+            doc.fail(item, tag + "not an object");
+        const auto num = [&](const Value& v, const std::string& key) {
+            if (v.kind != Kind::Number)
+                doc.fail(v, tag + "non-numeric \"" + key + "\"");
+            return v.number();
+        };
+        const auto integer = [&](const Value& v,
+                                 const std::string& key) {
+            char* end = nullptr;
+            errno = 0;
+            const long long n = std::strtoll(v.text.c_str(), &end, 10);
+            if (v.kind != Kind::Number || *end != '\0' || errno == ERANGE)
+                doc.fail(v, tag + "\"" + key + "\" must be an integer");
+            return n;
+        };
+        const auto str = [&](const Value& v, const std::string& key) {
+            if (v.kind != Kind::String)
+                doc.fail(v, tag + "\"" + key + "\" must be a string");
+            return v.text;
+        };
 
-            ProfEvent ev;
-            bool has_name = false, has_ph = false, has_pid = false,
-                 has_tid = false, has_ts = false, has_dur = false;
-            for (auto& kv : members) {
-                const std::string& key = kv.first;
-                EventValue& val = kv.second;
-                if (key == "name") {
-                    ev.name = val.text;
-                    has_name = true;
-                } else if (key == "cat") {
-                    ev.cat = val.text;
-                } else if (key == "ph") {
-                    if (val.kind != EventValue::String ||
-                        val.text.size() != 1)
-                        throw std::runtime_error(
-                            name + ": event " +
-                            std::to_string(index) +
-                            ": \"ph\" must be a one-char string");
-                    ev.ph = val.text[0];
-                    has_ph = true;
-                } else if (key == "ts") {
-                    ev.tsUs =
-                        parseNumber(val.text, name, "ts", index);
-                    has_ts = true;
-                } else if (key == "dur") {
-                    ev.durUs =
-                        parseNumber(val.text, name, "dur", index);
-                    has_dur = true;
-                } else if (key == "pid") {
-                    ev.pid = (long long) parseNumber(val.text, name,
-                                                     "pid", index);
-                    has_pid = true;
-                } else if (key == "tid") {
-                    ev.tid = (long long) parseNumber(val.text, name,
-                                                     "tid", index);
-                    has_tid = true;
-                } else if (key == "args") {
-                    if (val.kind != EventValue::Object)
-                        throw std::runtime_error(
-                            name + ": event " +
-                            std::to_string(index) +
-                            ": \"args\" must be an object");
-                    ev.args = std::move(val.members);
+        ProfEvent ev;
+        for (const auto& [key, val] : item.members) {
+            if (key == "name") {
+                ev.name = str(val, key);
+            } else if (key == "cat") {
+                ev.cat = str(val, key);
+            } else if (key == "ph") {
+                if (val.kind != Kind::String || val.text.size() != 1)
+                    doc.fail(val,
+                             tag + "\"ph\" must be a one-char string");
+                ev.ph = val.text[0];
+            } else if (key == "ts") {
+                ev.tsUs = num(val, key);
+            } else if (key == "dur") {
+                ev.durUs = num(val, key);
+            } else if (key == "pid") {
+                ev.pid = integer(val, key);
+            } else if (key == "tid") {
+                ev.tid = integer(val, key);
+            } else if (key == "args") {
+                if (val.kind != Kind::Object)
+                    doc.fail(val, tag + "\"args\" must be an object");
+                for (const auto& [arg, v] : val.members) {
+                    if (v.kind != Kind::Number && v.kind != Kind::String)
+                        doc.fail(v, tag + "arg \"" + arg +
+                                        "\" must be a number or a "
+                                        "string");
+                    ev.args.push_back({arg, v.text});
                 }
             }
-
-            const auto require = [&](bool ok, const char* what) {
-                if (!ok)
-                    throw std::runtime_error(
-                        name + ": event " + std::to_string(index) +
-                        ": missing " + what);
-            };
-            require(has_name, "\"name\"");
-            require(has_ph, "\"ph\"");
-            require(has_pid, "\"pid\"");
-            require(has_tid, "\"tid\"");
-            switch (ev.ph) {
-              case 'X':
-                require(has_ts, "\"ts\"");
-                require(has_dur, "\"dur\"");
-                if (!(ev.durUs >= 0.0) || !std::isfinite(ev.durUs))
-                    throw std::runtime_error(
-                        name + ": event " + std::to_string(index) +
-                        ": span \"dur\" must be finite and >= 0");
-                break;
-              case 'i':
-                require(has_ts, "\"ts\"");
-                break;
-              case 'M':
-                break; // metadata is timeless
-              default:
-                throw std::runtime_error(
-                    name + ": event " + std::to_string(index) +
-                    ": unknown phase '" + std::string(1, ev.ph) +
-                    "'");
-            }
-            if (ev.ph != 'M' && !std::isfinite(ev.tsUs))
-                throw std::runtime_error(
-                    name + ": event " + std::to_string(index) +
-                    ": non-finite \"ts\"");
-
-            profile.events.push_back(std::move(ev));
-            if (p.consume(']'))
-                break;
-            p.expect(',');
         }
-    if (!p.atEnd())
-        throw std::runtime_error(name +
-                                 ": trailing data after array");
+
+        const auto require = [&](const char* key) {
+            if (!item.find(key))
+                doc.fail(item, tag + "missing \"" + key + "\"");
+        };
+        for (const char* key : {"name", "ph", "pid", "tid"})
+            require(key);
+        switch (ev.ph) {
+          case 'X':
+            require("ts");
+            require("dur");
+            if (!(ev.durUs >= 0.0) || !std::isfinite(ev.durUs))
+                doc.fail(item, tag + "span \"dur\" must be finite "
+                                     "and >= 0");
+            break;
+          case 'i':
+            require("ts");
+            break;
+          case 'M':
+            break; // metadata is timeless
+          default:
+            doc.fail(item, tag + "unknown phase '" +
+                               std::string(1, ev.ph) + "'");
+        }
+        if (ev.ph != 'M' && !std::isfinite(ev.tsUs))
+            doc.fail(item, tag + "non-finite \"ts\"");
+        profile.events.push_back(std::move(ev));
+    }
 
     // Timestamps must never step backwards within one (pid, tid)
     // track — the simulator emits in event-loop order, so a
@@ -353,13 +169,14 @@ readTraceEventJson(std::istream& in, const std::string& name)
         const auto track = std::make_pair(ev.pid, ev.tid);
         const auto it = last_ts.find(track);
         if (it != last_ts.end() && ev.tsUs < it->second)
-            throw std::runtime_error(
-                name + ": event " + std::to_string(i) +
-                ": timestamp " + runner::preciseDouble(ev.tsUs) +
-                " goes backwards on track pid=" +
-                std::to_string(ev.pid) +
-                " tid=" + std::to_string(ev.tid) + " (previous " +
-                runner::preciseDouble(it->second) + ")");
+            doc.fail(root.items[i],
+                     "event " + std::to_string(i) + ": timestamp " +
+                         runner::preciseDouble(ev.tsUs) +
+                         " goes backwards on track pid=" +
+                         std::to_string(ev.pid) +
+                         " tid=" + std::to_string(ev.tid) +
+                         " (previous " +
+                         runner::preciseDouble(it->second) + ")");
         last_ts[track] = ev.tsUs;
     }
 
@@ -554,63 +371,29 @@ MetricsProfile::hasGauge(const std::string& name) const
 MetricsProfile
 readMetricsJson(std::istream& in, const std::string& name)
 {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    EventParser p(text, name);
+    const json::Document doc(in, name);
+    const Value& root = doc.root();
+    if (root.kind != Kind::Object)
+        doc.fail(root, "a metrics dump must be an object");
+
+    // Every section is an object. The scalar ones ("counters",
+    // "gauges") are kept; histogram summaries are parsed past.
     MetricsProfile m;
-
-    // One object member whose value is a flat object ("counters",
-    // "gauges") or an object of objects ("histograms"); scalar
-    // sections are kept, histogram summaries are parsed past.
-    const auto parse_leaf = [&](const std::string& section,
-                                const std::string& key) {
-        const std::string tok = p.parseScalar();
-        if (section == "counters")
-            m.counters.push_back(
-                {key, parseNumber(tok, name, key, m.counters.size())});
-        else if (section == "gauges")
-            m.gauges.push_back(
-                {key, parseNumber(tok, name, key, m.gauges.size())});
-    };
-
-    p.expect('{');
-    if (!p.consume('}')) {
-        for (;;) {
-            const std::string section = p.parseString();
-            p.expect(':');
-            p.expect('{');
-            if (!p.consume('}')) {
-                for (;;) {
-                    const std::string key = p.parseString();
-                    p.expect(':');
-                    if (p.peek() == '{') {
-                        // Histogram summary object: parse past it.
-                        p.expect('{');
-                        if (!p.consume('}'))
-                            for (;;) {
-                                p.parseString();
-                                p.expect(':');
-                                p.parseScalar();
-                                if (p.consume('}'))
-                                    break;
-                                p.expect(',');
-                            }
-                    } else {
-                        parse_leaf(section, key);
-                    }
-                    if (p.consume('}'))
-                        break;
-                    p.expect(',');
-                }
-            }
-            if (p.consume('}'))
-                break;
-            p.expect(',');
+    for (const auto& [section, body] : root.members) {
+        if (body.kind != Kind::Object)
+            doc.fail(body, "section \"" + section +
+                               "\" must be an object");
+        auto* kept = section == "counters" ? &m.counters
+                     : section == "gauges" ? &m.gauges
+                                           : nullptr;
+        for (const auto& [key, v] : body.members) {
+            if (kept && v.kind != Kind::Number)
+                doc.fail(v, section + " \"" + key +
+                                "\" must be a number");
+            if (kept)
+                kept->push_back({key, v.number()});
         }
     }
-    if (!p.atEnd())
-        p.fail("trailing data after metrics object");
     return m;
 }
 

@@ -95,8 +95,9 @@ struct TraceProfile {
  * non-decreasing per (pid, tid) track in file order ('M' metadata is
  * timeless and exempt). @p name labels errors (the file path).
  *
- * @throws std::runtime_error on malformed JSON or a validation
- * failure.
+ * @throws std::runtime_error "<name>:<line>:<col>: <what>" on
+ * malformed JSON (duplicate keys included) or a validation failure,
+ * e.g. an "args" value that is not a number or a string.
  */
 TraceProfile readTraceEventJson(std::istream& in,
                                 const std::string& name = "<trace>");
@@ -139,7 +140,9 @@ struct MetricsProfile {
  * "gauges" / "histograms" sections. @p name labels errors (the file
  * path).
  *
- * @throws std::runtime_error on malformed input.
+ * @throws std::runtime_error "<name>:<line>:<col>: <what>" on
+ * malformed input: bad JSON, a duplicated name, a section that is
+ * not an object, or a counter or gauge that is not a number.
  */
 MetricsProfile readMetricsJson(std::istream& in,
                                const std::string& name = "<metrics>");

@@ -1,304 +1,22 @@
 #include "workload/scenario_suite.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "hw/system.h"
+#include "util/json.h"
 
 namespace dream {
 namespace workload {
 
 namespace {
-
-/** Shortest decimal rendering that round-trips to the same double
- *  (the runner::preciseDouble discipline, local to keep workload
- *  below runner in the layering). */
-std::string
-shortestDouble(double v)
-{
-    if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v > 0 ? "inf" : "-inf";
-    char buf[40];
-    for (const int prec : {15, 16, 17}) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
-// ------------------------------------------------ minimal JSON
-//
-// A small strict parser for the suite schema: objects, arrays,
-// strings, numbers (raw token text kept so 64-bit seeds parse
-// exactly), true/false/null. Anything else — including bare nan/inf
-// tokens smuggled into a hand-edited file — is a parse error.
-
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text; ///< string value, or the raw number token
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue* find(const std::string& key) const
-    {
-        for (const auto& kv : members) {
-            if (kv.first == key)
-                return &kv.second;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(std::istream& in)
-    {
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text_ = buf.str();
-    }
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = value();
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing content after the top-level value");
-        return v;
-    }
-
-private:
-    [[noreturn]] void
-    fail(const std::string& why) const
-    {
-        throw std::runtime_error("JSON error at offset " +
-                                 std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    JsonValue
-    value()
-    {
-        const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"') {
-            JsonValue v;
-            v.kind = JsonValue::Kind::String;
-            v.text = string();
-            return v;
-        }
-        if (c == 't' || c == 'f')
-            return boolean();
-        if (c == 'n') {
-            literal("null");
-            return JsonValue{};
-        }
-        return number();
-    }
-
-    void
-    literal(const char* word)
-    {
-        for (const char* p = word; *p; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p)
-                fail(std::string("invalid literal (expected '") +
-                     word + "')");
-            ++pos_;
-        }
-    }
-
-    JsonValue
-    boolean()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (text_[pos_] == 't') {
-            literal("true");
-            v.boolean = true;
-        } else {
-            literal("false");
-        }
-        return v;
-    }
-
-    JsonValue
-    number()
-    {
-        const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        const auto digits = [&]() {
-            size_t n = 0;
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                ++n;
-            }
-            return n;
-        };
-        if (digits() == 0)
-            fail("invalid number");
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (digits() == 0)
-                fail("invalid number (no fraction digits)");
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (digits() == 0)
-                fail("invalid number (no exponent digits)");
-        }
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.text = text_.substr(start, pos_ - start);
-        v.number = std::strtod(v.text.c_str(), nullptr);
-        return v;
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  default:
-                    fail("unsupported escape sequence");
-                }
-            } else {
-                out += c;
-            }
-        }
-    }
-
-    JsonValue
-    array()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(value());
-            const char c = peek();
-            if (c == ']') {
-                ++pos_;
-                return v;
-            }
-            expect(',');
-        }
-    }
-
-    JsonValue
-    object()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            std::string key = string();
-            expect(':');
-            v.members.emplace_back(std::move(key), value());
-            const char c = peek();
-            if (c == '}') {
-                ++pos_;
-                return v;
-            }
-            expect(',');
-        }
-    }
-
-    std::string text_;
-    size_t pos_ = 0;
-};
-
-/** JSON string escaping (suite names are plain, but be correct). */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 // ------------------------------------- spec <-> JSON field table
 
@@ -324,58 +42,58 @@ const SpecField kSpecFields[] = {
     {"target_load", &ScenarioGenSpec::targetLoad},
 };
 
+using json::Value;
+using Kind = json::Value::Kind;
+
 uint64_t
-parseU64(const JsonValue& v, const std::string& what)
+parseU64(const json::Document& doc, const Value& v,
+         const std::string& what)
 {
-    if (v.kind != JsonValue::Kind::Number ||
-        v.text.find_first_of(".eE-") != std::string::npos)
-        throw std::runtime_error(what +
-                                 " must be a non-negative integer");
     char* end = nullptr;
-    const unsigned long long u = std::strtoull(v.text.c_str(), &end,
-                                               10);
-    if (end != v.text.c_str() + v.text.size())
-        throw std::runtime_error(what +
-                                 " must be a non-negative integer");
+    errno = 0;
+    const unsigned long long u = std::strtoull(v.text.c_str(), &end, 10);
+    if (v.kind != Kind::Number ||
+        v.text.find_first_of(".eE-") != std::string::npos ||
+        end != v.text.c_str() + v.text.size() || errno == ERANGE)
+        doc.fail(v, what + " must be a non-negative 64-bit integer");
     return uint64_t(u);
 }
 
+/** A finite number: nan/inf parse as JSON numbers, so reject here. */
 double
-parseNumber(const JsonValue& v, const std::string& what)
+parseNumber(const json::Document& doc, const Value& v,
+            const std::string& what)
 {
-    if (v.kind != JsonValue::Kind::Number)
-        throw std::runtime_error(what + " must be a number");
-    return v.number;
+    if (v.kind != Kind::Number || !std::isfinite(v.number()))
+        doc.fail(v, what + " must be a finite number");
+    return v.number();
 }
 
 ScenarioGenSpec
-parseSpec(const JsonValue& v)
+parseSpec(const json::Document& doc, const Value& v,
+          const std::string& tag)
 {
-    if (v.kind != JsonValue::Kind::Object)
-        throw std::runtime_error("spec must be an object");
+    if (v.kind != Kind::Object)
+        doc.fail(v, tag + "spec must be an object");
     ScenarioGenSpec spec;
     for (const auto& [key, value] : v.members) {
-        if (key == "min_tasks") {
-            spec.minTasks = int(parseU64(value, key));
-        } else if (key == "max_tasks") {
-            spec.maxTasks = int(parseU64(value, key));
+        if (key == "min_tasks" || key == "max_tasks") {
+            const uint64_t n = parseU64(doc, value, tag + key);
+            if (n > uint64_t(std::numeric_limits<int>::max()))
+                doc.fail(value, tag + key + " is out of range");
+            (key == "min_tasks" ? spec.minTasks : spec.maxTasks) = int(n);
         } else if (key == "load_system") {
-            if (value.kind != JsonValue::Kind::String)
-                throw std::runtime_error("load_system must be a "
-                                         "string");
+            if (value.kind != Kind::String)
+                doc.fail(value, tag + "load_system must be a string");
             spec.loadSystem = value.text;
         } else {
-            bool known = false;
-            for (const auto& field : kSpecFields) {
-                if (key == field.key) {
-                    spec.*field.value = parseNumber(value, key);
-                    known = true;
-                    break;
-                }
-            }
-            if (!known)
-                throw std::runtime_error("unknown spec field '" + key +
-                                         "'");
+            const auto field = std::find_if(
+                std::begin(kSpecFields), std::end(kSpecFields),
+                [&](const SpecField& f) { return key == f.key; });
+            if (field == std::end(kSpecFields))
+                doc.fail(value,
+                         tag + "unknown spec field '" + key + "'");
+            spec.*field->value = parseNumber(doc, value, tag + key);
         }
     }
     return spec;
@@ -390,10 +108,10 @@ writeSpec(const ScenarioGenSpec& spec, std::ostream& out,
     out << indent << "  \"max_tasks\": " << spec.maxTasks << ",\n";
     for (const auto& field : kSpecFields) {
         out << indent << "  \"" << field.key
-            << "\": " << shortestDouble(spec.*field.value) << ",\n";
+            << "\": " << json::preciseDouble(spec.*field.value) << ",\n";
     }
     out << indent
-        << "  \"load_system\": " << jsonEscape(spec.loadSystem)
+        << "  \"load_system\": " << json::quote(spec.loadSystem)
         << "\n";
     out << indent << "}";
 }
@@ -409,41 +127,38 @@ knownSystemPreset(const std::string& name)
 }
 
 HardScenarioEntry
-parseEntry(const JsonValue& v)
+parseEntry(const json::Document& doc, const Value& v,
+           const std::string& tag)
 {
-    if (v.kind != JsonValue::Kind::Object)
-        throw std::runtime_error("entry must be an object");
+    if (v.kind != Kind::Object)
+        doc.fail(v, tag + "entry must be an object");
     HardScenarioEntry entry;
-    bool have_seed = false;
     for (const auto& [key, value] : v.members) {
         if (key == "name") {
-            if (value.kind != JsonValue::Kind::String ||
-                value.text.empty())
-                throw std::runtime_error("name must be a non-empty "
-                                         "string");
+            if (value.kind != Kind::String || value.text.empty())
+                doc.fail(value,
+                         tag + "name must be a non-empty string");
             entry.name = value.text;
         } else if (key == "gen_seed") {
-            entry.genSeed = parseU64(value, key);
-            have_seed = true;
+            entry.genSeed = parseU64(doc, value, tag + key);
         } else if (key == "spec") {
-            entry.spec = parseSpec(value);
+            entry.spec = parseSpec(doc, value, tag);
         } else if (key == "expected") {
-            if (value.kind != JsonValue::Kind::Object)
-                throw std::runtime_error("expected must be an "
-                                         "object");
+            if (value.kind != Kind::Object)
+                doc.fail(value, tag + "expected must be an object");
             for (const auto& [sched, ux] : value.members) {
                 entry.expected.emplace_back(
-                    sched, parseNumber(ux, "expected." + sched));
+                    sched,
+                    parseNumber(doc, ux, tag + "expected." + sched));
             }
         } else {
-            throw std::runtime_error("unknown entry field '" + key +
-                                     "'");
+            doc.fail(value, tag + "unknown entry field '" + key + "'");
         }
     }
     if (entry.name.empty())
-        throw std::runtime_error("entry has no name");
-    if (!have_seed)
-        throw std::runtime_error("entry has no gen_seed");
+        doc.fail(v, tag + "entry has no name");
+    if (!v.find("gen_seed"))
+        doc.fail(v, tag + "entry has no gen_seed");
     return entry;
 }
 
@@ -458,7 +173,7 @@ serializeGenSpec(const ScenarioGenSpec& spec)
         out += ',';
         out += field.key;
         out += '=';
-        out += shortestDouble(spec.*field.value);
+        out += json::preciseDouble(spec.*field.value);
     }
     out += ",load_system=" + spec.loadSystem;
     return out;
@@ -467,106 +182,70 @@ serializeGenSpec(const ScenarioGenSpec& spec)
 HardScenarioSuite
 loadHardScenarioSuite(std::istream& in, const std::string& context)
 {
-    const auto fail = [&context](const std::string& why) -> void {
-        throw std::runtime_error(context + ": " + why);
-    };
+    const json::Document doc(in, context);
+    const Value& root = doc.root();
+    if (root.kind != Kind::Object)
+        doc.fail(root, "top level must be an object");
 
-    JsonValue root;
-    try {
-        root = JsonParser(in).parse();
-    } catch (const std::runtime_error& e) {
-        fail(e.what());
-    }
-    if (root.kind != JsonValue::Kind::Object)
-        fail("top level must be an object");
-
-    const JsonValue* schema = root.find("schema");
-    if (!schema || schema->kind != JsonValue::Kind::String)
-        fail("missing \"schema\" string");
-    if (schema->text != kHardSuiteSchemaV1)
-        fail("unsupported schema '" + schema->text + "' (want " +
-             std::string(kHardSuiteSchemaV1) + ")");
+    const Value& schema = doc.member(root, "schema", Kind::String);
+    if (schema.text != kHardSuiteSchemaV1)
+        doc.fail(schema, "unsupported schema '" + schema.text +
+                             "' (want " +
+                             std::string(kHardSuiteSchemaV1) + ")");
 
     HardScenarioSuite suite;
-    try {
-        const JsonValue* system = root.find("system");
-        if (!system || system->kind != JsonValue::Kind::String)
-            throw std::runtime_error("missing \"system\" string");
-        suite.system = system->text;
-        if (!knownSystemPreset(suite.system))
-            throw std::runtime_error("unknown system preset '" +
-                                     suite.system + "'");
+    const Value& system = doc.member(root, "system", Kind::String);
+    suite.system = system.text;
+    if (!knownSystemPreset(suite.system))
+        doc.fail(system,
+                 "unknown system preset '" + suite.system + "'");
 
-        const JsonValue* window = root.find("window_us");
-        if (!window)
-            throw std::runtime_error("missing \"window_us\"");
-        suite.windowUs = parseNumber(*window, "window_us");
-        if (!(suite.windowUs > 0.0) || !std::isfinite(suite.windowUs))
-            throw std::runtime_error("window_us must be finite and "
-                                     "> 0");
+    const Value& window = doc.member(root, "window_us", Kind::Number);
+    suite.windowUs = parseNumber(doc, window, "window_us");
+    if (!(suite.windowUs > 0.0))
+        doc.fail(window, "window_us must be > 0");
 
-        const JsonValue* seeds = root.find("seeds");
-        if (!seeds || seeds->kind != JsonValue::Kind::Array ||
-            seeds->items.empty())
-            throw std::runtime_error("missing or empty \"seeds\" "
-                                     "array");
-        suite.seeds.clear();
-        for (const auto& s : seeds->items)
-            suite.seeds.push_back(parseU64(s, "seeds[]"));
+    const Value& seeds = doc.member(root, "seeds", Kind::Array);
+    if (seeds.items.empty())
+        doc.fail(seeds, "empty \"seeds\" array");
+    suite.seeds.clear();
+    for (const auto& s : seeds.items)
+        suite.seeds.push_back(parseU64(doc, s, "seeds[]"));
 
-        const JsonValue* entries = root.find("entries");
-        if (!entries || entries->kind != JsonValue::Kind::Array ||
-            entries->items.empty())
-            throw std::runtime_error("missing or empty \"entries\" "
-                                     "array");
+    const Value& entries = doc.member(root, "entries", Kind::Array);
+    if (entries.items.empty())
+        doc.fail(entries, "empty \"entries\" array");
+    for (const auto& [key, value] : root.members) {
+        if (key != "schema" && key != "system" && key != "window_us" &&
+            key != "seeds" && key != "entries")
+            doc.fail(value, "unknown suite field '" + key + "'");
+    }
 
-        for (const auto& [key, value] : root.members) {
-            (void)value;
-            if (key != "schema" && key != "system" &&
-                key != "window_us" && key != "seeds" &&
-                key != "entries")
-                throw std::runtime_error("unknown suite field '" +
-                                         key + "'");
+    std::set<std::string> names;
+    for (size_t i = 0; i < entries.items.size(); ++i) {
+        const Value& item = entries.items[i];
+        const std::string tag = "entry[" + std::to_string(i) + "]: ";
+        HardScenarioEntry entry = parseEntry(doc, item, tag);
+        const auto entry_fail = [&](const std::string& why) {
+            doc.fail(item, tag + "('" + entry.name + "') " + why);
+        };
+        if (!names.insert(entry.name).second)
+            doc.fail(item,
+                     tag + "duplicate entry name '" + entry.name + "'");
+        // Every entry runs the full validation gauntlet: the spec
+        // knobs first (half-set ranges, unknown loadSystem), then the
+        // scenario the (spec, genSeed) pair actually generates.
+        std::string why;
+        if (!validateGenSpec(entry.spec, &why))
+            entry_fail("invalid spec: " + why);
+        const ScenarioGenerator gen(entry.spec);
+        if (!validateScenario(gen.generate(entry.genSeed), &why))
+            entry_fail("generated scenario invalid: " + why);
+        for (const auto& kv : entry.expected) {
+            if (kv.first.empty())
+                entry_fail("expected UXCost has no scheduler name");
         }
-
-        std::set<std::string> names;
-        for (size_t i = 0; i < entries->items.size(); ++i) {
-            const auto entry_fail =
-                [&](const std::string& why) -> void {
-                throw std::runtime_error(
-                    "entry[" + std::to_string(i) + "]: " + why);
-            };
-            HardScenarioEntry entry;
-            try {
-                entry = parseEntry(entries->items[i]);
-            } catch (const std::runtime_error& e) {
-                entry_fail(e.what());
-            }
-            if (!names.insert(entry.name).second)
-                entry_fail("duplicate entry name '" + entry.name +
-                           "'");
-            // Every entry runs the full validation gauntlet: the
-            // spec knobs first (NaN, half-set ranges, unknown
-            // loadSystem), then the scenario the (spec, genSeed)
-            // pair actually generates.
-            std::string why;
-            if (!validateGenSpec(entry.spec, &why))
-                entry_fail("('" + entry.name + "') invalid spec: " +
-                           why);
-            const ScenarioGenerator gen(entry.spec);
-            if (!validateScenario(gen.generate(entry.genSeed), &why))
-                entry_fail("('" + entry.name +
-                           "') generated scenario invalid: " + why);
-            for (const auto& [sched, ux] : entry.expected) {
-                if (sched.empty() || !std::isfinite(ux))
-                    entry_fail("('" + entry.name +
-                               "') expected UXCost for '" + sched +
-                               "' must be finite");
-            }
-            suite.entries.push_back(std::move(entry));
-        }
-    } catch (const std::runtime_error& e) {
-        fail(e.what());
+        suite.entries.push_back(std::move(entry));
     }
     return suite;
 }
@@ -585,9 +264,9 @@ saveHardScenarioSuite(const HardScenarioSuite& suite,
                       std::ostream& out)
 {
     out << "{\n";
-    out << "  \"schema\": " << jsonEscape(kHardSuiteSchemaV1) << ",\n";
-    out << "  \"system\": " << jsonEscape(suite.system) << ",\n";
-    out << "  \"window_us\": " << shortestDouble(suite.windowUs)
+    out << "  \"schema\": " << json::quote(kHardSuiteSchemaV1) << ",\n";
+    out << "  \"system\": " << json::quote(suite.system) << ",\n";
+    out << "  \"window_us\": " << json::preciseDouble(suite.windowUs)
         << ",\n";
     out << "  \"seeds\": [";
     for (size_t i = 0; i < suite.seeds.size(); ++i)
@@ -597,15 +276,15 @@ saveHardScenarioSuite(const HardScenarioSuite& suite,
     for (size_t i = 0; i < suite.entries.size(); ++i) {
         const auto& e = suite.entries[i];
         out << "    {\n";
-        out << "      \"name\": " << jsonEscape(e.name) << ",\n";
+        out << "      \"name\": " << json::quote(e.name) << ",\n";
         out << "      \"gen_seed\": " << e.genSeed << ",\n";
         out << "      \"spec\": ";
         writeSpec(e.spec, out, "      ");
         if (!e.expected.empty()) {
             out << ",\n      \"expected\": {\n";
             for (size_t k = 0; k < e.expected.size(); ++k) {
-                out << "        " << jsonEscape(e.expected[k].first)
-                    << ": " << shortestDouble(e.expected[k].second)
+                out << "        " << json::quote(e.expected[k].first)
+                    << ": " << json::preciseDouble(e.expected[k].second)
                     << (k + 1 < e.expected.size() ? "," : "") << "\n";
             }
             out << "      }\n";

@@ -10,8 +10,8 @@
  * — plus the expected per-scheduler UXCost at the suite's (system,
  * window, simulation seed), which the bench re-checks. The loader
  * routes every entry through validateGenSpec and validateScenario,
- * so a hand-edited file fails loudly (path + entry index), never as
- * a mysterious mid-sweep crash.
+ * so a hand-edited file fails loudly (path:line:col + entry index),
+ * never as a mysterious mid-sweep crash.
  */
 
 #ifndef DREAM_WORKLOAD_SCENARIO_SUITE_H
@@ -75,8 +75,10 @@ std::string serializeGenSpec(const ScenarioGenSpec& spec);
  * validateScenario, names are unique and non-empty, the system is a
  * known hw preset, window and seeds are sane.
  *
- * @throws std::runtime_error naming @p context (e.g. the file path)
- * and, for per-entry failures, the entry index and name.
+ * @throws std::runtime_error "<context>:<line>:<col>: <what>"
+ * (@p context is e.g. the file path), naming the entry index and
+ * name for per-entry failures. Duplicate keys are errors, and so are
+ * non-finite numbers.
  */
 HardScenarioSuite loadHardScenarioSuite(std::istream& in,
                                         const std::string& context);

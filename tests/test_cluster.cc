@@ -406,8 +406,9 @@ TEST(Cluster, FairnessRatiosComeFromCompletedFrames)
 
     ASSERT_EQ(result.fairnessRatio.size(), 2u);
     for (const double ratio : result.fairnessRatio) {
-        if (std::isfinite(ratio))
+        if (std::isfinite(ratio)) {
             EXPECT_GT(ratio, 0.0);
+        }
     }
     EXPECT_GE(result.fairnessSpread, 1.0);
 }

@@ -19,6 +19,7 @@
 
 #include "engine/engine.h"
 #include "engine/worker_pool.h"
+#include "json_reject.h"
 #include "costmodel/cost_table.h"
 #include "costmodel/cost_table_cache.h"
 #include "hw/system.h"
@@ -270,6 +271,38 @@ TEST(TraceProf, RejectsMalformedEvents)
     reject("[{\"name\": \"a\", \"ph\": \"Q\", \"ts\": 1, "
            "\"pid\": 0, \"tid\": 0}]"); // unknown phase
     reject("[] trailing");
+
+    // Lax readers took these; each must be rejected at its line:col.
+    const auto read = [](const std::string& text) {
+        std::istringstream in(text);
+        tools::readTraceEventJson(in, "t");
+    };
+    const std::string dup_ts = "[{\"name\": \"a\", \"ph\": \"i\", "
+                               "\"ts\": 1, \"ts\": 0, \"pid\": 0, "
+                               "\"tid\": 0}]";
+    test::expectRejectedAt(read, dup_ts, "t", dup_ts.rfind("\"ts\""),
+                           "duplicate key \"ts\"");
+    const std::string dup_name = "[{\"name\": \"a\", \"name\": \"b\", "
+                                 "\"ph\": \"i\", \"ts\": 1, "
+                                 "\"pid\": 0, \"tid\": 0}]";
+    test::expectRejectedAt(read, dup_name, "t",
+                           dup_name.rfind("\"name\""),
+                           "duplicate key \"name\"");
+    const std::string event = "[{\"name\": \"a\", \"ph\": \"i\", "
+                              "\"ts\": 1, \"pid\": 0, \"tid\": 0, ";
+    const std::string open_arg =
+        event + "\"args\": {\"k\": [1, \"frame\": 0}}]";
+    test::expectRejectedAt(read, open_arg, "t",
+                           open_arg.find(':', open_arg.find("\"frame\"")),
+                           "expected ',' or ']'");
+    const std::string big_pid = "[{\"name\": \"a\", \"ph\": \"i\", "
+                                "\"ts\": 1, \"pid\": 1e300, \"tid\": 0}]";
+    test::expectRejectedAt(read, big_pid, "t", big_pid.find("1e300"),
+                           "\"pid\" must be an integer");
+    const std::string array_arg = event + "\"args\": {\"k\": [1]}}]";
+    test::expectRejectedAt(read, array_arg, "t", array_arg.find("[1]"),
+                           "event 0: arg \"k\" must be a number or "
+                           "a string");
 }
 
 // ------------------------------------------- metrics-dump reader
@@ -333,6 +366,15 @@ TEST(MetricsProf, RejectsMalformedDumps)
     reject("[]");                      // not an object
     reject("{\"counters\": 3}");       // section not an object
     reject("{\"counters\": {}} junk"); // trailing data
+
+    // A duplicated name is an error at the copy, not last-wins.
+    const std::string dup = "{\"counters\": {\"a\": 1, \"a\": 2}}";
+    test::expectRejectedAt(
+        [](const std::string& text) {
+            std::istringstream in(text);
+            tools::readMetricsJson(in, "t");
+        },
+        dup, "t", dup.rfind("\"a\""), "duplicate key \"a\"");
 }
 
 // ------------------------------------------- simulator telemetry

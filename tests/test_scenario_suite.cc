@@ -16,6 +16,7 @@
 
 #include "engine/engine.h"
 #include "engine/sweep_grid.h"
+#include "json_reject.h"
 #include "workload/scenario_suite.h"
 
 namespace dream {
@@ -124,12 +125,41 @@ TEST(ScenarioSuite, RejectsMalformedFiles)
                     "unsupported schema");
     expectLoadError(wrapEntries("") + " trailing", "trailing");
 
-    // NaN cannot be smuggled in through a hand-edited file: it is
-    // not a JSON token, so parsing fails before validation.
+    // NaN cannot be smuggled in through a hand-edited file: nan is
+    // a number token to the reader (the %g writers emit it), and the
+    // schema rejects the non-finite knob, naming the entry.
     expectLoadError(
         wrapEntries("{\"name\": \"x\", \"gen_seed\": 1, "
                     "\"spec\": {\"chain_prob\": nan}}"),
-        "JSON error");
+        "entry[0]");
+
+    // A duplicated key is an error at the second occurrence — neither
+    // first-wins (window_us) nor last-wins (a spec knob).
+    const auto load = [](const std::string& text) {
+        std::istringstream in(text);
+        workload::loadHardScenarioSuite(in, "ctx");
+    };
+    const std::string dup_window =
+        "{\"schema\": \"dream-hard-scenarios-v1\", "
+        "\"system\": \"4K-1WS+2OS\", \"window_us\": 1e6, "
+        "\"window_us\": 2e6, \"seeds\": [11], "
+        "\"entries\": [{\"name\": \"x\", \"gen_seed\": 1}]}";
+    test::expectRejectedAt(load, dup_window, "ctx",
+                           dup_window.rfind("\"window_us\""),
+                           "duplicate key \"window_us\"");
+    const std::string dup_knob =
+        wrapEntries("{\"name\": \"x\", \"gen_seed\": 1, \"spec\": "
+                    "{\"target_load\": 2.5, \"target_load\": 0.5}}");
+    test::expectRejectedAt(load, dup_knob, "ctx",
+                           dup_knob.rfind("\"target_load\""),
+                           "duplicate key \"target_load\"");
+    // A task count past INT_MAX is an error: a cast to int would
+    // wrap 2^32 + 8 to 8 tasks.
+    const std::string wrap =
+        wrapEntries("{\"name\": \"x\", \"gen_seed\": 1, \"spec\": "
+                    "{\"max_tasks\": 4294967304}}");
+    test::expectRejectedAt(load, wrap, "ctx", wrap.find("4294967304"),
+                           "entry[0]: max_tasks is out of range");
 
     // Out-of-range knobs are named with the entry index.
     expectLoadError(

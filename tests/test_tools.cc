@@ -21,6 +21,7 @@
 #include "engine/engine.h"
 #include "engine/param_eval.h"
 #include "engine/result_sink.h"
+#include "json_reject.h"
 #include "tools/csv_diff.h"
 #include "tools/csv_merge.h"
 #include "tools/json_result.h"
@@ -533,6 +534,31 @@ TEST(JsonResult, RejectsMalformedAndMixedGridInput)
                  std::runtime_error);
     const std::string good = toJson({record(0, "sc", "A", 1, 1.0)});
     EXPECT_THROW(parseJson(good + "trailing"), std::runtime_error);
+
+    // Lax readers took these; each must be rejected at its line:col.
+    const auto read = [](const std::string& text) { parseJson(text); };
+    const auto mutate = [&good](const std::string& from,
+                                const std::string& to) {
+        std::string text = good;
+        text.replace(text.find(from), from.size(), to);
+        return text;
+    };
+    const std::string junk =
+        mutate("\"ux_cost\": 1,", "\"ux_cost\": 0.19xyz,");
+    test::expectRejectedAt(read, junk, "<result>", junk.find("xyz"),
+                           "expected ',' or '}'");
+    const std::string seed = mutate("\"seed\": 1,", "\"seed\": [11,");
+    test::expectRejectedAt(read, seed, "<result>",
+                           seed.find(':', seed.find("\"window_us\"")),
+                           "expected ',' or ']'");
+    const std::string dup =
+        mutate("\"seed\": 1,", "\"index\": 0, \"seed\": 1,");
+    test::expectRejectedAt(read, dup, "<result>", dup.rfind("\"index\""),
+                           "duplicate key \"index\"");
+    const std::string flag =
+        mutate("\"total_frames\": 100", "\"total_frames\": true");
+    test::expectRejectedAt(read, flag, "<result>", flag.find("true"),
+                           "\"total_frames\" must be a number");
 
     // Two records disagreeing on parameter keys = two grids.
     engine::RunRecord a = record(0, "sc", "A", 1, 1.0);

@@ -48,9 +48,10 @@ expectStatsBitIdentical(const sim::RunStats& a, const sim::RunStats& b)
         // NaN == never completed: both sides must agree, and real
         // completion times must match exactly.
         EXPECT_EQ(fa.isCompleted(), fb.isCompleted()) << "frame " << i;
-        if (fa.isCompleted() && fb.isCompleted())
+        if (fa.isCompleted() && fb.isCompleted()) {
             EXPECT_EQ(fa.completionUs, fb.completionUs)
                 << "frame " << i;
+        }
         EXPECT_EQ(fa.dropped, fb.dropped) << "frame " << i;
         EXPECT_EQ(fa.violated, fb.violated) << "frame " << i;
         EXPECT_EQ(fa.inWindow, fb.inWindow) << "frame " << i;

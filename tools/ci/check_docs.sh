@@ -72,6 +72,14 @@ for doc in README.md docs/ARCHITECTURE.md; do
     done
 done
 
+# The perf record is perfbench/, and both front doors must say so.
+for doc in README.md tools/README.md; do
+    if ! grep -qF -- "perfbench/README.md" "$doc"; then
+        echo "check_docs: $doc does not link perfbench/README.md" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: documentation drift detected" >&2
     exit 1
