@@ -35,13 +35,15 @@ std::optional<int>
 FrameDropEngine::selectDrop(const sim::SchedulerContext& ctx,
                             const MapScoreEngine& scores) const
 {
-    // Condition 2: more than one live job expected to violate.
+    // Condition 2: more than one live job expected to violate. Only
+    // "at least two" matters, so the scan stops at the second one.
     int expected_violations = 0;
     for (const auto* req : ctx.live) {
-        if (expectedViolation(ctx, scores, *req))
-            ++expected_violations;
+        if (expectedViolation(ctx, scores, *req) &&
+            ++expected_violations == 2)
+            break;
     }
-    if (expected_violations <= 1)
+    if (expected_violations < 2)
         return std::nullopt;
 
     const sim::Request* victim = nullptr;

@@ -5,14 +5,17 @@
  * A frame is dropped only when all four conditions hold:
  *  1. Deadline-violation likelihood: minimum_to_go > slack.
  *  2. Multi-model violation: more than one live job is expected to
- *     violate its deadline (dropping helps someone else).
+ *     violate its deadline (dropping helps someone else). This reads
+ *     every live frame, in flight or queued, and stops at the second
+ *     expected violator.
  *  3. Dependency-free: the frame's task is the last model of its
  *     pipeline (no other model depends on it).
  *  4. Drop-rate bound: the task stays under the maximum frame-drop
  *     rate over the configured frame window.
  *
- * Among qualifying frames the one with the highest
- * minimum_to_go / slack ratio is dropped.
+ * Conditions 1, 3 and 4 are evaluated on the ready frames (the
+ * droppable task heads); among those that qualify, the one with the
+ * highest minimum_to_go / slack ratio is dropped.
  */
 
 #ifndef DREAM_CORE_FRAME_DROP_H
@@ -35,8 +38,9 @@ public:
     {}
 
     /**
-     * Evaluate the four conditions over the ready frames and return
-     * the request id to drop, if any.
+     * Evaluate condition 2 over the live frames and conditions 1, 3
+     * and 4 over the ready frames; return the request id to drop, if
+     * any.
      */
     std::optional<int> selectDrop(const sim::SchedulerContext& ctx,
                                   const MapScoreEngine& scores) const;

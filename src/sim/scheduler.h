@@ -8,6 +8,13 @@
  * job dispatches. The simulator applies the plan and re-invokes the
  * scheduler until it returns an empty plan, letting it fill every
  * idle accelerator.
+ *
+ * The simulator checks every plan entry just before applying it, in
+ * application order (switches, drops, dispatches), in every build
+ * type. An entry that breaks the contract below, or a scheduler that
+ * does not reach an empty plan within 1024 rounds of one event,
+ * throws std::logic_error naming the entry kind, the request's id,
+ * task and frame, and the virtual time.
  */
 
 #ifndef DREAM_SIM_SCHEDULER_H
@@ -25,7 +32,12 @@
 namespace dream {
 namespace sim {
 
-/** Dispatch @p numLayers layers of a request onto an accelerator. */
+/**
+ * Dispatch @p numLayers layers of a request onto an accelerator. The
+ * request must be queued (not in flight, not finished) and the head
+ * of its task's FIFO queue; 1 <= numLayers <= its remaining layers,
+ * and the slice count must fit the accelerator's free slices.
+ */
 struct Dispatch {
     int requestId = -1;
     size_t numLayers = 1;
@@ -34,12 +46,18 @@ struct Dispatch {
     uint32_t slices = 0;
 };
 
-/** Proactively drop a (not in-flight) frame. */
+/**
+ * Proactively drop a queued frame: any frame that is neither in
+ * flight nor finished, not only a task's head.
+ */
 struct FrameDrop {
     int requestId = -1;
 };
 
-/** Switch a Supernet request to a (lighter) variant. */
+/**
+ * Switch a queued Supernet request to a (lighter) variant, at or
+ * before the model's switch point; variant 0 is the Original.
+ */
 struct VariantSwitch {
     int requestId = -1;
     int variant = 0;
@@ -70,9 +88,14 @@ struct Plan {
 /**
  * Read-only snapshot handed to the scheduler.
  *
- * `ready` holds, per task queue, the head frame if it is schedulable
- * (arrived, unfinished, not in flight). `live` holds every unfinished
- * frame (for multi-violation checks and frame-drop policies).
+ * `ready` holds, per task queue and in ascending task order, the head
+ * frame if it is schedulable (unfinished, not in flight); DREAM
+ * breaks MapScore ties by that order. `live` holds every admitted,
+ * unfinished frame (for multi-violation checks and frame-drop
+ * policies). The simulator maintains `live` incrementally: a frame
+ * is appended when it is admitted and swap-removed when it completes
+ * or is dropped, so its order is unspecified, though deterministic.
+ * A round rebuilds only `ready`, from the per-task heads.
  */
 struct SchedulerContext {
     double nowUs = 0.0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -29,6 +30,15 @@ inWindow(double deadline_us, double window_us)
     return deadline_us <= window_us + kWindowEpsilonUs;
 }
 
+/** Virtual time for error messages: microseconds to the nanosecond. */
+std::string
+formatUs(double t_us)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%.3f", t_us);
+    return buf;
+}
+
 } // anonymous namespace
 
 Simulator::Simulator(const hw::SystemConfig& system,
@@ -45,7 +55,7 @@ Simulator::headOfTask(workload::TaskId task)
 {
     auto& q = taskQueues_[task];
     while (!q.empty() && requests_[q.front()]->finished())
-        q.erase(q.begin());
+        q.pop_front();
     if (q.empty())
         return nullptr;
     return requests_[q.front()].get();
@@ -54,6 +64,18 @@ Simulator::headOfTask(workload::TaskId task)
 void
 Simulator::admitFrame(const workload::FrameSpec& spec)
 {
+    // Root frames are admitted at their arrival event; a cascade
+    // child must arrive by its parent's completion. Every live frame
+    // has therefore arrived, which is what lets ctx_.live be kept
+    // incrementally instead of filtered by arrival on every round.
+    if (spec.arrivalUs > nowUs_ + 1e-9)
+        throw std::logic_error(
+            "frame " + std::to_string(spec.frameIdx) + " of task " +
+            std::to_string(spec.task) + " admitted at t=" +
+            formatUs(nowUs_) + " us before its arrival at " +
+            formatUs(spec.arrivalUs) +
+            " us (ArrivalSource::childFrame must release a child no "
+            "later than its parent's completion)");
     auto req = std::make_unique<Request>();
     req->id = int(requests_.size());
     req->task = spec.task;
@@ -76,7 +98,8 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     }
 
     taskQueues_[spec.task].push_back(req->id);
-    liveFrames_ += 1;
+    liveSlot_.push_back(ctx_.live.size());
+    ctx_.live.push_back(req.get());
 
     if (config_.telemetry && config_.telemetry->trace) {
         config_.telemetry->trace->instant(
@@ -89,6 +112,18 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     }
 
     requests_.push_back(std::move(req));
+}
+
+void
+Simulator::retire(const Request& req)
+{
+    // O(1) swap-remove: the live set's order is unspecified.
+    const size_t slot = liveSlot_[size_t(req.id)];
+    assert(slot < ctx_.live.size() && ctx_.live[slot] == &req);
+    const Request* moved = ctx_.live.back();
+    ctx_.live[slot] = moved;
+    liveSlot_[size_t(moved->id)] = slot;
+    ctx_.live.pop_back();
 }
 
 void
@@ -133,8 +168,7 @@ Simulator::completeJob(const Job& job)
     // Frame complete.
     req.done = true;
     req.completionUs = job.endUs;
-    assert(liveFrames_ > 0);
-    liveFrames_ -= 1;
+    retire(req);
     TaskStats& ts = stats_.tasks[req.task];
     const bool counted = inWindow(req.deadlineUs, config_.windowUs);
     if (counted) {
@@ -184,15 +218,61 @@ Simulator::completeJob(const Job& job)
     }
 }
 
+Request&
+Simulator::planRequest(const char* kind, int request_id)
+{
+    if (request_id < 0 || size_t(request_id) >= requests_.size())
+        rejectPlan(kind, request_id,
+                   "request id out of range (" +
+                       std::to_string(requests_.size()) +
+                       " frames admitted)");
+    return *requests_[size_t(request_id)];
+}
+
+void
+Simulator::checkQueued(const char* kind, const Request& req) const
+{
+    if (req.inFlight)
+        rejectPlan(kind, req.id, "the request is in flight");
+    if (req.done)
+        rejectPlan(kind, req.id, "the request already completed");
+    if (req.dropped)
+        rejectPlan(kind, req.id, "the request was already dropped");
+}
+
+void
+Simulator::rejectPlan(const char* kind, int request_id,
+                      const std::string& why) const
+{
+    std::string what = std::string("invalid plan: ") + kind +
+                       " of request " + std::to_string(request_id);
+    if (request_id >= 0 && size_t(request_id) < requests_.size()) {
+        const Request& req = *requests_[size_t(request_id)];
+        what += " (task " + std::to_string(req.task) + ", frame " +
+                std::to_string(req.frameIdx) + ")";
+    }
+    throw std::logic_error(what + " at t=" + formatUs(nowUs_) +
+                           " us: " + why);
+}
+
 void
 Simulator::applySwitch(const VariantSwitch& sw)
 {
-    Request& req = *requests_[sw.requestId];
+    Request& req = planRequest("switch", sw.requestId);
     const models::Model& model = scenario_.tasks[req.task].model;
-    assert(model.isSupernet());
-    assert(!req.inFlight && !req.finished());
-    assert(req.nextLayer <= model.supernetSwitchPoint);
-    assert(sw.variant >= 0 && size_t(sw.variant) <= model.variants.size());
+    checkQueued("switch", req);
+    if (!model.isSupernet())
+        rejectPlan("switch", req.id, "the task's model is not a Supernet");
+    if (req.nextLayer > model.supernetSwitchPoint)
+        rejectPlan("switch", req.id,
+                   "next layer " + std::to_string(req.nextLayer) +
+                       " is past the Supernet switch point " +
+                       std::to_string(model.supernetSwitchPoint));
+    if (sw.variant < 0 || size_t(sw.variant) > model.variants.size())
+        rejectPlan("switch", req.id,
+                   "variant " + std::to_string(sw.variant) +
+                       " out of range [0, " +
+                       std::to_string(model.variants.size()) + "]");
     req.path = model.variantPath(size_t(sw.variant));
     req.variant = sw.variant;
     req.pathVersion += 1;
@@ -210,11 +290,10 @@ Simulator::applySwitch(const VariantSwitch& sw)
 void
 Simulator::applyDrop(const FrameDrop& drop)
 {
-    Request& req = *requests_[drop.requestId];
-    assert(!req.inFlight && !req.finished());
+    Request& req = planRequest("drop", drop.requestId);
+    checkQueued("drop", req);
     req.dropped = true;
-    assert(liveFrames_ > 0);
-    liveFrames_ -= 1;
+    retire(req);
     TaskStats& ts = stats_.tasks[req.task];
     if (inWindow(req.deadlineUs, config_.windowUs)) {
         ts.droppedFrames += 1;
@@ -250,16 +329,35 @@ Simulator::applyDrop(const FrameDrop& drop)
 void
 Simulator::applyDispatch(const Dispatch& d)
 {
-    Request& req = *requests_[d.requestId];
-    AcceleratorState& acc = accels_[d.accel];
+    Request& req = planRequest("dispatch", d.requestId);
+    if (d.accel < 0 || size_t(d.accel) >= accels_.size())
+        rejectPlan("dispatch", req.id,
+                   "accelerator index " + std::to_string(d.accel) +
+                       " out of range (" +
+                       std::to_string(accels_.size()) +
+                       " accelerators)");
+    AcceleratorState& acc = accels_[size_t(d.accel)];
     const uint32_t slices =
         d.slices == 0 ? acc.config->numSlices : d.slices;
 
-    assert(!req.inFlight && !req.finished());
-    assert(req.arrivalUs <= nowUs_ + 1e-9);
-    assert(headOfTask(req.task) == &req && "per-task FIFO order");
-    assert(d.numLayers >= 1 && d.numLayers <= req.remainingLayers());
-    assert(slices >= 1 && slices <= acc.freeSlices);
+    checkQueued("dispatch", req);
+    const Request* head = headOfTask(req.task);
+    if (head != &req)
+        rejectPlan("dispatch", req.id,
+                   "per-task FIFO order: the head of its task's queue "
+                   "is request " +
+                       std::to_string(head->id));
+    if (d.numLayers < 1 || d.numLayers > req.remainingLayers())
+        rejectPlan("dispatch", req.id,
+                   "layer count " + std::to_string(d.numLayers) +
+                       " out of range [1, " +
+                       std::to_string(req.remainingLayers()) + "]");
+    if (slices < 1 || slices > acc.freeSlices)
+        rejectPlan("dispatch", req.id,
+                   "slice count " + std::to_string(slices) +
+                       " out of range [1, " +
+                       std::to_string(acc.freeSlices) +
+                       "] on accelerator " + std::to_string(d.accel));
 
     Job job;
     job.requestId = req.id;
@@ -357,18 +455,14 @@ Simulator::buildContext()
     ctx_.scenario = &scenario_;
     ctx_.accels = &accels_;
     ctx_.stats = &stats_;
+    // ctx_.live is maintained by admitFrame and retire(); only the
+    // per-task heads are read here, in ascending task order.
     ctx_.ready.clear();
-    ctx_.live.clear();
     for (workload::TaskId t = 0; t < workload::TaskId(taskQueues_.size());
          ++t) {
         Request* head = headOfTask(t);
-        if (head && !head->inFlight && head->arrivalUs <= nowUs_ + 1e-9)
+        if (head && !head->inFlight)
             ctx_.ready.push_back(head);
-        for (const int id : taskQueues_[t]) {
-            const Request* r = requests_[id].get();
-            if (!r->finished() && r->arrivalUs <= nowUs_ + 1e-9)
-                ctx_.live.push_back(r);
-        }
     }
 }
 
@@ -424,8 +518,12 @@ Simulator::invokeScheduler(Scheduler& sched)
             break;
         }
     }
-    assert(converged && "scheduler failed to converge");
-    (void) converged;
+    if (!converged)
+        throw std::logic_error(
+            "invalid plan: scheduler '" + sched.name() +
+            "' returned a non-empty plan in each of " +
+            std::to_string(kMaxPlanRounds) + " rounds at t=" +
+            formatUs(nowUs_) + " us (it must converge to an empty plan)");
 
     if (tel) {
         const double wall_ns =
@@ -473,6 +571,8 @@ Simulator::beginStream(Scheduler& sched)
     // Reset per-run state.
     requests_.clear();
     taskQueues_.assign(scenario_.tasks.size(), {});
+    liveSlot_.clear();
+    ctx_.live.clear();
     accels_.clear();
     for (const auto& cfg : system_.accelerators) {
         AcceleratorState st;
@@ -522,7 +622,6 @@ Simulator::beginStream(Scheduler& sched)
 
     pendingArrivals_.clear();
     nextArrival_ = 0;
-    liveFrames_ = 0;
     streamSched_ = &sched;
     streaming_ = true;
 

@@ -13,8 +13,10 @@
 #ifndef DREAM_SIM_SIMULATOR_H
 #define DREAM_SIM_SIMULATOR_H
 
+#include <deque>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "costmodel/cost_table.h"
@@ -115,7 +117,7 @@ public:
     double nowUs() const { return nowUs_; }
 
     /** Admitted frames (root + cascade) not yet finished. */
-    size_t liveFrames() const { return liveFrames_; }
+    size_t liveFrames() const { return ctx_.live.size(); }
 
 private:
     struct JobEvent {
@@ -126,12 +128,17 @@ private:
     };
 
     void admitFrame(const workload::FrameSpec& spec);
+    void retire(const Request& req);
     void completeJob(const Job& job);
     void invokeScheduler(Scheduler& sched);
     bool applyPlan(const Plan& plan);
     void applySwitch(const VariantSwitch& sw);
     void applyDrop(const FrameDrop& drop);
     void applyDispatch(const Dispatch& d);
+    Request& planRequest(const char* kind, int request_id);
+    void checkQueued(const char* kind, const Request& req) const;
+    [[noreturn]] void rejectPlan(const char* kind, int request_id,
+                                 const std::string& why) const;
     void buildContext();
     void finalizeStats();
     Request* headOfTask(workload::TaskId task);
@@ -145,7 +152,11 @@ private:
     std::unique_ptr<workload::FrameSource> ownedSource_;
     const workload::ArrivalSource* source_ = nullptr;
     std::vector<std::unique_ptr<Request>> requests_;
-    std::vector<std::vector<int>> taskQueues_;  ///< FIFO req ids per task
+    std::vector<std::deque<int>> taskQueues_;  ///< FIFO req ids per task
+    /** Index of each live request in ctx_.live, by request id (stale
+     *  once the request finishes). ctx_.live is the live set itself:
+     *  admitFrame appends, retire() swap-removes. */
+    std::vector<size_t> liveSlot_;
     std::vector<AcceleratorState> accels_;
     std::priority_queue<JobEvent, std::vector<JobEvent>,
                         std::greater<JobEvent>> completions_;
@@ -155,13 +166,11 @@ private:
     RunStats stats_;
     SchedulerContext ctx_;
     /** Stream state: offered-but-unadmitted arrivals (FIFO from
-     *  nextArrival_), the bound scheduler, and the live-frame count
-     *  serve-mode admission control reads as its queue depth. */
+     *  nextArrival_) and the bound scheduler. */
     std::vector<workload::FrameSpec> pendingArrivals_;
     size_t nextArrival_ = 0;
     Scheduler* streamSched_ = nullptr;
     bool streaming_ = false;
-    size_t liveFrames_ = 0;
     /** Start of the current busy interval per accelerator (valid
      *  while runningJobs > 0) — feeds RunStats::accelBusyUs. */
     std::vector<double> busyStartUs_;

@@ -1,0 +1,302 @@
+/**
+ * @file
+ * Differential oracle for the scheduler context.
+ *
+ * The simulator keeps SchedulerContext::live incrementally (appended
+ * at admission, swap-removed when a frame completes or is dropped)
+ * and rebuilds `ready` from the per-task queue heads. A checking
+ * scheduler wraps each stock scheduler and, on every plan() call,
+ * compares the context with a reference it keeps from the contexts
+ * it has seen: the full-rebuild definition the simulator used before
+ * the live set became incremental. It is driven over seeded random
+ * generated mixes x schedulers x batch and ragged stream stepping x
+ * serve-loop admission off, reject and degrade.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "costmodel/cost_table_cache.h"
+#include "runner/experiment.h"
+#include "serve/serve_loop.h"
+#include "sim/simulator.h"
+#include "test_util.h"
+#include "workload/frame_source.h"
+#include "workload/scenario_gen.h"
+
+namespace dream {
+namespace {
+
+/**
+ * Forwards to a stock scheduler after checking the context:
+ *  - `live` holds no duplicate and no finished frame;
+ *  - every frame seen live before that is still unfinished is still
+ *    live, and frames new to `live` carry the next admission ids, so
+ *    no admitted frame is missing;
+ *  - with a simulator attached, live.size() == liveFrames();
+ *  - `ready` is, in ascending task order, each task's lowest-id live
+ *    frame when it has arrived and is not in flight (the per-task
+ *    FIFO head: request ids follow admission order).
+ */
+class ContextOracle : public sim::Scheduler {
+public:
+    ContextOracle(runner::SchedKind kind,
+                  const sim::Simulator* simulator = nullptr)
+        : inner_(runner::makeScheduler(kind)), simulator_(simulator)
+    {}
+
+    std::string name() const override { return inner_->name(); }
+
+    void reset(const sim::SchedulerContext& ctx) override
+    {
+        seen_.clear();
+        nextId_ = 0;
+        lastNowUs_ = ctx.nowUs;
+        EXPECT_TRUE(ctx.live.empty());
+        EXPECT_TRUE(ctx.ready.empty());
+        inner_->reset(ctx);
+    }
+
+    sim::Plan plan(const sim::SchedulerContext& ctx) override
+    {
+        // One located failure is enough; later rounds inherit it.
+        if (!::testing::Test::HasFailure())
+            check(ctx);
+        return inner_->plan(ctx);
+    }
+
+    uint64_t calls = 0;
+    size_t maxLive = 0;
+
+private:
+    void
+    check(const sim::SchedulerContext& ctx)
+    {
+        ++calls;
+        maxLive = std::max(maxLive, ctx.live.size());
+        ASSERT_GE(ctx.nowUs, lastNowUs_);
+        lastNowUs_ = ctx.nowUs;
+
+        std::vector<int> fresh;
+        for (const auto* r : ctx.live) {
+            ASSERT_FALSE(r->finished()) << "finished request " << r->id;
+            if (size_t(r->id) >= inLive_.size())
+                inLive_.resize(size_t(r->id) + 1, 0);
+            ASSERT_EQ(inLive_[size_t(r->id)], 0)
+                << "request " << r->id << " is live twice";
+            inLive_[size_t(r->id)] = 1;
+            if (r->id >= nextId_)
+                fresh.push_back(r->id);
+        }
+        std::sort(fresh.begin(), fresh.end());
+        for (size_t i = 0; i < fresh.size(); ++i)
+            ASSERT_EQ(fresh[i], nextId_ + int(i))
+                << "an admitted frame is missing from live";
+        nextId_ += int(fresh.size());
+
+        size_t kept = 0;
+        for (const auto* r : seen_) {
+            if (r->finished())
+                continue;
+            ++kept;
+            ASSERT_EQ(inLive_[size_t(r->id)], 1)
+                << "unfinished request " << r->id << " left live";
+        }
+        EXPECT_EQ(kept + fresh.size(), ctx.live.size());
+        if (simulator_) {
+            EXPECT_EQ(ctx.live.size(), simulator_->liveFrames());
+        }
+
+        std::vector<const sim::Request*> head(ctx.scenario->tasks.size(),
+                                              nullptr);
+        for (const auto* r : ctx.live) {
+            auto& h = head[size_t(r->task)];
+            if (!h || r->id < h->id)
+                h = r;
+        }
+        std::vector<const sim::Request*> ready;
+        for (const auto* h : head) {
+            if (h && !h->inFlight && h->arrivalUs <= ctx.nowUs + 1e-9)
+                ready.push_back(h);
+        }
+        EXPECT_EQ(ctx.ready, ready) << "at t=" << ctx.nowUs;
+
+        for (const auto* r : ctx.live)
+            inLive_[size_t(r->id)] = 0;
+        seen_ = ctx.live;
+    }
+
+    std::unique_ptr<sim::Scheduler> inner_;
+    const sim::Simulator* simulator_;
+    std::vector<const sim::Request*> seen_;
+    std::vector<char> inLive_;
+    int nextId_ = 0;
+    double lastNowUs_ = 0.0;
+};
+
+/** Uniform double in [lo, hi) from a portable generator. */
+double
+uniform(std::mt19937_64& rng, double lo, double hi)
+{
+    return lo + (hi - lo) * double(rng() >> 11) * 0x1.0p-53;
+}
+
+/** A random generator spec: dynamicity knobs, Supernets, overload. */
+workload::ScenarioGenSpec
+randomSpec(std::mt19937_64& rng, double window_us)
+{
+    workload::ScenarioGenSpec spec;
+    spec.minTasks = 2;
+    spec.maxTasks = 2 + int(rng() % 4);
+    spec.horizonUs = window_us;
+    spec.chainProb = uniform(rng, 0.2, 0.8);
+    spec.activationProb = uniform(rng, 0.0, 0.4);
+    spec.skipProbMin = uniform(rng, 0.0, 0.5);
+    spec.skipProbMax = spec.skipProbMin + uniform(rng, 0.0, 0.5);
+    spec.exitProbMin = uniform(rng, 0.0, 0.5);
+    spec.exitProbMax = spec.exitProbMin + uniform(rng, 0.0, 0.5);
+    spec.supernetProb = uniform(rng, 0.0, 1.0);
+    spec.targetLoad = uniform(rng, 2.0, 8.0);
+    return spec;
+}
+
+struct Mix {
+    hw::SystemConfig system;
+    workload::Scenario scenario;
+    std::shared_ptr<const cost::CostTable> costs;
+    uint64_t seed = 0;
+};
+
+const runner::SchedKind kScheds[] = {
+    runner::SchedKind::Fcfs,
+    runner::SchedKind::Planaria,
+    runner::SchedKind::Veltair,
+    runner::SchedKind::DreamFull,
+};
+
+constexpr double kWindowUs = 3e5;
+
+/** Root frames in the order run() offers them. */
+std::vector<workload::FrameSpec>
+arrivalsOf(const workload::FrameSource& frames)
+{
+    auto arrivals = frames.rootFrames(kWindowUs);
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.arrivalUs < b.arrivalUs;
+                     });
+    return arrivals;
+}
+
+/** Stream @p mix with ragged advances strictly below each arrival. */
+sim::RunStats
+runChunked(const Mix& mix, runner::SchedKind kind, std::mt19937_64& rng)
+{
+    sim::SimConfig cfg;
+    cfg.windowUs = kWindowUs;
+    cfg.seed = mix.seed;
+    sim::Simulator simulator(mix.system, mix.scenario, *mix.costs, cfg);
+    ContextOracle oracle(kind, &simulator);
+    const workload::FrameSource frames(mix.scenario, mix.seed);
+    simulator.beginStream(oracle);
+    double step = 0.0;
+    for (const auto& spec : arrivalsOf(frames)) {
+        while (true) {
+            const double next = step + uniform(rng, 1.0, 3e4);
+            if (next >= spec.arrivalUs - 1.0)
+                break;
+            step = next;
+            simulator.advanceTo(step);
+            if (rng() % 4 == 0)
+                simulator.advanceTo(step); // idempotent
+        }
+        simulator.offerArrival(spec);
+    }
+    return simulator.finishStream();
+}
+
+/** Serve @p mix through a ServeLoop under @p admission. */
+serve::ServeResult
+runServed(const Mix& mix, runner::SchedKind kind,
+          const serve::AdmissionConfig& admission)
+{
+    serve::ServeConfig config;
+    config.windowUs = kWindowUs;
+    config.seed = mix.seed;
+    config.admission = admission;
+    serve::ServeLoop loop(mix.system, mix.scenario, *mix.costs, config);
+    ContextOracle oracle(kind);
+    const workload::FrameSource frames(mix.scenario, mix.seed);
+    loop.begin(oracle, frames);
+    for (const auto& spec : arrivalsOf(frames))
+        loop.offer(spec);
+    return loop.finish();
+}
+
+TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
+{
+    const hw::SystemPreset systems[] = {
+        hw::SystemPreset::Sys4k1Ws2Os,
+        hw::SystemPreset::Sys4k2Ws,
+    };
+    serve::AdmissionConfig reject;
+    reject.maxQueueDepth = 12;
+    reject.policy = serve::OverloadPolicy::Reject;
+    serve::AdmissionConfig degrade;
+    degrade.maxBacklogUs = 2e4;
+    degrade.policy = serve::OverloadPolicy::Degrade;
+
+    size_t max_live = 0;
+    uint64_t drops = 0, rejected = 0, degraded = 0;
+    for (uint64_t s = 0; s < 6; ++s) {
+        std::mt19937_64 rng(0x5eed0000 + s);
+        const auto spec = randomSpec(rng, kWindowUs);
+        std::string error;
+        ASSERT_TRUE(workload::validateGenSpec(spec, &error)) << error;
+        Mix mix;
+        mix.system = hw::makeSystem(systems[s % 2]);
+        mix.scenario = workload::ScenarioGenerator(spec).generate(s + 1);
+        const double rate_scale = uniform(rng, 2.0, 6.0);
+        for (auto& task : mix.scenario.tasks)
+            task.fps *= rate_scale;
+        mix.costs = cost::acquireCostTable(mix.system, mix.scenario);
+        mix.seed = 100 + s;
+        for (const auto kind : kScheds) {
+            SCOPED_TRACE(mix.scenario.name + " under " +
+                         runner::toString(kind));
+            sim::SimConfig cfg;
+            cfg.windowUs = kWindowUs;
+            cfg.seed = mix.seed;
+            sim::Simulator simulator(mix.system, mix.scenario,
+                                     *mix.costs, cfg);
+            ContextOracle oracle(kind, &simulator);
+            const auto batch = simulator.run(oracle);
+            EXPECT_GT(oracle.calls, 0u);
+            max_live = std::max(max_live, oracle.maxLive);
+            for (const auto& ts : batch.tasks)
+                drops += ts.droppedFrames;
+
+            test::expectStatsBitIdentical(mix.scenario, batch,
+                                          runChunked(mix, kind, rng));
+            test::expectStatsBitIdentical(
+                mix.scenario, batch,
+                runServed(mix, kind, serve::AdmissionConfig{}).stats);
+            rejected += runServed(mix, kind, reject).admission.rejected;
+            degraded += runServed(mix, kind, degrade).admission.degraded;
+        }
+    }
+    // The mixes overload their systems: deep live sets, SmartDrop
+    // removes frames from them, and both admission policies fire.
+    EXPECT_GT(max_live, 20u);
+    EXPECT_GT(drops, 0u);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(degraded, 0u);
+}
+
+} // namespace
+} // namespace dream

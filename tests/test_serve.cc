@@ -39,27 +39,6 @@ feedStream(workload::StreamSource& stream,
     stream.close();
 }
 
-void
-expectStatsBitIdentical(const workload::Scenario& scenario,
-                        const sim::RunStats& a, const sim::RunStats& b)
-{
-    // The frame-trace CSV serialises every admitted frame's exact
-    // doubles (shortest-round-trip), so string equality is
-    // bit-identity of the per-frame stats.
-    EXPECT_EQ(runner::frameTraceCsv(a, scenario),
-              runner::frameTraceCsv(b, scenario));
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-    EXPECT_EQ(a.contextSwitchEnergyMj, b.contextSwitchEnergyMj);
-    EXPECT_EQ(a.schedulerInvocations, b.schedulerInvocations);
-    EXPECT_EQ(a.accelBusyUs, b.accelBusyUs);
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (size_t t = 0; t < a.tasks.size(); ++t) {
-        EXPECT_EQ(a.tasks[t].energyMj, b.tasks[t].energyMj);
-        EXPECT_EQ(a.tasks[t].sumLatencyUs, b.tasks[t].sumLatencyUs);
-        EXPECT_EQ(a.tasks[t].variantStarts, b.tasks[t].variantStarts);
-    }
-}
-
 /** Serve @p source in stream mode with admission off. */
 sim::RunStats
 serveStream(const hw::SystemConfig& system,
@@ -105,7 +84,7 @@ TEST(Serve, StreamedGenerativeRunMatchesOfflineRun)
         serveStream(system, scenario, costs,
                     runner::SchedKind::DreamFull, frames, window_us,
                     seed);
-    expectStatsBitIdentical(scenario, offline, streamed);
+    test::expectStatsBitIdentical(scenario, offline, streamed);
 }
 
 TEST(Serve, StreamedTraceReplayMatchesOfflineReplay)
@@ -144,8 +123,8 @@ TEST(Serve, StreamedTraceReplayMatchesOfflineReplay)
     const auto streamed =
         serveStream(system, scenario, costs, runner::SchedKind::Fcfs,
                     replay, window_us, seed);
-    expectStatsBitIdentical(scenario, offline, streamed);
-    expectStatsBitIdentical(scenario, recorded.stats, streamed);
+    test::expectStatsBitIdentical(scenario, offline, streamed);
+    test::expectStatsBitIdentical(scenario, recorded.stats, streamed);
 }
 
 TEST(Serve, IncrementalApiMatchesRunWithArbitraryStepping)
@@ -187,7 +166,7 @@ TEST(Serve, IncrementalApiMatchesRunWithArbitraryStepping)
         inc.offerArrival(spec);
     }
     const auto streamed = inc.finishStream();
-    expectStatsBitIdentical(scenario, offline, streamed);
+    test::expectStatsBitIdentical(scenario, offline, streamed);
     EXPECT_EQ(inc.liveFrames(),
               size_t(std::count_if(
                   streamed.frames.begin(), streamed.frames.end(),

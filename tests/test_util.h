@@ -2,7 +2,9 @@
  * @file
  * Shared fixtures for unit tests: a tiny synthetic scenario/system
  * pair plus a hand-buildable SchedulerContext, so scoring, frame-drop
- * and Supernet logic can be tested without running the simulator.
+ * and Supernet logic can be tested without running the simulator; a
+ * one-task, one-accelerator simulator fixture; and a bit-identity
+ * check of two runs' stats.
  */
 
 #ifndef DREAM_TESTS_TEST_UTIL_H
@@ -11,11 +13,15 @@
 #include <memory>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "costmodel/cost_table.h"
 #include "hw/system.h"
 #include "models/model.h"
+#include "runner/trace.h"
 #include "sim/request.h"
 #include "sim/scheduler.h"
+#include "sim/simulator.h"
 #include "sim/stats.h"
 #include "workload/scenario.h"
 
@@ -149,6 +155,65 @@ private:
     sim::RunStats stats_;
     sim::SchedulerContext ctx_;
 };
+
+/** One task (@p model at @p fps) on a single-accelerator system. */
+struct SingleAccelFixture {
+    explicit SingleAccelFixture(models::Model model = toyModel(),
+                                double fps = 10.0)
+    {
+        system.name = "test-1WS";
+        hw::AcceleratorConfig ws;
+        ws.name = "WS";
+        ws.numPes = 2048;
+        ws.dataflow = hw::Dataflow::WeightStationary;
+        system.accelerators = {ws};
+
+        workload::TaskSpec task;
+        task.model = std::move(model);
+        task.fps = fps;
+        scenario.name = "single-accel-test";
+        scenario.tasks.push_back(std::move(task));
+
+        costs = std::make_unique<cost::CostTable>(system);
+        costs->addModel(scenario.tasks[0].model);
+    }
+
+    sim::RunStats
+    run(sim::Scheduler& sched, double window_us = 1e5)
+    {
+        sim::SimConfig cfg;
+        cfg.windowUs = window_us;
+        cfg.seed = 1;
+        sim::Simulator simulator(system, scenario, *costs, cfg);
+        return simulator.run(sched);
+    }
+
+    hw::SystemConfig system;
+    workload::Scenario scenario;
+    std::unique_ptr<cost::CostTable> costs;
+};
+
+/** Bit-identity of two runs' stats, every frame included. */
+inline void
+expectStatsBitIdentical(const workload::Scenario& scenario,
+                        const sim::RunStats& a, const sim::RunStats& b)
+{
+    // The frame-trace CSV serialises every admitted frame's exact
+    // doubles (shortest-round-trip), so string equality is
+    // bit-identity of the per-frame stats.
+    EXPECT_EQ(runner::frameTraceCsv(a, scenario),
+              runner::frameTraceCsv(b, scenario));
+    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
+    EXPECT_EQ(a.contextSwitchEnergyMj, b.contextSwitchEnergyMj);
+    EXPECT_EQ(a.schedulerInvocations, b.schedulerInvocations);
+    EXPECT_EQ(a.accelBusyUs, b.accelBusyUs);
+    ASSERT_EQ(a.tasks.size(), b.tasks.size());
+    for (size_t t = 0; t < a.tasks.size(); ++t) {
+        EXPECT_EQ(a.tasks[t].energyMj, b.tasks[t].energyMj);
+        EXPECT_EQ(a.tasks[t].sumLatencyUs, b.tasks[t].sumLatencyUs);
+        EXPECT_EQ(a.tasks[t].variantStarts, b.tasks[t].variantStarts);
+    }
+}
 
 } // namespace test
 } // namespace dream

@@ -11,8 +11,7 @@
 
 #include <vector>
 
-#include "costmodel/cost_table.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "test_util.h"
 
 namespace dream {
@@ -62,41 +61,7 @@ private:
     double targetUs_;
 };
 
-/** One 10 fps toy task on a single-accelerator system. */
-struct Fixture {
-    Fixture()
-    {
-        system.name = "test-1WS";
-        hw::AcceleratorConfig ws;
-        ws.name = "WS";
-        ws.numPes = 2048;
-        ws.dataflow = hw::Dataflow::WeightStationary;
-        system.accelerators = {ws};
-
-        workload::TaskSpec task;
-        task.model = test::toyModel();
-        task.fps = 10.0;
-        scenario.name = "wakeup-test";
-        scenario.tasks.push_back(std::move(task));
-
-        costs = std::make_unique<cost::CostTable>(system);
-        costs->addModel(scenario.tasks[0].model);
-    }
-
-    sim::RunStats
-    run(sim::Scheduler& sched, double window_us = 1e5)
-    {
-        sim::SimConfig cfg;
-        cfg.windowUs = window_us;
-        cfg.seed = 1;
-        sim::Simulator simulator(system, scenario, *costs, cfg);
-        return simulator.run(sched);
-    }
-
-    hw::SystemConfig system;
-    workload::Scenario scenario;
-    std::unique_ptr<cost::CostTable> costs;
-};
+using Fixture = test::SingleAccelFixture;
 
 TEST(Wakeup, StaleWakeupIsIgnoredAndRunTerminates)
 {
