@@ -113,10 +113,10 @@ DreamScheduler::plan(const sim::SchedulerContext& ctx)
     size_t best_acc = 0;
     double best_score = -std::numeric_limits<double>::max();
     for (const auto* req : ctx.ready) {
-        const models::Layer& next = req->path[req->nextLayer];
-        // One lookup per ready head; the precomputed aggregate IS
-        // the former min-over-accelerators loop.
-        const cost::CostTable::LayerView nv = ctx.costs->view(next);
+        // The head's cached row; its precomputed aggregate IS the
+        // former min-over-accelerators loop.
+        const cost::CostTable::LayerView nv =
+            sim::ensureCostCache(*req, *ctx.costs).rows[req->nextLayer];
         const double best_lat = nv.agg().minLatencyUs;
         for (size_t a = 0; a < ctx.numAccels(); ++a) {
             if (!ctx.accel(a).idle())

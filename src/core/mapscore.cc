@@ -32,18 +32,6 @@ MapScoreEngine::toGoUs(const sim::SchedulerContext& ctx,
 
 double
 MapScoreEngine::minToGoUs(const sim::SchedulerContext& ctx,
-                          const std::vector<models::Layer>& path,
-                          size_t from_layer) const
-{
-    const auto& costs = *ctx.costs;
-    double sum = 0.0;
-    for (size_t i = from_layer; i < path.size(); ++i)
-        sum += costs.minLatencyUs(path[i]);
-    return sum;
-}
-
-double
-MapScoreEngine::minToGoUs(const sim::SchedulerContext& ctx,
                           const sim::Request& req) const
 {
     const auto& cache = sim::ensureCostCache(req, *ctx.costs);
@@ -124,13 +112,13 @@ ScoreBreakdown
 MapScoreEngine::score(const sim::SchedulerContext& ctx,
                       const sim::Request& req, size_t accel) const
 {
-    const models::Layer& next = req.path[req.nextLayer];
-    // One hash lookup serves every per-accelerator and aggregate
-    // query below (the former code paid a lookup per query).
-    const cost::CostTable::LayerView nv = ctx.costs->view(next);
+    // The next layer's cached row serves every per-accelerator and
+    // aggregate query below without a table lookup.
+    const auto& cache = sim::ensureCostCache(req, *ctx.costs);
+    const cost::CostTable::LayerView nv = cache.rows[req.nextLayer];
 
     ScoreBreakdown s;
-    s.toGoUs = toGoUs(ctx, req);
+    s.toGoUs = cache.suffixAvg[req.nextLayer];
     s.slackUs = req.deadlineUs - ctx.nowUs;
 
     // Line 7: urgency = ToGo / Slack (floored slack).

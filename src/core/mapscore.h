@@ -71,11 +71,6 @@ public:
     double minToGoUs(const sim::SchedulerContext& ctx,
                      const sim::Request& req) const;
 
-    /** minToGoUs() over an explicit remaining-layer span. */
-    double minToGoUs(const sim::SchedulerContext& ctx,
-                     const std::vector<models::Layer>& path,
-                     size_t from_layer) const;
-
     /**
      * minToGoUs() assuming the most favourable Supernet variant is
      * still selectable (the drop engine must not retire a frame that

@@ -129,7 +129,10 @@ public:
     /**
      * One layer's entry behind a single hash lookup: per-accelerator
      * costs plus the precomputed aggregates. Valid as long as the
-     * table lives (entries are never erased).
+     * table lives: entries are never erased, and adding entries does
+     * not move existing ones. A view reads its own table's numbers
+     * only, so a holder of views (sim::Request::CostCache) must also
+     * record which table they came from.
      */
     class LayerView {
     public:

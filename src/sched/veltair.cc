@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/cost_cache.h"
+
 namespace dream {
 namespace sched {
 
@@ -10,11 +12,11 @@ VeltairScheduler::blockLength(const sim::SchedulerContext& ctx,
                               const sim::Request& req, size_t accel,
                               double threshold_us) const
 {
+    const auto& rows = sim::ensureCostCache(req, *ctx.costs).rows;
     double acc_latency = 0.0;
     size_t n = 0;
-    for (size_t i = req.nextLayer; i < req.path.size(); ++i) {
-        acc_latency +=
-            ctx.costs->cost(req.path[i], accel).latencyUs;
+    for (size_t i = req.nextLayer; i < rows.size(); ++i) {
+        acc_latency += rows[i].cost(accel).latencyUs;
         ++n;
         if (acc_latency >= threshold_us)
             break;

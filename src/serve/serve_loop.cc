@@ -150,12 +150,12 @@ ServeLoop::offer(workload::FrameSpec frame)
             rejects_.record(frame.arrivalUs);
             return decision;
         }
-        sim_->offerArrival(frame);
+        sim_->offerArrival(std::move(frame));
         return decision;
     }
     tally_.offered += 1;
     tally_.admitted += 1;
-    sim_->offerArrival(frame);
+    sim_->offerArrival(std::move(frame));
     return AdmissionDecision::Admit;
 }
 

@@ -1,5 +1,7 @@
 #include "sim/cost_cache.h"
 
+#include <algorithm>
+
 namespace dream {
 namespace sim {
 
@@ -7,11 +9,18 @@ const Request::CostCache&
 ensureCostCache(const Request& req, const cost::CostTable& costs)
 {
     Request::CostCache& cache = req.costCache;
-    if (cache.version == req.pathVersion)
+    if (cache.version == req.pathVersion && cache.table == &costs)
         return cache;
 
+    // Unbound while rebuilding: a lookup that throws (a layer missing
+    // from a frozen table) must not leave stale rows marked valid.
+    cache.table = nullptr;
     const size_t n = req.path.size();
     const size_t num_accs = costs.numAccelerators();
+    cache.rows.clear();
+    cache.rows.reserve(n);
+    for (const auto& layer : req.path)
+        cache.rows.push_back(costs.view(layer));
     cache.suffixAvg.assign(n + 1, 0.0);
     cache.suffixMin.assign(n + 1, 0.0);
     cache.suffixByAcc.assign(num_accs, std::vector<double>(n + 1, 0.0));
@@ -19,7 +28,7 @@ ensureCostCache(const Request& req, const cost::CostTable& costs)
         double sum = 0.0;
         double best = 0.0;
         for (size_t a = 0; a < num_accs; ++a) {
-            const double lat = costs.cost(req.path[i], a).latencyUs;
+            const double lat = cache.rows[i].cost(a).latencyUs;
             sum += lat;
             best = (a == 0) ? lat : std::min(best, lat);
             cache.suffixByAcc[a][i] = cache.suffixByAcc[a][i + 1] + lat;
@@ -28,6 +37,7 @@ ensureCostCache(const Request& req, const cost::CostTable& costs)
             cache.suffixAvg[i + 1] + sum / double(num_accs);
         cache.suffixMin[i] = cache.suffixMin[i + 1] + best;
     }
+    cache.table = &costs;
     cache.version = req.pathVersion;
     return cache;
 }

@@ -1,12 +1,16 @@
 /**
  * @file
- * Per-request suffix-sum latency caches.
+ * Per-request cost cache: the cost-table rows of a request's path
+ * plus suffix-sum latencies over them.
  *
- * Scoring (ToGo, minimum_to_go, Planaria's remaining-latency) needs
- * O(remaining layers x accelerators) sums at every scheduling event.
- * The sums only change when a request's path is rewritten (Supernet
- * variant switch), so they are cached per request and invalidated via
- * Request::pathVersion.
+ * Each path layer is looked up in the CostTable once, when the cache
+ * is built; scoring and dispatch then read the layer's row
+ * (CostTable::LayerView) instead of hashing the layer's shape again.
+ * Scoring (ToGo, minimum_to_go, Planaria's remaining-latency) also
+ * needs O(remaining layers x accelerators) sums at every scheduling
+ * event; they are precomputed from the rows. The cache is keyed by
+ * Request::pathVersion (bumped by a Supernet variant switch) and by
+ * the table the rows point into, and is rebuilt when either changes.
  */
 
 #ifndef DREAM_SIM_COST_CACHE_H
@@ -18,7 +22,7 @@
 namespace dream {
 namespace sim {
 
-/** Build (if stale) and return the request's suffix-sum cache. */
+/** Build (if stale for @p costs) and return the request's cache. */
 const Request::CostCache& ensureCostCache(const Request& req,
                                           const cost::CostTable& costs);
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "costmodel/cost_table.h"
 #include "hw/accelerator.h"
 #include "models/layer.h"
 #include "workload/scenario.h"
@@ -24,6 +25,11 @@ namespace sim {
  * through its layer queue. Mirrors the paper's per-task inference
  * request queues; the simulator keeps frames of one task in FIFO
  * order and schedules the head frame's next layer(s).
+ *
+ * Once the request completes or is dropped, the simulator frees its
+ * per-layer state (`path` and the cost cache) and keeps only the
+ * fields its frame record is built from, so per-layer memory is
+ * bounded by the live set.
  */
 struct Request {
     int id = -1;
@@ -32,7 +38,8 @@ struct Request {
     double arrivalUs = 0.0;
     double deadlineUs = 0.0;
 
-    /** Materialised execution path (mutable for Supernet switching). */
+    /** Materialised execution path (mutable for Supernet switching);
+     *  freed once the request is finished. */
     std::vector<models::Layer> path;
     /** Next layer index awaiting dispatch. */
     size_t nextLayer = 0;
@@ -51,9 +58,17 @@ struct Request {
     /** Bumped whenever `path` is rewritten (variant switches), so
      *  derived cost caches can invalidate. */
     uint32_t pathVersion = 0;
-    /** Lazily built suffix-sum latency cache (see sim/cost_cache.h). */
+    /** Per-layer cost rows and suffix sums of `path`, built at
+     *  admission and on the first read after a path rewrite (see
+     *  sim/cost_cache.h); freed once the request is finished. */
     struct CostCache {
+        /** pathVersion the cache was built for. */
         uint32_t version = ~0u;
+        /** Table the rows point into, compared by address (the rows
+         *  are valid while it lives); null while unbuilt. */
+        const cost::CostTable* table = nullptr;
+        /** rows[i]: the table entry of path[i]. */
+        std::vector<cost::CostTable::LayerView> rows;
         /** suffixAvg[i]: mean-across-accels latency of layers [i..). */
         std::vector<double> suffixAvg;
         /** suffixMin[i]: best-accel-per-layer latency of layers [i..). */
@@ -76,8 +91,11 @@ struct Request {
 
     /** Finished in any way (completed or dropped). */
     bool finished() const { return done || dropped; }
-    /** Layers still to dispatch. */
-    size_t remainingLayers() const { return path.size() - nextLayer; }
+    /** Layers still to dispatch (0 once finished). */
+    size_t remainingLayers() const
+    {
+        return finished() ? 0 : path.size() - nextLayer;
+    }
     /** True once any layer has been dispatched. */
     bool started() const { return nextLayer > 0 || inFlight; }
 };

@@ -7,10 +7,12 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "costmodel/layer_cost.h"
 #include "obs/telemetry.h"
 #include "sim/context_switch.h"
+#include "sim/cost_cache.h"
 
 namespace dream {
 namespace sim {
@@ -62,7 +64,7 @@ Simulator::headOfTask(workload::TaskId task)
 }
 
 void
-Simulator::admitFrame(const workload::FrameSpec& spec)
+Simulator::admitFrame(workload::FrameSpec&& spec)
 {
     // Root frames are admitted at their arrival event; a cascade
     // child must arrive by its parent's completion. Every live frame
@@ -82,14 +84,16 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     req->frameIdx = spec.frameIdx;
     req->arrivalUs = spec.arrivalUs;
     req->deadlineUs = spec.deadlineUs;
-    req->path = spec.path;
+    req->path = std::move(spec.path);
     req->lastEventUs = spec.arrivalUs;
-    req->childTriggers = spec.childTriggers;
+    req->childTriggers = std::move(spec.childTriggers);
 
-    // Worst-case energy of the materialised path (Algorithm 2 L5
-    // denominator): the worst layer-accelerator pairing per layer.
-    for (const auto& l : req->path)
-        req->worstCaseEnergyMj += costs_.maxEnergyMj(l);
+    // One table lookup per path layer, here and after each variant
+    // switch: scoring and dispatch read the cached rows. Worst-case
+    // energy of the materialised path (Algorithm 2 L5 denominator):
+    // the worst layer-accelerator pairing per layer.
+    for (const auto& row : ensureCostCache(*req, costs_).rows)
+        req->worstCaseEnergyMj += row.agg().maxEnergyMj;
 
     TaskStats& ts = stats_.tasks[spec.task];
     if (inWindow(spec.deadlineUs, config_.windowUs)) {
@@ -115,7 +119,7 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
 }
 
 void
-Simulator::retire(const Request& req)
+Simulator::retire(Request& req)
 {
     // O(1) swap-remove: the live set's order is unspecified.
     const size_t slot = liveSlot_[size_t(req.id)];
@@ -124,6 +128,11 @@ Simulator::retire(const Request& req)
     ctx_.live[slot] = moved;
     liveSlot_[size_t(moved->id)] = slot;
     ctx_.live.pop_back();
+    // Free the per-layer state: finalizeStats reads only the record
+    // fields, so what a finished frame retains does not grow with its
+    // path length.
+    req.path = std::vector<models::Layer>();
+    req.costCache = Request::CostCache();
 }
 
 void
@@ -369,8 +378,9 @@ Simulator::applyDispatch(const Dispatch& d)
 
     double latency_us = 0.0;
     double energy_mj = 0.0;
+    const auto& rows = ensureCostCache(req, costs_).rows;
     for (size_t i = job.layerBegin; i < job.layerEnd; ++i) {
-        const auto& c = costs_.cost(req.path[i], size_t(d.accel), slices);
+        const auto& c = rows[i].cost(size_t(d.accel), slices);
         latency_us += c.latencyUs;
         energy_mj += c.energyMj;
     }
@@ -560,8 +570,8 @@ Simulator::run(Scheduler& sched)
                      [](const auto& a, const auto& b) {
                          return a.arrivalUs < b.arrivalUs;
                      });
-    for (const auto& spec : arrivals)
-        offerArrival(spec);
+    for (auto& spec : arrivals)
+        offerArrival(std::move(spec));
     return finishStream();
 }
 
@@ -630,7 +640,7 @@ Simulator::beginStream(Scheduler& sched)
 }
 
 void
-Simulator::offerArrival(const workload::FrameSpec& spec)
+Simulator::offerArrival(workload::FrameSpec spec)
 {
     assert(streaming_ && "offerArrival outside a stream");
     if (!pendingArrivals_.empty() &&
@@ -641,7 +651,7 @@ Simulator::offerArrival(const workload::FrameSpec& spec)
     if (spec.arrivalUs < nowUs_ - 1e-9)
         throw std::invalid_argument(
             "stream arrival offered behind the stream clock");
-    pendingArrivals_.push_back(spec);
+    pendingArrivals_.push_back(std::move(spec));
 }
 
 void
@@ -674,7 +684,7 @@ Simulator::advanceTo(double limit_us)
         while (nextArrival_ < pendingArrivals_.size() &&
                pendingArrivals_[nextArrival_].arrivalUs <=
                    nowUs_ + 1e-9) {
-            admitFrame(pendingArrivals_[nextArrival_]);
+            admitFrame(std::move(pendingArrivals_[nextArrival_]));
             ++nextArrival_;
         }
         while (!wakeups_.empty() && wakeups_.top() <= nowUs_ + 1e-9)

@@ -77,7 +77,8 @@ public:
      * Incremental (streaming) execution. run() is exactly
      *
      *     beginStream(sched);
-     *     for (frame : stable-sorted rootFrames) offerArrival(frame);
+     *     for (frame : stable-sorted rootFrames)
+     *         offerArrival(std::move(frame));
      *     return finishStream();
      *
      * so a serve loop that offers each arrival before advancing past
@@ -96,9 +97,11 @@ public:
      * in nondecreasing arrival order and before the stream clock has
      * advanced past them (offer, then advanceTo); violating either
      * throws std::invalid_argument. Cascade children are still
-     * materialised internally via ArrivalSource::childFrame.
+     * materialised internally via ArrivalSource::childFrame. The
+     * frame is taken by value and moved on into its request: pass
+     * an rvalue (std::move) so its path is not copied.
      */
-    void offerArrival(const workload::FrameSpec& spec);
+    void offerArrival(workload::FrameSpec spec);
 
     /**
      * Process every event strictly before min(@p limit_us, window):
@@ -127,8 +130,8 @@ private:
         bool operator>(const JobEvent& o) const { return endUs > o.endUs; }
     };
 
-    void admitFrame(const workload::FrameSpec& spec);
-    void retire(const Request& req);
+    void admitFrame(workload::FrameSpec&& spec);
+    void retire(Request& req);
     void completeJob(const Job& job);
     void invokeScheduler(Scheduler& sched);
     bool applyPlan(const Plan& plan);

@@ -1,5 +1,6 @@
 #include "workload/stream_source.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -56,9 +57,7 @@ std::vector<FrameSpec>
 StreamSource::drain()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<FrameSpec> out(queue_.begin(), queue_.end());
-    queue_.clear();
-    return out;
+    return takeQueued();
 }
 
 std::vector<FrameSpec>
@@ -66,7 +65,14 @@ StreamSource::waitDrain()
 {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    std::vector<FrameSpec> out(queue_.begin(), queue_.end());
+    return takeQueued();
+}
+
+std::vector<FrameSpec>
+StreamSource::takeQueued()
+{
+    std::vector<FrameSpec> out(std::make_move_iterator(queue_.begin()),
+                               std::make_move_iterator(queue_.end()));
     queue_.clear();
     return out;
 }

@@ -58,7 +58,8 @@ public:
     /** Frames currently queued (pushed, not yet drained). */
     size_t pending() const;
 
-    /** Pop every currently queued frame, without blocking. */
+    /** Pop every currently queued frame, without blocking. Frames
+     *  are moved out of the queue, not copied. */
     std::vector<FrameSpec> drain();
 
     /**
@@ -77,6 +78,9 @@ public:
                          double parent_completion_us) const override;
 
 private:
+    /** Move every queued frame out; the caller holds mu_. */
+    std::vector<FrameSpec> takeQueued();
+
     const ArrivalSource* delegate_;
     mutable std::mutex mu_;
     std::condition_variable cv_;

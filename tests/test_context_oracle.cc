@@ -8,9 +8,11 @@
  * scheduler wraps each stock scheduler and, on every plan() call,
  * compares the context with a reference it keeps from the contexts
  * it has seen: the full-rebuild definition the simulator used before
- * the live set became incremental. It is driven over seeded random
- * generated mixes x schedulers x batch and ragged stream stepping x
- * serve-loop admission off, reject and degrade.
+ * the live set became incremental. It also checks every live
+ * request's cost-cache rows against the cost table's own entries for
+ * its path. It is driven over seeded random generated mixes x
+ * schedulers x batch and ragged stream stepping x serve-loop
+ * admission off, reject and degrade.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "costmodel/cost_table_cache.h"
 #include "runner/experiment.h"
 #include "serve/serve_loop.h"
+#include "sim/cost_cache.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "workload/frame_source.h"
@@ -41,7 +44,12 @@ namespace {
  *  - with a simulator attached, live.size() == liveFrames();
  *  - `ready` is, in ascending task order, each task's lowest-id live
  *    frame when it has arrived and is not in flight (the per-task
- *    FIFO head: request ids follow admission order).
+ *    FIFO head: request ids follow admission order);
+ *  - every live request's cost cache was built at admission against
+ *    `ctx.costs`, and its rows from `nextLayer` on are the entries
+ *    `ctx.costs` holds for `path[i]`. Degrade rewrites paths before
+ *    admission and DREAM-Full switches variants, so rows resolved
+ *    for a rewritten path are checked too.
  */
 class ContextOracle : public sim::Scheduler {
 public:
@@ -55,6 +63,7 @@ public:
     void reset(const sim::SchedulerContext& ctx) override
     {
         seen_.clear();
+        resolved_.clear();
         nextId_ = 0;
         lastNowUs_ = ctx.nowUs;
         EXPECT_TRUE(ctx.live.empty());
@@ -72,8 +81,64 @@ public:
 
     uint64_t calls = 0;
     size_t maxLive = 0;
+    /** Row checks (request x round) of a path that a variant switch
+     *  rewrote after admission. */
+    uint64_t switchedRows = 0;
 
 private:
+    /**
+     * The entries `costs` holds for @p req's path layers, found by
+     * hashing each layer. Computed once per path version (and path
+     * buffer), so the per-round check is pointer compares only.
+     */
+    struct Resolved {
+        uint32_t version = ~0u;
+        const models::Layer* data = nullptr;
+        size_t size = 0;
+        std::vector<const cost::LayerAgg*> entries;
+    };
+
+    const std::vector<const cost::LayerAgg*>&
+    entriesOf(const sim::Request& req, const cost::CostTable& costs)
+    {
+        if (size_t(req.id) >= resolved_.size())
+            resolved_.resize(size_t(req.id) + 1);
+        Resolved& r = resolved_[size_t(req.id)];
+        if (r.version != req.pathVersion || r.data != req.path.data() ||
+            r.size != req.path.size()) {
+            r.version = req.pathVersion;
+            r.data = req.path.data();
+            r.size = req.path.size();
+            r.entries.clear();
+            for (const auto& layer : req.path)
+                r.entries.push_back(&costs.view(layer).agg());
+        }
+        return r.entries;
+    }
+
+    /** A row addresses an entry: its aggregates are a member of it. */
+    void
+    checkRows(const sim::SchedulerContext& ctx)
+    {
+        for (const auto* r : ctx.live) {
+            ASSERT_EQ(r->costCache.table, ctx.costs)
+                << "request " << r->id
+                << "'s cost cache is not bound to ctx.costs";
+            const auto& rows = sim::ensureCostCache(*r, *ctx.costs).rows;
+            ASSERT_EQ(rows.size(), r->path.size())
+                << "request " << r->id;
+            const auto& entries = entriesOf(*r, *ctx.costs);
+            for (size_t i = r->nextLayer; i < rows.size(); ++i) {
+                if (&rows[i].agg() != entries[i])
+                    FAIL() << "request " << r->id << " layer " << i
+                           << ": row is not ctx.costs' entry for "
+                           << r->path[i].name << " at t=" << ctx.nowUs;
+            }
+            if (r->pathVersion > 0)
+                ++switchedRows;
+        }
+    }
+
     void
     check(const sim::SchedulerContext& ctx)
     {
@@ -129,12 +194,15 @@ private:
         for (const auto* r : ctx.live)
             inLive_[size_t(r->id)] = 0;
         seen_ = ctx.live;
+
+        checkRows(ctx);
     }
 
     std::unique_ptr<sim::Scheduler> inner_;
     const sim::Simulator* simulator_;
     std::vector<const sim::Request*> seen_;
     std::vector<char> inLive_;
+    std::vector<Resolved> resolved_;
     int nextId_ = 0;
     double lastNowUs_ = 0.0;
 };
@@ -252,7 +320,7 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
     degrade.policy = serve::OverloadPolicy::Degrade;
 
     size_t max_live = 0;
-    uint64_t drops = 0, rejected = 0, degraded = 0;
+    uint64_t drops = 0, rejected = 0, degraded = 0, switched_rows = 0;
     for (uint64_t s = 0; s < 6; ++s) {
         std::mt19937_64 rng(0x5eed0000 + s);
         const auto spec = randomSpec(rng, kWindowUs);
@@ -278,6 +346,7 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
             const auto batch = simulator.run(oracle);
             EXPECT_GT(oracle.calls, 0u);
             max_live = std::max(max_live, oracle.maxLive);
+            switched_rows += oracle.switchedRows;
             for (const auto& ts : batch.tasks)
                 drops += ts.droppedFrames;
 
@@ -292,8 +361,11 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
     }
     // The mixes overload their systems: deep live sets, SmartDrop
     // removes frames from them, and both admission policies fire.
+    // DREAM-Full switches Supernet variants, so rows re-resolved for
+    // a rewritten path were checked.
     EXPECT_GT(max_live, 20u);
     EXPECT_GT(drops, 0u);
+    EXPECT_GT(switched_rows, 0u);
     EXPECT_GT(rejected, 0u);
     EXPECT_GT(degraded, 0u);
 }

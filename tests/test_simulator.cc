@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "core/dream_scheduler.h"
+#include "costmodel/cost_table_cache.h"
 #include "metrics/uxcost.h"
 #include "runner/experiment.h"
 #include "sched/fcfs.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace dream {
 namespace {
@@ -161,6 +165,68 @@ TEST(Simulator, SupernetVariantTalliesMatchStartedFrames)
         EXPECT_LE(started, ts.totalFrames);
         EXPECT_GT(started, 0u);
     }
+}
+
+/** Forwards to DREAM-Full and records every request it is shown. */
+class RequestRecorder : public sim::Scheduler {
+public:
+    std::string name() const override { return inner_.name(); }
+    void reset(const sim::SchedulerContext& ctx) override
+    {
+        inner_.reset(ctx);
+    }
+    sim::Plan plan(const sim::SchedulerContext& ctx) override
+    {
+        seen.insert(ctx.live.begin(), ctx.live.end());
+        return inner_.plan(ctx);
+    }
+
+    std::unordered_set<const sim::Request*> seen;
+
+private:
+    core::DreamScheduler inner_{core::DreamConfig::full()};
+};
+
+TEST(Simulator, FinishedRequestsReleaseTheirPerLayerState)
+{
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
+    auto scenario =
+        workload::makeScenario(workload::ScenarioPreset::ArSocial);
+    for (auto& task : scenario.tasks)
+        task.fps *= 3.0; // overload, so SmartDrop drops frames
+    const auto costs = cost::acquireCostTable(system, scenario);
+    sim::SimConfig cfg;
+    cfg.windowUs = 5e5;
+    cfg.seed = 3;
+
+    // run() ends in finishStream(); the simulator (which owns the
+    // requests) is still alive below.
+    sim::Simulator simulator(system, scenario, *costs, cfg);
+    RequestRecorder recorder;
+    const sim::RunStats recorded = simulator.run(recorder);
+
+    uint64_t completed = 0, dropped = 0;
+    for (const sim::Request* r : recorder.seen) {
+        if (!r->finished())
+            continue;
+        (r->done ? completed : dropped) += 1;
+        SCOPED_TRACE("request " + std::to_string(r->id));
+        EXPECT_TRUE(r->path.empty());
+        EXPECT_EQ(r->path.capacity(), 0u);
+        EXPECT_EQ(r->costCache.table, nullptr);
+        EXPECT_EQ(r->costCache.rows.capacity(), 0u);
+        EXPECT_EQ(r->costCache.suffixAvg.capacity(), 0u);
+        EXPECT_EQ(r->costCache.suffixMin.capacity(), 0u);
+        EXPECT_TRUE(r->costCache.suffixByAcc.empty());
+        EXPECT_EQ(r->remainingLayers(), 0u);
+    }
+    EXPECT_GT(completed, 0u);
+    EXPECT_GT(dropped, 0u);
+
+    // Recording only observes: the run matches one without it.
+    core::DreamScheduler plain(core::DreamConfig::full());
+    sim::Simulator control(system, scenario, *costs, cfg);
+    test::expectStatsBitIdentical(scenario, recorded, control.run(plain));
 }
 
 } // namespace
