@@ -19,7 +19,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -140,30 +139,16 @@ runRow(const Mix& mix, size_t devices, serve::RouterPolicy router,
 int
 main(int argc, char** argv)
 {
-    // --check-fairness is a valueless bench-specific flag; strip it
-    // before the shared parser (which only models string flags).
     bool check_fairness = false;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--check-fairness") == 0)
-            check_fairness = true;
-        else
-            args.push_back(argv[i]);
-    }
-    const auto opts =
-        bench::parseArgs(int(args.size()), args.data());
-    if (opts.list || !opts.filter.empty()) {
-        std::fprintf(stderr, "cluster_route runs a fixed row "
-                             "sequence, not a sweep grid; "
-                             "--list/--filter do not apply\n");
+    const auto opts = bench::parseArgs(
+        argc, argv, bench::Kind::Rows, [&](flags::Table& table) {
+            table.add({"--check-fairness", "", "",
+                       "exit 1 unless finish_time_fairness beats "
+                       "round_robin\non the mean fairness spread",
+                       flags::set(&check_fairness)});
+        });
+    if (opts.list) // no grid: nothing to list
         return 0;
-    }
-    if (!opts.traceDir.empty() || !opts.traceEventDir.empty()) {
-        std::fprintf(stderr, "cluster_route drives serve::Cluster "
-                             "outside the engine; --record-trace/"
-                             "--trace-events do not apply\n");
-        return 2;
-    }
 
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto mixes = makeMixes();
@@ -191,9 +176,10 @@ main(int argc, char** argv)
     });
 
     auto file_sink = bench::makeFileSink(opts);
+    const auto selected = opts.range(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
         results[i].record.index = i;
-        if (file_sink && opts.selectsRow(i, rows.size()))
+        if (file_sink && i >= selected.first && i < selected.second)
             file_sink->write(results[i].record);
     }
 

@@ -36,7 +36,7 @@ main(int argc, char** argv)
         .window(runner::kDefaultWindowUs);
 
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
 
     engine::AggregateSink agg;

@@ -36,7 +36,7 @@ main(int argc, char** argv)
     engine::Engine eng(bench::engineOptions(opts));
     const auto grid = engine::paramSpaceGrid(sys_preset, sc_preset, n);
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
     const auto records =
         eng.run(grid, bench::sinkList({file_sink.get()}));

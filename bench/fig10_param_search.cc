@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
@@ -57,37 +58,43 @@ main(int argc, char** argv)
     engine::WorkerPool pool(opts.jobs);
     auto file_sink = bench::makeFileSink(opts);
 
-    // --list / --filter / --shard / --chunk address the per-case 7x7
-    // reference grids. Row indices offset per grid (the scan order
-    // below) so the --out file stays merge-ably ordered; --chunk
-    // positions run globally across the grids via the Options
-    // cursor.
-    if (opts.list || opts.subsetRun()) {
-        size_t next_base = 0;
-        for (const auto preset : {workload::ScenarioPreset::VrGaming,
-                                  workload::ScenarioPreset::ArCall,
-                                  workload::ScenarioPreset::ArSocial}) {
-            const auto grid =
-                engine::paramSpaceGrid(sys_preset, preset, 7);
-            bench::runOrList(opts, grid, file_sink.get(),
-                             workload::toString(preset).c_str(),
-                             next_base);
-            next_base += grid.size();
-        }
+    // The 7x7 reference grid of each case preset, in case order:
+    // cases (c) and (d) share AR_Social's, which keeps --out free of
+    // duplicate rows. Each grid's rows follow the grids before it in
+    // --out, and --list/--filter/--shard/--chunk address the three
+    // grids as one ordering.
+    const workload::ScenarioPreset presets[] = {
+        workload::ScenarioPreset::VrGaming,
+        workload::ScenarioPreset::ArCall,
+        workload::ScenarioPreset::ArSocial};
+    std::vector<engine::SweepGrid> grids;
+    for (const auto preset : presets)
+        grids.push_back(engine::paramSpaceGrid(sys_preset, preset, 7));
+    std::vector<bench::Scan> scans;
+    size_t next_base = 0;
+    for (size_t i = 0; i < grids.size(); ++i) {
+        scans.push_back({grids[i], workload::toString(presets[i]),
+                         next_base});
+        next_base += grids[i].size();
+    }
+    if (!bench::runOrList(opts, scans, file_sink.get()))
         return 0;
+
+    std::map<workload::ScenarioPreset, engine::ParamOptimum> optima;
+    for (size_t i = 0; i < scans.size(); ++i) {
+        auto eopts = bench::engineOptions(opts);
+        eopts.indexBase = scans[i].indexBase;
+        optima[presets[i]] = engine::bestParams(engine::Engine(eopts).run(
+            grids[i], bench::sinkList({file_sink.get()})));
     }
 
-    // Cases (c) and (d) share the AR_Social reference grid: scan each
-    // preset once and reuse (also keeps --out free of duplicate rows).
-    // The memoized searcher is shared per preset too — case (d)
-    // re-walks AR_Social terrain case (c) already simulated, so its
+    // The memoized searcher is shared per preset: case (d) re-walks
+    // AR_Social terrain case (c) already simulated, so its
     // overlapping candidates come out of the transposition table.
-    std::map<workload::ScenarioPreset, engine::ParamOptimum> optima;
     std::map<workload::ScenarioPreset, workload::Scenario> scenarios;
     std::map<workload::ScenarioPreset,
              std::unique_ptr<engine::ParamSearch>>
         searchers;
-    size_t next_base = 0;
 
     double locked_a = 1.0, locked_b = 1.0;
     for (auto& c : cases) {
@@ -102,19 +109,6 @@ main(int argc, char** argv)
             c.b0 = locked_b;
         }
 
-        if (optima.find(c.preset) == optima.end()) {
-            const auto grid =
-                engine::paramSpaceGrid(sys_preset, c.preset, 7);
-            engine::ReindexSink shifted(file_sink.get(), next_base);
-            // Recorded trace metadata carries the same global row
-            // index the --out CSV does.
-            auto eopts = bench::engineOptions(opts);
-            eopts.traceIndexBase = next_base;
-            next_base += grid.size();
-            const auto records = engine::Engine(eopts).run(
-                grid, bench::sinkList({&shifted}));
-            optima[c.preset] = engine::bestParams(records);
-        }
         const auto best = optima[c.preset];
 
         if (searchers.find(c.preset) == searchers.end())

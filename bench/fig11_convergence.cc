@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
@@ -40,41 +41,32 @@ main(int argc, char** argv)
     engine::WorkerPool pool(opts.jobs);
     auto file_sink = bench::makeFileSink(opts);
 
-    // --list / --filter / --shard / --chunk address the per-case 7x7
-    // reference grids. Row indices offset per grid (the scan order
-    // below) so the --out file stays merge-ably ordered; --chunk
-    // positions run globally across the grids via the Options
-    // cursor.
-    if (opts.list || opts.subsetRun()) {
-        size_t next_base = 0;
-        for (const auto& c : cases) {
-            const auto grid =
-                engine::paramSpaceGrid(sys_preset, c.preset, 7);
-            bench::runOrList(opts, grid, file_sink.get(), c.name,
-                             next_base);
-            next_base += grid.size();
-        }
-        return 0;
+    // The per-case 7x7 reference grids, in case order. Each grid's
+    // rows follow the grids before it in --out, and --list/--filter/
+    // --shard/--chunk address the four grids as one ordering.
+    std::vector<engine::SweepGrid> grids;
+    for (const auto& c : cases)
+        grids.push_back(engine::paramSpaceGrid(sys_preset, c.preset, 7));
+    std::vector<bench::Scan> scans;
+    size_t next_base = 0;
+    for (size_t i = 0; i < grids.size(); ++i) {
+        scans.push_back({grids[i], cases[i].name, next_base});
+        next_base += grids[i].size();
     }
+    if (!bench::runOrList(opts, scans, file_sink.get()))
+        return 0;
 
     std::printf("Figure 11: UXCost vs optimisation step (normalised "
                 "to the step-0 value; gap vs 7x7 grid optimum)\n\n");
     runner::Table t({"Case", "Step0", "Step1", "Step2", "Step3",
                      "Step4+", "Final gap"});
-    size_t next_base = 0;
-    for (const auto& c : cases) {
+    for (size_t i = 0; i < scans.size(); ++i) {
+        const auto& c = cases[i];
         const auto scenario = workload::makeScenario(c.preset);
-        const auto grid =
-            engine::paramSpaceGrid(sys_preset, c.preset, 7);
-        engine::ReindexSink shifted(file_sink.get(), next_base);
-        // Recorded trace metadata carries the same global row index
-        // the --out CSV does.
         auto eopts = bench::engineOptions(opts);
-        eopts.traceIndexBase = next_base;
-        next_base += grid.size();
-        const auto records = engine::Engine(eopts).run(
-            grid, bench::sinkList({&shifted}));
-        const auto best = engine::bestParams(records);
+        eopts.indexBase = scans[i].indexBase;
+        const auto best = engine::bestParams(engine::Engine(eopts).run(
+            grids[i], bench::sinkList({file_sink.get()})));
 
         const auto eval =
             engine::makeBatchEvaluator(system, scenario, pool);

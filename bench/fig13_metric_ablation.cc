@@ -24,33 +24,22 @@ using namespace dream;
 int
 main(int argc, char** argv)
 {
-    const auto opts = bench::parseArgs(argc, argv);
+    const auto opts = bench::parseArgs(argc, argv, bench::Kind::Rows);
+    if (opts.list) // no grid: nothing to list
+        return 0;
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
     const workload::ScenarioPreset scenarios[] = {
         workload::ScenarioPreset::VrGaming,
         workload::ScenarioPreset::ArSocial};
     const double probs[] = {0.5, 0.9};
 
-    if (opts.list || !opts.filter.empty()) {
-        std::fprintf(stderr, "fig13 runs parameter searches, not a "
-                             "sweep grid; --list/--filter do not "
-                             "apply\n");
-        return 0;
-    }
-    if (!opts.traceDir.empty()) {
-        std::fprintf(stderr, "fig13 runs parameter searches outside "
-                             "the engine; --record-trace does not "
-                             "apply\n");
-        return 2;
-    }
-
-    // --shard/--chunk on this grid-less bench partition its fixed
+    // --shard/--chunk on this grid-less bench select from its fixed
     // result row sequence (the searches all run; only row emission
-    // is gated), so the sharded or chunked CSVs still merge back
+    // is gated), so the sharded or chunked files still merge back
     // into the unsharded --out byte for byte.
-    const size_t total_rows =
-        (sizeof scenarios / sizeof scenarios[0]) *
-        (sizeof probs / sizeof probs[0]) * 3 /* objectives */;
+    const auto rows = opts.range((sizeof scenarios / sizeof scenarios[0]) *
+                                 (sizeof probs / sizeof probs[0]) *
+                                 3 /* objectives */);
 
     engine::WorkerPool pool(opts.jobs);
     auto file_sink = bench::makeFileSink(opts);
@@ -84,8 +73,8 @@ main(int argc, char** argv)
                 if (obj == metrics::Objective::UxCost)
                     ux_of_uxopt = r.uxCost;
                 const size_t index = row_index++;
-                if (file_sink &&
-                    opts.selectsRow(index, total_rows)) {
+                if (file_sink && index >= rows.first &&
+                    index < rows.second) {
                     engine::RunRecord rec;
                     rec.index = index;
                     rec.scenario = toString(sc_preset) + "@p" +

@@ -17,7 +17,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -35,15 +34,18 @@ int
 main(int argc, char** argv)
 {
     std::string suite_path = "scenarios/hard_v1.json";
-    std::string check_tol;
-    const std::vector<bench::ExtraFlag> extra = {
-        {"--suite", &suite_path,
-         "hard-scenarios suite JSON (default scenarios/hard_v1.json)"},
-        {"--check-expected", &check_tol,
-         "fail (exit 1) if any UXCost drifts beyond this relative "
-         "tolerance from the suite's expected value"},
-    };
-    const auto opts = bench::parseArgs(argc, argv, extra);
+    double check_tol = -1.0; // < 0: no expected-value check
+    const auto opts = bench::parseArgs(
+        argc, argv, bench::Kind::Grid, [&](flags::Table& table) {
+            table.add({"--suite", "", "F",
+                       "hard-scenarios suite JSON (default\n"
+                       "scenarios/hard_v1.json)",
+                       flags::nonEmpty(&suite_path)});
+            table.add({"--check-expected", "", "TOL",
+                       "exit 1 if any UXCost drifts beyond this relative\n"
+                       "tolerance (>= 0) from the suite's expected value",
+                       flags::real(&check_tol, 0.0)});
+        });
 
     workload::HardScenarioSuite suite;
     try {
@@ -53,11 +55,9 @@ main(int argc, char** argv)
         return 2;
     }
 
+    // The loader rejects unknown system names.
     hw::SystemPreset preset = hw::SystemPreset::Sys4k1Ws2Os;
-    for (const auto p : hw::allSystemPresets()) {
-        if (hw::toString(p) == suite.system)
-            preset = p;
-    }
+    hw::parseSystemPreset(suite.system, &preset);
 
     const auto schedulers = runner::evaluationSchedulers();
     engine::SweepGrid grid;
@@ -69,7 +69,7 @@ main(int argc, char** argv)
         grid.addScheduler(kind);
 
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
 
     engine::AggregateSink agg;
@@ -116,26 +116,17 @@ main(int argc, char** argv)
     }
     t.print();
 
-    if (!check_tol.empty()) {
-        char* end = nullptr;
-        const double tol = std::strtod(check_tol.c_str(), &end);
-        if (end == check_tol.c_str() || *end != '\0' ||
-            !(tol >= 0.0)) {
-            std::fprintf(stderr,
-                         "invalid --check-expected value: %s\n",
-                         check_tol.c_str());
-            return 2;
-        }
-        if (worst_drift > tol) {
+    if (check_tol >= 0.0) {
+        if (worst_drift > check_tol) {
             std::fprintf(stderr,
                          "FAIL: UXCost drift %.3g on %s exceeds "
                          "--check-expected %.3g\n",
-                         worst_drift, worst_cell.c_str(), tol);
+                         worst_drift, worst_cell.c_str(), check_tol);
             return 1;
         }
         std::printf("\nexpected-value check passed: worst drift "
                     "%.3g (tolerance %.3g)\n",
-                    worst_drift, tol);
+                    worst_drift, check_tol);
     }
     std::printf("\nthese mixes were found by tools/dream_hunt "
                 "maximizing scheduler UXCost; regenerate with the\n"

@@ -36,7 +36,7 @@ main(int argc, char** argv)
     grid.seeds({11}).window(5e5);
 
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
 
     engine::Engine eng(bench::engineOptions(opts));

@@ -34,7 +34,7 @@ main(int argc, char** argv)
         .window(runner::kDefaultWindowUs);
 
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
 
     engine::AggregateSink agg;
@@ -49,14 +49,12 @@ main(int argc, char** argv)
         cells, [](const engine::AggregateSink::Cell& c) {
             // Recover the preset from the cell's system name to
             // group into the paper's two halves of Table 2.
-            for (const auto preset : hw::allSystemPresets()) {
-                if (hw::toString(preset) == c.system) {
-                    return hw::makeSystem(preset).homogeneous()
-                               ? std::string("Homogeneous")
-                               : std::string("Heterogeneous");
-                }
-            }
-            return std::string("?");
+            hw::SystemPreset preset;
+            if (!hw::parseSystemPreset(c.system, &preset))
+                return std::string("?");
+            return hw::makeSystem(preset).homogeneous()
+                       ? std::string("Homogeneous")
+                       : std::string("Heterogeneous");
         });
     for (const auto& group : by_style) {
         std::printf("== %s ==\n", group.key.c_str());
@@ -64,10 +62,9 @@ main(int argc, char** argv)
                          "UXCost", "Violated"});
         for (const auto& cell : group.cells) {
             hw::SystemConfig sys;
-            for (const auto preset : hw::allSystemPresets()) {
-                if (hw::toString(preset) == cell.system)
-                    sys = hw::makeSystem(preset);
-            }
+            hw::SystemPreset preset;
+            if (hw::parseSystemPreset(cell.system, &preset))
+                sys = hw::makeSystem(preset);
             std::string subs;
             for (const auto& acc : sys.accelerators) {
                 if (!subs.empty())

@@ -45,7 +45,7 @@ main(int argc, char** argv)
     grid.seeds(runner::defaultSeeds()).window(runner::kDefaultWindowUs);
 
     auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, grid, file_sink.get()))
+    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
         return 0;
 
     engine::AggregateSink agg;

@@ -30,12 +30,9 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,7 +40,6 @@
 #include "bench_main.h"
 #include "engine/engine.h"
 #include "engine/worker_pool.h"
-#include "runner/experiment.h"
 #include "runner/table.h"
 #include "runner/trace.h"
 
@@ -51,143 +47,13 @@ using namespace dream;
 
 namespace {
 
-/** One recorded trace with its grid identity resolved to factories. */
-struct ResolvedTrace {
-    std::string file;
-    std::shared_ptr<const workload::FrameTrace> trace;
-    std::string scenario;
-    hw::SystemPreset system = hw::SystemPreset::Sys4k2Ws;
-    runner::SchedKind scheduler = runner::SchedKind::Fcfs;
-    uint64_t seed = 0;
-    double windowUs = 0.0;
-    size_t index = 0; ///< recorded grid index (replay row order)
-    std::function<workload::Scenario()> makeScenario;
-};
-
-[[noreturn]] void
-fail(const std::string& file, const std::string& what)
-{
-    std::fprintf(stderr, "trace_replay: %s: %s\n", file.c_str(),
-                 what.c_str());
-    std::exit(2);
-}
-
-std::string
-requireMeta(const workload::FrameTrace& trace, const std::string& file,
-            const std::string& key)
-{
-    const std::string value = trace.metaValue(key);
-    if (value.empty() && key != "params")
-        fail(file, "metadata is missing '" + key +
-                       "' (was the trace recorded with "
-                       "--record-trace?)");
-    return value;
-}
-
-/** Resolve a recorded scenario name ("AR_Call", "VR_Gaming@p0.9"). */
-std::function<workload::Scenario()>
-resolveScenario(const std::string& name, const std::string& file)
-{
-    std::string base = name;
-    double cascade_prob = 0.5;
-    const size_t at = name.rfind("@p");
-    if (at != std::string::npos) {
-        char* end = nullptr;
-        cascade_prob = std::strtod(name.c_str() + at + 2, &end);
-        if (end == name.c_str() + name.size())
-            base = name.substr(0, at);
-        else
-            cascade_prob = 0.5; // "@p" was part of the name itself
-    }
-    for (const auto preset : workload::allScenarioPresets()) {
-        if (workload::toString(preset) == base) {
-            return [preset, cascade_prob]() {
-                return workload::makeScenario(preset, cascade_prob);
-            };
-        }
-    }
-    fail(file, "cannot replay scenario '" + name +
-                   "': not a Table 3 preset (generated scenarios "
-                   "are not replayable from metadata)");
-}
-
-ResolvedTrace
-loadTrace(const std::string& path)
-{
-    ResolvedTrace t;
-    t.file = path;
-    try {
-        t.trace = std::make_shared<const workload::FrameTrace>(
-            runner::readFrameTraceCsv(path));
-    } catch (const std::runtime_error& e) {
-        fail(path, e.what());
-    }
-    const auto& trace = *t.trace;
-
-    t.scenario = requireMeta(trace, path, "scenario");
-    t.makeScenario = resolveScenario(t.scenario, path);
-
-    const std::string system = requireMeta(trace, path, "system");
-    bool found = false;
-    for (const auto preset : hw::allSystemPresets()) {
-        if (hw::toString(preset) == system) {
-            t.system = preset;
-            found = true;
-        }
-    }
-    if (!found)
-        fail(path, "unknown system preset '" + system + "'");
-
-    const std::string sched = requireMeta(trace, path, "scheduler");
-    found = false;
-    for (const auto kind : runner::allSchedKinds()) {
-        if (runner::toString(kind) == sched) {
-            t.scheduler = kind;
-            found = true;
-        }
-    }
-    if (!found)
-        fail(path, "unknown scheduler '" + sched + "'");
-
-    if (!trace.metaValue("params").empty())
-        fail(path, "parameterised grid points (params=" +
-                       trace.metaValue("params") +
-                       ") are not replayable from metadata");
-
-    // Numeric metadata parses strictly: a corrupted seed silently
-    // becoming 0 (or a negative one wrapping through strtoull) would
-    // replay different execution paths and report drift instead of
-    // rejecting the file.
-    const auto unsignedMeta = [&](const char* key) {
-        const std::string value = requireMeta(trace, path, key);
-        const bool digits =
-            !value.empty() &&
-            value.find_first_not_of("0123456789") == std::string::npos;
-        errno = 0;
-        const auto v = std::strtoull(value.c_str(), nullptr, 10);
-        if (!digits || errno == ERANGE)
-            fail(path, std::string("malformed ") + key +
-                           " metadata '" + value + "'");
-        return v;
-    };
-    t.seed = unsignedMeta("seed");
-    {
-        const std::string value = requireMeta(trace, path, "window_us");
-        char* end = nullptr;
-        t.windowUs = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size() || t.windowUs <= 0.0)
-            fail(path, "malformed window_us metadata '" + value + "'");
-    }
-    t.index = unsignedMeta("index");
-    return t;
-}
-
 /** The one-point grid replaying @p t under its recorded identity. */
 engine::SweepGrid
-replayGrid(const ResolvedTrace& t)
+replayGrid(const runner::RecordedPoint& t)
 {
     engine::SweepGrid grid;
-    grid.addTraceReplay({t.scenario, t.makeScenario, t.trace});
+    grid.addTraceReplay(
+        {t.scenario, [t] { return t.makeScenario(); }, t.trace});
     grid.addSystem(t.system);
     grid.addScheduler(t.scheduler);
     grid.seeds({t.seed});
@@ -201,16 +67,17 @@ int
 main(int argc, char** argv)
 {
     std::string traces_dir;
-    const std::vector<bench::ExtraFlag> extra_flags = {
-        {"--traces", &traces_dir,
-         "directory of *.trace.csv files recorded with "
-         "--record-trace (required)"}};
-    const auto opts = bench::parseArgs(argc, argv, extra_flags);
-    if (traces_dir.empty()) {
-        std::fprintf(stderr, "trace_replay: --traces DIR is required\n");
-        bench::printUsage(argv[0], extra_flags);
-        return 2;
-    }
+    const auto opts = bench::parseArgs(
+        argc, argv, bench::Kind::Grid, [&](flags::Table& table) {
+            table.add({"--traces", "", "DIR",
+                       "directory of *.trace.csv files recorded with\n"
+                       "--record-trace (required)",
+                       flags::nonEmpty(&traces_dir)});
+            table.check([&] {
+                if (traces_dir.empty())
+                    throw flags::Error("--traces DIR is required");
+            });
+        });
 
     std::vector<std::string> files;
     try {
@@ -233,58 +100,42 @@ main(int argc, char** argv)
     }
     std::sort(files.begin(), files.end());
 
-    std::vector<ResolvedTrace> traces;
+    std::vector<runner::RecordedPoint> traces;
     traces.reserve(files.size());
-    for (const auto& f : files)
-        traces.push_back(loadTrace(f));
+    try {
+        for (const auto& f : files)
+            traces.push_back(runner::loadRecordedPoint(f));
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "trace_replay: %s\n", e.what());
+        return 2;
+    }
     // Replay rows in the recorded grid order, so the replayed CSV
     // lines up with the original run's row for row.
     std::stable_sort(traces.begin(), traces.end(),
-                     [](const ResolvedTrace& a, const ResolvedTrace& b) {
+                     [](const auto& a, const auto& b) {
                          return a.index < b.index;
                      });
+    // Rows carry the RECORDED grid index (the one-point grid's own
+    // index is 0), so a replayed file lines up with the recording
+    // row for row — also for subset recordings whose indices do not
+    // start at 0.
+    std::vector<engine::SweepGrid> grids;
+    for (const auto& t : traces)
+        grids.push_back(replayGrid(t));
+    std::vector<bench::Scan> scans;
+    for (size_t i = 0; i < traces.size(); ++i)
+        scans.push_back({grids[i], traces[i].scenario, traces[i].index});
 
-    // --shard K/N must partition the GLOBAL (filtered) replay
-    // ordering, not each one-point grid separately (per-grid
-    // sharding of a single point would put every replay on the last
-    // shard). Rewrite it as the equivalent global --chunk, which the
-    // per-grid cursor already rebases correctly.
-    bench::Options run_opts = opts;
-    if (opts.sharded) {
-        size_t selected = 0;
-        for (const auto& t : traces) {
-            const auto grid = replayGrid(t);
-            if (bench::filterSelects(opts, grid.point(0).key()))
-                ++selected;
-        }
-        const auto range = opts.shard.range(selected);
-        run_opts.sharded = false;
-        run_opts.shard = {};
-        run_opts.chunked = true;
-        run_opts.chunk = {range.first, range.second};
-    }
-
-    auto file_sink = bench::makeFileSink(run_opts);
-    bool handled = false;
+    auto file_sink = bench::makeFileSink(opts);
     try {
-        for (const auto& t : traces) {
-            const auto grid = replayGrid(t);
-            // Rows carry the RECORDED grid index (the one-point
-            // grid's own index is 0), so a replayed file lines up
-            // with the recording row for row — also for subset
-            // recordings whose indices do not start at 0.
-            if (!bench::runOrList(run_opts, grid, file_sink.get(),
-                                  t.scenario.c_str(), t.index))
-                handled = true;
-        }
+        if (!bench::runOrList(opts, scans, file_sink.get()))
+            return 0;
     } catch (const std::exception& e) {
         // E.g. a ReplaySource scenario/trace mismatch surfacing from
         // a worker thread.
         std::fprintf(stderr, "trace_replay: %s\n", e.what());
         return 2;
     }
-    if (handled)
-        return 0;
 
     std::printf("Trace replay: %zu recorded run(s) from %s, "
                 "re-driven through the engine\n\n",
@@ -299,12 +150,10 @@ main(int argc, char** argv)
     try {
         engine::WorkerPool pool(opts.jobs);
         pool.parallelFor(traces.size(), [&](size_t i) {
-            const auto grid = replayGrid(traces[i]);
-            // Re-recorded traces carry the ORIGINAL index metadata
-            // (the one-point grid's own index is 0).
-            replays[i] = engine::runGridPoint(
-                grid.point(0), opts.traceDir, traces[i].index);
-            replays[i].index = traces[i].index;
+            engine::EngineOptions eopts;
+            eopts.traceDir = opts.traceDir;
+            eopts.indexBase = traces[i].index;
+            replays[i] = engine::runGridPoint(grids[i].point(0), eopts);
         });
     } catch (const std::exception& e) {
         std::fprintf(stderr, "trace_replay: %s\n", e.what());

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,99 +23,6 @@
 namespace dream {
 namespace engine {
 
-bool
-ShardSpec::parse(const std::string& text, ShardSpec* out)
-{
-    const size_t slash = text.find('/');
-    if (slash == 0 || slash == std::string::npos ||
-        slash + 1 >= text.size())
-        return false;
-    char* end = nullptr;
-    const long k = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + slash)
-        return false;
-    const char* n_begin = text.c_str() + slash + 1;
-    const long n = std::strtol(n_begin, &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    // Range-check before narrowing: huge K/N must be rejected, not
-    // silently wrapped into a small (or whole-grid) shard.
-    if (k < 1 || n < 1 || k > INT_MAX || n > INT_MAX)
-        return false;
-    const ShardSpec spec{int(k), int(n)};
-    if (!spec.valid())
-        return false;
-    *out = spec;
-    return true;
-}
-
-std::string
-ShardSpec::toString() const
-{
-    return std::to_string(index) + '/' + std::to_string(count);
-}
-
-std::pair<size_t, size_t>
-ShardSpec::range(size_t total) const
-{
-    assert(valid());
-    const size_t k = size_t(index);
-    const size_t n = size_t(count);
-    return {total * (k - 1) / n, total * k / n};
-}
-
-bool
-ShardSpec::contains(size_t pos, size_t total) const
-{
-    const auto r = range(total);
-    return pos >= r.first && pos < r.second;
-}
-
-bool
-ChunkSpec::parse(const std::string& text, ChunkSpec* out)
-{
-    const size_t colon = text.find(':');
-    if (colon == std::string::npos)
-        return false;
-    // Digits only on both sides ("B:E", or "B:" for an open end):
-    // strtoull would silently accept signs and whitespace. Overflow
-    // is just as silent (saturates to ULLONG_MAX == npos), so it is
-    // rejected too — a typo'd huge range must not quietly become an
-    // empty or open-ended chunk.
-    const auto digits = [](const char* s, size_t n) {
-        if (n == 0)
-            return false;
-        for (size_t i = 0; i < n; ++i) {
-            if (s[i] < '0' || s[i] > '9')
-                return false;
-        }
-        return true;
-    };
-    const auto parse_pos = [](const char* s, size_t* value) {
-        errno = 0;
-        *value = std::strtoull(s, nullptr, 10);
-        return errno != ERANGE;
-    };
-    if (!digits(text.c_str(), colon))
-        return false;
-    ChunkSpec spec;
-    if (!parse_pos(text.c_str(), &spec.begin))
-        return false;
-    const size_t tail = text.size() - colon - 1;
-    if (tail == 0) {
-        spec.end = npos;
-    } else {
-        if (!digits(text.c_str() + colon + 1, tail))
-            return false;
-        if (!parse_pos(text.c_str() + colon + 1, &spec.end))
-            return false;
-    }
-    if (!spec.valid())
-        return false;
-    *out = spec;
-    return true;
-}
-
 std::string
 ChunkSpec::toString() const
 {
@@ -128,28 +33,40 @@ ChunkSpec::toString() const
 std::pair<size_t, size_t>
 ChunkSpec::range(size_t total) const
 {
-    assert(valid());
     const size_t lo = std::min(begin, total);
     return {lo, std::max(lo, std::min(end, total))};
 }
 
-bool
-ChunkSpec::contains(size_t pos, size_t total) const
+std::vector<std::vector<size_t>>
+selectPoints(const std::vector<const SweepGrid*>& grids,
+             const std::string& filter,
+             const std::function<std::pair<size_t, size_t>(size_t)>& range)
 {
+    std::vector<std::vector<size_t>> selected(grids.size());
+    size_t total = 0;
+    for (size_t g = 0; g < grids.size(); ++g) {
+        for (size_t i = 0; i < grids[g]->size(); ++i) {
+            if (filter.empty() ||
+                grids[g]->point(i).key().find(filter) != std::string::npos)
+                selected[g].push_back(i);
+        }
+        total += selected[g].size();
+    }
+    // Cut [lo, hi) out of the concatenated ordering: each grid keeps
+    // the part of the range that falls in its window of positions.
     const auto r = range(total);
-    return pos >= r.first && pos < r.second;
-}
-
-ChunkSpec
-ChunkSpec::slice(size_t base, size_t count) const
-{
-    assert(valid());
-    const size_t lo =
-        begin <= base ? 0 : std::min(begin - base, count);
-    const size_t hi =
-        end == npos ? count
-                    : (end <= base ? 0 : std::min(end - base, count));
-    return {lo, std::max(lo, hi)};
+    const size_t lo = std::min(r.first, total);
+    const size_t hi = std::max(lo, std::min(r.second, total));
+    size_t base = 0;
+    for (auto& indices : selected) {
+        const size_t n = indices.size();
+        const size_t b = std::clamp(lo, base, base + n) - base;
+        const size_t e = std::clamp(hi, base, base + n) - base;
+        indices = std::vector<size_t>(indices.begin() + long(b),
+                                      indices.begin() + long(e));
+        base += n;
+    }
+    return selected;
 }
 
 namespace {
@@ -205,7 +122,7 @@ namespace {
  *  recording. */
 void
 recordTrace(const std::string& trace_dir, const SweepGrid::Point& point,
-            size_t index_base, const workload::Scenario& scenario,
+            size_t index, const workload::Scenario& scenario,
             const sim::RunStats& stats)
 {
     std::filesystem::create_directories(trace_dir);
@@ -227,7 +144,7 @@ recordTrace(const std::string& trace_dir, const SweepGrid::Point& point,
     meta.push_back({"params", params});
     meta.push_back({"seed", std::to_string(point.seed)});
     meta.push_back({"window_us", runner::preciseDouble(point.windowUs)});
-    meta.push_back({"index", std::to_string(index_base + point.index)});
+    meta.push_back({"index", std::to_string(index)});
     runner::writeFrameTraceCsv(out, stats, scenario, meta);
     if (!out)
         throw std::runtime_error("short write to trace file: " + path);
@@ -253,16 +170,6 @@ recordTraceEvents(const std::string& dir,
 }
 
 } // anonymous namespace
-
-RunRecord
-runGridPoint(const SweepGrid::Point& point, const std::string& trace_dir,
-             size_t trace_index_base)
-{
-    EngineOptions opts;
-    opts.traceDir = trace_dir;
-    opts.traceIndexBase = trace_index_base;
-    return runGridPoint(point, opts, nullptr);
-}
 
 RunRecord
 runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
@@ -301,7 +208,7 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     // up front — process_name names the track group in Perfetto,
     // dream_meta carries what dream_prof needs (the window for
     // utilization, the key for the report).
-    const size_t global_index = opts.traceIndexBase + point.index;
+    const size_t global_index = opts.indexBase + point.index;
     obs::TraceEventSink trace_sink{int64_t(global_index)};
     obs::SimTelemetry telemetry;
     if (!opts.traceEventDir.empty()) {
@@ -322,13 +229,12 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     sim::Simulator simulator(system, scenario, *costs, cfg);
     const sim::RunStats stats = simulator.run(*sched);
     if (!opts.traceDir.empty())
-        recordTrace(opts.traceDir, point, opts.traceIndexBase,
-                    scenario, stats);
+        recordTrace(opts.traceDir, point, global_index, scenario, stats);
     if (!opts.traceEventDir.empty())
         recordTraceEvents(opts.traceEventDir, point, trace_sink);
 
     RunRecord r;
-    r.index = point.index;
+    r.index = global_index;
     r.scenario = point.scenario;
     r.system = point.system;
     r.scheduler = point.scheduler;
@@ -396,36 +302,14 @@ std::vector<RunRecord>
 Engine::run(const SweepGrid& grid,
             const std::vector<ResultSink*>& sinks) const
 {
-    return run(grid, sinks, PointFilter{});
+    std::vector<size_t> indices(grid.size());
+    std::iota(indices.begin(), indices.end(), size_t(0));
+    return run(grid, sinks, indices);
 }
 
 std::vector<RunRecord>
 Engine::run(const SweepGrid& grid, const std::vector<ResultSink*>& sinks,
-            const PointFilter& select) const
-{
-    return run(grid, sinks, select, ShardSpec{});
-}
-
-namespace {
-
-/** Indices of the points @p select accepts, in ascending order. */
-std::vector<size_t>
-selectedIndices(const SweepGrid& grid, const PointFilter& select)
-{
-    const size_t n = grid.size();
-    std::vector<size_t> indices;
-    indices.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        if (!select || select(grid.point(i)))
-            indices.push_back(i);
-    }
-    return indices;
-}
-
-/** Run @p indices on a pool and deliver records in index order. */
-std::vector<RunRecord>
-runIndices(const SweepGrid& grid, const std::vector<size_t>& indices,
-           const std::vector<ResultSink*>& sinks, const EngineOptions& opts)
+            const std::vector<size_t>& indices) const
 {
     std::vector<RunRecord> records(indices.size());
     // One registry per point, merged in flat-index order AFTER the
@@ -433,16 +317,16 @@ runIndices(const SweepGrid& grid, const std::vector<size_t>& indices,
     // merged registry — like the record vector — is byte-identical
     // for any worker count.
     std::vector<obs::MetricsRegistry> point_metrics(
-        opts.metrics ? indices.size() : 0);
-    WorkerPool pool(opts.jobs);
+        opts_.metrics ? indices.size() : 0);
+    WorkerPool pool(opts_.jobs);
     pool.parallelFor(indices.size(), [&](size_t k) {
         records[k] = runGridPoint(
-            grid.point(indices[k]), opts,
-            opts.metrics ? &point_metrics[k] : nullptr);
+            grid.point(indices[k]), opts_,
+            opts_.metrics ? &point_metrics[k] : nullptr);
     });
-    if (opts.metrics) {
+    if (opts_.metrics) {
         for (const auto& m : point_metrics)
-            opts.metrics->merge(m);
+            opts_.metrics->merge(m);
         // Pool-level occupancy (wall clock, hence volatile: kept for
         // profiling, excluded from the canonical dump).
         const auto& workers = pool.lastRunStats();
@@ -451,12 +335,12 @@ runIndices(const SweepGrid& grid, const std::vector<size_t>& indices,
                 "engine/worker/" + std::to_string(w) + '/';
             for (const char* name :
                  {"items", "steals", "busy_s", "idle_s"})
-                opts.metrics->markVolatile(prefix + name);
-            opts.metrics->count(prefix + "items", workers[w].items);
-            opts.metrics->count(prefix + "steals", workers[w].steals);
-            opts.metrics->gaugeAdd(prefix + "busy_s",
+                opts_.metrics->markVolatile(prefix + name);
+            opts_.metrics->count(prefix + "items", workers[w].items);
+            opts_.metrics->count(prefix + "steals", workers[w].steals);
+            opts_.metrics->gaugeAdd(prefix + "busy_s",
                                    workers[w].busySeconds);
-            opts.metrics->gaugeAdd(prefix + "idle_s",
+            opts_.metrics->gaugeAdd(prefix + "idle_s",
                                    workers[w].idleSeconds);
         }
     }
@@ -468,52 +352,6 @@ runIndices(const SweepGrid& grid, const std::vector<size_t>& indices,
             sink->write(r);
     }
     return records;
-}
-
-} // anonymous namespace
-
-std::vector<RunRecord>
-Engine::run(const SweepGrid& grid, const std::vector<ResultSink*>& sinks,
-            const PointFilter& select, const ShardSpec& shard) const
-{
-    if (!shard.valid())
-        throw std::invalid_argument("invalid shard spec " +
-                                    std::to_string(shard.index) + '/' +
-                                    std::to_string(shard.count));
-
-    std::vector<size_t> indices = selectedIndices(grid, select);
-    if (shard.active()) {
-        // Key-range partition of the filtered, index-ordered run.
-        const auto r = shard.range(indices.size());
-        indices = std::vector<size_t>(indices.begin() + long(r.first),
-                                      indices.begin() + long(r.second));
-    }
-    return runIndices(grid, indices, sinks, opts_);
-}
-
-std::vector<RunRecord>
-Engine::run(const SweepGrid& grid, const std::vector<ResultSink*>& sinks,
-            const PointFilter& select, const ChunkSpec& chunk) const
-{
-    if (!chunk.valid())
-        throw std::invalid_argument("invalid chunk spec " +
-                                    chunk.toString());
-
-    std::vector<size_t> indices = selectedIndices(grid, select);
-    if (chunk.active()) {
-        // Explicit position range of the filtered ordering.
-        const auto r = chunk.range(indices.size());
-        indices = std::vector<size_t>(indices.begin() + long(r.first),
-                                      indices.begin() + long(r.second));
-    }
-    return runIndices(grid, indices, sinks, opts_);
-}
-
-std::vector<RunRecord>
-Engine::run(const SweepGrid& grid, const std::vector<ResultSink*>& sinks,
-            const std::vector<size_t>& indices) const
-{
-    return runIndices(grid, indices, sinks, opts_);
 }
 
 } // namespace engine

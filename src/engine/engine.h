@@ -13,6 +13,7 @@
 #ifndef DREAM_ENGINE_ENGINE_H
 #define DREAM_ENGINE_ENGINE_H
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,19 +49,19 @@ struct EngineOptions {
      */
     std::string traceDir;
     /**
-     * Added to point.index in recorded "# index=" metadata. Benches
-     * that stream several grids into one result file (ReindexSink)
-     * pass their per-grid row base here, so a trace's metadata index
-     * always equals the point's row index in the --out CSV.
-     * traceEventDir uses the same base as the events' pid.
+     * Added to every executed point's index: in its RunRecord, in its
+     * recorded "# index=" trace metadata and as its telemetry events'
+     * pid. A bench that streams several grids into one result file
+     * passes each grid's row base here, so indices stay unique and
+     * increasing across the file (the order dream_merge restores).
      */
-    size_t traceIndexBase = 0;
+    size_t indexBase = 0;
     /**
      * When non-empty, every executed grid point writes its telemetry
      * event trace (Chrome trace-event JSON, openable in Perfetto) to
      * "<traceEventDir>/<sanitized point key>-<hash>.trace.json" —
      * the same per-point naming discipline as traceDir. The events'
-     * pid is traceIndexBase + point.index.
+     * pid is indexBase + point.index.
      */
     std::string traceEventDir;
     /**
@@ -74,63 +75,10 @@ struct EngineOptions {
     obs::MetricsRegistry* metrics = nullptr;
 };
 
-/** Grid-point predicate for subset runs (--filter). */
-using PointFilter = std::function<bool(const SweepGrid::Point&)>;
-
 /**
- * One shard of a distributed run: shard @c index of @c count
- * (1-based, "K/N" on the command line). A shard is the K-th
- * contiguous key range of the deterministic grid ordering — after
- * any point filter — so the N shards partition every run exactly
- * (disjoint, covering, balanced to within one point) and
- * concatenating shard results in shard order reproduces the
- * unsharded ordering.
- */
-struct ShardSpec {
-    int index = 1; ///< 1-based shard number K
-    int count = 1; ///< total shards N
-
-    /** True for a real partition (anything but the whole 1/1). */
-    bool active() const { return count != 1 || index != 1; }
-    /** 1 <= K <= N. */
-    bool valid() const { return count >= 1 && index >= 1 &&
-                                index <= count; }
-
-    /**
-     * Parse "K/N" into @p out. Returns false (and leaves @p out
-     * untouched) on malformed or invalid input.
-     */
-    static bool parse(const std::string& text, ShardSpec* out);
-
-    /** "K/N". */
-    std::string toString() const;
-
-    /**
-     * Half-open position range [begin, end) of this shard within an
-     * ordered sequence of @p total elements. Ranges of shards
-     * 1..count tile [0, total); sizes differ by at most one; shards
-     * beyond @p total are empty.
-     */
-    std::pair<size_t, size_t> range(size_t total) const;
-
-    /** True if position @p pos of @p total falls in this shard. */
-    bool contains(size_t pos, size_t total) const;
-};
-
-/**
- * An explicit position-range chunk of a run: the half-open range
- * [begin, end) of positions in the filtered grid ordering ("B:E" on
- * the command line, "B:" for to-the-end). The finer-grained sibling
- * of ShardSpec: where a shard is the K-th of N equal ranges, a chunk
- * names its positions directly, so one host can split a run into
- * M >> N chunks and hand them to N workers dynamically as each
- * finishes (tools/dream_shard) instead of committing to a static
- * partition up front.
- *
- * For benches that stream several grids into one file, chunk
- * positions are global across the whole run (the concatenation of
- * every grid's filtered ordering, in scan order) — slice() rebases
- * the global range onto one grid's window.
+ * An explicit position range [begin, end) of a run's selected
+ * ordering ("B:E" on the command line, "B:" for to-the-end): the
+ * chunks tools/dream_shard hands out to its workers.
  */
 struct ChunkSpec {
     /** Open end: the chunk extends to the end of the ordering. */
@@ -139,60 +87,37 @@ struct ChunkSpec {
     size_t begin = 0;  ///< first position
     size_t end = npos; ///< one past the last position
 
-    /** True for a real sub-range (anything but the whole 0:npos). */
-    bool active() const { return begin != 0 || end != npos; }
-    /** begin <= end. */
-    bool valid() const { return begin <= end; }
-
-    /**
-     * Parse "B:E" (or "B:") into @p out. Returns false (and leaves
-     * @p out untouched) on malformed or invalid input.
-     */
-    static bool parse(const std::string& text, ChunkSpec* out);
-
     /** "B:E", or "B:" when the end is open. */
     std::string toString() const;
 
-    /**
-     * The chunk clamped to an ordered sequence of @p total elements:
-     * a half-open position range within [0, total].
-     */
+    /** The chunk clamped to a sequence of @p total positions. */
     std::pair<size_t, size_t> range(size_t total) const;
-
-    /** True if position @p pos of @p total falls in this chunk. */
-    bool contains(size_t pos, size_t total) const;
-
-    /**
-     * The part of this global chunk that falls in the position
-     * window [base, base + count), rebased to the window — i.e. the
-     * local chunk a grid owning global positions base .. base+count
-     * should run. Slices over consecutive windows tile the global
-     * range exactly.
-     */
-    ChunkSpec slice(size_t base, size_t count) const;
 };
+
+/**
+ * The one run-selection path. The points of @p grids whose key
+ * contains @p filter, in scan order (grid by grid, ascending index),
+ * form one ordering of T positions; @p range maps T to the half-open
+ * position range to run, which is clamped to [0, T). Returns each
+ * grid's selected indices, ascending — the input of
+ * Engine::run(grid, sinks, indices).
+ */
+std::vector<std::vector<size_t>> selectPoints(
+    const std::vector<const SweepGrid*>& grids, const std::string& filter,
+    const std::function<std::pair<size_t, size_t>(size_t total)>& range);
 
 /**
  * Simulate one grid point in isolation (runs on worker threads).
  * Points of a trace-replay scenario (point.trace set) run through a
- * workload::ReplaySource. A non-empty @p trace_dir records the run's
- * frame trace, with @p trace_index_base added to the recorded
- * "# index=" metadata (see EngineOptions).
- */
-RunRecord runGridPoint(const SweepGrid::Point& point,
-                       const std::string& trace_dir = {},
-                       size_t trace_index_base = 0);
-
-/**
- * runGridPoint with the full option set: frame-trace recording
- * (opts.traceDir), telemetry event traces (opts.traceEventDir) and —
- * when @p metrics_out is non-null — per-run metrics collected into
- * it (the engine merges the per-point registries; opts.metrics
+ * workload::ReplaySource. @p opts supplies the index base,
+ * frame-trace recording (traceDir) and telemetry event traces
+ * (traceEventDir); a non-null @p metrics_out collects the run's
+ * metrics (the engine merges the per-point registries; opts.metrics
  * itself is NOT touched here, so workers stay share-nothing).
  */
 RunRecord runGridPoint(const SweepGrid::Point& point,
                        const EngineOptions& opts,
-                       obs::MetricsRegistry* metrics_out);
+                       obs::MetricsRegistry* metrics_out = nullptr);
 
 /**
  * The trace-file name a grid point records to under
@@ -240,54 +165,10 @@ public:
         const std::vector<ResultSink*>& sinks = {}) const;
 
     /**
-     * Execute only the grid points @p select accepts (a null filter
-     * accepts all). Records keep their original grid index but are
-     * returned — and delivered to sinks — compacted in ascending
-     * index order, so a filtered run is byte-identical for any
-     * --jobs value too.
-     */
-    std::vector<RunRecord> run(const SweepGrid& grid,
-                               const std::vector<ResultSink*>& sinks,
-                               const PointFilter& select) const;
-
-    /**
-     * Execute one shard of a (possibly filtered) run: the points
-     * @p select accepts are put in ascending index order, then only
-     * the @p shard-th contiguous range of that sequence runs. The
-     * N shards of a grid partition the filtered run exactly, so
-     * merging their records (by ascending grid index) reproduces
-     * the unsharded run byte for byte.
-     *
-     * @throws std::invalid_argument on an invalid shard spec.
-     */
-    std::vector<RunRecord> run(const SweepGrid& grid,
-                               const std::vector<ResultSink*>& sinks,
-                               const PointFilter& select,
-                               const ShardSpec& shard) const;
-
-    /**
-     * Execute one explicit position-range chunk of a (possibly
-     * filtered) run: the points @p select accepts are put in
-     * ascending index order, then only positions [chunk.begin,
-     * chunk.end) of that sequence run (clamped to its length).
-     * Chunks that tile the filtered ordering partition the run
-     * exactly, so merging their records reproduces the unsharded
-     * run byte for byte — the protocol tools/dream_shard drives.
-     *
-     * @throws std::invalid_argument on an invalid chunk spec.
-     */
-    std::vector<RunRecord> run(const SweepGrid& grid,
-                               const std::vector<ResultSink*>& sinks,
-                               const PointFilter& select,
-                               const ChunkSpec& chunk) const;
-
-    /**
      * Execute exactly the grid points @p indices (ascending flat
-     * indices a caller has already selected). For callers that have
-     * materialised the selection themselves — e.g. bench_main's
-     * --chunk path, which needs the selected positions for the
-     * global cursor anyway — so the engine does not repeat the
-     * filter scan.
+     * indices, e.g. one grid's share of selectPoints) and deliver
+     * their records to @p sinks in that order — byte-identical for
+     * any worker count, like a full run.
      */
     std::vector<RunRecord> run(const SweepGrid& grid,
                                const std::vector<ResultSink*>& sinks,

@@ -89,36 +89,6 @@ public:
 };
 
 /**
- * Forwards records to an inner sink with a constant added to every
- * record index. Benches that stream several grids into one sink use
- * it (one wrapper per grid, base = rows of the grids before it) to
- * keep the file's index column globally unique and increasing in
- * canonical row order — the property dream_merge sorts sharded rows
- * back into place by. close() is a no-op: the inner sink outlives
- * the wrappers and is closed by its owner.
- */
-class ReindexSink : public ResultSink {
-public:
-    /** A null @p inner turns every write into a no-op. */
-    ReindexSink(ResultSink* inner, size_t base)
-        : inner_(inner), base_(base)
-    {}
-
-    void write(const RunRecord& record) override
-    {
-        if (!inner_)
-            return;
-        RunRecord shifted = record;
-        shifted.index += base_;
-        inner_->write(shifted);
-    }
-
-private:
-    ResultSink* inner_;
-    size_t base_;
-};
-
-/**
  * Writes records as CSV rows. Rows are buffered and emitted on
  * close() (also called by the destructor), because the header's
  * breakdown columns are the union over all records in first-seen

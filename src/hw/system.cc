@@ -90,6 +90,19 @@ makeSystem(SystemPreset preset)
     return sys;
 }
 
+bool
+parseSystemPreset(const std::string& name, SystemPreset* out)
+{
+    for (const SystemPreset preset : allSystemPresets()) {
+        if (name == toString(preset)) {
+            if (out)
+                *out = preset;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::vector<SystemPreset>
 allSystemPresets()
 {

@@ -61,6 +61,12 @@ std::vector<SystemPreset> homogeneousPresets();
 /** Display name of a preset (matches SystemConfig::name). */
 std::string toString(SystemPreset preset);
 
+/**
+ * The preset whose display name is @p name, into @p out (when
+ * non-null). Returns false for an unknown name.
+ */
+bool parseSystemPreset(const std::string& name, SystemPreset* out);
+
 } // namespace hw
 } // namespace dream
 

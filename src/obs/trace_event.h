@@ -6,7 +6,7 @@
  * Perfetto / chrome://tracing.
  *
  * Conventions used by the simulator hooks (src/obs/README.md has the
- * full map): `pid` is the grid point (EngineOptions::traceIndexBase
+ * full map): `pid` is the grid point (EngineOptions::indexBase
  * + point.index), `tid` 0..N-1 are the system's accelerators, tid N
  * is the scheduler track and tid N+1 the frame-lifecycle track.
  * Timestamps are simulated microseconds — exactly the unit the

@@ -56,6 +56,19 @@ allSchedKinds()
             SchedKind::DreamSmartDrop, SchedKind::DreamFull};
 }
 
+bool
+parseSchedKind(const std::string& name, SchedKind* out)
+{
+    for (const SchedKind kind : allSchedKinds()) {
+        if (name == toString(kind)) {
+            if (out)
+                *out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char*
 toString(SchedKind kind)
 {

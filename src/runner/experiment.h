@@ -9,6 +9,7 @@
 #define DREAM_RUNNER_EXPERIMENT_H
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dream_config.h"
@@ -48,6 +49,12 @@ std::vector<SchedKind> allSchedKinds();
 
 /** Display name of a scheduler kind. */
 const char* toString(SchedKind kind);
+
+/**
+ * The kind whose display name is @p name, into @p out (when
+ * non-null). Returns false for an unknown name.
+ */
+bool parseSchedKind(const std::string& name, SchedKind* out);
 
 /** Result of one run. */
 struct RunResult {

@@ -1,6 +1,7 @@
 #include "runner/trace.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 
 #include "runner/table.h"
+#include "util/flags.h"
 
 namespace dream {
 namespace runner {
@@ -192,12 +194,84 @@ readFrameTraceCsv(const std::string& path)
 {
     std::ifstream in(path);
     if (!in.is_open())
-        throw std::runtime_error("cannot open frame-trace CSV: " + path);
+        throw std::runtime_error(path + ": cannot open frame-trace CSV");
     try {
         return readFrameTraceCsv(in);
     } catch (const std::runtime_error& e) {
         throw std::runtime_error(path + ": " + e.what());
     }
+}
+
+RecordedPoint
+loadRecordedPoint(const std::string& path)
+{
+    RecordedPoint p;
+    p.trace = std::make_shared<const workload::FrameTrace>(
+        readFrameTraceCsv(path));
+    const auto fail = [&](const std::string& why) {
+        return std::runtime_error(path + ": " + why);
+    };
+    const auto meta = [&](const std::string& key) {
+        const std::string value = p.trace->metaValue(key);
+        if (value.empty())
+            throw fail("metadata is missing '" + key +
+                       "' (was the trace recorded with --record-trace?)");
+        return value;
+    };
+    // Numbers parse strictly: a corrupted seed silently becoming 0,
+    // or a NaN window, would replay a different run (or never end)
+    // instead of rejecting the file.
+    const auto number = [&](const std::string& key, auto parse) {
+        const std::string value = meta(key);
+        try {
+            return parse(value);
+        } catch (const flags::Error& e) {
+            throw fail("malformed " + key + " metadata '" + value +
+                       "' (" + e.what() + ")");
+        }
+    };
+    const auto uint = [](const std::string& v) {
+        return flags::parseUint(v, 0, UINT64_MAX);
+    };
+
+    p.scenario = meta("scenario");
+    std::string base = p.scenario;
+    const size_t at = base.rfind("@p");
+    if (at != std::string::npos) {
+        try {
+            p.cascadeProb = flags::parseReal(base.substr(at + 2), 0.0, 1.0);
+            base.resize(at);
+        } catch (const flags::Error&) {
+            // "@p" is part of the name itself.
+        }
+    }
+    bool found = false;
+    for (const auto preset : workload::allScenarioPresets()) {
+        if (workload::toString(preset) == base) {
+            p.preset = preset;
+            found = true;
+        }
+    }
+    if (!found)
+        throw fail("cannot replay scenario '" + p.scenario +
+                   "': not a Table 3 preset (generated scenarios are "
+                   "not replayable from metadata)");
+    if (!hw::parseSystemPreset(meta("system"), &p.system))
+        throw fail("unknown system preset '" + meta("system") + "'");
+    if (!parseSchedKind(meta("scheduler"), &p.scheduler))
+        throw fail("unknown scheduler '" + meta("scheduler") + "'");
+    if (!p.trace->metaValue("params").empty())
+        throw fail("parameterised grid points (params=" +
+                   p.trace->metaValue("params") +
+                   ") are not replayable from metadata");
+    p.seed = number("seed", uint);
+    p.windowUs = number("window_us", [](const std::string& v) {
+        double w = 0.0;
+        flags::positive(&w)(v);
+        return w;
+    });
+    p.index = size_t(number("index", uint));
+    return p;
 }
 
 } // namespace runner

@@ -10,12 +10,16 @@
 #ifndef DREAM_RUNNER_TRACE_H
 #define DREAM_RUNNER_TRACE_H
 
+#include <cstdint>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "hw/system.h"
+#include "runner/experiment.h"
 #include "sim/stats.h"
 #include "workload/replay_source.h"
 #include "workload/scenario.h"
@@ -71,6 +75,40 @@ workload::FrameTrace readFrameTraceCsv(std::istream& in);
 
 /** readFrameTraceCsv from a file; the error names @p path. */
 workload::FrameTrace readFrameTraceCsv(const std::string& path);
+
+/**
+ * A grid point recorded with --record-trace, resolved from its trace
+ * file's "# key=value" metadata: what bench/trace_replay and
+ * dream_serve --replay re-run.
+ */
+struct RecordedPoint {
+    std::shared_ptr<const workload::FrameTrace> trace;
+    std::string scenario; ///< recorded name, e.g. "VR_Gaming@p0.9"
+    workload::ScenarioPreset preset = workload::ScenarioPreset::ArCall;
+    double cascadeProb = 0.5; ///< the name's "@p" suffix, or 0.5
+    hw::SystemPreset system = hw::SystemPreset::Sys4k2Ws;
+    SchedKind scheduler = SchedKind::Fcfs;
+    uint64_t seed = 0;
+    double windowUs = 0.0;
+    size_t index = 0; ///< the point's row index in the recording
+
+    workload::Scenario makeScenario() const
+    {
+        return workload::makeScenario(preset, cascadeProb);
+    }
+};
+
+/**
+ * Read the trace at @p path and resolve its metadata: scenario (a
+ * Table 3 preset, with an optional "@p<cascade prob>" suffix),
+ * system, scheduler, an empty params list, seed, window_us (finite,
+ * > 0) and index.
+ *
+ * @throws std::runtime_error "<path>: <why>" for an unreadable file,
+ * missing or malformed metadata, an unknown name, a parameterised
+ * point or a generated scenario (not replayable from metadata).
+ */
+RecordedPoint loadRecordedPoint(const std::string& path);
 
 } // namespace runner
 } // namespace dream

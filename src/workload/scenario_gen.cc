@@ -72,10 +72,9 @@ loadSystemFor(const ScenarioGenSpec& spec)
 {
     if (spec.loadSystem.empty())
         return hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
-    for (const auto preset : hw::allSystemPresets()) {
-        if (hw::toString(preset) == spec.loadSystem)
-            return hw::makeSystem(preset);
-    }
+    hw::SystemPreset preset;
+    if (hw::parseSystemPreset(spec.loadSystem, &preset))
+        return hw::makeSystem(preset);
     // validateGenSpec rejects unknown names before a generator is
     // built; reaching this is a caller bug.
     assert(false && "unknown loadSystem preset name");
@@ -291,14 +290,10 @@ validateGenSpec(const ScenarioGenSpec& spec, std::string* error)
     if (!in_range(spec.targetLoad, 0.0, 1e6) ||
         !std::isfinite(spec.targetLoad))
         return fail("targetLoad must be finite and >= 0");
-    if (!spec.loadSystem.empty()) {
-        bool known = false;
-        for (const auto preset : hw::allSystemPresets())
-            known = known || hw::toString(preset) == spec.loadSystem;
-        if (!known)
-            return fail("unknown loadSystem preset name '" +
-                        spec.loadSystem + "'");
-    }
+    if (!spec.loadSystem.empty() &&
+        !hw::parseSystemPreset(spec.loadSystem, nullptr))
+        return fail("unknown loadSystem preset name '" + spec.loadSystem +
+                    "'");
     return true;
 }
 

@@ -116,16 +116,6 @@ writeSpec(const ScenarioGenSpec& spec, std::ostream& out,
     out << indent << "}";
 }
 
-bool
-knownSystemPreset(const std::string& name)
-{
-    for (const auto preset : hw::allSystemPresets()) {
-        if (hw::toString(preset) == name)
-            return true;
-    }
-    return false;
-}
-
 HardScenarioEntry
 parseEntry(const json::Document& doc, const Value& v,
            const std::string& tag)
@@ -196,7 +186,7 @@ loadHardScenarioSuite(std::istream& in, const std::string& context)
     HardScenarioSuite suite;
     const Value& system = doc.member(root, "system", Kind::String);
     suite.system = system.text;
-    if (!knownSystemPreset(suite.system))
+    if (!hw::parseSystemPreset(suite.system, nullptr))
         doc.fail(system,
                  "unknown system preset '" + suite.system + "'");
 

@@ -12,11 +12,16 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "core/adaptivity.h"
 #include "costmodel/cost_table_cache.h"
 #include "engine/engine.h"
@@ -315,19 +320,55 @@ TEST(Engine, ParamGridMatchesSingleEvaluator)
     }
 }
 
+/** The whole of a selected ordering. */
+std::pair<size_t, size_t>
+everything(size_t total)
+{
+    return {0, total};
+}
+
+/** bench::Options of a --shard K/N run, with an optional --filter. */
+bench::Options
+shardOpts(size_t k, size_t n, const std::string& filter = {})
+{
+    bench::Options opts;
+    opts.shard = k;
+    opts.shards = n;
+    opts.filter = filter;
+    return opts;
+}
+
+/** bench::Options of a --chunk B:E run, with an optional --filter. */
+bench::Options
+chunkOpts(size_t b, size_t e, const std::string& filter = {})
+{
+    bench::Options opts;
+    opts.chunk = {b, e};
+    opts.chunked = true;
+    opts.filter = filter;
+    return opts;
+}
+
+/** The points of @p grid a bench run with @p opts selects. */
+std::vector<size_t>
+selected(const engine::SweepGrid& grid, const bench::Options& opts)
+{
+    return engine::selectPoints({&grid}, opts.filter, [&](size_t total) {
+        return opts.range(total);
+    })[0];
+}
+
 TEST(Engine, FilteredRunSelectsMatchingPointsDeterministically)
 {
     const auto grid = smallGrid();
-    const auto filter = [](const engine::SweepGrid::Point& p) {
-        return p.key().find("seed=1") != std::string::npos;
-    };
+    const auto indices =
+        engine::selectPoints({&grid}, "seed=1", everything)[0];
 
     std::ostringstream csv1, csv4;
     engine::CsvSink sink1(csv1), sink4(csv4);
-    const auto serial =
-        engine::Engine({1}).run(grid, {&sink1}, filter);
+    const auto serial = engine::Engine({1}).run(grid, {&sink1}, indices);
     const auto parallel =
-        engine::Engine({4}).run(grid, {&sink4}, filter);
+        engine::Engine({4}).run(grid, {&sink4}, indices);
 
     ASSERT_EQ(serial.size(), 4u); // half of the 8 points
     EXPECT_EQ(csv1.str(), csv4.str());
@@ -340,50 +381,23 @@ TEST(Engine, FilteredRunSelectsMatchingPointsDeterministically)
     for (size_t i = 1; i < serial.size(); ++i)
         EXPECT_GT(serial[i].index, serial[i - 1].index);
 
-    // A null filter matches the unfiltered overload.
-    const auto all =
-        engine::Engine({1}).run(grid, {}, engine::PointFilter{});
-    EXPECT_EQ(all.size(), grid.size());
+    // An empty filter selects every point.
+    EXPECT_EQ(engine::selectPoints({&grid}, "", everything)[0].size(),
+              grid.size());
 }
 
-TEST(ShardSpec, ParsesValidSpecsAndRejectsMalformedOnes)
-{
-    engine::ShardSpec s;
-    ASSERT_TRUE(engine::ShardSpec::parse("2/4", &s));
-    EXPECT_EQ(s.index, 2);
-    EXPECT_EQ(s.count, 4);
-    EXPECT_TRUE(s.active());
-    EXPECT_EQ(s.toString(), "2/4");
-
-    ASSERT_TRUE(engine::ShardSpec::parse("1/1", &s));
-    EXPECT_FALSE(s.active());
-
-    for (const char* bad :
-         {"", "/", "3", "0/4", "5/4", "-1/4", "1/0", "a/4", "1/b",
-          "1/4x", "1//4",
-          // Out of int range: must be rejected, not wrapped.
-          "4294967297/4294967297", "1/99999999999999999999"}) {
-        engine::ShardSpec keep{7, 9};
-        EXPECT_FALSE(engine::ShardSpec::parse(bad, &keep)) << bad;
-        EXPECT_EQ(keep.index, 7) << bad; // untouched on failure
-    }
-}
-
-TEST(ShardSpec, RangesTileTheSequenceExactly)
+TEST(BenchOptions, ShardRangesTileTheSequenceExactly)
 {
     for (const size_t total : {0u, 1u, 3u, 7u, 8u, 100u}) {
-        for (const int n : {1, 2, 3, 4, 7, 10}) {
+        for (const size_t n : {1u, 2u, 3u, 4u, 7u, 10u}) {
             size_t covered = 0;
             size_t prev_end = 0;
-            for (int k = 1; k <= n; ++k) {
-                const engine::ShardSpec s{k, n};
-                const auto r = s.range(total);
+            for (size_t k = 1; k <= n; ++k) {
+                const auto r = shardOpts(k, n).range(total);
                 EXPECT_EQ(r.first, prev_end); // contiguous
                 EXPECT_LE(r.second, total);
                 prev_end = r.second;
                 covered += r.second - r.first;
-                for (size_t p = r.first; p < r.second; ++p)
-                    EXPECT_TRUE(s.contains(p, total));
             }
             EXPECT_EQ(prev_end, total);   // covering
             EXPECT_EQ(covered, total);    // disjoint
@@ -391,11 +405,13 @@ TEST(ShardSpec, RangesTileTheSequenceExactly)
     }
     // More shards than points: some shards are empty, none gets
     // more than one point.
-    for (int k = 1; k <= 4; ++k) {
-        const auto r = engine::ShardSpec{k, 4}.range(2);
+    for (size_t k = 1; k <= 4; ++k) {
+        const auto r = shardOpts(k, 4).range(2);
         EXPECT_LE(r.second - r.first, 1u) << k;
     }
-    EXPECT_EQ((engine::ShardSpec{1, 4}.range(2).second), 0u);
+    EXPECT_EQ(shardOpts(1, 4).range(2).second, 0u);
+    // Without --shard or --chunk a run selects everything.
+    EXPECT_EQ(bench::Options().range(5), (std::pair<size_t, size_t>{0, 5}));
 }
 
 TEST(Engine, ShardedRunsPartitionTheGrid)
@@ -405,10 +421,9 @@ TEST(Engine, ShardedRunsPartitionTheGrid)
     ASSERT_EQ(full.size(), 8u);
 
     std::vector<engine::RunRecord> stitched;
-    for (int k = 1; k <= 3; ++k) {
+    for (size_t k = 1; k <= 3; ++k) {
         const auto part = engine::Engine({2}).run(
-            grid, {}, engine::PointFilter{},
-            engine::ShardSpec{k, 3});
+            grid, {}, selected(grid, shardOpts(k, 3)));
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
     ASSERT_EQ(stitched.size(), full.size());
@@ -417,27 +432,20 @@ TEST(Engine, ShardedRunsPartitionTheGrid)
         EXPECT_EQ(stitched[i].uxCost, full[i].uxCost) << i;
         EXPECT_EQ(stitched[i].index, full[i].index) << i;
     }
-
-    EXPECT_THROW(engine::Engine({1}).run(grid, {},
-                                         engine::PointFilter{},
-                                         engine::ShardSpec{5, 4}),
-                 std::invalid_argument);
 }
 
-TEST(Engine, ShardComposesWithPointFilter)
+TEST(Engine, ShardComposesWithKeyFilter)
 {
     const auto grid = smallGrid();
-    const auto filter = [](const engine::SweepGrid::Point& p) {
-        return p.key().find("seed=1") != std::string::npos;
-    };
-    const auto filtered = engine::Engine({1}).run(grid, {}, filter);
+    const auto filtered = engine::Engine({1}).run(
+        grid, {}, engine::selectPoints({&grid}, "seed=1", everything)[0]);
     ASSERT_EQ(filtered.size(), 4u);
 
     // The shards partition the FILTERED sequence, not the grid.
     std::vector<engine::RunRecord> stitched;
-    for (int k = 1; k <= 2; ++k) {
+    for (size_t k = 1; k <= 2; ++k) {
         const auto part = engine::Engine({1}).run(
-            grid, {}, filter, engine::ShardSpec{k, 2});
+            grid, {}, selected(grid, shardOpts(k, 2, "seed=1")));
         EXPECT_EQ(part.size(), 2u);
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
@@ -445,45 +453,10 @@ TEST(Engine, ShardComposesWithPointFilter)
     for (size_t i = 0; i < filtered.size(); ++i)
         EXPECT_EQ(stitched[i].key(), filtered[i].key());
 
-    // A shard of a tiny filtered set can be empty.
-    const auto empty = engine::Engine({1}).run(
-        grid, {}, filter, engine::ShardSpec{9, 9});
-    EXPECT_EQ(empty.size(), 1u); // 4 points, 9 shards: last has one
-    const auto mid = engine::Engine({1}).run(
-        grid, {}, filter, engine::ShardSpec{2, 9});
-    EXPECT_TRUE(mid.empty());
-}
-
-TEST(ChunkSpec, ParsesValidSpecsAndRejectsMalformedOnes)
-{
-    engine::ChunkSpec c;
-    ASSERT_TRUE(engine::ChunkSpec::parse("3:7", &c));
-    EXPECT_EQ(c.begin, 3u);
-    EXPECT_EQ(c.end, 7u);
-    EXPECT_TRUE(c.active());
-    EXPECT_EQ(c.toString(), "3:7");
-
-    ASSERT_TRUE(engine::ChunkSpec::parse("5:5", &c));
-    EXPECT_EQ(c.begin, c.end); // empty chunks are valid
-
-    ASSERT_TRUE(engine::ChunkSpec::parse("4:", &c));
-    EXPECT_EQ(c.begin, 4u);
-    EXPECT_EQ(c.end, engine::ChunkSpec::npos); // open end
-    EXPECT_EQ(c.toString(), "4:");
-
-    ASSERT_TRUE(engine::ChunkSpec::parse("0:", &c));
-    EXPECT_FALSE(c.active()); // the whole ordering
-
-    for (const char* bad :
-         {"", ":", "3", ":7", "7:3", "-1:4", "1:b", "a:4", "1:4x",
-          "1.5:4", " 1:4",
-          // Overflow must be rejected, not saturated to npos.
-          "99999999999999999999:4", "1:99999999999999999999",
-          "99999999999999999999:99999999999999999998"}) {
-        engine::ChunkSpec keep{7, 9};
-        EXPECT_FALSE(engine::ChunkSpec::parse(bad, &keep)) << bad;
-        EXPECT_EQ(keep.begin, 7u) << bad; // untouched on failure
-    }
+    // A shard of a tiny filtered set can be empty: 4 points in 9
+    // shards leave the last shard one point and shard 2 none.
+    EXPECT_EQ(selected(grid, shardOpts(9, 9, "seed=1")).size(), 1u);
+    EXPECT_TRUE(selected(grid, shardOpts(2, 9, "seed=1")).empty());
 }
 
 TEST(ChunkSpec, RangeClampsAndSliceRebasesGlobally)
@@ -492,32 +465,42 @@ TEST(ChunkSpec, RangeClampsAndSliceRebasesGlobally)
     EXPECT_EQ(c.range(100), (std::pair<size_t, size_t>{3, 7}));
     EXPECT_EQ(c.range(5), (std::pair<size_t, size_t>{3, 5}));
     EXPECT_EQ(c.range(2), (std::pair<size_t, size_t>{2, 2}));
-    EXPECT_TRUE(c.contains(3, 100));
-    EXPECT_FALSE(c.contains(7, 100));
+    EXPECT_EQ(c.toString(), "3:7");
 
     const engine::ChunkSpec open{3, engine::ChunkSpec::npos};
     EXPECT_EQ(open.range(10), (std::pair<size_t, size_t>{3, 10}));
+    EXPECT_EQ(open.toString(), "3:");
 
-    // slice() rebases a global range onto per-grid windows: the
-    // slices over consecutive windows tile the global chunk, the
-    // multi-grid invariant bench_main's cursor relies on.
-    const engine::ChunkSpec global{5, 15};
-    const auto a = global.slice(0, 10);  // window [0, 10)
-    const auto b = global.slice(10, 10); // window [10, 20)
-    const auto d = global.slice(20, 10); // window [20, 30)
-    EXPECT_EQ(a.begin, 5u);
-    EXPECT_EQ(a.end, 10u);
-    EXPECT_EQ(b.begin, 0u);
-    EXPECT_EQ(b.end, 5u);
-    EXPECT_EQ(d.begin, d.end); // past the chunk: empty
-    const size_t sliced = (a.end - a.begin) + (b.end - b.begin) +
-                          (d.end - d.begin);
-    EXPECT_EQ(sliced, global.end - global.begin);
+    // Positions are global across grids: --chunk 95:105 over fig10's
+    // three 49-point grids runs the last 3 points of the second grid
+    // and the first 7 of the third.
+    const auto g = engine::paramSpaceGrid(
+        hw::SystemPreset::Sys4k1Os2Ws, workload::ScenarioPreset::VrGaming,
+        7);
+    ASSERT_EQ(g.size(), 49u);
+    const std::vector<const engine::SweepGrid*> three = {&g, &g, &g};
+    const auto range = [](const bench::Options& opts) {
+        return [opts](size_t total) { return opts.range(total); };
+    };
+    auto sel = engine::selectPoints(three, "", range(chunkOpts(95, 105)));
+    EXPECT_TRUE(sel[0].empty());
+    EXPECT_EQ(sel[1], (std::vector<size_t>{46, 47, 48}));
+    EXPECT_EQ(sel[2], (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6}));
 
-    // An open-ended chunk covers every later window fully.
-    const auto tail = open.slice(10, 4);
-    EXPECT_EQ(tail.begin, 0u);
-    EXPECT_EQ(tail.end, 4u);
+    // So are --shard ranges: shard 2/2 of the 147 positions is
+    // [73, 147), the second grid's tail and all of the third.
+    sel = engine::selectPoints(three, "", range(shardOpts(2, 2)));
+    EXPECT_TRUE(sel[0].empty());
+    EXPECT_EQ(sel[1].size(), 25u);
+    EXPECT_EQ(sel[1].front(), 24u);
+    EXPECT_EQ(sel[2].size(), 49u);
+
+    // The filter applies first; the range cuts the filtered ordering
+    // (each grid's first 7 points have alpha=0: 21 positions in all).
+    sel = engine::selectPoints(three, "alpha=0,", range(chunkOpts(5, 9)));
+    EXPECT_EQ(sel[0], (std::vector<size_t>{5, 6}));
+    EXPECT_EQ(sel[1], (std::vector<size_t>{0, 1}));
+    EXPECT_TRUE(sel[2].empty());
 }
 
 TEST(Engine, ChunkedRunsPartitionTheGrid)
@@ -529,11 +512,10 @@ TEST(Engine, ChunkedRunsPartitionTheGrid)
     // Deliberately uneven chunks (the orchestrator hands out
     // whatever tiles the ordering) stitch back into the full run.
     std::vector<engine::RunRecord> stitched;
-    for (const auto& c : {engine::ChunkSpec{0, 3},
-                          engine::ChunkSpec{3, 4},
-                          engine::ChunkSpec{4, 8}}) {
+    for (const auto& [b, e] :
+         {std::pair{0, 3}, std::pair{3, 4}, std::pair{4, 8}}) {
         const auto part = engine::Engine({2}).run(
-            grid, {}, engine::PointFilter{}, c);
+            grid, {}, selected(grid, chunkOpts(b, e)));
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
     ASSERT_EQ(stitched.size(), full.size());
@@ -543,59 +525,70 @@ TEST(Engine, ChunkedRunsPartitionTheGrid)
         EXPECT_EQ(stitched[i].index, full[i].index) << i;
     }
 
-    // Ranges beyond the grid clamp to empty; invalid specs throw.
-    EXPECT_TRUE(engine::Engine({1})
-                    .run(grid, {}, engine::PointFilter{},
-                         engine::ChunkSpec{20, 30})
-                    .empty());
-    EXPECT_THROW(engine::Engine({1}).run(grid, {},
-                                         engine::PointFilter{},
-                                         engine::ChunkSpec{5, 2}),
-                 std::invalid_argument);
+    // Ranges beyond the grid clamp to empty.
+    EXPECT_TRUE(selected(grid, chunkOpts(20, 30)).empty());
 }
 
-TEST(Engine, ChunkComposesWithPointFilter)
+TEST(Engine, ChunkComposesWithKeyFilter)
 {
     const auto grid = smallGrid();
-    const auto filter = [](const engine::SweepGrid::Point& p) {
-        return p.key().find("seed=1") != std::string::npos;
-    };
-    const auto filtered = engine::Engine({1}).run(grid, {}, filter);
+    const auto filtered = engine::Engine({1}).run(
+        grid, {}, engine::selectPoints({&grid}, "seed=1", everything)[0]);
     ASSERT_EQ(filtered.size(), 4u);
 
     // Chunks address positions of the FILTERED sequence.
     const auto head = engine::Engine({1}).run(
-        grid, {}, filter, engine::ChunkSpec{0, 3});
+        grid, {}, selected(grid, chunkOpts(0, 3, "seed=1")));
     const auto tail = engine::Engine({1}).run(
-        grid, {}, filter, engine::ChunkSpec{3, 4});
+        grid, {}, selected(grid, chunkOpts(3, 4, "seed=1")));
     ASSERT_EQ(head.size() + tail.size(), filtered.size());
     for (size_t i = 0; i < head.size(); ++i)
         EXPECT_EQ(head[i].key(), filtered[i].key());
     for (size_t i = 0; i < tail.size(); ++i)
         EXPECT_EQ(tail[i].key(), filtered[3 + i].key());
 
-    // An all-rejecting filter leaves every chunk empty.
-    const auto none = engine::Engine({1}).run(
-        grid, {}, [](const engine::SweepGrid::Point&) {
-            return false;
-        },
-        engine::ChunkSpec{0, 4});
-    EXPECT_TRUE(none.empty());
+    // A filter that matches nothing leaves every chunk empty.
+    EXPECT_TRUE(selected(grid, chunkOpts(0, 4, "no-such-key")).empty());
 }
 
-TEST(ReindexSink, ShiftsIndicesAndToleratesNullInner)
+TEST(Engine, IndexBaseOffsetsRowTraceMetadataAndEventPid)
 {
-    std::ostringstream out;
-    engine::CsvSink csv(out);
-    engine::ReindexSink shifted(&csv, 100);
-    engine::RunRecord r = syntheticRecord("A", 11, 1.5);
-    r.index = 4;
-    shifted.write(r);
-    csv.close();
-    EXPECT_NE(out.str().find("\n104,sc,sys,A,"), std::string::npos);
+    const std::string dir =
+        ::testing::TempDir() + "dream_engine_index_base";
+    std::filesystem::remove_all(dir);
+    engine::SweepGrid grid;
+    grid.addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k2Ws)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .seeds({1, 2})
+        .window(5e4);
 
-    engine::ReindexSink null_sink(nullptr, 5);
-    null_sink.write(r); // must not crash
+    engine::EngineOptions opts;
+    opts.indexBase = 100;
+    opts.traceDir = dir + "/frames";
+    opts.traceEventDir = dir + "/events";
+    std::ostringstream csv;
+    engine::CsvSink sink(csv);
+    const auto records = engine::Engine(opts).run(grid, {&sink}, {1});
+    sink.close();
+    ASSERT_EQ(records.size(), 1u);
+
+    // The row index, the recorded "# index=" metadata and the event
+    // pid all carry the base, so several grids share one file.
+    EXPECT_EQ(records[0].index, 101u);
+    EXPECT_NE(csv.str().find("\n101,"), std::string::npos) << csv.str();
+    const auto point = grid.point(1);
+    EXPECT_EQ(runner::readFrameTraceCsv(opts.traceDir + '/' +
+                                        engine::traceFileName(point))
+                  .metaValue("index"),
+              "101");
+    std::ifstream events(opts.traceEventDir + '/' +
+                         engine::traceEventFileName(point));
+    const std::string json((std::istreambuf_iterator<char>(events)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(json.find("\"pid\": 101,"), std::string::npos);
+    EXPECT_EQ(json.find("\"pid\": 1,"), std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Engine, SupernetRunsCarryVariantShareBreakdown)

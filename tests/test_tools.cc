@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "engine/engine.h"
 #include "engine/param_eval.h"
 #include "engine/result_sink.h"
@@ -141,11 +142,17 @@ TEST(CsvMerge, ShardedBenchRunMergesByteIdentically)
     full_sink.close();
 
     std::vector<std::string> shards;
-    for (int k = 1; k <= 3; ++k) {
+    for (size_t k = 1; k <= 3; ++k) {
         std::ostringstream out;
         engine::CsvSink sink(out);
-        engine::Engine({2}).run(grid, {&sink}, engine::PointFilter{},
-                                engine::ShardSpec{k, 3});
+        bench::Options opts;
+        opts.shard = k;
+        opts.shards = 3;
+        engine::Engine({2}).run(
+            grid, {&sink},
+            engine::selectPoints({&grid}, "", [&](size_t total) {
+                return opts.range(total);
+            })[0]);
         sink.close();
         shards.push_back(out.str());
     }
@@ -449,8 +456,11 @@ TEST(ShardSched, OutOfOrderChunkCompletionMergesByteIdentically)
     for (const auto& c : tools::chunkRanges(grid.size(), 3)) {
         std::ostringstream out;
         engine::CsvSink sink(out);
-        engine::Engine({2}).run(grid, {&sink}, engine::PointFilter{},
-                                c);
+        engine::Engine({2}).run(
+            grid, {&sink},
+            engine::selectPoints({&grid}, "", [&](size_t total) {
+                return c.range(total);
+            })[0]);
         sink.close();
         chunk_csvs.push_back(out.str());
     }
@@ -586,8 +596,11 @@ TEST(JsonMerge, ChunkedJsonRunsMergeByteIdentically)
     for (const auto& c : tools::chunkRanges(grid.size(), 3)) {
         std::ostringstream out;
         engine::JsonSink sink(out);
-        engine::Engine({2}).run(grid, {&sink}, engine::PointFilter{},
-                                c);
+        engine::Engine({2}).run(
+            grid, {&sink},
+            engine::selectPoints({&grid}, "", [&](size_t total) {
+                return c.range(total);
+            })[0]);
         sink.close();
         chunks.push_back(out.str());
     }

@@ -3,11 +3,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "costmodel/cost_table.h"
+#include "engine/engine.h"
 #include "runner/experiment.h"
 #include "runner/trace.h"
 #include "sim/simulator.h"
@@ -357,6 +363,86 @@ TEST(Trace, ReplaySourceValidatesTraceAgainstScenario)
     ok.frames.push_back(fr);
     const workload::ReplaySource replay(scenario, 1, ok);
     EXPECT_THROW(replay.childFrame(0, 0, 0.0, 0.0), std::logic_error);
+}
+
+TEST(Trace, LoadRecordedPointResolvesAndRejectsMetadata)
+{
+    const std::string dir =
+        ::testing::TempDir() + "dream_recorded_point";
+    std::filesystem::remove_all(dir);
+    engine::SweepGrid grid;
+    grid.addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k2Ws)
+        .addScheduler(runner::SchedKind::StaticFcfs)
+        .seeds({11})
+        .window(5e4);
+    engine::EngineOptions opts;
+    opts.traceDir = dir;
+    opts.indexBase = 7;
+    engine::Engine(opts).run(grid);
+    const std::string path =
+        dir + '/' + engine::traceFileName(grid.point(0));
+
+    const auto point = runner::loadRecordedPoint(path);
+    EXPECT_EQ(point.scenario, "AR_Call");
+    EXPECT_EQ(point.preset, workload::ScenarioPreset::ArCall);
+    EXPECT_EQ(point.cascadeProb, 0.5);
+    EXPECT_EQ(point.system, hw::SystemPreset::Sys4k2Ws);
+    EXPECT_EQ(point.scheduler, runner::SchedKind::StaticFcfs);
+    EXPECT_EQ(point.seed, 11u);
+    EXPECT_EQ(point.windowUs, 5e4);
+    EXPECT_EQ(point.index, 7u);
+
+    // Rewrite one metadata line (drop it for an empty value).
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string bad = dir + "/bad.trace.csv";
+    const auto with = [&](const std::string& key,
+                          const std::string& value) {
+        const size_t at = text.find("# " + key + '=');
+        EXPECT_NE(at, std::string::npos) << key;
+        const size_t end = text.find('\n', at) + 1;
+        std::ofstream(bad) << text.substr(0, at)
+                           << (value.empty() ? ""
+                                             : "# " + key + '=' + value +
+                                                   '\n')
+                           << text.substr(end);
+        return bad;
+    };
+    const auto rejected = [&](const std::string& key,
+                              const std::string& value) {
+        try {
+            runner::loadRecordedPoint(with(key, value));
+        } catch (const std::runtime_error& e) {
+            // The error names the file.
+            return std::string(e.what()).rfind(bad + ": ", 0) == 0;
+        }
+        return false;
+    };
+    // A NaN window would make a replay never end.
+    for (const char* w : {"nan", "inf", "-1", "0", "2e6x", ""})
+        EXPECT_TRUE(rejected("window_us", w)) << "window_us=" << w;
+    for (const char* seed : {"-1", "1.5", "18446744073709551616", ""})
+        EXPECT_TRUE(rejected("seed", seed)) << "seed=" << seed;
+    EXPECT_TRUE(rejected("index", "x"));
+    EXPECT_TRUE(rejected("system", "4K-9WS"));
+    EXPECT_TRUE(rejected("scheduler", "LIFO"));
+    EXPECT_TRUE(rejected("scenario", "Gen7"));
+    EXPECT_TRUE(rejected("params", "alpha=1"));
+    EXPECT_THROW(runner::loadRecordedPoint(dir + "/missing.trace.csv"),
+                 std::runtime_error);
+
+    // The "@p" suffix carries the cascade probability.
+    const auto cascade =
+        runner::loadRecordedPoint(with("scenario", "VR_Gaming@p0.9"));
+    EXPECT_EQ(cascade.preset, workload::ScenarioPreset::VrGaming);
+    EXPECT_EQ(cascade.cascadeProb, 0.9);
+    EXPECT_EQ(
+        runner::loadRecordedPoint(with("seed", "18446744073709551615"))
+            .seed,
+        UINT64_MAX);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

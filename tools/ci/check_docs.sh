@@ -1,15 +1,16 @@
 #!/bin/sh
 # Doc-drift lint: every user-facing --flag must be documented.
 #
-# Sources of truth are the argument parsers themselves: the shared
-# bench driver (bench/bench_main.h, every bench/*.cc target) and each
-# tools/*.cc binary. A flag string literal that appears in a parser
-# but in none of that surface's READMEs fails the check — so adding a
-# flag without documenting it breaks CI, and the docs cannot silently
-# rot as the CLIs grow.
+# Sources of truth are the flag tables themselves (src/util/flags.h):
+# the shared bench flags (bench/bench_main.h), each bench's extra
+# flags (bench/*.cc) and each tools/*.cc binary. A flag string literal
+# that appears in a table but in none of that surface's READMEs fails
+# the check — so adding a flag without documenting it breaks CI, and
+# the docs cannot silently rot as the CLIs grow.
 #
 # Mapping:
-#   bench/bench_main.h  -> src/engine/README.md or tools/README.md
+#   bench/bench_main.h, bench/*.cc
+#                       -> src/engine/README.md or tools/README.md
 #                          (the two docs that describe the shared
 #                          bench protocol)
 #   tools/dream_X.cc    -> tools/README.md
@@ -49,7 +50,9 @@ check() {
     done
 }
 
-check bench/bench_main.h src/engine/README.md tools/README.md
+for src in bench/bench_main.h bench/*.cc; do
+    check "$src" src/engine/README.md tools/README.md
+done
 
 for src in tools/*.cc; do
     check "$src" tools/README.md

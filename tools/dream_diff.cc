@@ -13,69 +13,19 @@
  * input error.
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/result_sink.h"
 #include "tools/csv_diff.h"
 #include "tools/json_result.h"
+#include "util/flags.h"
 
 using namespace dream;
-
-namespace {
-
-void
-printUsage(const char* prog)
-{
-    std::printf(
-        "usage: %s [options] BASELINE CANDIDATE\n"
-        "  --abs-tol V          global absolute tolerance "
-        "(default 0)\n"
-        "  --rel-tol V          global relative tolerance "
-        "(default 0)\n"
-        "  --tol COL=ABS[:REL]  per-column tolerance override\n"
-        "  --fail-on-diff       exit 1 when differences are found\n"
-        "  --json               machine-readable JSON summary\n"
-        "compares result files (CSV or --json bench output, sniffed "
-        "from the\ncontent; formats may mix) keyed by grid point "
-        "(scenario/system/\nscheduler/params/seed); reports "
-        "added/removed grid points and\nout-of-tolerance cells. "
-        "NaN compares equal to NaN.\n",
-        prog);
-}
-
-bool
-parseDoubleArg(const char* text, double* out)
-{
-    char* end = nullptr;
-    *out = std::strtod(text, &end);
-    return end != text && *end == '\0' && *out >= 0.0;
-}
-
-/** Parse "COL=ABS[:REL]" into a per-column tolerance entry. */
-bool
-parseColumnTol(const std::string& spec,
-               std::pair<std::string, tools::Tolerance>* out)
-{
-    const size_t eq = spec.find('=');
-    if (eq == 0 || eq == std::string::npos)
-        return false;
-    out->first = spec.substr(0, eq);
-    const std::string values = spec.substr(eq + 1);
-    const size_t colon = values.find(':');
-    out->second = {};
-    if (colon == std::string::npos)
-        return parseDoubleArg(values.c_str(), &out->second.abs);
-    return parseDoubleArg(values.substr(0, colon).c_str(),
-                          &out->second.abs) &&
-           parseDoubleArg(values.substr(colon + 1).c_str(),
-                          &out->second.rel);
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char** argv)
@@ -83,61 +33,46 @@ main(int argc, char** argv)
     tools::DiffOptions options;
     bool fail_on_diff = false;
     bool json = false;
-    std::string path_a, path_b;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--abs-tol" && i + 1 < argc) {
-            if (!parseDoubleArg(argv[++i],
-                                &options.tolerance.abs)) {
-                std::fprintf(stderr, "invalid --abs-tol value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (arg == "--rel-tol" && i + 1 < argc) {
-            if (!parseDoubleArg(argv[++i],
-                                &options.tolerance.rel)) {
-                std::fprintf(stderr, "invalid --rel-tol value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (arg == "--tol" && i + 1 < argc) {
-            std::pair<std::string, tools::Tolerance> tol;
-            if (!parseColumnTol(argv[++i], &tol)) {
-                std::fprintf(stderr,
-                             "invalid --tol value (want "
-                             "COL=ABS[:REL]): %s\n",
-                             argv[i]);
-                return 2;
-            }
-            options.columnTolerances.push_back(std::move(tol));
-        } else if (arg == "--fail-on-diff") {
-            fail_on_diff = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n",
-                         arg.c_str());
-            printUsage(argv[0]);
-            return 2;
-        } else if (path_a.empty()) {
-            path_a = arg;
-        } else if (path_b.empty()) {
-            path_b = arg;
-        } else {
-            std::fprintf(stderr, "too many positional arguments\n");
-            printUsage(argv[0]);
-            return 2;
-        }
-    }
-    if (path_b.empty()) {
-        std::fprintf(stderr, "need two CSVs to compare\n");
-        printUsage(argv[0]);
-        return 2;
-    }
+    std::vector<std::string> paths;
+    flags::Table table(
+        "compares result files (CSV or --json bench output, sniffed\n"
+        "from the content; formats may mix) keyed by grid point\n"
+        "(scenario/system/scheduler/params/seed); reports added/removed\n"
+        "grid points and out-of-tolerance cells. NaN compares equal to\n"
+        "NaN.");
+    table.add({"--abs-tol", "", "V",
+               "global absolute tolerance (default 0)",
+               flags::real(&options.tolerance.abs, 0.0)});
+    table.add({"--rel-tol", "", "V",
+               "global relative tolerance (default 0)",
+               flags::real(&options.tolerance.rel, 0.0)});
+    table.add({"--tol", "", "COL=ABS[:REL]",
+               "per-column tolerance override",
+               [&options](const std::string& v) {
+                   // "COL=ABS[:REL]": a named column, then one or two
+                   // tolerances >= 0.
+                   const size_t eq = v.find('=');
+                   const size_t colon = v.find(':', eq);
+                   if (eq == 0 || eq == std::string::npos)
+                       throw flags::Error("want COL=ABS[:REL]");
+                   tools::Tolerance tol;
+                   tol.abs = flags::parseReal(
+                       v.substr(eq + 1, colon - eq - 1), 0.0, HUGE_VAL);
+                   if (colon != std::string::npos)
+                       tol.rel = flags::parseReal(v.substr(colon + 1), 0.0,
+                                                  HUGE_VAL);
+                   options.columnTolerances.emplace_back(v.substr(0, eq),
+                                                         tol);
+               }});
+    table.add({"--fail-on-diff", "", "",
+               "exit 1 when differences are found",
+               flags::set(&fail_on_diff)});
+    table.add({"--json", "", "", "machine-readable JSON summary",
+               flags::set(&json)});
+    table.positionals("BASELINE CANDIDATE", &paths, 2, 2);
+    table.parse(argc, argv);
+    const std::string& path_a = paths[0];
+    const std::string& path_b = paths[1];
 
     try {
         const auto a = tools::readResultTable(path_a);

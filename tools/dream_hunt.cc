@@ -15,15 +15,10 @@
  *    the file carries expected UXCosts for bench/hard_scenarios and
  *    the CI gate to re-check.
  *
- * usage: dream_hunt [--scheduler NAME] [--objective uxcost|gap]
- *                   [--budget N] [--starts N] [--jobs N] [--seed S]
- *                   [--sim-seed S] [--window US] [--system PRESET]
- *                   [--top K] [--suite FILE] [--report FILE]
+ * Run with --help for the flags.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,74 +29,12 @@
 #include "engine/sweep_grid.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
+#include "util/flags.h"
 #include "workload/scenario_suite.h"
 
 using namespace dream;
 
 namespace {
-
-void
-usage(const char* prog)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --scheduler NAME  scheduler under attack (default "
-        "DREAM-Full)\n"
-        "  --objective O     uxcost = maximize the scheduler's "
-        "UXCost;\n"
-        "                    gap = maximize its UXCost minus FCFS's "
-        "(default uxcost)\n"
-        "  --budget N        distinct (spec, seed) simulations "
-        "(default 160)\n"
-        "  --starts N        independent search starts (default 6)\n"
-        "  --jobs N          worker threads for candidate batches "
-        "(default 1;\n"
-        "                    0 = all cores; any value is "
-        "byte-identical)\n"
-        "  --seed S          search-trajectory seed (default 1); "
-        "same seed,\n"
-        "                    same report, byte for byte\n"
-        "  --sim-seed S      simulation seed per candidate (default "
-        "11)\n"
-        "  --window US       simulated window per candidate "
-        "(default 1e6)\n"
-        "  --system PRESET   system preset display name (default "
-        "4K-1WS+2OS)\n"
-        "  --top K           frontier entries reported / persisted "
-        "(default 8)\n"
-        "  --suite FILE      write the top mixes as a hard-scenarios "
-        "suite\n"
-        "                    (expected UXCosts re-evaluated across "
-        "all\n"
-        "                    evaluation schedulers)\n"
-        "  --report FILE     write the markdown report to FILE "
-        "instead of stdout\n",
-        prog);
-}
-
-bool
-parseSched(const std::string& name, runner::SchedKind* out)
-{
-    for (const auto kind : runner::allSchedKinds()) {
-        if (name == runner::toString(kind)) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePreset(const std::string& name, hw::SystemPreset* out)
-{
-    for (const auto preset : hw::allSystemPresets()) {
-        if (name == hw::toString(preset)) {
-            *out = preset;
-            return true;
-        }
-    }
-    return false;
-}
 
 /** %.6g — compact, deterministic report numbers. */
 std::string
@@ -120,84 +53,63 @@ main(int argc, char** argv)
     engine::ScenarioSearch::Options sopts;
     int top = 8;
     std::string suite_path, report_path;
-    std::string system_name = "4K-1WS+2OS";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        const auto number = [&](double lo) {
-            const char* text = value();
-            char* end = nullptr;
-            const double v = std::strtod(text, &end);
-            if (end == text || *end != '\0' || !(v >= lo)) {
-                std::fprintf(stderr, "invalid %s value: %s\n",
-                             arg.c_str(), text);
-                std::exit(2);
-            }
-            return v;
-        };
-        if (arg == "--scheduler") {
-            const std::string name = value();
-            if (!parseSched(name, &sopts.scheduler)) {
-                std::fprintf(stderr, "unknown scheduler: %s\n",
-                             name.c_str());
-                return 2;
-            }
-        } else if (arg == "--objective") {
-            const std::string o = value();
-            if (o == "uxcost") {
-                sopts.goal = engine::ScenarioSearch::Goal::MaxUxCost;
-            } else if (o == "gap") {
-                sopts.goal = engine::ScenarioSearch::Goal::MaxGap;
-            } else {
-                std::fprintf(stderr,
-                             "invalid --objective (want uxcost or "
-                             "gap): %s\n",
-                             o.c_str());
-                return 2;
-            }
-        } else if (arg == "--budget") {
-            sopts.budget = int(number(1.0));
-        } else if (arg == "--starts") {
-            sopts.starts = int(number(1.0));
-        } else if (arg == "--jobs" || arg == "-j") {
-            sopts.jobs = int(number(0.0));
-        } else if (arg == "--seed") {
-            sopts.searchSeed = uint64_t(number(0.0));
-        } else if (arg == "--sim-seed") {
-            sopts.simSeed = uint64_t(number(0.0));
-        } else if (arg == "--window") {
-            sopts.windowUs = number(1.0);
-        } else if (arg == "--system") {
-            system_name = value();
-            if (!parsePreset(system_name, &sopts.system)) {
-                std::fprintf(stderr, "unknown system preset: %s\n",
-                             system_name.c_str());
-                return 2;
-            }
-        } else if (arg == "--top") {
-            top = int(number(1.0));
-        } else if (arg == "--suite") {
-            suite_path = value();
-        } else if (arg == "--report") {
-            report_path = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    flags::Table table;
+    table.add({"--scheduler", "", "NAME",
+               "scheduler under attack (default DREAM-Full)",
+               flags::choice(&sopts.scheduler,
+                             flags::namesOf(runner::allSchedKinds(),
+                                            [](runner::SchedKind k) {
+                                                return std::string(
+                                                    runner::toString(k));
+                                            }))});
+    table.add({"--objective", "", "O",
+               "uxcost = maximize the scheduler's UXCost; gap = maximize\n"
+               "its UXCost minus FCFS's (default uxcost)",
+               flags::choice(
+                   &sopts.goal,
+                   std::vector<std::pair<std::string,
+                                         engine::ScenarioSearch::Goal>>{
+                       {"uxcost", engine::ScenarioSearch::Goal::MaxUxCost},
+                       {"gap", engine::ScenarioSearch::Goal::MaxGap}})});
+    table.add({"--budget", "", "N",
+               "distinct (spec, seed) simulations (default 160)",
+               flags::integer(&sopts.budget, 1)});
+    table.add({"--starts", "", "N", "independent search starts (default 6)",
+               flags::integer(&sopts.starts, 1)});
+    table.add({"--jobs", "-j", "N",
+               "worker threads for candidate batches (default 1; 0 = all\n"
+               "cores; any value is byte-identical)",
+               flags::integer(&sopts.jobs)});
+    table.add({"--seed", "", "S",
+               "search-trajectory seed (default 1); same seed, same\n"
+               "report, byte for byte",
+               flags::integer(&sopts.searchSeed)});
+    table.add({"--sim-seed", "", "S",
+               "simulation seed per candidate (default 11)",
+               flags::integer(&sopts.simSeed)});
+    table.add({"--window", "", "US",
+               "simulated window per candidate, >= 1 (default 1e6)",
+               flags::real(&sopts.windowUs, 1.0)});
+    table.add({"--system", "", "PRESET",
+               "system preset display name (default 4K-1WS+2OS)",
+               flags::choice(&sopts.system,
+                             flags::namesOf(hw::allSystemPresets(),
+                                            [](hw::SystemPreset p) {
+                                                return hw::toString(p);
+                                            }))});
+    table.add({"--top", "", "K",
+               "frontier entries reported / persisted (default 8)",
+               flags::integer(&top, 1)});
+    table.add({"--suite", "", "FILE",
+               "write the top mixes as a hard-scenarios suite (expected\n"
+               "UXCosts re-evaluated across all evaluation schedulers)",
+               flags::text(&suite_path)});
+    table.add({"--report", "", "FILE",
+               "write the markdown report to FILE instead of stdout",
+               flags::text(&report_path)});
+    table.parse(argc, argv);
+    const std::string system_name = hw::toString(sopts.system);
 
     // Activation windows should fall inside the simulated window so
     // task dynamicity manifests (same discipline as gen_scenarios).

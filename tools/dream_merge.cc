@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,29 +19,9 @@
 #include <vector>
 
 #include "tools/json_result.h"
+#include "util/flags.h"
 
 using namespace dream;
-
-namespace {
-
-void
-printUsage(const char* prog)
-{
-    std::printf("usage: %s [--out FILE] [--json] SHARD "
-                "[SHARD ...]\n"
-                "  --out F   write the merged result to F (default: "
-                "stdout)\n"
-                "  --json    treat inputs/output as result JSON "
-                "(otherwise\n            sniffed from the input "
-                "content)\n"
-                "merges shard/chunk result files (bench --shard K/N "
-                "or --chunk B:E,\nCSV or --json) back into the "
-                "canonical single-run file; errors on\nmixed "
-                "formats, overlapping shards or mixed grids\n",
-                prog);
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char** argv)
@@ -50,29 +29,19 @@ main(int argc, char** argv)
     std::string out_path;
     bool force_json = false;
     std::vector<std::string> inputs;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--json") {
-            force_json = true;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n",
-                         arg.c_str());
-            printUsage(argv[0]);
-            return 2;
-        } else {
-            inputs.push_back(arg);
-        }
-    }
-    if (inputs.empty()) {
-        std::fprintf(stderr, "no input CSVs given\n");
-        printUsage(argv[0]);
-        return 2;
-    }
+    flags::Table table(
+        "merges shard/chunk result files (bench --shard K/N or --chunk\n"
+        "B:E, CSV or --json) back into the canonical single-run file;\n"
+        "errors on mixed formats, overlapping shards or mixed grids");
+    table.add({"--out", "", "F",
+               "write the merged result to F (default: stdout)",
+               flags::text(&out_path)});
+    table.add({"--json", "", "",
+               "treat inputs/output as result JSON (otherwise sniffed\n"
+               "from the input content)",
+               flags::set(&force_json)});
+    table.positionals("SHARD [SHARD...]", &inputs, 1);
+    table.parse(argc, argv);
 
     try {
         // Format: --json forces JSON; otherwise the non-empty

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <stdexcept>
@@ -20,35 +19,11 @@
 #include <vector>
 
 #include "tools/trace_prof.h"
+#include "util/flags.h"
 
 using namespace dream;
 
 namespace {
-
-void
-printUsage(const char* prog)
-{
-    std::printf("usage: %s [--check] [--metrics FILE] "
-                "[PATH ...]\n"
-                "  PATH      a .trace.json file, or a directory "
-                "scanned for\n            *.trace.json (the layout "
-                "bench --trace-events DIR writes)\n"
-                "  --check   validate only: parse every file, check "
-                "the event\n            shape and per-track "
-                "timestamp monotonicity, print one\n            OK "
-                "line per file; exit 1 on the first failure\n"
-                "  --metrics FILE\n"
-                "            a metrics JSON dump (bench "
-                "--metrics-full F or\n            dream_serve "
-                "--metrics F); prints the cost-table cache\n"
-                "            efficiency table and, for serve dumps, "
-                "the rolling\n            latency/SLO telemetry "
-                "table\n"
-                "without --check, prints per-accelerator utilization "
-                "and\nscheduler decision-latency tables for every "
-                "point\n",
-                prog);
-}
 
 bool
 isTraceFile(const std::string& path)
@@ -93,29 +68,28 @@ main(int argc, char** argv)
     bool check_only = false;
     std::vector<std::string> paths;
     std::vector<std::string> metrics_paths;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--check") {
-            check_only = true;
-        } else if (arg == "--metrics" && i + 1 < argc) {
-            metrics_paths.push_back(argv[++i]);
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n",
-                         arg.c_str());
-            printUsage(argv[0]);
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.empty() && metrics_paths.empty()) {
-        std::fprintf(stderr, "no trace or metrics files given\n");
-        printUsage(argv[0]);
-        return 2;
-    }
+    flags::Table table(
+        "PATH is a .trace.json file, or a directory scanned for\n"
+        "*.trace.json (the layout bench --trace-events DIR writes).\n"
+        "Without --check, prints per-accelerator utilization and\n"
+        "scheduler decision-latency tables for every point");
+    table.add({"--check", "", "",
+               "validate only: parse every file, check the event shape\n"
+               "and per-track timestamp monotonicity, print one OK line\n"
+               "per file; exit 1 on the first failure",
+               flags::set(&check_only)});
+    table.add({"--metrics", "", "FILE",
+               "a metrics JSON dump (bench --metrics-full F or\n"
+               "dream_serve --metrics F); prints the cost-table cache\n"
+               "efficiency table and, for serve dumps, the rolling\n"
+               "latency/SLO telemetry table (repeatable)",
+               flags::append(&metrics_paths)});
+    table.positionals("[PATH...]", &paths, 0);
+    table.check([&] {
+        if (paths.empty() && metrics_paths.empty())
+            throw flags::Error("no trace or metrics files given");
+    });
+    table.parse(argc, argv);
 
     std::vector<std::string> files;
     try {

@@ -44,13 +44,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cost_table_cache.h"
@@ -63,6 +64,7 @@
 #include "serve/cluster.h"
 #include "serve/dispatcher.h"
 #include "serve/serve_loop.h"
+#include "util/flags.h"
 #include "workload/replay_source.h"
 #include "workload/scenario_gen.h"
 #include "workload/scenario_suite.h"
@@ -83,8 +85,8 @@ struct Options {
     std::string entry;
     uint64_t seed = 11;
     double rateScale = 1.0;
-    std::string system;
-    std::string scheduler;
+    std::optional<hw::SystemPreset> system;
+    std::optional<runner::SchedKind> scheduler;
     double windowUs = 0.0; // 0 = feed default
     serve::AdmissionConfig admission;
     double reportIntervalUs = 2e5;
@@ -95,61 +97,6 @@ struct Options {
     bool quiet = false;
 };
 
-void
-printUsage(const char* prog)
-{
-    std::printf(
-        "usage: %s (--replay FILE | --gen SPEC | --ingest -) "
-        "[options]\n"
-        "feeds:\n"
-        "  --replay FILE    recorded *.trace.csv (--record-trace on\n"
-        "                   any bench); served in stream mode under\n"
-        "                   the recorded identity\n"
-        "  --gen SPEC       'default' (stock generator spec) or a\n"
-        "                   hard-scenario suite JSON path\n"
-        "  --ingest -       line-delimited arrivals from stdin\n"
-        "                   ('task frame_idx arrival_us'), onto the\n"
-        "                   --gen scenario (default: 'default')\n"
-        "cluster:\n"
-        "  --devices N      per-device DREAM instances (default 1)\n"
-        "  --router POLICY  round_robin | least_loaded |\n"
-        "                   finish_time_fairness (default)\n"
-        "replay options:\n"
-        "  --verify-offline re-run the offline ReplaySource replay\n"
-        "                   and exit 1 unless RunStats is\n"
-        "                   bit-identical (admission must be off,\n"
-        "                   --devices 1 only)\n"
-        "gen options:\n"
-        "  --entry NAME     suite entry to serve (default: first)\n"
-        "  --seed S         generator + simulation seed "
-        "(default 11)\n"
-        "  --rate-scale X   multiply every task's FPS by X\n"
-        "  --system NAME    system preset (default: suite's, else "
-        "4K-2WS)\n"
-        "  --scheduler NAME scheduler (default DREAM-Full)\n"
-        "  --window US      execution window (default: suite's, "
-        "else 2e6)\n"
-        "admission control (off unless a bound is set; per device):\n"
-        "  --max-queue N    reject when N frames are live\n"
-        "  --max-backlog-us X\n"
-        "                   bound the projected best-case backlog\n"
-        "  --overload P     reject|degrade (default reject)\n"
-        "telemetry/output:\n"
-        "  --report-interval-us X\n"
-        "                   rolling report spacing (default 2e5)\n"
-        "  --rolling-window-us X\n"
-        "                   rolling window span (default 5e5)\n"
-        "  --metrics FILE   canonical metrics JSON (volatile "
-        "excluded)\n"
-        "  --metrics-full FILE\n"
-        "                   metrics JSON including volatile "
-        "metrics\n"
-        "  --out FILE       one-row result CSV (replay rows carry "
-        "the\n                   recorded identity, for dream_diff)\n"
-        "  --quiet          suppress per-report lines\n",
-        prog);
-}
-
 [[noreturn]] void
 fail(const std::string& what)
 {
@@ -157,138 +104,127 @@ fail(const std::string& what)
     std::exit(2);
 }
 
-double
-parseDouble(const std::string& value, const char* flag)
-{
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(v))
-        fail(std::string("malformed ") + flag + " value '" + value +
-             "'");
-    return v;
-}
-
-uint64_t
-parseUnsigned(const std::string& value, const char* flag)
-{
-    const bool digits =
-        !value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos;
-    errno = 0;
-    const auto v = std::strtoull(value.c_str(), nullptr, 10);
-    if (!digits || errno == ERANGE)
-        fail(std::string("malformed ") + flag + " value '" + value +
-             "'");
-    return v;
-}
-
 Options
 parseArgs(int argc, char** argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc)
-                fail(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            std::exit(0);
-        } else if (arg == "--replay") {
-            opts.replayFile = next("--replay");
-        } else if (arg == "--verify-offline") {
-            opts.verifyOffline = true;
-        } else if (arg == "--gen") {
-            opts.genSpec = next("--gen");
-        } else if (arg == "--ingest") {
-            opts.ingest = next("--ingest");
-            if (opts.ingest != "-")
-                fail("--ingest supports only '-' (stdin) for now");
-        } else if (arg == "--devices") {
-            opts.devices = size_t(
-                parseUnsigned(next("--devices"), "--devices"));
-            if (opts.devices == 0)
-                fail("--devices must be at least 1");
-        } else if (arg == "--router") {
-            const std::string name = next("--router");
-            if (!serve::parseRouterPolicy(name, &opts.router))
-                fail("unknown --router '" + name +
-                     "' (round_robin | least_loaded | "
-                     "finish_time_fairness)");
-        } else if (arg == "--entry") {
-            opts.entry = next("--entry");
-        } else if (arg == "--seed") {
-            opts.seed = parseUnsigned(next("--seed"), "--seed");
-        } else if (arg == "--rate-scale") {
-            opts.rateScale =
-                parseDouble(next("--rate-scale"), "--rate-scale");
-            if (opts.rateScale <= 0.0)
-                fail("--rate-scale must be positive");
-        } else if (arg == "--system") {
-            opts.system = next("--system");
-        } else if (arg == "--scheduler") {
-            opts.scheduler = next("--scheduler");
-        } else if (arg == "--window") {
-            opts.windowUs = parseDouble(next("--window"), "--window");
-            if (opts.windowUs <= 0.0)
-                fail("--window must be positive");
-        } else if (arg == "--max-queue") {
-            opts.admission.maxQueueDepth = size_t(
-                parseUnsigned(next("--max-queue"), "--max-queue"));
-        } else if (arg == "--max-backlog-us") {
-            opts.admission.maxBacklogUs = parseDouble(
-                next("--max-backlog-us"), "--max-backlog-us");
-        } else if (arg == "--overload") {
-            const std::string policy = next("--overload");
-            if (policy == "reject")
-                opts.admission.policy = serve::OverloadPolicy::Reject;
-            else if (policy == "degrade")
-                opts.admission.policy =
-                    serve::OverloadPolicy::Degrade;
-            else
-                fail("--overload must be 'reject' or 'degrade'");
-        } else if (arg == "--report-interval-us") {
-            opts.reportIntervalUs =
-                parseDouble(next("--report-interval-us"),
-                            "--report-interval-us");
-        } else if (arg == "--rolling-window-us") {
-            opts.rollingWindowUs = parseDouble(
-                next("--rolling-window-us"), "--rolling-window-us");
-            if (opts.rollingWindowUs <= 0.0)
-                fail("--rolling-window-us must be positive");
-        } else if (arg == "--metrics") {
-            opts.metricsFile = next("--metrics");
-        } else if (arg == "--metrics-full") {
-            opts.metricsFullFile = next("--metrics-full");
-        } else if (arg == "--out") {
-            opts.outFile = next("--out");
-        } else if (arg == "--quiet") {
-            opts.quiet = true;
-        } else {
-            printUsage(argv[0]);
-            fail("unknown flag '" + arg + "'");
+    flags::Table table(
+        "exactly one of --replay, --gen and --ingest is required;\n"
+        "admission control is off unless --max-queue or\n"
+        "--max-backlog-us is set");
+    table.add({"--replay", "", "FILE",
+               "recorded *.trace.csv (--record-trace on any bench),\n"
+               "served in stream mode under the recorded identity",
+               flags::nonEmpty(&opts.replayFile)});
+    table.add({"--gen", "", "SPEC",
+               "'default' (stock generator spec) or a hard-scenario\n"
+               "suite JSON path",
+               flags::nonEmpty(&opts.genSpec)});
+    table.add({"--ingest", "", "-",
+               "line-delimited arrivals from stdin ('task frame_idx\n"
+               "arrival_us'), onto the --gen scenario (default\n"
+               "'default')",
+               flags::choice(
+                   &opts.ingest,
+                   std::vector<std::pair<std::string, std::string>>{
+                       {"-", "-"}})});
+    table.add({"--devices", "", "N",
+               "per-device DREAM instances (default 1)",
+               flags::integer(&opts.devices, 1)});
+    table.add({"--router", "", "POLICY",
+               "round_robin | least_loaded | finish_time_fairness\n"
+               "(default)",
+               flags::choice(&opts.router,
+                             flags::namesOf(serve::allRouterPolicies(),
+                                            [](serve::RouterPolicy p) {
+                                                return serve::toString(p);
+                                            }))});
+    table.add({"--verify-offline", "", "",
+               "re-run the offline ReplaySource replay and exit 1\n"
+               "unless RunStats is bit-identical (--replay only,\n"
+               "admission off, --devices 1)",
+               flags::set(&opts.verifyOffline)});
+    table.add({"--entry", "", "NAME",
+               "suite entry to serve (default: first)",
+               flags::text(&opts.entry)});
+    table.add({"--seed", "", "S",
+               "generator + simulation seed (default 11)",
+               flags::integer(&opts.seed)});
+    table.add({"--rate-scale", "", "X",
+               "multiply every task's FPS by X > 0",
+               flags::positive(&opts.rateScale)});
+    table.add({"--system", "", "NAME",
+               "system preset (default: the suite's, else 4K-2WS)",
+               flags::choice(&opts.system,
+                             flags::namesOf(hw::allSystemPresets(),
+                                            [](hw::SystemPreset p) {
+                                                return hw::toString(p);
+                                            }))});
+    table.add({"--scheduler", "", "NAME", "scheduler (default DREAM-Full)",
+               flags::choice(&opts.scheduler,
+                             flags::namesOf(runner::allSchedKinds(),
+                                            [](runner::SchedKind k) {
+                                                return std::string(
+                                                    runner::toString(k));
+                                            }))});
+    table.add({"--window", "", "US",
+               "execution window (default: the suite's, else 2e6)",
+               flags::positive(&opts.windowUs)});
+    table.add({"--max-queue", "", "N",
+               "per device: reject when N frames are live",
+               flags::integer(&opts.admission.maxQueueDepth)});
+    table.add({"--max-backlog-us", "", "X",
+               "per device: bound the projected best-case backlog",
+               flags::real(&opts.admission.maxBacklogUs, 0.0)});
+    table.add({"--overload", "", "P", "reject | degrade (default reject)",
+               flags::choice(&opts.admission.policy,
+                             std::vector<std::pair<std::string,
+                                                   serve::OverloadPolicy>>{
+                                 {"reject", serve::OverloadPolicy::Reject},
+                                 {"degrade",
+                                  serve::OverloadPolicy::Degrade}})});
+    table.add({"--report-interval-us", "", "X",
+               "rolling report spacing (default 2e5)",
+               flags::real(&opts.reportIntervalUs, 0.0)});
+    table.add({"--rolling-window-us", "", "X",
+               "rolling window span (default 5e5)",
+               flags::positive(&opts.rollingWindowUs)});
+    table.add({"--metrics", "", "FILE",
+               "canonical metrics JSON (volatile excluded)",
+               flags::text(&opts.metricsFile)});
+    table.add({"--metrics-full", "", "FILE",
+               "metrics JSON including volatile metrics",
+               flags::text(&opts.metricsFullFile)});
+    table.add({"--out", "", "FILE",
+               "one-row result CSV (replay rows carry the recorded\n"
+               "identity, for dream_diff)",
+               flags::text(&opts.outFile)});
+    table.add({"--quiet", "", "", "suppress per-report lines",
+               flags::set(&opts.quiet)});
+    table.check([&opts] {
+        if (!opts.ingest.empty()) {
+            if (!opts.replayFile.empty())
+                throw flags::Error(
+                    "--ingest feeds the generative scenario; it cannot "
+                    "be combined with --replay");
+            if (opts.genSpec.empty())
+                opts.genSpec = "default";
+        } else if (opts.replayFile.empty() == opts.genSpec.empty()) {
+            throw flags::Error(
+                "exactly one of --replay, --gen and --ingest is required");
         }
-    }
-    if (!opts.ingest.empty()) {
-        if (!opts.replayFile.empty())
-            fail("--ingest feeds the generative scenario; it cannot "
-                 "be combined with --replay");
-        if (opts.genSpec.empty())
-            opts.genSpec = "default";
-    } else if (opts.replayFile.empty() == opts.genSpec.empty()) {
-        fail("exactly one of --replay, --gen and --ingest is "
-             "required");
-    }
-    if (opts.verifyOffline && opts.replayFile.empty())
-        fail("--verify-offline requires --replay");
-    if (opts.verifyOffline && opts.admission.enabled())
-        fail("--verify-offline requires admission control off "
-             "(admitted load must match the recording)");
-    if (opts.verifyOffline && opts.devices != 1)
-        fail("--verify-offline requires --devices 1 (an N-device "
-             "run has no single offline run to anchor to)");
+        if (opts.verifyOffline && opts.replayFile.empty())
+            throw flags::Error("--verify-offline requires --replay");
+        if (opts.verifyOffline && opts.admission.enabled())
+            throw flags::Error(
+                "--verify-offline requires admission control off "
+                "(admitted load must match the recording)");
+        if (opts.verifyOffline && opts.devices != 1)
+            throw flags::Error(
+                "--verify-offline requires --devices 1 (an N-device run "
+                "has no single offline run to anchor to)");
+    });
+    table.parse(argc, argv);
     return opts;
 }
 
@@ -305,91 +241,24 @@ struct Session {
     std::shared_ptr<const workload::FrameTrace> trace;
 };
 
-hw::SystemPreset
-resolveSystem(const std::string& name)
-{
-    for (const auto preset : hw::allSystemPresets()) {
-        if (hw::toString(preset) == name)
-            return preset;
-    }
-    fail("unknown system preset '" + name + "'");
-}
-
-runner::SchedKind
-resolveScheduler(const std::string& name)
-{
-    for (const auto kind : runner::allSchedKinds()) {
-        if (runner::toString(kind) == name)
-            return kind;
-    }
-    fail("unknown scheduler '" + name + "'");
-}
-
-/** Resolve a recorded scenario name ("AR_Call", "VR_Gaming@p0.9"),
- *  mirroring bench/trace_replay. */
-workload::Scenario
-resolveScenario(const std::string& name)
-{
-    std::string base = name;
-    double cascade_prob = 0.5;
-    const size_t at = name.rfind("@p");
-    if (at != std::string::npos) {
-        char* end = nullptr;
-        cascade_prob = std::strtod(name.c_str() + at + 2, &end);
-        if (end == name.c_str() + name.size())
-            base = name.substr(0, at);
-        else
-            cascade_prob = 0.5; // "@p" was part of the name itself
-    }
-    for (const auto preset : workload::allScenarioPresets()) {
-        if (workload::toString(preset) == base)
-            return workload::makeScenario(preset, cascade_prob);
-    }
-    fail("cannot replay scenario '" + name +
-         "': not a Table 3 preset (generated scenarios are not "
-         "replayable from metadata)");
-}
-
-std::string
-requireMeta(const workload::FrameTrace& trace,
-            const std::string& file, const std::string& key)
-{
-    const std::string value = trace.metaValue(key);
-    if (value.empty())
-        fail(file + ": metadata is missing '" + key +
-             "' (was the trace recorded with --record-trace?)");
-    return value;
-}
-
 Session
 loadReplaySession(const Options& opts)
 {
-    Session s;
-    auto trace = std::make_shared<workload::FrameTrace>();
+    runner::RecordedPoint point;
     try {
-        *trace = runner::readFrameTraceCsv(opts.replayFile);
+        point = runner::loadRecordedPoint(opts.replayFile);
     } catch (const std::runtime_error& e) {
         fail(e.what());
     }
-    const std::string& file = opts.replayFile;
-    s.scenario =
-        resolveScenario(requireMeta(*trace, file, "scenario"));
-    s.systemName = requireMeta(*trace, file, "system");
-    s.system = hw::makeSystem(resolveSystem(s.systemName));
-    s.scheduler =
-        resolveScheduler(requireMeta(*trace, file, "scheduler"));
-    if (!trace->metaValue("params").empty())
-        fail(file + ": parameterised grid points (params=" +
-             trace->metaValue("params") +
-             ") are not replayable from metadata");
-    s.seed = parseUnsigned(requireMeta(*trace, file, "seed"), "seed");
-    s.windowUs = parseDouble(requireMeta(*trace, file, "window_us"),
-                             "window_us");
-    if (s.windowUs <= 0.0)
-        fail(file + ": malformed window_us metadata");
-    s.index = size_t(
-        parseUnsigned(requireMeta(*trace, file, "index"), "index"));
-    s.trace = std::move(trace);
+    Session s;
+    s.scenario = point.makeScenario();
+    s.systemName = hw::toString(point.system);
+    s.system = hw::makeSystem(point.system);
+    s.scheduler = point.scheduler;
+    s.seed = point.seed;
+    s.windowUs = point.windowUs;
+    s.index = point.index;
+    s.trace = point.trace;
     return s;
 }
 
@@ -425,21 +294,18 @@ loadGenSession(const Options& opts)
         }
         spec = entry->spec;
         gen_seed = entry->genSeed;
-        system = resolveSystem(suite.system);
+        hw::parseSystemPreset(suite.system, &system); // loader-checked
         s.windowUs = suite.windowUs;
     } else if (!opts.entry.empty()) {
         fail("--entry requires a suite JSON --gen SPEC");
     }
 
-    if (!opts.system.empty())
-        system = resolveSystem(opts.system);
+    system = opts.system.value_or(system);
     if (opts.windowUs > 0.0)
         s.windowUs = opts.windowUs;
     s.systemName = hw::toString(system);
     s.system = hw::makeSystem(system);
-    s.scheduler = opts.scheduler.empty()
-                      ? runner::SchedKind::DreamFull
-                      : resolveScheduler(opts.scheduler);
+    s.scheduler = opts.scheduler.value_or(runner::SchedKind::DreamFull);
     s.seed = opts.seed;
     s.scenario = workload::ScenarioGenerator(spec).generate(gen_seed);
     if (opts.rateScale != 1.0) {

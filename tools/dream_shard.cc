@@ -14,129 +14,55 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "tools/shard_sched.h"
+#include "util/flags.h"
 
 using namespace dream;
-
-namespace {
-
-void
-printUsage(const char* prog)
-{
-    std::printf(
-        "usage: %s [options] [--] BENCH [BENCH-ARGS...]\n"
-        "  -j, --jobs N     worker subprocesses (0 = all cores; "
-        "default 0)\n"
-        "  --chunks M       chunk count (default: 4 x workers; "
-        "chunks are\n                   contiguous ranges of the "
-        "filtered grid ordering,\n                   handed out "
-        "dynamically as workers finish)\n"
-        "  --retries R      extra attempts per failed chunk "
-        "(default 2)\n"
-        "  --worker-jobs W  --jobs each worker runs with "
-        "(default 1)\n"
-        "  --filter S       forwarded to the bench\n"
-        "  --json           chunk + merged results as JSON\n"
-        "  --out F          merged result file (default: stdout)\n"
-        "  --report F       write the per-chunk markdown timing "
-        "report to F\n"
-        "  --tmp DIR        chunk working dir (default: a fresh "
-        "temp dir)\n"
-        "  --quiet          no per-chunk progress on stderr\n"
-        "the merged file is byte-identical to `BENCH --out` run "
-        "unsharded;\na killed worker's chunks are re-run on other "
-        "workers\n",
-        prog);
-}
-
-bool
-parseCount(const char* text, long* out)
-{
-    char* end = nullptr;
-    *out = std::strtol(text, &end, 10);
-    return end != text && *end == '\0' && *out >= 0;
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char** argv)
 {
     tools::OrchestratorOptions opts;
     std::string report_path;
-    int i = 1;
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        long value = 0;
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
-                std::fprintf(stderr, "invalid --jobs value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-            opts.jobs = int(value);
-        } else if (arg == "--chunks" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value) || value == 0) {
-                std::fprintf(stderr, "invalid --chunks value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-            opts.chunks = size_t(value);
-        } else if (arg == "--retries" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
-                std::fprintf(stderr, "invalid --retries value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-            opts.retries = int(value);
-        } else if (arg == "--worker-jobs" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
-                std::fprintf(stderr,
-                             "invalid --worker-jobs value: %s\n",
-                             argv[i]);
-                return 2;
-            }
-            opts.workerJobs = int(value);
-        } else if (arg == "--filter" && i + 1 < argc) {
-            opts.filter = argv[++i];
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            opts.out = argv[++i];
-        } else if (arg == "--report" && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (arg == "--tmp" && i + 1 < argc) {
-            opts.tempDir = argv[++i];
-        } else if (arg == "--quiet") {
-            opts.verbose = false;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else if (arg == "--") {
-            ++i;
-            break;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n",
-                         arg.c_str());
-            printUsage(argv[0]);
-            return 2;
-        } else {
-            break; // first positional: the bench command starts
-        }
-    }
-    for (; i < argc; ++i)
-        opts.command.push_back(argv[i]);
-    if (opts.command.empty()) {
-        std::fprintf(stderr, "no bench command given\n");
-        printUsage(argv[0]);
-        return 2;
-    }
+    flags::Table table(
+        "the merged file is byte-identical to `BENCH --out` run\n"
+        "unsharded; a killed worker's chunks are re-run on other\n"
+        "workers");
+    table.add({"--jobs", "-j", "N",
+               "worker subprocesses (0 = all cores; default 0)",
+               flags::integer(&opts.jobs)});
+    table.add({"--chunks", "", "M",
+               "chunk count (default: 4 x workers; chunks are contiguous\n"
+               "ranges of the selected grid ordering, handed out\n"
+               "dynamically as workers finish)",
+               flags::integer(&opts.chunks, 1)});
+    table.add({"--retries", "", "R",
+               "extra attempts per failed chunk (default 2)",
+               flags::integer(&opts.retries)});
+    table.add({"--worker-jobs", "", "W",
+               "--jobs each worker runs with (default 1)",
+               flags::integer(&opts.workerJobs)});
+    table.add({"--filter", "", "S", "forwarded to the bench",
+               flags::text(&opts.filter)});
+    table.add({"--json", "", "", "chunk + merged results as JSON",
+               flags::set(&opts.json)});
+    table.add({"--out", "", "F", "merged result file (default: stdout)",
+               flags::text(&opts.out)});
+    table.add({"--report", "", "F",
+               "write the per-chunk markdown timing report to F",
+               flags::text(&report_path)});
+    table.add({"--tmp", "", "DIR",
+               "chunk working dir (default: a fresh temp dir)",
+               flags::text(&opts.tempDir)});
+    table.add({"--quiet", "", "", "no per-chunk progress on stderr",
+               flags::set(&opts.verbose, false)});
+    table.rest("[--] BENCH [BENCH-ARGS...]", &opts.command, 1);
+    table.parse(argc, argv);
 
     try {
         const auto result = tools::runOrchestrator(opts);
