@@ -131,7 +131,7 @@ public:
      * costs plus the precomputed aggregates. Valid as long as the
      * table lives: entries are never erased, and adding entries does
      * not move existing ones. A view reads its own table's numbers
-     * only, so a holder of views (sim::Request::CostCache) must also
+     * only, so a holder of views (sim::Resolution) must also
      * record which table they came from.
      */
     class LayerView {

@@ -19,7 +19,6 @@ AdmissionController::AdmissionController(
     // Precompute each task's degraded path: the lightest Supernet
     // variant by MACs (ties keep the lower index — deterministic).
     degradePath_.resize(scenario.tasks.size());
-    degradeLatencyUs_.assign(scenario.tasks.size(), 0.0);
     for (size_t t = 0; t < scenario.tasks.size(); ++t) {
         const models::Model& model = scenario.tasks[t].model;
         if (!model.isSupernet())
@@ -35,18 +34,20 @@ AdmissionController::AdmissionController(
             }
         }
         degradePath_[t] = model.variantPath(best);
-        degradeLatencyUs_[t] = pathLatencyUs(degradePath_[t]);
     }
 }
 
 double
-AdmissionController::pathLatencyUs(
-    const std::vector<models::Layer>& path) const
+AdmissionController::pathLatencyUs(const models::Path& path)
 {
-    double total = 0.0;
-    for (const auto& layer : path)
-        total += costs_->minLatencyUs(layer);
-    return total;
+    auto [it, fresh] = latencyUs_.try_emplace(path.id(), path, 0.0);
+    if (fresh) {
+        double total = 0.0;
+        for (const auto& layer : path)
+            total += costs_->minLatencyUs(layer);
+        it->second.second = total;
+    }
+    return it->second.second;
 }
 
 void
@@ -89,7 +90,7 @@ AdmissionController::offer(workload::FrameSpec& frame, double now_us,
         !degradePath_[frame.task].empty()) {
         frame.path = degradePath_[frame.task];
         stats_.degraded += 1;
-        backlogUs_ += degradeLatencyUs_[frame.task];
+        backlogUs_ += pathLatencyUs(frame.path);
         return AdmissionDecision::Degrade;
     }
 

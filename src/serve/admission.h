@@ -11,6 +11,8 @@
 #define DREAM_SERVE_ADMISSION_H
 
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cost_table.h"
@@ -62,7 +64,8 @@ struct AdmissionStats {
  * the frozen cost table — never on wall time.
  *
  * The backlog model is intentionally simple (the gate must be cheap):
- * admitting a frame adds its best-case path latency, and the backlog
+ * admitting a frame adds its best-case path latency (computed once
+ * per distinct path the controller is offered), and the backlog
  * drains at the aggregate service rate (numAccels microseconds of
  * work per microsecond of virtual time). Cascade children admitted
  * inside the simulator bypass the gate — admission governs ingest,
@@ -77,8 +80,9 @@ public:
     /**
      * Decide one arrival at virtual time @p now_us with
      * @p queue_depth frames live in the simulator. On Degrade the
-     * frame's path is replaced in place. Frames must be offered in
-     * nondecreasing time order.
+     * frame is re-pointed to the controller's shared degrade path
+     * for its task. Frames must be offered in nondecreasing time
+     * order.
      */
     AdmissionDecision offer(workload::FrameSpec& frame, double now_us,
                             size_t queue_depth);
@@ -93,16 +97,20 @@ public:
     const AdmissionStats& stats() const { return stats_; }
 
 private:
-    double pathLatencyUs(
-        const std::vector<models::Layer>& path) const;
+    double pathLatencyUs(const models::Path& path);
 
     AdmissionConfig config_;
     const cost::CostTable* costs_;
     double capacity_;  ///< us of work drained per us (numAccels)
-    /** Per task: the lightest Supernet variant path (empty when the
-     *  task's model has no variants) and its best-case latency. */
-    std::vector<std::vector<models::Layer>> degradePath_;
-    std::vector<double> degradeLatencyUs_;
+    /** Per task: the lightest Supernet variant path, shared by every
+     *  frame degraded onto it (empty when the task's model has no
+     *  variants). */
+    std::vector<models::Path> degradePath_;
+    /** Best-case latency of each distinct path offered, keyed by the
+     *  path's identity; the entry holds the path so its identity is
+     *  not reused. */
+    std::unordered_map<const void*, std::pair<models::Path, double>>
+        latencyUs_;
     double backlogUs_ = 0.0;
     double lastNowUs_ = 0.0;
     AdmissionStats stats_;

@@ -5,41 +5,44 @@
 namespace dream {
 namespace sim {
 
-const Request::CostCache&
-ensureCostCache(const Request& req, const cost::CostTable& costs)
+std::shared_ptr<const Resolution>
+resolve(const models::Path& path, const cost::CostTable& costs)
 {
-    Request::CostCache& cache = req.costCache;
-    if (cache.version == req.pathVersion && cache.table == &costs)
-        return cache;
-
-    // Unbound while rebuilding: a lookup that throws (a layer missing
-    // from a frozen table) must not leave stale rows marked valid.
-    cache.table = nullptr;
-    const size_t n = req.path.size();
+    auto res = std::make_shared<Resolution>();
+    const size_t n = path.size();
     const size_t num_accs = costs.numAccelerators();
-    cache.rows.clear();
-    cache.rows.reserve(n);
-    for (const auto& layer : req.path)
-        cache.rows.push_back(costs.view(layer));
-    cache.suffixAvg.assign(n + 1, 0.0);
-    cache.suffixMin.assign(n + 1, 0.0);
-    cache.suffixByAcc.assign(num_accs, std::vector<double>(n + 1, 0.0));
+    res->path = path;
+    res->table = &costs;
+    res->rows.reserve(n);
+    for (const auto& layer : path) {
+        res->rows.push_back(costs.view(layer));
+        res->worstCaseEnergyMj += res->rows.back().agg().maxEnergyMj;
+    }
+    res->suffixAvg.assign(n + 1, 0.0);
+    res->suffixMin.assign(n + 1, 0.0);
+    res->suffixByAcc.assign(num_accs, std::vector<double>(n + 1, 0.0));
     for (size_t i = n; i-- > 0;) {
         double sum = 0.0;
         double best = 0.0;
         for (size_t a = 0; a < num_accs; ++a) {
-            const double lat = cache.rows[i].cost(a).latencyUs;
+            const double lat = res->rows[i].cost(a).latencyUs;
             sum += lat;
             best = (a == 0) ? lat : std::min(best, lat);
-            cache.suffixByAcc[a][i] = cache.suffixByAcc[a][i + 1] + lat;
+            res->suffixByAcc[a][i] = res->suffixByAcc[a][i + 1] + lat;
         }
-        cache.suffixAvg[i] =
-            cache.suffixAvg[i + 1] + sum / double(num_accs);
-        cache.suffixMin[i] = cache.suffixMin[i + 1] + best;
+        res->suffixAvg[i] = res->suffixAvg[i + 1] + sum / double(num_accs);
+        res->suffixMin[i] = res->suffixMin[i + 1] + best;
     }
-    cache.table = &costs;
-    cache.version = req.pathVersion;
-    return cache;
+    return res;
+}
+
+const Resolution&
+ensureCostCache(const Request& req, const cost::CostTable& costs)
+{
+    const Resolution* res = req.resolution.get();
+    if (!res || res->table != &costs || res->path.id() != req.path.id())
+        req.resolution = resolve(req.path, costs);
+    return *req.resolution;
 }
 
 } // namespace sim

@@ -1,30 +1,43 @@
 /**
  * @file
- * Per-request cost cache: the cost-table rows of a request's path
- * plus suffix-sum latencies over them.
+ * Path resolutions: the cost-table rows of an execution path plus
+ * suffix-sum latencies and the worst-case energy over them.
  *
- * Each path layer is looked up in the CostTable once, when the cache
- * is built; scoring and dispatch then read the layer's row
+ * Each path layer is looked up in the CostTable once, when the
+ * resolution is built; scoring and dispatch then read the layer's row
  * (CostTable::LayerView) instead of hashing the layer's shape again.
  * Scoring (ToGo, minimum_to_go, Planaria's remaining-latency) also
  * needs O(remaining layers x accelerators) sums at every scheduling
- * event; they are precomputed from the rows. The cache is keyed by
- * Request::pathVersion (bumped by a Supernet variant switch) and by
- * the table the rows point into, and is rebuilt when either changes.
+ * event; they are precomputed from the rows. A resolution depends
+ * only on the path and the table, so the simulator builds one per
+ * distinct path per run and every request on the path shares it.
  */
 
 #ifndef DREAM_SIM_COST_CACHE_H
 #define DREAM_SIM_COST_CACHE_H
 
+#include <memory>
+
 #include "costmodel/cost_table.h"
+#include "models/path.h"
 #include "sim/request.h"
 
 namespace dream {
 namespace sim {
 
-/** Build (if stale for @p costs) and return the request's cache. */
-const Request::CostCache& ensureCostCache(const Request& req,
+/** Resolve @p path against @p costs: one table lookup per layer. */
+std::shared_ptr<const Resolution> resolve(const models::Path& path,
                                           const cost::CostTable& costs);
+
+/**
+ * The resolution of @p req's path under @p costs. Returns the
+ * request's own when it was built for this path and this table;
+ * otherwise resolves privately and re-points the request to the
+ * result, leaving the resolution it held (and every request sharing
+ * it) alone — a copied request read under another table does so.
+ */
+const Resolution& ensureCostCache(const Request& req,
+                                  const cost::CostTable& costs);
 
 } // namespace sim
 } // namespace dream

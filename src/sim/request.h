@@ -10,15 +10,44 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "costmodel/cost_table.h"
 #include "hw/accelerator.h"
-#include "models/layer.h"
+#include "models/path.h"
 #include "workload/scenario.h"
 
 namespace dream {
 namespace sim {
+
+/**
+ * A path's resolution under one CostTable: the table's row for each
+ * layer, suffix sums over the rows and the path's worst-case energy.
+ * The simulator builds one per distinct path per run and every
+ * request on that path shares it (sim/cost_cache.h); it is immutable
+ * once built.
+ */
+struct Resolution {
+    /** The resolved path. Holding it keeps the path's identity from
+     *  being reused while the resolution lives. */
+    models::Path path;
+    /** Table the rows point into, compared by address (the rows are
+     *  valid while it lives). */
+    const cost::CostTable* table = nullptr;
+    /** rows[i]: the table entry of path[i]. */
+    std::vector<cost::CostTable::LayerView> rows;
+    /** suffixAvg[i]: mean-across-accels latency of layers [i..). */
+    std::vector<double> suffixAvg;
+    /** suffixMin[i]: best-accel-per-layer latency of layers [i..). */
+    std::vector<double> suffixMin;
+    /** suffixByAcc[a][i]: full-slice latency on accel a of [i..). */
+    std::vector<std::vector<double>> suffixByAcc;
+    /** Front-to-back sum of the rows' maxEnergyMj: the worst
+     *  layer-accelerator pairing per layer (Algorithm 2 L5
+     *  denominator). */
+    double worstCaseEnergyMj = 0.0;
+};
 
 /**
  * One live inference request: a materialised frame of a task working
@@ -26,10 +55,13 @@ namespace sim {
  * request queues; the simulator keeps frames of one task in FIFO
  * order and schedules the head frame's next layer(s).
  *
- * Once the request completes or is dropped, the simulator frees its
- * per-layer state (`path` and the cost cache) and keeps only the
- * fields its frame record is built from, so per-layer memory is
- * bounded by the live set.
+ * Copying a request copies references to its shared path and
+ * resolution, not layers or rows, and the copy stays readable after
+ * the run (and the source that built the path) is gone. Once the
+ * request completes or is dropped, the simulator drops both handles
+ * and keeps only the fields its frame record is built from, so
+ * per-layer memory is bounded by the live set and the run's distinct
+ * paths.
  */
 struct Request {
     int id = -1;
@@ -38,9 +70,9 @@ struct Request {
     double arrivalUs = 0.0;
     double deadlineUs = 0.0;
 
-    /** Materialised execution path (mutable for Supernet switching);
-     *  freed once the request is finished. */
-    std::vector<models::Layer> path;
+    /** Execution path, shared and immutable; a Supernet switch
+     *  re-points it. Empty once the request is finished. */
+    models::Path path;
     /** Next layer index awaiting dispatch. */
     size_t nextLayer = 0;
     /** True while a job for this request occupies an accelerator. */
@@ -55,28 +87,11 @@ struct Request {
     /** Accelerator that ran the previous layer (PrevAcc), or -1. */
     int lastAccel = -1;
 
-    /** Bumped whenever `path` is rewritten (variant switches), so
-     *  derived cost caches can invalidate. */
-    uint32_t pathVersion = 0;
-    /** Per-layer cost rows and suffix sums of `path`, built at
-     *  admission and on the first read after a path rewrite (see
-     *  sim/cost_cache.h); freed once the request is finished. */
-    struct CostCache {
-        /** pathVersion the cache was built for. */
-        uint32_t version = ~0u;
-        /** Table the rows point into, compared by address (the rows
-         *  are valid while it lives); null while unbuilt. */
-        const cost::CostTable* table = nullptr;
-        /** rows[i]: the table entry of path[i]. */
-        std::vector<cost::CostTable::LayerView> rows;
-        /** suffixAvg[i]: mean-across-accels latency of layers [i..). */
-        std::vector<double> suffixAvg;
-        /** suffixMin[i]: best-accel-per-layer latency of layers [i..). */
-        std::vector<double> suffixMin;
-        /** suffixByAcc[a][i]: full-slice latency on accel a of [i..). */
-        std::vector<std::vector<double>> suffixByAcc;
-    };
-    mutable CostCache costCache;
+    /** Resolution of `path`: the run's shared one, set at admission
+     *  and on a switch; ensureCostCache re-points it when it does not
+     *  match the path or the table being read. Null once the request
+     *  is finished. */
+    mutable std::shared_ptr<const Resolution> resolution;
 
     bool dropped = false;
     bool done = false;
@@ -84,8 +99,6 @@ struct Request {
     double completionUs = std::numeric_limits<double>::quiet_NaN();
     /** Energy actually spent on this frame so far (mJ). */
     double energyMj = 0.0;
-    /** Worst-case energy of the originally materialised path (mJ). */
-    double worstCaseEnergyMj = 0.0;
     /** Cascade-gate outcomes, aligned with childrenOf(task). */
     std::vector<char> childTriggers;
 

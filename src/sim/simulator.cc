@@ -88,17 +88,14 @@ Simulator::admitFrame(workload::FrameSpec&& spec)
     req->lastEventUs = spec.arrivalUs;
     req->childTriggers = std::move(spec.childTriggers);
 
-    // One table lookup per path layer, here and after each variant
-    // switch: scoring and dispatch read the cached rows. Worst-case
-    // energy of the materialised path (Algorithm 2 L5 denominator):
-    // the worst layer-accelerator pairing per layer.
-    for (const auto& row : ensureCostCache(*req, costs_).rows)
-        req->worstCaseEnergyMj += row.agg().maxEnergyMj;
+    // Scoring and dispatch read the shared resolution's rows; the
+    // task's worst-case energy counts the materialised path's.
+    shareResolution(*req);
 
     TaskStats& ts = stats_.tasks[spec.task];
     if (inWindow(spec.deadlineUs, config_.windowUs)) {
         ts.totalFrames += 1;
-        ts.worstCaseEnergyMj += req->worstCaseEnergyMj;
+        ts.worstCaseEnergyMj += req->resolution->worstCaseEnergyMj;
     }
 
     taskQueues_[spec.task].push_back(req->id);
@@ -119,6 +116,29 @@ Simulator::admitFrame(workload::FrameSpec&& spec)
 }
 
 void
+Simulator::shareResolution(Request& req)
+{
+    // One table lookup per layer of each distinct path per run; every
+    // later request on the path shares the resolution.
+    auto& shared = resolutions_[req.path.id()];
+    if (!shared)
+        shared = resolve(req.path, costs_);
+    req.resolution = shared;
+}
+
+const models::Path&
+Simulator::variantPath(workload::TaskId task, int variant)
+{
+    auto& paths = variantPaths_[size_t(task)];
+    if (paths.empty())
+        paths.resize(scenario_.tasks[task].model.variants.size() + 1);
+    models::Path& path = paths[size_t(variant)];
+    if (path.empty())
+        path = scenario_.tasks[task].model.variantPath(size_t(variant));
+    return path;
+}
+
+void
 Simulator::retire(Request& req)
 {
     // O(1) swap-remove: the live set's order is unspecified.
@@ -128,11 +148,11 @@ Simulator::retire(Request& req)
     ctx_.live[slot] = moved;
     liveSlot_[size_t(moved->id)] = slot;
     ctx_.live.pop_back();
-    // Free the per-layer state: finalizeStats reads only the record
+    // Drop the per-layer handles: finalizeStats reads only the record
     // fields, so what a finished frame retains does not grow with its
     // path length.
-    req.path = std::vector<models::Layer>();
-    req.costCache = Request::CostCache();
+    req.path = models::Path();
+    req.resolution.reset();
 }
 
 void
@@ -282,9 +302,9 @@ Simulator::applySwitch(const VariantSwitch& sw)
                    "variant " + std::to_string(sw.variant) +
                        " out of range [0, " +
                        std::to_string(model.variants.size()) + "]");
-    req.path = model.variantPath(size_t(sw.variant));
+    req.path = variantPath(req.task, sw.variant);
     req.variant = sw.variant;
-    req.pathVersion += 1;
+    shareResolution(req);
 
     if (config_.telemetry && config_.telemetry->trace) {
         config_.telemetry->trace->instant(
@@ -484,7 +504,11 @@ Simulator::applyPlan(const Plan& plan)
     // present) wake-ups are dropped here, otherwise a scheduler that
     // keeps requesting one would pin virtual time and the event loop
     // would never reach the end of the window.
-    if (plan.wakeUpUs > nowUs_)
+    // A wake-up equal to the earliest armed one is already armed:
+    // equal times pop together at one event, so a scheduler that
+    // repeats its request every round arms it once.
+    if (plan.wakeUpUs > nowUs_ &&
+        (wakeups_.empty() || plan.wakeUpUs != wakeups_.top()))
         wakeups_.push(plan.wakeUpUs);
     assert((wakeups_.empty() || wakeups_.top() > nowUs_) &&
            "stale wake-ups must never be armed");
@@ -580,6 +604,8 @@ Simulator::beginStream(Scheduler& sched)
 {
     // Reset per-run state.
     requests_.clear();
+    resolutions_.clear();
+    variantPaths_.assign(scenario_.tasks.size(), {});
     taskQueues_.assign(scenario_.tasks.size(), {});
     liveSlot_.clear();
     ctx_.live.clear();

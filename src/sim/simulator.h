@@ -17,6 +17,7 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "costmodel/cost_table.h"
@@ -99,7 +100,7 @@ public:
      * throws std::invalid_argument. Cascade children are still
      * materialised internally via ArrivalSource::childFrame. The
      * frame is taken by value and moved on into its request: pass
-     * an rvalue (std::move) so its path is not copied.
+     * an rvalue (std::move) so nothing of it is copied.
      */
     void offerArrival(workload::FrameSpec spec);
 
@@ -131,6 +132,8 @@ private:
     };
 
     void admitFrame(workload::FrameSpec&& spec);
+    void shareResolution(Request& req);
+    const models::Path& variantPath(workload::TaskId task, int variant);
     void retire(Request& req);
     void completeJob(const Job& job);
     void invokeScheduler(Scheduler& sched);
@@ -155,6 +158,14 @@ private:
     std::unique_ptr<workload::FrameSource> ownedSource_;
     const workload::ArrivalSource* source_ = nullptr;
     std::vector<std::unique_ptr<Request>> requests_;
+    /** One resolution per distinct path, keyed by the path's identity
+     *  (each resolution holds its path, so no identity is reused
+     *  during the run). */
+    std::unordered_map<const void*, std::shared_ptr<const Resolution>>
+        resolutions_;
+    /** [task][variant]: the path a Supernet switch re-points to,
+     *  built on the first switch to it. */
+    std::vector<std::vector<models::Path>> variantPaths_;
     std::vector<std::deque<int>> taskQueues_;  ///< FIFO req ids per task
     /** Index of each live request in ctx_.live, by request id (stale
      *  once the request finishes). ctx_.live is the live set itself:

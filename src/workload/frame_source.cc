@@ -32,23 +32,23 @@ private:
 } // anonymous namespace
 
 FrameSource::FrameSource(const Scenario& scenario, uint64_t seed)
-    : scenario_(scenario), seed_(seed)
+    : scenario_(scenario), seed_(seed), paths_(scenario.tasks.size())
 {
 }
 
-std::vector<models::Layer>
+models::Path
 FrameSource::materialisePath(TaskId task, int frame_idx) const
 {
     const models::Model& model = scenario_.tasks[task].model;
     FrameRng rng(seed_ ^ 0xa5a5a5a5ull, task, frame_idx);
 
+    // The selection, keyed as {exit cut, skip-block bitmask words}.
     // Decide skip gates (SkipNet-style blocks).
-    std::vector<char> skip(model.layers.size(), 0);
-    for (const auto& blk : model.skipBlocks) {
-        if (rng.uniform() < blk.skipProb) {
-            for (size_t i = blk.begin; i < blk.end; ++i)
-                skip[i] = 1;
-        }
+    const size_t num_blocks = model.skipBlocks.size();
+    std::vector<uint64_t> key(1 + (num_blocks + 63) / 64, 0);
+    for (size_t b = 0; b < num_blocks; ++b) {
+        if (rng.uniform() < model.skipBlocks[b].skipProb)
+            key[1 + b / 64] |= uint64_t(1) << (b % 64);
     }
 
     // Decide the earliest firing early exit (if any).
@@ -59,15 +59,32 @@ FrameSource::materialisePath(TaskId task, int frame_idx) const
             break;
         }
     }
+    key[0] = cut;
 
-    std::vector<models::Layer> path;
-    path.reserve(cut);
+    std::lock_guard<std::mutex> lock(pathsMu_);
+    auto& interned = paths_[size_t(task)];
+    auto it = interned.find(key);
+    if (it != interned.end())
+        return it->second;
+
+    // First frame on this selection: build its layer list.
+    std::vector<char> skip(cut, 0);
+    for (size_t b = 0; b < num_blocks; ++b) {
+        if ((key[1 + b / 64] >> (b % 64)) & 1) {
+            const auto& blk = model.skipBlocks[b];
+            for (size_t i = blk.begin; i < std::min(blk.end, cut); ++i)
+                skip[i] = 1;
+        }
+    }
+    std::vector<models::Layer> layers;
+    layers.reserve(cut);
     for (size_t i = 0; i < cut; ++i) {
         if (!skip[i])
-            path.push_back(model.layers[i]);
+            layers.push_back(model.layers[i]);
     }
-    assert(!path.empty());
-    return path;
+    assert(!layers.empty());
+    return interned.emplace(std::move(key), std::move(layers))
+        .first->second;
 }
 
 FrameSpec

@@ -10,8 +10,11 @@
 #define DREAM_WORKLOAD_FRAME_SOURCE_H
 
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <vector>
 
+#include "models/path.h"
 #include "workload/scenario.h"
 
 namespace dream {
@@ -27,8 +30,11 @@ struct FrameSpec {
      * Materialised execution path: the model's layers after applying
      * skip gates and early exits. Supernet models start on their
      * default (Original) path; the scheduler may switch variants.
+     * Shared and immutable: frames of one task with the same skip
+     * selection and exit cut hold one layer list, and copying a
+     * frame copies a reference to it (models::Path).
      */
-    std::vector<models::Layer> path;
+    models::Path path;
     /**
      * Cascade-gate outcomes for this frame's dependent tasks, aligned
      * with Scenario::childrenOf(task). Sampled from the parent frame's
@@ -42,7 +48,9 @@ struct FrameSpec {
  * implementation (FrameSource) materialises periodic arrivals from
  * the scenario; ReplaySource re-injects a recorded trace's exact
  * arrival sequence. Implementations must be const-thread-safe: one
- * instance may serve several concurrent runs.
+ * instance may serve several concurrent runs. A frame's path may
+ * outlive the source that materialised it (models::Path owns its
+ * list), so callers may keep frames after the source is gone.
  */
 class ArrivalSource {
 public:
@@ -73,6 +81,12 @@ public:
  * Per-frame randomness derives from hash(seed, task, frameIdx), never
  * from call order, so different schedulers (which complete parents at
  * different times) still face the same materialised workload.
+ *
+ * Paths are interned: the source builds one layer list per distinct
+ * (task, skip selection, exit cut) and hands every frame on that
+ * selection a reference to it. The table sits behind a mutex, so
+ * concurrent const calls stay safe, and it is bounded by the
+ * distinct selections drawn, not by the frames materialised.
  */
 class FrameSource : public ArrivalSource {
 public:
@@ -112,11 +126,10 @@ public:
                         double arrival_us) const;
 
     /**
-     * Materialise the execution path of @p task for frame
-     * @p frame_idx (exposed for testing).
+     * The execution path of @p task for frame @p frame_idx: the
+     * interned list of its (skip selection, exit cut).
      */
-    std::vector<models::Layer> materialisePath(TaskId task,
-                                               int frame_idx) const;
+    models::Path materialisePath(TaskId task, int frame_idx) const;
 
 private:
     FrameSpec makeFrame(TaskId task, int frame_idx, double arrival_us,
@@ -124,6 +137,12 @@ private:
 
     Scenario scenario_;
     uint64_t seed_;
+    /** Guards paths_. */
+    mutable std::mutex pathsMu_;
+    /** Per task: interned paths keyed by {exit cut, skip-block
+     *  bitmask words}. */
+    mutable std::vector<std::map<std::vector<uint64_t>, models::Path>>
+        paths_;
 };
 
 } // namespace workload

@@ -45,11 +45,11 @@ namespace {
  *  - `ready` is, in ascending task order, each task's lowest-id live
  *    frame when it has arrived and is not in flight (the per-task
  *    FIFO head: request ids follow admission order);
- *  - every live request's cost cache was built at admission against
- *    `ctx.costs`, and its rows from `nextLayer` on are the entries
- *    `ctx.costs` holds for `path[i]`. Degrade rewrites paths before
- *    admission and DREAM-Full switches variants, so rows resolved
- *    for a rewritten path are checked too.
+ *  - every live request's resolution was built against `ctx.costs`
+ *    for the path it holds now, and its rows from `nextLayer` on are
+ *    the entries `ctx.costs` holds for `path[i]`. Degrade re-points
+ *    paths before admission and DREAM-Full switches variants, so
+ *    rows resolved for a re-pointed path are checked too.
  */
 class ContextOracle : public sim::Scheduler {
 public:
@@ -82,19 +82,18 @@ public:
     uint64_t calls = 0;
     size_t maxLive = 0;
     /** Row checks (request x round) of a path that a variant switch
-     *  rewrote after admission. */
+     *  re-pointed after admission. */
     uint64_t switchedRows = 0;
 
 private:
     /**
      * The entries `costs` holds for @p req's path layers, found by
-     * hashing each layer. Computed once per path version (and path
-     * buffer), so the per-round check is pointer compares only.
+     * hashing each layer. Computed once per path the request holds
+     * (the held copy keeps the path's identity from being reused), so
+     * the per-round check is pointer compares only.
      */
     struct Resolved {
-        uint32_t version = ~0u;
-        const models::Layer* data = nullptr;
-        size_t size = 0;
+        models::Path path;
         std::vector<const cost::LayerAgg*> entries;
     };
 
@@ -104,11 +103,8 @@ private:
         if (size_t(req.id) >= resolved_.size())
             resolved_.resize(size_t(req.id) + 1);
         Resolved& r = resolved_[size_t(req.id)];
-        if (r.version != req.pathVersion || r.data != req.path.data() ||
-            r.size != req.path.size()) {
-            r.version = req.pathVersion;
-            r.data = req.path.data();
-            r.size = req.path.size();
+        if (r.path.id() != req.path.id()) {
+            r.path = req.path;
             r.entries.clear();
             for (const auto& layer : req.path)
                 r.entries.push_back(&costs.view(layer).agg());
@@ -121,9 +117,14 @@ private:
     checkRows(const sim::SchedulerContext& ctx)
     {
         for (const auto* r : ctx.live) {
-            ASSERT_EQ(r->costCache.table, ctx.costs)
+            ASSERT_NE(r->resolution, nullptr)
+                << "request " << r->id << " has no resolution";
+            ASSERT_EQ(r->resolution->table, ctx.costs)
                 << "request " << r->id
-                << "'s cost cache is not bound to ctx.costs";
+                << "'s resolution is not bound to ctx.costs";
+            ASSERT_EQ(r->resolution->path.id(), r->path.id())
+                << "request " << r->id
+                << "'s resolution is not for the path it holds";
             const auto& rows = sim::ensureCostCache(*r, *ctx.costs).rows;
             ASSERT_EQ(rows.size(), r->path.size())
                 << "request " << r->id;
@@ -134,7 +135,7 @@ private:
                            << ": row is not ctx.costs' entry for "
                            << r->path[i].name << " at t=" << ctx.nowUs;
             }
-            if (r->pathVersion > 0)
+            if (r->variant > 0)
                 ++switchedRows;
         }
     }
@@ -361,8 +362,8 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
     }
     // The mixes overload their systems: deep live sets, SmartDrop
     // removes frames from them, and both admission policies fire.
-    // DREAM-Full switches Supernet variants, so rows re-resolved for
-    // a rewritten path were checked.
+    // DREAM-Full switches Supernet variants, so rows resolved for a
+    // re-pointed path were checked.
     EXPECT_GT(max_live, 20u);
     EXPECT_GT(drops, 0u);
     EXPECT_GT(switched_rows, 0u);

@@ -307,11 +307,24 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
     // The degraded path is the lightest variant, not the original.
     const auto light = task.model.variantPath(1);
     ASSERT_EQ(second.path.size(), light.size());
-    for (size_t i = 0; i < light.size(); ++i)
+    uint64_t degraded_macs = 0;
+    for (size_t i = 0; i < light.size(); ++i) {
         EXPECT_EQ(second.path[i].name, light[i].name) << i;
-    EXPECT_LT(models::totalMacs(second.path),
-              models::totalMacs(task.model.layers));
+        degraded_macs += second.path[i].macs();
+    }
+    EXPECT_LT(degraded_macs, models::totalMacs(task.model.layers));
     EXPECT_EQ(gate.stats().degraded, 1u);
+
+    // Every degrade re-points its frame to the controller's one
+    // shared path for the task: no layer is copied.
+    workload::FrameSpec third;
+    third.task = 0;
+    third.path = task.model.layers;
+    EXPECT_EQ(gate.offer(third, 0.0, 2),
+              serve::AdmissionDecision::Degrade);
+    EXPECT_NE(second.path.id(), nullptr);
+    EXPECT_EQ(third.path.id(), second.path.id());
+    EXPECT_EQ(gate.stats().degraded, 2u);
 
     // A non-supernet task cannot degrade: it falls back to reject.
     workload::Scenario plain;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "core/dream_scheduler.h"
 #include "costmodel/cost_table_cache.h"
@@ -211,13 +214,11 @@ TEST(Simulator, FinishedRequestsReleaseTheirPerLayerState)
             continue;
         (r->done ? completed : dropped) += 1;
         SCOPED_TRACE("request " + std::to_string(r->id));
+        // Both handles are dropped: the request references no layer
+        // list and no resolution.
         EXPECT_TRUE(r->path.empty());
-        EXPECT_EQ(r->path.capacity(), 0u);
-        EXPECT_EQ(r->costCache.table, nullptr);
-        EXPECT_EQ(r->costCache.rows.capacity(), 0u);
-        EXPECT_EQ(r->costCache.suffixAvg.capacity(), 0u);
-        EXPECT_EQ(r->costCache.suffixMin.capacity(), 0u);
-        EXPECT_TRUE(r->costCache.suffixByAcc.empty());
+        EXPECT_EQ(r->path.id(), nullptr);
+        EXPECT_EQ(r->resolution, nullptr);
         EXPECT_EQ(r->remainingLayers(), 0u);
     }
     EXPECT_GT(completed, 0u);
@@ -227,6 +228,91 @@ TEST(Simulator, FinishedRequestsReleaseTheirPerLayerState)
     core::DreamScheduler plain(core::DreamConfig::full());
     sim::Simulator control(system, scenario, *costs, cfg);
     test::expectStatsBitIdentical(scenario, recorded, control.run(plain));
+}
+
+/** Forwards to DREAM-Full and records, for every live request it is
+ *  shown, the path it holds and the resolution it reads. */
+class PathRecorder : public sim::Scheduler {
+public:
+    std::string name() const override { return inner_.name(); }
+    void reset(const sim::SchedulerContext& ctx) override
+    {
+        inner_.reset(ctx);
+    }
+    sim::Plan plan(const sim::SchedulerContext& ctx) override
+    {
+        for (const sim::Request* r : ctx.live) {
+            requests.insert(r->id);
+            resolutionsOf[r->path.id()].insert(r->resolution.get());
+            if (r->variant > 0) {
+                variantLists[{r->task, r->variant}].insert(r->path.id());
+                switched.insert(r->id);
+            }
+        }
+        return inner_.plan(ctx);
+    }
+
+    std::set<int> requests;
+    /** Path identity -> the resolutions read through it. */
+    std::map<const void*, std::set<const sim::Resolution*>>
+        resolutionsOf;
+    /** (task, variant) -> the paths of requests switched to it. */
+    std::map<std::pair<workload::TaskId, int>, std::set<const void*>>
+        variantLists;
+    std::set<int> switched;
+
+private:
+    core::DreamScheduler inner_{core::DreamConfig::full()};
+};
+
+TEST(Simulator, RequestsOnOnePathShareOneResolution)
+{
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
+    auto scenario =
+        workload::makeScenario(workload::ScenarioPreset::ArSocial);
+    for (auto& task : scenario.tasks)
+        task.fps *= 3.0; // overload, so DREAM switches variants
+    const auto costs = cost::acquireCostTable(system, scenario);
+    sim::SimConfig cfg;
+    cfg.windowUs = 5e5;
+    cfg.seed = 3;
+    sim::Simulator simulator(system, scenario, *costs, cfg);
+    PathRecorder recorder;
+    simulator.run(recorder);
+
+    // Each distinct path is resolved once per run: every request on
+    // it reads one resolution, built for that path and this table.
+    // Table lookups therefore scale with distinct paths, not frames.
+    std::set<const sim::Resolution*> resolutions;
+    for (const auto& [path, res] : recorder.resolutionsOf) {
+        ASSERT_EQ(res.size(), 1u);
+        const sim::Resolution* r = *res.begin();
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->path.id(), path);
+        EXPECT_EQ(r->table, costs.get());
+        resolutions.insert(r);
+    }
+    EXPECT_EQ(resolutions.size(), recorder.resolutionsOf.size());
+    EXPECT_LT(10 * resolutions.size(), recorder.requests.size());
+
+    // Every switch to one (task, variant) re-points its request to
+    // the run's one list for it, and that list is the variant's path.
+    size_t num_lists = 0;
+    for (const auto& [variant, lists] : recorder.variantLists) {
+        EXPECT_EQ(lists.size(), 1u)
+            << "task " << variant.first << " variant " << variant.second;
+        num_lists += lists.size();
+        const sim::Resolution* r =
+            *recorder.resolutionsOf.at(*lists.begin()).begin();
+        const auto expected =
+            scenario.tasks[size_t(variant.first)].model.variantPath(
+                size_t(variant.second));
+        ASSERT_EQ(r->path.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i)
+            EXPECT_EQ(r->path[i].name, expected[i].name);
+    }
+    EXPECT_GT(recorder.switched.size(), num_lists)
+        << "no two requests were switched to one (task, variant)";
 }
 
 } // namespace

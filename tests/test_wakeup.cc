@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
+#include "costmodel/cost_table_cache.h"
+#include "runner/experiment.h"
 #include "sim/scheduler.h"
 #include "test_util.h"
 
@@ -115,6 +119,64 @@ TEST(Wakeup, WakeupBeyondWindowNeverFires)
 
     for (const double t : probe.invocationTimes)
         EXPECT_LT(t, window);
+}
+
+/** Forwards to FCFS and asks to be woken at the next multiple of a
+ *  fixed tick: on every call, or only when the tick has moved. */
+class TickingFcfs : public sim::Scheduler {
+public:
+    explicit TickingFcfs(bool every_call) : everyCall_(every_call) {}
+
+    std::string name() const override { return inner_->name(); }
+    void reset(const sim::SchedulerContext& ctx) override
+    {
+        inner_->reset(ctx);
+    }
+    sim::Plan plan(const sim::SchedulerContext& ctx) override
+    {
+        invocationTimes.push_back(ctx.nowUs);
+        sim::Plan p = inner_->plan(ctx);
+        const double tick = (std::floor(ctx.nowUs / kTickUs) + 1.0) *
+                            kTickUs;
+        if (everyCall_ || tick != lastTickUs_) {
+            p.wakeUpUs = tick;
+            lastTickUs_ = tick;
+        }
+        return p;
+    }
+
+    static constexpr double kTickUs = 7000.0;
+    std::vector<double> invocationTimes;
+
+private:
+    std::unique_ptr<sim::Scheduler> inner_ =
+        runner::makeScheduler(runner::SchedKind::Fcfs);
+    bool everyCall_;
+    double lastTickUs_ = -1.0;
+};
+
+TEST(Wakeup, RepeatedRequestIsArmedOnce)
+{
+    // Repeating a wake-up every round must not change when the
+    // scheduler runs: equal times are one event either way.
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
+    const auto scenario =
+        workload::makeScenario(workload::ScenarioPreset::ArSocial);
+    const auto costs = cost::acquireCostTable(system, scenario);
+    sim::SimConfig cfg;
+    cfg.windowUs = 3e5;
+    cfg.seed = 5;
+    TickingFcfs every(true), once(false);
+    const auto a = sim::Simulator(system, scenario, *costs, cfg).run(every);
+    const auto b = sim::Simulator(system, scenario, *costs, cfg).run(once);
+
+    EXPECT_EQ(every.invocationTimes, once.invocationTimes);
+    test::expectStatsBitIdentical(scenario, a, b);
+    size_t on_tick = 0;
+    for (const double t : every.invocationTimes)
+        on_tick += std::fmod(t, TickingFcfs::kTickUs) == 0.0 ? 1 : 0;
+    EXPECT_GT(on_tick, size_t(cfg.windowUs / TickingFcfs::kTickUs) / 2)
+        << "the ticks did not drive re-invocations";
 }
 
 } // namespace

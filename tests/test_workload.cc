@@ -1,6 +1,10 @@
 /** @file Tests for scenarios (Table 3) and frame materialisation. */
 
 #include <map>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +171,94 @@ TEST(FrameSource, ChildDeadlineFromRelease)
     EXPECT_DOUBLE_EQ(child.arrivalUs, 5000.0);
     EXPECT_DOUBLE_EQ(child.deadlineUs,
                      5000.0 + s.tasks[1].periodUs());
+}
+
+/** The layer names of @p path, in order. */
+std::vector<std::string>
+namesOf(const models::Path& path)
+{
+    std::vector<std::string> names;
+    for (const auto& layer : path)
+        names.push_back(layer.name);
+    return names;
+}
+
+TEST(FrameSource, FramesOnOneSelectionShareTheirPath)
+{
+    // SkipNet (AR_Call task 2) has disjoint gated blocks and no early
+    // exit, so two of its frames drew the same selection exactly when
+    // their layer lists are equal. KWS (task 0) has no dynamicity.
+    const auto s = makeScenario(ScenarioPreset::ArCall);
+    ASSERT_TRUE(s.tasks[0].model.skipBlocks.empty());
+    ASSERT_TRUE(s.tasks[0].model.earlyExits.empty());
+    ASSERT_TRUE(s.tasks[2].model.earlyExits.empty());
+    const FrameSource src(s, 11);
+    std::map<std::vector<std::string>, const void*> by_selection;
+    std::set<const void*> skipnet_lists, kws_lists;
+    size_t skipnet_frames = 0;
+    for (const auto& f : src.rootFrames(30e6)) {
+        ASSERT_FALSE(f.path.empty());
+        // Materialising the frame again hands out the same list.
+        EXPECT_EQ(src.materialisePath(f.task, f.frameIdx).id(),
+                  f.path.id());
+        if (f.task == 0)
+            kws_lists.insert(f.path.id());
+        if (f.task != 2)
+            continue;
+        ++skipnet_frames;
+        skipnet_lists.insert(f.path.id());
+        const auto seen =
+            by_selection.emplace(namesOf(f.path), f.path.id()).first;
+        EXPECT_EQ(seen->second, f.path.id())
+            << "frame " << f.frameIdx << " repeats a selection on a "
+            << "list of its own";
+    }
+    EXPECT_EQ(kws_lists.size(), 1u);
+    // One list per distinct selection: different selections never
+    // share, and there are far fewer lists than frames.
+    EXPECT_EQ(skipnet_lists.size(), by_selection.size());
+    EXPECT_GT(by_selection.size(), 1u);
+    EXPECT_LT(by_selection.size(), skipnet_frames);
+}
+
+TEST(FrameSource, ConcurrentCallersGetTheSameLists)
+{
+    // One source serving four runs at once: every thread sees one
+    // list per selection, whichever thread interned it.
+    const auto s = makeScenario(ScenarioPreset::ArCall);
+    const FrameSource src(s, 5);
+    std::vector<std::vector<const void*>> ids(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < ids.size(); ++t) {
+        threads.emplace_back([&src, &ids, t] {
+            for (const auto& f : src.rootFrames(5e6))
+                ids[t].push_back(f.path.id());
+            for (int i = 0; i < 150; ++i)
+                ids[t].push_back(src.childFrame(1, i, 0.0, 1.0).path.id());
+        });
+    }
+    for (auto& thread : threads)
+        thread.join();
+    ASSERT_FALSE(ids[0].empty());
+    for (size_t t = 1; t < ids.size(); ++t)
+        EXPECT_EQ(ids[t], ids[0]) << "thread " << t;
+}
+
+TEST(FrameSource, PathsOutliveTheirSource)
+{
+    // Root frames kept after the source that built them is gone, as
+    // a benchmark keeps its intake.
+    const auto s = makeScenario(ScenarioPreset::ArCall);
+    const std::vector<FrameSpec> kept = FrameSource(s, 11).rootFrames(2e6);
+    const auto again = FrameSource(s, 11).rootFrames(2e6);
+    ASSERT_EQ(kept.size(), again.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+        ASSERT_EQ(kept[i].path.size(), again[i].path.size());
+        for (size_t l = 0; l < kept[i].path.size(); ++l) {
+            EXPECT_EQ(kept[i].path[l].name, again[i].path[l].name);
+            EXPECT_EQ(kept[i].path[l].macs(), again[i].path[l].macs());
+        }
+    }
 }
 
 TEST(FrameSource, TaskActivationWindowLimitsFrames)
