@@ -62,7 +62,8 @@ main(int argc, char** argv)
     // memoized on a transposition table — clamped and interpolated
     // candidates that revisit a point never re-simulate.
     engine::WorkerPool pool(opts.jobs);
-    engine::ParamSearch search(system, scenario, pool);
+    const auto eval = engine::makeBatchEvaluator(system, scenario, pool);
+    engine::ParamSearch search(eval);
     const auto result = search.optimize(0.2, 1.8);
     runner::Table t({"Step", "alpha", "beta", "UXCost", "radius",
                      "gap to grid optimum"});

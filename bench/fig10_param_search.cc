@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "bench_main.h"
@@ -92,9 +91,7 @@ main(int argc, char** argv)
     // AR_Social terrain case (c) already simulated, so its
     // overlapping candidates come out of the transposition table.
     std::map<workload::ScenarioPreset, workload::Scenario> scenarios;
-    std::map<workload::ScenarioPreset,
-             std::unique_ptr<engine::ParamSearch>>
-        searchers;
+    std::map<workload::ScenarioPreset, engine::ParamSearch> searchers;
 
     double locked_a = 1.0, locked_b = 1.0;
     for (auto& c : cases) {
@@ -111,11 +108,10 @@ main(int argc, char** argv)
 
         const auto best = optima[c.preset];
 
-        if (searchers.find(c.preset) == searchers.end())
-            searchers.emplace(
-                c.preset, std::make_unique<engine::ParamSearch>(
-                              system, scenario, pool));
-        engine::ParamSearch& search = *searchers.at(c.preset);
+        const auto eval =
+            engine::makeBatchEvaluator(system, scenario, pool);
+        engine::ParamSearch& search =
+            searchers.try_emplace(c.preset, eval).first->second;
         const auto result = search.optimize(c.a0, c.b0);
         if (std::string(c.name).find("(a)") == 0) {
             locked_a = result.alpha;

@@ -16,6 +16,7 @@
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
+#include "engine/param_search.h"
 #include "runner/table.h"
 
 using namespace dream;
@@ -70,8 +71,8 @@ main(int argc, char** argv)
 
         const auto eval =
             engine::makeBatchEvaluator(system, scenario, pool);
-        core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-        const auto result = search.optimize(eval, c.a0, c.b0);
+        engine::ParamSearch search(eval);
+        const auto result = search.optimize(c.a0, c.b0);
 
         const double base = result.trajectory.front().cost;
         std::vector<std::string> row{c.name};

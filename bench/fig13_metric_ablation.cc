@@ -16,6 +16,7 @@
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
+#include "engine/param_search.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
 
@@ -60,13 +61,11 @@ main(int argc, char** argv)
                                    metrics::Objective::EnergyOnly}) {
                 const auto eval = engine::makeBatchEvaluator(
                     system, scenario, pool, obj);
-                core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-                const auto result = search.optimize(eval, 1.0, 1.0);
+                engine::ParamSearch search(eval);
+                const auto result = search.optimize(1.0, 1.0);
                 // Re-evaluate the found parameters on all metrics.
-                core::DreamConfig cfg = core::DreamConfig::fixedParams(
-                    result.alpha, result.beta);
-                cfg.smartDrop = true;
-                core::DreamScheduler sched(cfg);
+                core::DreamScheduler sched(
+                    engine::fixedParamConfig(result.alpha, result.beta));
                 const auto r = runner::runOnce(
                     system, scenario, sched, engine::kSearchWindowUs,
                     engine::kSearchSeed);

@@ -140,30 +140,6 @@ OnlineTuner::fingerprint(const sim::SchedulerContext& ctx) const
 }
 
 void
-OnlineTuner::setBatchEvaluator(BatchCostFn evaluate)
-{
-    batchEvaluate_ = std::move(evaluate);
-}
-
-void
-OnlineTuner::reset()
-{
-    phase_ = Phase::Idle;
-    radius_ = 0.0;
-    curAlpha_ = config_.alpha;
-    curBeta_ = config_.beta;
-    candidates_.clear();
-    trialIdx_ = 0;
-    trialEndUs_ = -1.0;
-    trialStart_ = sim::RunStats{};
-    lastFingerprint_ = 0;
-    lastViolationFraction_ = 0.0;
-    started_ = false;
-    completedSteps_ = 0;
-    retriggers_ = 0;
-}
-
-void
 OnlineTuner::buildCandidates()
 {
     candidates_.clear();
@@ -176,7 +152,7 @@ OnlineTuner::buildCandidates()
                 return;
             }
         }
-        candidates_.push_back({pa, pb, 0.0, false});
+        candidates_.push_back({pa, pb, 0.0});
     };
     // Online rounds probe only the immediate neighbourhood: unlike
     // the offline search, every probe executes real frames, so
@@ -194,31 +170,6 @@ OnlineTuner::startRound(const sim::SchedulerContext& ctx,
                         MapScoreEngine& engine)
 {
     buildCandidates();
-
-    if (batchEvaluate_) {
-        // Simulation-study path: the candidates of each round are
-        // independent, so evaluate them as one batch (concurrently
-        // on the caller's worker pool) and complete rounds
-        // synchronously until the radius passes the threshold.
-        phase_ = Phase::Trial;
-        while (phase_ == Phase::Trial) {
-            std::vector<std::pair<double, double>> pts;
-            pts.reserve(candidates_.size());
-            for (const auto& c : candidates_)
-                pts.push_back({c.alpha, c.beta});
-            const std::vector<double> costs = batchEvaluate_(pts);
-            assert(costs.size() == pts.size());
-            for (size_t i = 0; i < candidates_.size(); ++i) {
-                candidates_[i].cost = costs[i];
-                candidates_[i].evaluated = true;
-            }
-            finishRound(engine);
-            if (phase_ == Phase::Trial)
-                buildCandidates();
-        }
-        return;
-    }
-
     phase_ = Phase::Trial;
     beginTrial(ctx, engine, 0);
 }
@@ -296,7 +247,6 @@ OnlineTuner::update(const sim::SchedulerContext& ctx,
         candidates_[trialIdx_].cost =
             windowedObjective(config_.objective, trialStart_,
                               *ctx.stats);
-        candidates_[trialIdx_].evaluated = true;
         if (trialIdx_ + 1 < candidates_.size()) {
             beginTrial(ctx, engine, trialIdx_ + 1);
             return trialEndUs_;

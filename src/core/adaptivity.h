@@ -135,23 +135,10 @@ public:
                   MapScoreEngine& engine);
 
     /**
-     * Simulation-study shortcut: when set, each tuning round
-     * evaluates its candidate (alpha, beta) pairs through one
-     * batched call (e.g. engine::makeBatchEvaluator, which runs the
-     * batch concurrently on a worker pool) instead of consuming
-     * consecutive live trial windows. Rounds then complete
-     * synchronously inside update(), shrinking the radius until the
-     * threshold passes — the workload never runs under probe
-     * parameters. Deterministic for any worker count as long as the
-     * evaluator is (the engine's is).
-     */
-    void setBatchEvaluator(BatchCostFn evaluate);
-
-    /**
      * Return to the initial (not-yet-started) state for a fresh run,
-     * keeping the configuration and any installed batch evaluator.
+     * keeping the configuration.
      */
-    void reset();
+    void reset() { *this = OnlineTuner(config_); }
 
     /** True while a tuning round is in flight. */
     bool tuning() const { return phase_ == Phase::Trial; }
@@ -165,7 +152,6 @@ private:
 
     struct Candidate {
         double alpha, beta, cost;
-        bool evaluated = false;
     };
 
     void buildCandidates();
@@ -177,7 +163,6 @@ private:
     uint64_t fingerprint(const sim::SchedulerContext& ctx) const;
 
     DreamConfig config_;
-    BatchCostFn batchEvaluate_;
     Phase phase_ = Phase::Idle;
     double radius_ = 0.0;
     double curAlpha_ = 1.0;

@@ -79,8 +79,6 @@ DreamScheduler::reset(const sim::SchedulerContext& ctx)
     // Scenario/cost objects of the new run may reuse the previous
     // run's addresses — drop the scratch caches explicitly.
     engine_.clearScratch();
-    // Fresh tuner state; a batch evaluator installed for simulation
-    // studies (engine::attachBatchTuner) survives resets.
     tuner_.reset();
 }
 

@@ -41,12 +41,6 @@ public:
     const MapScoreEngine& mapScore() const { return engine_; }
     /** The online tuner (for observability in tests/benches). */
     const OnlineTuner& tuner() const { return tuner_; }
-    /**
-     * Mutable tuner access, e.g. to install a batched candidate
-     * evaluator for simulation studies (see
-     * engine::attachBatchTuner).
-     */
-    OnlineTuner& tuner() { return tuner_; }
 
 private:
     DreamConfig config_;

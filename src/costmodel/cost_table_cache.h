@@ -63,8 +63,8 @@ struct TableKeyHash {
     size_t operator()(const TableKey& k) const;
 };
 
-/** Canonical serialisation of a system (also the contextKey input of
- *  engine::ParamSearch). Doubles serialise by bit pattern. */
+/** Canonical serialisation of a system. Doubles serialise by bit
+ *  pattern. */
 std::string systemFingerprint(const hw::SystemConfig& system);
 
 /** The cache key of (system, the scenario's model set). */

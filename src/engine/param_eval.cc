@@ -3,55 +3,36 @@
 #include <cassert>
 #include <limits>
 
-#include "core/dream_config.h"
 #include "core/dream_scheduler.h"
 #include "runner/experiment.h"
 
 namespace dream {
 namespace engine {
 
-core::CostFn
-makeEvaluator(const hw::SystemConfig& system,
-              const workload::Scenario& scenario,
-              metrics::Objective objective, uint64_t seed)
+core::DreamConfig
+fixedParamConfig(double alpha, double beta)
 {
-    return [&system, &scenario, objective, seed](double a, double b) {
-        core::DreamConfig cfg = core::DreamConfig::fixedParams(a, b);
-        cfg.smartDrop = true;
-        core::DreamScheduler sched(cfg);
-        const auto r = runner::runOnce(system, scenario, sched,
-                                       kSearchWindowUs, seed);
-        return metrics::evaluate(objective, r.stats);
-    };
+    core::DreamConfig cfg = core::DreamConfig::fixedParams(alpha, beta);
+    cfg.smartDrop = true;
+    return cfg;
 }
 
 core::BatchCostFn
 makeBatchEvaluator(const hw::SystemConfig& system,
                    const workload::Scenario& scenario,
-                   const WorkerPool& pool, metrics::Objective objective,
-                   uint64_t seed)
+                   const WorkerPool& pool, metrics::Objective objective)
 {
-    return [&system, &scenario, &pool, objective,
-            seed](const std::vector<std::pair<double, double>>& pts) {
-        const core::CostFn eval =
-            makeEvaluator(system, scenario, objective, seed);
+    return [&system, &scenario, &pool, objective](const auto& pts) {
         std::vector<double> out(pts.size());
         pool.parallelFor(pts.size(), [&](size_t i) {
-            out[i] = eval(pts[i].first, pts[i].second);
+            core::DreamScheduler sched(
+                fixedParamConfig(pts[i].first, pts[i].second));
+            const auto r = runner::runOnce(system, scenario, sched,
+                                           kSearchWindowUs, kSearchSeed);
+            out[i] = metrics::evaluate(objective, r.stats);
         });
         return out;
     };
-}
-
-void
-attachBatchTuner(core::DreamScheduler& sched,
-                 const hw::SystemConfig& system,
-                 const workload::Scenario& scenario,
-                 const WorkerPool& pool, metrics::Objective objective,
-                 uint64_t seed)
-{
-    sched.tuner().setBatchEvaluator(
-        makeBatchEvaluator(system, scenario, pool, objective, seed));
 }
 
 SchedulerSpec
@@ -60,9 +41,8 @@ dreamFixedParamScheduler()
     SchedulerSpec spec;
     spec.name = "DREAM-Fixed";
     spec.make = [](const ParamMap& params) {
-        core::DreamConfig cfg = core::DreamConfig::fixedParams(
+        const core::DreamConfig cfg = fixedParamConfig(
             paramValue(params, "alpha"), paramValue(params, "beta"));
-        cfg.smartDrop = true;
         return std::unique_ptr<sim::Scheduler>(
             std::make_unique<core::DreamScheduler>(cfg));
     };
@@ -71,7 +51,7 @@ dreamFixedParamScheduler()
 
 SweepGrid
 paramSpaceGrid(hw::SystemPreset system, workload::ScenarioPreset scenario,
-               int n, double window_us, uint64_t seed)
+               int n)
 {
     assert(n >= 2 && "parameter grid needs at least 2 points per axis");
     SweepGrid grid;
@@ -79,8 +59,8 @@ paramSpaceGrid(hw::SystemPreset system, workload::ScenarioPreset scenario,
         .addSystem(system)
         .linspaceParam("alpha", 0.0, 2.0, n)
         .linspaceParam("beta", 0.0, 2.0, n)
-        .seeds({seed})
-        .window(window_us);
+        .seeds({kSearchSeed})
+        .window(kSearchWindowUs);
     const SchedulerSpec sched = dreamFixedParamScheduler();
     grid.addScheduler(sched.name, sched.make);
     return grid;

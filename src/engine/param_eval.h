@@ -1,15 +1,14 @@
 /**
  * @file
- * (alpha, beta) parameter-space evaluation on the sweep engine —
- * the engine-side home of what bench/search_util.h used to provide
- * for Figures 3, 10, 11 and 13.
+ * (alpha, beta) parameter-space evaluation on the sweep engine, for
+ * Figures 3, 10, 11 and 13.
  *
- * makeEvaluator() scores a single parameter pair by running a short
- * fixed-parameter DREAM simulation; makeBatchEvaluator() evaluates a
- * batch of pairs concurrently on a WorkerPool (feeding
- * core::ParamSearch's batched optimize()); paramSpaceGrid() declares
- * the [0, 2]^2 scan of the parameter space as a SweepGrid so the
- * full grid runs through Engine::run() with any --jobs value.
+ * Every parameter evaluation runs one DREAM configuration,
+ * fixedParamConfig(): the scheduler axis of paramSpaceGrid() (the
+ * [0, 2]^2 scan as a SweepGrid, run through Engine::run() with any
+ * --jobs value), makeBatchEvaluator() (the cost function behind
+ * engine::ParamSearch, evaluating a batch of pairs concurrently on a
+ * WorkerPool) and Figure 13's re-evaluation of a found pair.
  */
 
 #ifndef DREAM_ENGINE_PARAM_EVAL_H
@@ -18,7 +17,7 @@
 #include <vector>
 
 #include "core/adaptivity.h"
-#include "core/dream_scheduler.h"
+#include "core/dream_config.h"
 #include "engine/engine.h"
 #include "engine/sweep_grid.h"
 #include "engine/worker_pool.h"
@@ -30,66 +29,44 @@ namespace engine {
 /** Window used for each parameter evaluation run. */
 constexpr double kSearchWindowUs = 1e6;
 
-/** Default seed of parameter evaluation runs. */
+/** Seed of parameter evaluation runs. */
 constexpr uint64_t kSearchSeed = 11;
 
 /**
- * Cost function over (alpha, beta): the objective of a
- * fixed-parameter smart-drop DREAM run on (system, scenario).
- * Captures @p system and @p scenario by reference.
+ * The configuration every (alpha, beta) evaluation runs: DREAM with
+ * the MapScore parameters fixed at (@p alpha, @p beta) and smart
+ * frame drop on.
  */
-core::CostFn
-makeEvaluator(const hw::SystemConfig& system,
-              const workload::Scenario& scenario,
-              metrics::Objective objective = metrics::Objective::UxCost,
-              uint64_t seed = kSearchSeed);
+core::DreamConfig fixedParamConfig(double alpha, double beta);
 
 /**
- * Batched variant: evaluates each pair of a batch concurrently on
- * @p pool. Results are positionally identical to calling
- * makeEvaluator()'s function per pair. Captures @p system,
- * @p scenario and @p pool by reference.
+ * Cost function over batches of (alpha, beta) pairs: the objective
+ * of a fixedParamConfig() run of (system, scenario) per pair, over
+ * kSearchWindowUs with kSearchSeed, evaluated concurrently on
+ * @p pool. Captures @p system, @p scenario and @p pool by reference.
  */
 core::BatchCostFn
 makeBatchEvaluator(const hw::SystemConfig& system,
                    const workload::Scenario& scenario,
                    const WorkerPool& pool,
                    metrics::Objective objective =
-                       metrics::Objective::UxCost,
-                   uint64_t seed = kSearchSeed);
+                       metrics::Objective::UxCost);
 
 /**
- * Install a batched candidate evaluator on @p sched's online tuner
- * (ROADMAP item "OnlineTuner trial windows reuse the batched
- * evaluator"): tuning rounds in simulation studies then evaluate
- * their candidate (alpha, beta) pairs concurrently on @p pool in
- * forked short runs instead of consuming consecutive live trial
- * windows. Captures @p system, @p scenario and @p pool by reference.
- */
-void attachBatchTuner(core::DreamScheduler& sched,
-                      const hw::SystemConfig& system,
-                      const workload::Scenario& scenario,
-                      const WorkerPool& pool,
-                      metrics::Objective objective =
-                          metrics::Objective::UxCost,
-                      uint64_t seed = kSearchSeed);
-
-/**
- * Scheduler axis of parameter sweeps: fixed-(alpha, beta) DREAM with
- * smart drop, reading the grid parameters "alpha" and "beta".
+ * Scheduler axis of parameter sweeps: fixedParamConfig() DREAM,
+ * reading the grid parameters "alpha" and "beta".
  */
 SchedulerSpec dreamFixedParamScheduler();
 
 /**
  * The n x n scan of (alpha, beta) in [0, 2]^2 used as the global-
  * optimum reference of Figures 3, 10 and 11, as an engine grid:
- * one scenario, one system, dreamFixedParamScheduler(), and
- * linspace parameter axes "alpha" (outer) and "beta" (inner).
+ * one scenario, one system, dreamFixedParamScheduler(), linspace
+ * parameter axes "alpha" (outer) and "beta" (inner), kSearchSeed
+ * and kSearchWindowUs.
  */
 SweepGrid paramSpaceGrid(hw::SystemPreset system,
-                         workload::ScenarioPreset scenario, int n,
-                         double window_us = kSearchWindowUs,
-                         uint64_t seed = kSearchSeed);
+                         workload::ScenarioPreset scenario, int n);
 
 /** Minimum-UXCost point of a parameter sweep's records. */
 struct ParamOptimum {

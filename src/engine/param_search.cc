@@ -1,281 +1,64 @@
 #include "engine/param_search.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cstring>
-#include <limits>
-#include <numeric>
+#include <set>
 
 #include "core/dream_config.h"
-#include "core/dream_scheduler.h"
-#include "costmodel/cost_table_cache.h"
-#include "runner/experiment.h"
 
 namespace dream {
 namespace engine {
 
-namespace {
-
-uint64_t
-fnv1a(uint64_t h, const void* data, size_t n)
-{
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-uint64_t
-mixBits(uint64_t h, uint64_t v)
-{
-    return fnv1a(h, &v, sizeof v);
-}
-
-uint64_t
-mixDouble(uint64_t h, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return mixBits(h, bits);
-}
-
-/**
- * Canonical context key: what the transposition table's values are a
- * function of. A table is only valid for one (system, model set,
- * objective, seed, window, search bounds) combination — searchers
- * with equal keys compute equal costs at equal points.
- */
-uint64_t
-makeContextKey(const hw::SystemConfig& system,
-               const workload::Scenario& scenario,
-               const ParamSearch::Options& opts)
-{
-    uint64_t h = 1469598103934665603ull;
-    const std::string sys = cost::systemFingerprint(system);
-    h = fnv1a(h, sys.data(), sys.size());
-    h = fnv1a(h, scenario.name.data(), scenario.name.size());
-    h = mixBits(h, scenario.tasks.size());
-    for (const auto& task : scenario.tasks) {
-        h = fnv1a(h, task.model.name.data(), task.model.name.size());
-        h = mixDouble(h, task.fps);
-        h = mixBits(h, uint64_t(int64_t(task.dependsOn)));
-        h = mixDouble(h, task.triggerProb);
-        h = mixDouble(h, task.startUs);
-        h = mixDouble(h, task.endUs);
-        h = mixBits(h, task.model.layers.size());
-        for (const auto& l : task.model.layers) {
-            const cost::LayerKey key = cost::makeKey(l);
-            h = fnv1a(h, &key, sizeof key);
-        }
-        h = mixBits(h, task.model.variants.size());
-        for (const auto& v : task.model.variants) {
-            h = mixBits(h, v.bodyLayers.size());
-            for (const auto& l : v.bodyLayers) {
-                const cost::LayerKey key = cost::makeKey(l);
-                h = fnv1a(h, &key, sizeof key);
-            }
-        }
-    }
-    h = mixBits(h, uint64_t(opts.objective));
-    h = mixBits(h, opts.seed);
-    h = mixDouble(h, opts.windowUs);
-    h = mixDouble(h, opts.initialRadius);
-    h = mixDouble(h, opts.radiusThreshold);
-    h = mixDouble(h, opts.paramMin);
-    h = mixDouble(h, opts.paramMax);
-    return h;
-}
-
-ParamSearch::Options
-validated(ParamSearch::Options opts)
-{
-    assert(opts.paramMin <= opts.paramMax);
-    assert(opts.initialRadius > 0.0 && opts.radiusThreshold > 0.0);
-    return opts;
-}
-
-} // anonymous namespace
-
-size_t
-ParamSearch::PointKeyHash::operator()(const PointKey& k) const
-{
-    uint64_t h = 1469598103934665603ull;
-    h = mixBits(h, k.alphaBits);
-    h = mixBits(h, k.betaBits);
-    return size_t(h);
-}
-
-ParamSearch::ParamSearch(const hw::SystemConfig& system,
-                         const workload::Scenario& scenario,
-                         const WorkerPool& pool, Options opts)
-    : opts_(validated(opts)),
-      contextKey_(makeContextKey(system, scenario, opts_))
-{
-    // Like makeBatchEvaluator, but honouring opts_.windowUs: a
-    // batch of fixed-parameter smart-drop DREAM runs on the pool.
-    // Each run routes through the shared cost cache (experiment.cc),
-    // so the whole search builds ONE cost table.
-    const Options o = opts_;
-    evaluate_ = [&system, &scenario, &pool,
-                 o](const std::vector<std::pair<double, double>>& pts) {
-        std::vector<double> out(pts.size());
-        pool.parallelFor(pts.size(), [&](size_t i) {
-            core::DreamConfig cfg = core::DreamConfig::fixedParams(
-                pts[i].first, pts[i].second);
-            cfg.smartDrop = true;
-            core::DreamScheduler sched(cfg);
-            const auto r = runner::runOnce(system, scenario, sched,
-                                           o.windowUs, o.seed);
-            out[i] = metrics::evaluate(o.objective, r.stats);
-        });
-        return out;
-    };
-}
-
-ParamSearch::ParamSearch(const hw::SystemConfig& system,
-                         const workload::Scenario& scenario,
-                         const WorkerPool& pool)
-    : ParamSearch(system, scenario, pool, Options())
-{
-}
-
-ParamSearch::ParamSearch(core::BatchCostFn evaluate, Options opts)
-    : opts_(validated(opts)), evaluate_(std::move(evaluate))
-{
-}
-
 ParamSearch::ParamSearch(core::BatchCostFn evaluate)
-    : ParamSearch(std::move(evaluate), Options())
+    : walk_(core::DreamConfig()), evaluate_(std::move(evaluate))
 {
 }
 
-core::BatchCostFn
-ParamSearch::memoizedBatch()
+std::vector<double>
+ParamSearch::lookup(const std::vector<std::pair<double, double>>& pts)
 {
-    return [this](const std::vector<std::pair<double, double>>& pts) {
-        const auto make_key = [](const std::pair<double, double>& p) {
-            PointKey k;
-            std::memcpy(&k.alphaBits, &p.first, sizeof k.alphaBits);
-            std::memcpy(&k.betaBits, &p.second, sizeof k.betaBits);
-            return k;
-        };
-
-        std::vector<double> out(pts.size());
-        std::vector<PointKey> keys(pts.size());
-        std::vector<char> pending(pts.size(), 0);
-        // First occurrences of keys missing from the table, in batch
-        // order — the only points that simulate.
-        std::vector<size_t> need;
-        std::unordered_map<PointKey, size_t, PointKeyHash> in_batch;
-        for (size_t i = 0; i < pts.size(); ++i) {
-            keys[i] = make_key(pts[i]);
-            const auto it = table_.find(keys[i]);
-            if (it != table_.end()) {
-                out[i] = it->second;
-                ++hits_;
-            } else if (in_batch.emplace(keys[i], i).second) {
-                need.push_back(i);
-                pending[i] = 1;
-            } else {
-                // Duplicate within the batch: the first occurrence
-                // simulates, this one reads the table afterwards.
-                ++hits_;
-                pending[i] = 1;
-            }
-        }
-        if (!need.empty()) {
-            std::vector<std::pair<double, double>> sub;
-            sub.reserve(need.size());
-            for (const size_t i : need)
-                sub.push_back(pts[i]);
-            const std::vector<double> costs = evaluate_(sub);
-            assert(costs.size() == sub.size());
-            simulations_ += need.size();
-            for (size_t k = 0; k < need.size(); ++k)
-                table_.emplace(keys[need[k]], costs[k]);
-        }
-        for (size_t i = 0; i < pts.size(); ++i) {
-            if (pending[i])
-                out[i] = table_.at(keys[i]);
-        }
-        return out;
+    const auto key = [](const std::pair<double, double>& p) {
+        return PointKey{std::bit_cast<uint64_t>(p.first),
+                        std::bit_cast<uint64_t>(p.second)};
     };
-}
-
-core::SearchResult
-ParamSearch::runFrom(double a0, double b0)
-{
-    const uint64_t hits0 = hits_;
-    const uint64_t sims0 = simulations_;
-    const core::ParamSearch search(opts_.initialRadius,
-                                   opts_.radiusThreshold,
-                                   opts_.paramMin, opts_.paramMax);
-    core::SearchResult r = search.optimize(memoizedBatch(), a0, b0);
-    r.memoHits = int(hits_ - hits0);
-    r.simulated = int(simulations_ - sims0);
-    return r;
+    // First occurrences of points missing from the table, in batch
+    // order — the only points that simulate. A repeat within the
+    // batch reads the table afterwards, like any other hit.
+    std::vector<std::pair<double, double>> fresh;
+    std::set<PointKey> in_batch;
+    for (const auto& p : pts) {
+        const PointKey k = key(p);
+        if (table_.count(k) || !in_batch.insert(k).second)
+            ++hits_;
+        else
+            fresh.push_back(p);
+    }
+    if (!fresh.empty()) {
+        const std::vector<double> costs = evaluate_(fresh);
+        assert(costs.size() == fresh.size());
+        simulations_ += fresh.size();
+        for (size_t i = 0; i < fresh.size(); ++i)
+            table_.emplace(key(fresh[i]), costs[i]);
+    }
+    std::vector<double> out;
+    out.reserve(pts.size());
+    for (const auto& p : pts)
+        out.push_back(table_.at(key(p)));
+    return out;
 }
 
 core::SearchResult
 ParamSearch::optimize(double a0, double b0)
 {
-    return runFrom(a0, b0);
-}
-
-core::SearchResult
-ParamSearch::optimize(
-    const std::vector<std::pair<double, double>>& starts)
-{
-    assert(!starts.empty());
     const uint64_t hits0 = hits_;
     const uint64_t sims0 = simulations_;
-
-    // Depth-0 pass: probe every start in ONE memoized batch (the
-    // searches below then deepen radius by radius from the
-    // surviving starts).
-    const auto clamp = [this](double v) {
-        return std::min(opts_.paramMax, std::max(opts_.paramMin, v));
+    const core::BatchCostFn memoized = [this](const auto& pts) {
+        return lookup(pts);
     };
-    std::vector<std::pair<double, double>> probes;
-    probes.reserve(starts.size());
-    for (const auto& s : starts)
-        probes.push_back({clamp(s.first), clamp(s.second)});
-    const std::vector<double> probe_cost = memoizedBatch()(probes);
-
-    // Best-first exploration order (ties: original start order).
-    std::vector<size_t> order(starts.size());
-    std::iota(order.begin(), order.end(), size_t(0));
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return probe_cost[a] < probe_cost[b];
-                     });
-
-    core::SearchResult best;
-    best.cost = std::numeric_limits<double>::max();
-    bool have = false;
-    double incumbent = std::numeric_limits<double>::max();
-    for (const size_t k : order) {
-        // Bound: a start whose own cost is already worse than a
-        // completed search's optimum is dominated — cut it.
-        if (have && probe_cost[k] > incumbent) {
-            ++pruned_;
-            continue;
-        }
-        core::SearchResult r = runFrom(starts[k].first,
-                                       starts[k].second);
-        incumbent = std::min(incumbent, r.cost);
-        if (!have || r.cost < best.cost) {
-            best = r;
-            have = true;
-        }
-    }
-    // Report the whole multi-start call's transposition traffic on
-    // the returned result (the probe batch included).
-    best.memoHits = int(hits_ - hits0);
-    best.simulated = int(simulations_ - sims0);
-    return best;
+    core::SearchResult r = walk_.optimize(memoized, a0, b0);
+    r.memoHits = int(hits_ - hits0);
+    r.simulated = int(simulations_ - sims0);
+    return r;
 }
 
 } // namespace engine

@@ -1,81 +1,48 @@
 /**
  * @file
  * Memoized (alpha, beta) search on the sweep engine — the
- * transposition-table upgrade of core::ParamSearch (the ROADMAP's
- * "memoized search" item, the AlphaBetaSearch + Dictionary idiom).
+ * transposition-table upgrade of core::ParamSearch (the AlphaBetaSearch
+ * + Dictionary idiom) and the one search path of Figures 3, 10, 11
+ * and 13.
  *
  * The shrinking-radius search of Section 3.6 re-visits parameter
  * points constantly: clamped candidates collapse onto bounds,
  * interpolated moves land on already-probed pairs, and consecutive
  * searches over one workload (Figure 10's case (c) -> (d)) re-walk
- * the same region. engine::ParamSearch wraps the core search with a
- * transposition table keyed by the exact (alpha, beta) bit patterns,
- * scoped to a canonical context key over (system, scenario,
- * objective, seed, window, search config) — a simulated point is
- * never re-run, and the table survives across optimize() calls on
- * one searcher.
+ * the same region. engine::ParamSearch runs the core search through
+ * a transposition table keyed by the exact (alpha, beta) bit
+ * patterns — a simulated point is never re-run, and the table
+ * survives across optimize() calls on one searcher. The table is
+ * only valid for one evaluator, so a searcher owns its evaluator.
  *
  * Determinism: the memo only short-circuits re-evaluations of a
  * deterministic evaluator at bit-identical points, so optimize()
  * returns the exact SearchResult (trajectory included) the
  * un-memoized batched search returns — asserted in
  * tests/test_param_search.cc.
- *
- * The multi-start overload is the iterative-deepening/branch-and-
- * bound layer: all starts are probed in one batch first (depth-0
- * pass), explored best-first, and a start whose probe cost already
- * exceeds the incumbent full-search optimum is pruned against that
- * UXCost bound (a heuristic dominance cut: descending from a
- * clearly-dominated start into the same basin the incumbent already
- * searched is wasted simulation; the memo makes the occasional
- * shared descent free anyway).
  */
 
 #ifndef DREAM_ENGINE_PARAM_SEARCH_H
 #define DREAM_ENGINE_PARAM_SEARCH_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "core/adaptivity.h"
-#include "engine/param_eval.h"
-#include "engine/worker_pool.h"
 
 namespace dream {
 namespace engine {
 
-/** Memoized, optionally multi-start (alpha, beta) searcher. */
+/** Memoized (alpha, beta) searcher. */
 class ParamSearch {
 public:
-    struct Options {
-        double initialRadius = 0.5;
-        double radiusThreshold = 0.05;
-        double paramMin = 0.0;
-        double paramMax = 2.0;
-        metrics::Objective objective = metrics::Objective::UxCost;
-        uint64_t seed = kSearchSeed;
-        double windowUs = kSearchWindowUs;
-    };
-
     /**
-     * Search over fixed-parameter DREAM simulations of
-     * (system, scenario), batching candidate evaluations on @p pool
-     * (captured by reference, like makeBatchEvaluator).
+     * Search over @p evaluate (engine::makeBatchEvaluator for
+     * simulation objectives) with the radii and bounds of the
+     * default core::DreamConfig.
      */
-    ParamSearch(const hw::SystemConfig& system,
-                const workload::Scenario& scenario,
-                const WorkerPool& pool, Options opts);
-    ParamSearch(const hw::SystemConfig& system,
-                const workload::Scenario& scenario,
-                const WorkerPool& pool);
-
-    /**
-     * Search over an explicit batched cost function (tests,
-     * non-simulation objectives). The context key is 0.
-     */
-    ParamSearch(core::BatchCostFn evaluate, Options opts);
     explicit ParamSearch(core::BatchCostFn evaluate);
 
     /**
@@ -85,52 +52,27 @@ public:
      */
     core::SearchResult optimize(double a0, double b0);
 
-    /**
-     * Branch-and-bound multi-start: probe every start in one batch,
-     * explore in ascending probe-cost order, prune starts whose
-     * probe cost exceeds the incumbent optimum. Returns the best
-     * full-search result (ties: earliest start in @p starts order).
-     */
-    core::SearchResult
-    optimize(const std::vector<std::pair<double, double>>& starts);
-
     /** Cost-function executions across this searcher's lifetime. */
     uint64_t simulations() const { return simulations_; }
     /** Evaluations served from the transposition table. */
     uint64_t transpositionHits() const { return hits_; }
     /** Distinct (alpha, beta) points held. */
     size_t tableSize() const { return table_.size(); }
-    /** Starts cut by the incumbent bound. */
-    uint64_t prunedStarts() const { return pruned_; }
-    /**
-     * Canonical hash of (system fingerprint, scenario structure,
-     * objective, seed, window, search config) — the scope of this
-     * table. Two searchers with equal context keys may share memo
-     * state; 0 for the explicit-cost-function constructor.
-     */
-    uint64_t contextKey() const { return contextKey_; }
 
 private:
-    /** Exact transposition key: the candidate's clamped bits. */
-    struct PointKey {
-        uint64_t alphaBits = 0;
-        uint64_t betaBits = 0;
-        bool operator==(const PointKey&) const = default;
-    };
-    struct PointKeyHash {
-        size_t operator()(const PointKey& k) const;
-    };
+    /** Exact transposition key: the candidate's (alpha, beta) bits. */
+    using PointKey = std::pair<uint64_t, uint64_t>;
 
-    core::BatchCostFn memoizedBatch();
-    core::SearchResult runFrom(double a0, double b0);
+    /** @p pts' costs, simulating only points the table lacks. */
+    std::vector<double>
+    lookup(const std::vector<std::pair<double, double>>& pts);
 
-    Options opts_;
+    /** The un-memoized Section 3.6 walk, run over lookup(). */
+    core::ParamSearch walk_;
     core::BatchCostFn evaluate_;
-    std::unordered_map<PointKey, double, PointKeyHash> table_;
-    uint64_t contextKey_ = 0;
+    std::map<PointKey, double> table_;
     uint64_t simulations_ = 0;
     uint64_t hits_ = 0;
-    uint64_t pruned_ = 0;
 };
 
 } // namespace engine

@@ -10,15 +10,16 @@
  * alone, ready to be persisted into the hard-scenarios suite
  * (workload/scenario_suite.h) and re-swept in CI.
  *
- * Structure mirrors ParamSearch deliberately:
+ * Like ParamSearch, it keeps
  *  - a transposition table keyed by the candidate's exact identity
  *    (serializeGenSpec(spec) + genSeed) — a (spec, seed) pair is
  *    never simulated twice, across rounds, starts and run() calls;
  *  - batch evaluation with in-batch dedup, so duplicate candidates
  *    inside one round cost one simulation (tests assert
- *    simulations() == tableSize());
- *  - a depth-0 probe pass over all starts, explored best-first, with
- *    starts dominated by the incumbent pruned.
+ *    simulations() == tableSize()).
+ * Unlike ParamSearch, which walks from one start, it runs a depth-0
+ * probe pass over several starts, explores them best-first, and
+ * prunes the starts the incumbent dominates.
  *
  * Candidates are evaluated through engine::Engine as ordinary sweep
  * grids (target scheduler + FCFS baseline per candidate), so --jobs

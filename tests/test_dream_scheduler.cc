@@ -136,5 +136,31 @@ TEST(DreamScheduler, FullConfigRunsEndToEnd)
     EXPECT_GE(sched.tuner().completedSteps(), 1);
 }
 
+TEST(DreamScheduler, ReusedInstanceMatchesFresh)
+{
+    // runner::runSeeds runs one scheduler instance per seed, so
+    // reset() must leave DREAM-Full, online tuner included, exactly
+    // as a fresh instance starts.
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
+    for (const auto preset : {workload::ScenarioPreset::VrGaming,
+                              workload::ScenarioPreset::ArSocial,
+                              workload::ScenarioPreset::DroneOutdoor}) {
+        SCOPED_TRACE(workload::toString(preset));
+        const auto scenario = workload::makeScenario(preset, 0.9);
+        core::DreamScheduler reused(core::DreamConfig::full());
+        runner::runOnce(system, scenario, reused, 1e6, 3);
+        const auto second =
+            runner::runOnce(system, scenario, reused, 1e6, 7);
+
+        core::DreamScheduler fresh(core::DreamConfig::full());
+        const auto first = runner::runOnce(system, scenario, fresh, 1e6, 7);
+        test::expectStatsBitIdentical(scenario, second.stats, first.stats);
+        EXPECT_EQ(reused.tuner().completedSteps(),
+                  fresh.tuner().completedSteps());
+        EXPECT_EQ(reused.tuner().retriggers(),
+                  fresh.tuner().retriggers());
+    }
+}
+
 } // namespace
 } // namespace dream

@@ -312,12 +312,16 @@ TEST(Engine, ParamGridMatchesSingleEvaluator)
 
     const auto system = hw::makeSystem(sys_preset);
     const auto scenario = workload::makeScenario(sc_preset);
-    const auto eval = engine::makeEvaluator(system, scenario);
-    for (const auto& r : records) {
-        const double a = engine::paramValue(r.params, "alpha");
-        const double b = engine::paramValue(r.params, "beta");
-        EXPECT_DOUBLE_EQ(r.uxCost, eval(a, b)) << r.key();
-    }
+    engine::WorkerPool pool(2);
+    std::vector<std::pair<double, double>> pts;
+    for (const auto& r : records)
+        pts.push_back({engine::paramValue(r.params, "alpha"),
+                       engine::paramValue(r.params, "beta")});
+    const auto costs =
+        engine::makeBatchEvaluator(system, scenario, pool)(pts);
+    ASSERT_EQ(costs.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i)
+        EXPECT_EQ(records[i].uxCost, costs[i]) << records[i].key();
 }
 
 /** The whole of a selected ordering. */
@@ -747,31 +751,6 @@ TEST(SweepGrid, GeneratedScenarioAxisIsDeterministic)
         EXPECT_EQ(r1[i].uxCost, r2[i].uxCost) << i;
         EXPECT_EQ(r1[i].totalFrames, r2[i].totalFrames) << i;
     }
-}
-
-TEST(OnlineTuner, BatchEvaluatorCompletesRoundsSynchronously)
-{
-    // AR_Call: the lightest preset — each candidate evaluation forks
-    // a full search-window simulation, so keep the workload small.
-    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
-
-    const auto run = [&](int jobs) {
-        engine::WorkerPool pool(jobs);
-        core::DreamScheduler sched(core::DreamConfig::full());
-        engine::attachBatchTuner(sched, system, scenario, pool);
-        const auto r =
-            runner::runOnce(system, scenario, sched, 1e5, 11);
-        // All rounds completed inside the first update: the radius
-        // shrank below the threshold without live trial windows.
-        EXPECT_GT(sched.tuner().completedSteps(), 0);
-        EXPECT_FALSE(sched.tuner().tuning());
-        return r.uxCost;
-    };
-
-    // Concurrent candidate evaluation is bit-identical to serial.
-    EXPECT_EQ(run(1), run(4));
 }
 
 TEST(ParamSearch, BatchedOptimizeMatchesSerial)

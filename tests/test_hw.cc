@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hw/system.h"
+#include "test_util.h"
 
 namespace dream {
 namespace {
@@ -55,6 +58,14 @@ struct PresetCase {
     bool homogeneous;
 };
 
+/// Print only the preset name. The default byte dump includes the
+/// struct's uninitialised padding, and CTest records that dump in
+/// the test names at build time.
+void PrintTo(const PresetCase& pc, std::ostream* os)
+{
+    *os << hw::toString(pc.preset);
+}
+
 class SystemPresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(SystemPresetTest, MatchesTable2)
@@ -82,7 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
         PresetCase{hw::SystemPreset::Sys8k2Ws, 8192, 2, true},
         PresetCase{hw::SystemPreset::Sys8k2Os, 8192, 2, true},
         PresetCase{hw::SystemPreset::Sys8k1Ws2Os, 8192, 3, false},
-        PresetCase{hw::SystemPreset::Sys8k1Os2Ws, 8192, 3, false}));
+        PresetCase{hw::SystemPreset::Sys8k1Os2Ws, 8192, 3, false}),
+    [](const auto& info) {
+        return test::paramName(hw::toString(info.param.preset));
+    });
 
 TEST(System, HeterogeneousPresetsMixDataflows)
 {

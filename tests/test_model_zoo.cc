@@ -123,14 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
         ZooCase{"ED-TCN", models::zoo::edTcn, 10, 500},
         ZooCase{"VGG_VoxCeleb", models::zoo::vggVoxCeleb, 1000,
                 10000}),
-    [](const auto& info) {
-        std::string n = info.param.name;
-        for (auto& c : n) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return n;
-    });
+    [](const auto& info) { return test::paramName(info.param.name); });
 
 TEST(Zoo, SkipNetHasGatedBlocks)
 {

@@ -1,7 +1,6 @@
 /** @file Tests for the memoized engine::ParamSearch: bit-identity
- *  with the core shrinking-radius search, the no-duplicate-simulation
- *  guarantee of the transposition table, and branch-and-bound
- *  multi-start pruning. */
+ *  with the core shrinking-radius search and the no-duplicate-
+ *  simulation guarantee of the transposition table. */
 
 #include <map>
 #include <utility>
@@ -86,7 +85,9 @@ TEST(ParamSearch, NoPointIsEverSimulatedTwice)
     engine::ParamSearch memo(cost.fn());
     memo.optimize(0.2, 1.8);
     memo.optimize(1.9, 0.1);
-    memo.optimize({{0.2, 1.8}, {1.0, 1.0}, {0.0, 0.0}});
+    memo.optimize(0.2, 1.8);
+    memo.optimize(1.0, 1.0);
+    memo.optimize(0.0, 0.0);
 
     for (const auto& [point, count] : cost.evals)
         EXPECT_EQ(count, 1) << "point (" << point.first << ", "
@@ -113,29 +114,6 @@ TEST(ParamSearch, RepeatSearchIsServedEntirelyFromTheTable)
     EXPECT_EQ(memo.tableSize(), held);
 }
 
-TEST(ParamSearch, MultiStartPrunesStartsDominatedByTheIncumbent)
-{
-    CountingBowl cost;
-    engine::ParamSearch memo(cost.fn());
-    // One start sits on the bowl's minimum; the others probe far
-    // higher than any full search's optimum, so the incumbent bound
-    // cuts them after the depth-0 probe batch.
-    const auto best =
-        memo.optimize({{0.7, 1.3}, {0.0, 0.0}, {2.0, 2.0}});
-    EXPECT_EQ(memo.prunedStarts(), 2u);
-
-    // The winner is exactly the single-start search from the best
-    // start (same searcher state notwithstanding: fresh searcher).
-    CountingBowl fresh_cost;
-    engine::ParamSearch fresh(fresh_cost.fn());
-    expectResultsBitIdentical(fresh.optimize(0.7, 1.3), best);
-
-    // Pruning must never re-simulate a probe point.
-    for (const auto& [point, count] : cost.evals)
-        EXPECT_EQ(count, 1) << "point (" << point.first << ", "
-                            << point.second << ") re-simulated";
-}
-
 TEST(ParamSearch, SimulationBackedSearchMatchesBatchedCoreSearch)
 {
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
@@ -148,41 +126,13 @@ TEST(ParamSearch, SimulationBackedSearchMatchesBatchedCoreSearch)
     const core::ParamSearch plain(0.5, 0.05, 0.0, 2.0);
     const auto expected = plain.optimize(batch, 0.2, 1.8);
 
-    engine::ParamSearch memo(system, scenario, pool);
+    engine::ParamSearch memo(batch);
     const auto got = memo.optimize(0.2, 1.8);
 
     expectResultsBitIdentical(expected, got);
     EXPECT_EQ(memo.simulations() + memo.transpositionHits(),
               uint64_t(got.evaluations));
     EXPECT_EQ(memo.simulations(), uint64_t(memo.tableSize()));
-}
-
-TEST(ParamSearch, ContextKeyScopesTheTranspositionTable)
-{
-    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
-    engine::WorkerPool pool(1);
-
-    const engine::ParamSearch a(system, scenario, pool);
-    const engine::ParamSearch b(system, scenario, pool);
-    EXPECT_NE(a.contextKey(), 0u);
-    EXPECT_EQ(a.contextKey(), b.contextKey());
-
-    engine::ParamSearch::Options other_seed;
-    other_seed.seed = engine::kSearchSeed + 1;
-    const engine::ParamSearch c(system, scenario, pool, other_seed);
-    EXPECT_NE(a.contextKey(), c.contextKey());
-
-    // A different system scopes a different table.
-    const auto system2 = hw::makeSystem(hw::SystemPreset::Sys8k2Ws);
-    const engine::ParamSearch d(system2, scenario, pool);
-    EXPECT_NE(a.contextKey(), d.contextKey());
-
-    // The explicit-cost-function constructor has no context.
-    CountingBowl cost;
-    engine::ParamSearch e(cost.fn());
-    EXPECT_EQ(e.contextKey(), 0u);
 }
 
 } // anonymous namespace

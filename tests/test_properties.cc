@@ -11,6 +11,7 @@
 
 #include "metrics/uxcost.h"
 #include "runner/experiment.h"
+#include "test_util.h"
 
 namespace dream {
 namespace {
@@ -24,14 +25,9 @@ struct SweepCase {
 std::string
 caseName(const ::testing::TestParamInfo<SweepCase>& info)
 {
-    std::string n = std::string(toString(info.param.sched)) + "_" +
-                    hw::toString(info.param.system) + "_" +
-                    workload::toString(info.param.scenario);
-    for (auto& c : n) {
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return n;
+    return test::paramName(std::string(toString(info.param.sched)) +
+                           "_" + hw::toString(info.param.system) + "_" +
+                           workload::toString(info.param.scenario));
 }
 
 class SchedulerSweep : public ::testing::TestWithParam<SweepCase> {};

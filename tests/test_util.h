@@ -3,14 +3,16 @@
  * Shared fixtures for unit tests: a tiny synthetic scenario/system
  * pair plus a hand-buildable SchedulerContext, so scoring, frame-drop
  * and Supernet logic can be tested without running the simulator; a
- * one-task, one-accelerator simulator fixture; and a bit-identity
- * check of two runs' stats.
+ * one-task, one-accelerator simulator fixture; a bit-identity
+ * check of two runs' stats; and gtest parameter names.
  */
 
 #ifndef DREAM_TESTS_TEST_UTIL_H
 #define DREAM_TESTS_TEST_UTIL_H
 
+#include <cctype>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,6 +215,18 @@ expectStatsBitIdentical(const workload::Scenario& scenario,
         EXPECT_EQ(a.tasks[t].sumLatencyUs, b.tasks[t].sumLatencyUs);
         EXPECT_EQ(a.tasks[t].variantStarts, b.tasks[t].variantStarts);
     }
+}
+
+/** @p name with each character gtest rejects in a parameter name
+ *  replaced by '_'. */
+inline std::string
+paramName(std::string name)
+{
+    for (auto& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return name;
 }
 
 } // namespace test
