@@ -92,10 +92,12 @@ struct Plan {
  * frame if it is schedulable (unfinished, not in flight); DREAM
  * breaks MapScore ties by that order. `live` holds every admitted,
  * unfinished frame (for multi-violation checks and frame-drop
- * policies). The simulator maintains `live` incrementally: a frame
- * is appended when it is admitted and swap-removed when it completes
- * or is dropped, so its order is unspecified, though deterministic.
- * A round rebuilds only `ready`, from the per-task heads.
+ * policies). The simulator's events maintain both, so a round
+ * rebuilds neither. A frame is appended to `live` when it is
+ * admitted and swap-removed when it completes or is dropped, so the
+ * order of `live` is unspecified, though deterministic. A task's
+ * `ready` entry is refreshed whenever its head changes or goes into
+ * or out of flight.
  */
 struct SchedulerContext {
     double nowUs = 0.0;

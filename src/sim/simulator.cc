@@ -41,6 +41,16 @@ formatUs(double t_us)
     return buf;
 }
 
+/** Histogram @p name of @p metrics, looked up once into @p handle. */
+obs::LatencyHistogram&
+cachedHistogram(obs::MetricsRegistry& metrics,
+                obs::LatencyHistogram*& handle, const char* name)
+{
+    if (!handle)
+        handle = &metrics.histogram(name);
+    return *handle;
+}
+
 } // anonymous namespace
 
 Simulator::Simulator(const hw::SystemConfig& system,
@@ -48,9 +58,7 @@ Simulator::Simulator(const hw::SystemConfig& system,
                      const cost::CostTable& costs, SimConfig config)
     : system_(system), scenario_(scenario), costs_(costs),
       config_(config)
-{
-    assert(&costs_.system() != nullptr);
-}
+{}
 
 Request*
 Simulator::headOfTask(workload::TaskId task)
@@ -64,12 +72,34 @@ Simulator::headOfTask(workload::TaskId task)
 }
 
 void
+Simulator::refreshReady(workload::TaskId task)
+{
+    // ctx_.ready holds at most one entry per task, in ascending task
+    // order: the task's head when it is queued, not in flight.
+    auto& ready = ctx_.ready;
+    const auto it = std::lower_bound(
+        ready.begin(), ready.end(), task,
+        [](const Request* r, workload::TaskId t) { return r->task < t; });
+    const bool listed = it != ready.end() && (*it)->task == task;
+    const Request* head = headOfTask(task);
+    if (head && !head->inFlight) {
+        if (listed)
+            *it = head;
+        else
+            ready.insert(it, head);
+    } else if (listed) {
+        ready.erase(it);
+    }
+}
+
+void
 Simulator::admitFrame(workload::FrameSpec&& spec)
 {
     // Root frames are admitted at their arrival event; a cascade
     // child must arrive by its parent's completion. Every live frame
-    // has therefore arrived, which is what lets ctx_.live be kept
-    // incrementally instead of filtered by arrival on every round.
+    // has therefore arrived, which is what lets ctx_.live and
+    // ctx_.ready be kept incrementally instead of filtered by arrival
+    // on every round.
     if (spec.arrivalUs > nowUs_ + 1e-9)
         throw std::logic_error(
             "frame " + std::to_string(spec.frameIdx) + " of task " +
@@ -113,6 +143,7 @@ Simulator::admitFrame(workload::FrameSpec&& spec)
     }
 
     requests_.push_back(std::move(req));
+    refreshReady(spec.task);
 }
 
 void
@@ -191,13 +222,16 @@ Simulator::completeJob(const Job& job)
         }
     }
 
-    if (req.nextLayer < req.path.size())
+    if (req.nextLayer < req.path.size()) {
+        refreshReady(req.task);
         return;
+    }
 
     // Frame complete.
     req.done = true;
     req.completionUs = job.endUs;
     retire(req);
+    refreshReady(req.task);
     TaskStats& ts = stats_.tasks[req.task];
     const bool counted = inWindow(req.deadlineUs, config_.windowUs);
     if (counted) {
@@ -209,7 +243,8 @@ Simulator::completeJob(const Job& job)
 
     if (config_.telemetry) {
         if (config_.telemetry->metrics) {
-            config_.telemetry->metrics->histogram("frame/latency_us")
+            cachedHistogram(*config_.telemetry->metrics, latencyHist_,
+                            "frame/latency_us")
                 .record(req.completionUs - req.arrivalUs);
         }
         if (config_.telemetry->trace &&
@@ -323,6 +358,7 @@ Simulator::applyDrop(const FrameDrop& drop)
     checkQueued("drop", req);
     req.dropped = true;
     retire(req);
+    refreshReady(req.task);
     TaskStats& ts = stats_.tasks[req.task];
     if (inWindow(req.deadlineUs, config_.windowUs)) {
         ts.droppedFrames += 1;
@@ -423,6 +459,7 @@ Simulator::applyDispatch(const Dispatch& d)
 
     job.endUs = nowUs_ + latency_us;
     req.inFlight = true;
+    refreshReady(req.task);
     req.energyMj += energy_mj;
     stats_.tasks[req.task].energyMj += energy_mj;
 
@@ -438,8 +475,8 @@ Simulator::applyDispatch(const Dispatch& d)
     if (config_.telemetry) {
         // Queue wait: arrival to first layer dispatch.
         if (config_.telemetry->metrics && job.layerBegin == 0) {
-            config_.telemetry->metrics
-                ->histogram("frame/queue_wait_us")
+            cachedHistogram(*config_.telemetry->metrics, queueWaitHist_,
+                            "frame/queue_wait_us")
                 .record(nowUs_ - req.arrivalUs);
         }
         if (config_.telemetry->trace) {
@@ -473,27 +510,6 @@ Simulator::applyDispatch(const Dispatch& d)
     }
 
     completions_.push(JobEvent{job.endUs, job});
-}
-
-void
-Simulator::buildContext()
-{
-    ctx_.nowUs = nowUs_;
-    ctx_.windowUs = config_.windowUs;
-    ctx_.system = &system_;
-    ctx_.costs = &costs_;
-    ctx_.scenario = &scenario_;
-    ctx_.accels = &accels_;
-    ctx_.stats = &stats_;
-    // ctx_.live is maintained by admitFrame and retire(); only the
-    // per-task heads are read here, in ascending task order.
-    ctx_.ready.clear();
-    for (workload::TaskId t = 0; t < workload::TaskId(taskQueues_.size());
-         ++t) {
-        Request* head = headOfTask(t);
-        if (head && !head->inFlight)
-            ctx_.ready.push_back(head);
-    }
 }
 
 bool
@@ -543,7 +559,6 @@ Simulator::invokeScheduler(Scheduler& sched)
     int rounds = 0;
     bool converged = false;
     for (int round = 0; round < kMaxPlanRounds; ++round) {
-        buildContext();
         Plan plan = sched.plan(ctx_);
         stats_.schedulerInvocations += 1;
         ++rounds;
@@ -565,12 +580,14 @@ Simulator::invokeScheduler(Scheduler& sched)
                        std::chrono::steady_clock::now() - t0)
                        .count());
         if (tel->metrics) {
-            tel->metrics->histogram("sched/plan_rounds")
+            cachedHistogram(*tel->metrics, planRoundsHist_,
+                            "sched/plan_rounds")
                 .record(double(rounds));
-            auto& wall = tel->metrics->histogram(
-                "sched/decision_wall_ns");
-            tel->metrics->markVolatile("sched/decision_wall_ns");
-            wall.record(wall_ns);
+            if (!decisionWallHist_)
+                tel->metrics->markVolatile("sched/decision_wall_ns");
+            cachedHistogram(*tel->metrics, decisionWallHist_,
+                            "sched/decision_wall_ns")
+                .record(wall_ns);
         }
         if (tel->trace) {
             tel->trace->span(schedTid_, "schedule", "sched", nowUs_,
@@ -609,6 +626,7 @@ Simulator::beginStream(Scheduler& sched)
     taskQueues_.assign(scenario_.tasks.size(), {});
     liveSlot_.clear();
     ctx_.live.clear();
+    ctx_.ready.clear();
     accels_.clear();
     for (const auto& cfg : system_.accelerators) {
         AcceleratorState st;
@@ -625,6 +643,8 @@ Simulator::beginStream(Scheduler& sched)
     busyStartUs_.assign(accels_.size(), 0.0);
     schedTid_ = int64_t(accels_.size());
     framesTid_ = schedTid_ + 1;
+    planRoundsHist_ = decisionWallHist_ = nullptr;
+    latencyHist_ = queueWaitHist_ = nullptr;
     stats_.tasks.resize(scenario_.tasks.size());
     for (size_t t = 0; t < scenario_.tasks.size(); ++t) {
         stats_.tasks[t].model = scenario_.tasks[t].model.name;
@@ -661,7 +681,15 @@ Simulator::beginStream(Scheduler& sched)
     streamSched_ = &sched;
     streaming_ = true;
 
-    buildContext();
+    // The context's bindings are fixed for the stream; from here on
+    // the events keep its clock, live set and ready heads current.
+    ctx_.nowUs = nowUs_;
+    ctx_.windowUs = config_.windowUs;
+    ctx_.system = &system_;
+    ctx_.costs = &costs_;
+    ctx_.scenario = &scenario_;
+    ctx_.accels = &accels_;
+    ctx_.stats = &stats_;
     sched.reset(ctx_);
 }
 
@@ -701,6 +729,7 @@ Simulator::advanceTo(double limit_us)
             break;
 
         nowUs_ = t;
+        ctx_.nowUs = t;
         while (!completions_.empty() &&
                completions_.top().endUs <= nowUs_ + 1e-9) {
             const Job job = completions_.top().job;

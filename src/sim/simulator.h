@@ -31,6 +31,7 @@
 namespace dream {
 
 namespace obs {
+class LatencyHistogram;
 struct SimTelemetry;
 }
 
@@ -145,9 +146,9 @@ private:
     void checkQueued(const char* kind, const Request& req) const;
     [[noreturn]] void rejectPlan(const char* kind, int request_id,
                                  const std::string& why) const;
-    void buildContext();
     void finalizeStats();
     Request* headOfTask(workload::TaskId task);
+    void refreshReady(workload::TaskId task);
 
     const hw::SystemConfig& system_;
     const workload::Scenario& scenario_;
@@ -169,7 +170,9 @@ private:
     std::vector<std::deque<int>> taskQueues_;  ///< FIFO req ids per task
     /** Index of each live request in ctx_.live, by request id (stale
      *  once the request finishes). ctx_.live is the live set itself:
-     *  admitFrame appends, retire() swap-removes. */
+     *  admitFrame appends, retire() swap-removes. ctx_.ready is kept
+     *  by refreshReady() at each event that moves a task's head or
+     *  the head's in-flight state. */
     std::vector<size_t> liveSlot_;
     std::vector<AcceleratorState> accels_;
     std::priority_queue<JobEvent, std::vector<JobEvent>,
@@ -191,6 +194,13 @@ private:
     /** Scheduler/frame-lifecycle track ids of the trace sink. */
     int64_t schedTid_ = 0;
     int64_t framesTid_ = 0;
+    /** The --metrics histograms the per-event hooks record into,
+     *  looked up on first use in a stream, so a stream without
+     *  events creates none. */
+    obs::LatencyHistogram* planRoundsHist_ = nullptr;
+    obs::LatencyHistogram* decisionWallHist_ = nullptr;
+    obs::LatencyHistogram* latencyHist_ = nullptr;
+    obs::LatencyHistogram* queueWaitHist_ = nullptr;
 };
 
 } // namespace sim

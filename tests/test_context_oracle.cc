@@ -4,20 +4,23 @@
  *
  * The simulator keeps SchedulerContext::live incrementally (appended
  * at admission, swap-removed when a frame completes or is dropped)
- * and rebuilds `ready` from the per-task queue heads. A checking
+ * and `ready` too (a task's entry is refreshed at each event that
+ * moves its head or the head's in-flight state). A checking
  * scheduler wraps each stock scheduler and, on every plan() call,
  * compares the context with a reference it keeps from the contexts
  * it has seen: the full-rebuild definition the simulator used before
- * the live set became incremental. It also checks every live
- * request's cost-cache rows against the cost table's own entries for
- * its path. It is driven over seeded random generated mixes x
- * schedulers x batch and ragged stream stepping x serve-loop
- * admission off, reject and degrade.
+ * either became incremental. It also checks every live request's
+ * cost-cache rows against the cost table's own entries for its path.
+ * It is driven over seeded random generated mixes x schedulers x
+ * batch and ragged stream stepping x serve-loop admission off,
+ * reject and degrade x a 4-device cluster, whose devices each see
+ * only the sessions routed to them.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -25,12 +28,14 @@
 
 #include "costmodel/cost_table_cache.h"
 #include "runner/experiment.h"
+#include "serve/cluster.h"
 #include "serve/serve_loop.h"
 #include "sim/cost_cache.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "workload/frame_source.h"
 #include "workload/scenario_gen.h"
+#include "workload/stream_source.h"
 
 namespace dream {
 namespace {
@@ -73,6 +78,7 @@ public:
 
     sim::Plan plan(const sim::SchedulerContext& ctx) override
     {
+        ++calls;
         // One located failure is enough; later rounds inherit it.
         if (!::testing::Test::HasFailure())
             check(ctx);
@@ -143,7 +149,6 @@ private:
     void
     check(const sim::SchedulerContext& ctx)
     {
-        ++calls;
         maxLive = std::max(maxLive, ctx.live.size());
         ASSERT_GE(ctx.nowUs, lastNowUs_);
         lastNowUs_ = ctx.nowUs;
@@ -208,6 +213,26 @@ private:
     double lastNowUs_ = 0.0;
 };
 
+/** Forwards to an oracle the test owns, so the oracle's tallies
+ *  outlive a Cluster::run that destroys its schedulers. */
+class OracleHandle : public sim::Scheduler {
+public:
+    explicit OracleHandle(ContextOracle& oracle) : oracle_(oracle) {}
+
+    std::string name() const override { return oracle_.name(); }
+    void reset(const sim::SchedulerContext& ctx) override
+    {
+        oracle_.reset(ctx);
+    }
+    sim::Plan plan(const sim::SchedulerContext& ctx) override
+    {
+        return oracle_.plan(ctx);
+    }
+
+private:
+    ContextOracle& oracle_;
+};
+
 /** Uniform double in [lo, hi) from a portable generator. */
 double
 uniform(std::mt19937_64& rng, double lo, double hi)
@@ -240,6 +265,21 @@ struct Mix {
     std::shared_ptr<const cost::CostTable> costs;
     uint64_t seed = 0;
 };
+
+/** Mix @p s: @p spec's scenario s on @p preset, rates x @p rate_scale. */
+Mix
+makeMix(const workload::ScenarioGenSpec& spec, hw::SystemPreset preset,
+        uint64_t s, double rate_scale)
+{
+    Mix mix;
+    mix.system = hw::makeSystem(preset);
+    mix.scenario = workload::ScenarioGenerator(spec).generate(s + 1);
+    for (auto& task : mix.scenario.tasks)
+        task.fps *= rate_scale;
+    mix.costs = cost::acquireCostTable(mix.system, mix.scenario);
+    mix.seed = 100 + s;
+    return mix;
+}
 
 const runner::SchedKind kScheds[] = {
     runner::SchedKind::Fcfs,
@@ -307,6 +347,33 @@ runServed(const Mix& mix, runner::SchedKind kind,
     return loop.finish();
 }
 
+/** Serve @p mix on four devices routed by @p router, each device's
+ *  scheduler checked by its own oracle; returns the oracles. */
+std::vector<std::unique_ptr<ContextOracle>>
+runClustered(const Mix& mix, runner::SchedKind kind,
+             serve::RouterPolicy router)
+{
+    serve::ClusterConfig config;
+    config.devices = 4;
+    config.router = router;
+    config.serve.windowUs = kWindowUs;
+    config.serve.seed = mix.seed;
+    const workload::FrameSource frames(mix.scenario, mix.seed);
+    workload::StreamSource intake(frames);
+    for (auto& spec : arrivalsOf(frames))
+        intake.push(std::move(spec));
+    intake.close();
+    std::vector<std::unique_ptr<ContextOracle>> oracles;
+    serve::Cluster cluster(mix.system, mix.scenario, *mix.costs, config);
+    cluster.run(
+        [&] {
+            oracles.push_back(std::make_unique<ContextOracle>(kind));
+            return std::make_unique<OracleHandle>(*oracles.back());
+        },
+        intake);
+    return oracles;
+}
+
 TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
 {
     const hw::SystemPreset systems[] = {
@@ -327,14 +394,8 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
         const auto spec = randomSpec(rng, kWindowUs);
         std::string error;
         ASSERT_TRUE(workload::validateGenSpec(spec, &error)) << error;
-        Mix mix;
-        mix.system = hw::makeSystem(systems[s % 2]);
-        mix.scenario = workload::ScenarioGenerator(spec).generate(s + 1);
         const double rate_scale = uniform(rng, 2.0, 6.0);
-        for (auto& task : mix.scenario.tasks)
-            task.fps *= rate_scale;
-        mix.costs = cost::acquireCostTable(mix.system, mix.scenario);
-        mix.seed = 100 + s;
+        const Mix mix = makeMix(spec, systems[s % 2], s, rate_scale);
         for (const auto kind : kScheds) {
             SCOPED_TRACE(mix.scenario.name + " under " +
                          runner::toString(kind));
@@ -359,6 +420,23 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
             rejected += runServed(mix, kind, reject).admission.rejected;
             degraded += runServed(mix, kind, degrade).admission.degraded;
         }
+
+        // The cluster serves an eight-task draw of the same spec, so
+        // every device gets a session and each device's simulator
+        // keeps most of its task queues empty. Routers and schedulers
+        // rotate across the mixes.
+        workload::ScenarioGenSpec wide_spec = spec;
+        wide_spec.minTasks = wide_spec.maxTasks = 8;
+        const Mix wide = makeMix(wide_spec, systems[s % 2], s, rate_scale);
+        const auto router = serve::allRouterPolicies()[s % 3];
+        const auto kind = kScheds[s % std::size(kScheds)];
+        SCOPED_TRACE(wide.scenario.name + " under " +
+                     runner::toString(kind) + " on 4 devices, " +
+                     serve::toString(router));
+        const auto devices = runClustered(wide, kind, router);
+        ASSERT_EQ(devices.size(), 4u);
+        for (size_t k = 0; k < devices.size(); ++k)
+            EXPECT_GT(devices[k]->calls, 0u) << "device " << k;
     }
     // The mixes overload their systems: deep live sets, SmartDrop
     // removes frames from them, and both admission policies fire.

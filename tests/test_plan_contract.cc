@@ -5,9 +5,11 @@
  * The Plan contract (sim/scheduler.h) lets a scheduler drop any
  * queued frame that is not in flight, not only a ready head; the
  * first test drives that path, which no stock scheduler takes. The
- * rest hand the simulator one invalid plan entry each: every one
- * must be rejected with a located std::logic_error before it is
- * applied, in Release builds too, instead of corrupting state.
+ * second scripts one event of each kind that can move a task's head
+ * and checks `ready` in the context that follows it. The rest hand
+ * the simulator one invalid plan entry each: every one must be
+ * rejected with a located std::logic_error before it is applied, in
+ * Release builds too, instead of corrupting state.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -140,6 +143,115 @@ TEST(PlanContract, NonHeadDropKeepsHeadAndFifoOrder)
     EXPECT_EQ(dropped_records, 1u);
     EXPECT_EQ(ts.violatedFrames, violated_records);
     EXPECT_EQ(ts.completedFrames + ts.droppedFrames, ts.totalFrames);
+}
+
+/** (task, frame) of each ready head, in context order. */
+using Heads = std::vector<std::pair<int, int>>;
+
+Heads
+headsOf(const sim::SchedulerContext& ctx)
+{
+    Heads heads;
+    for (const auto* r : ctx.ready)
+        heads.emplace_back(r->task, r->frameIdx);
+    return heads;
+}
+
+/** Request id of frame @p frame of task @p task; -1 if not live. */
+int
+liveId(const sim::SchedulerContext& ctx, int task, int frame)
+{
+    for (const auto* r : ctx.live) {
+        if (r->task == task && r->frameIdx == frame)
+            return r->id;
+    }
+    return -1;
+}
+
+TEST(PlanContract, ReadyFollowsEveryHeadChange)
+{
+    // Roots 0 and 1 arrive every 100 ms, task 0 offset by 1 ms. Task
+    // 2 is task 0's cascade child, launched by every frame, and heavy
+    // enough to outlast a task-0 frame that runs beside it.
+    test::SingleAccelFixture f(test::toyModel("a"));
+    f.scenario.tasks[0].startUs = 1e3;
+    workload::TaskSpec b;
+    b.model = test::toyModel("b");
+    b.fps = 10.0;
+    f.scenario.tasks.push_back(b);
+    workload::TaskSpec c;
+    c.model = test::toyModel("c", 4);
+    c.fps = 10.0;
+    c.dependsOn = 0;
+    c.triggerProb = 1.0;
+    f.scenario.tasks.push_back(c);
+    f.costs->addModel(f.scenario.tasks[1].model);
+    f.costs->addModel(f.scenario.tasks[2].model);
+
+    using Step = ScriptedScheduler::Step;
+    const auto dispatch = [](int task, int frame, size_t layers) -> Step {
+        return [=](const sim::SchedulerContext& ctx) {
+            return dispatchOf(liveId(ctx, task, frame), layers);
+        };
+    };
+    const auto drop = [](int task, int frame) -> Step {
+        return [=](const sim::SchedulerContext& ctx) {
+            return dropOf({liveId(ctx, task, frame)});
+        };
+    };
+    // Half the slices each, so both jobs run at once.
+    const Step side_by_side = [](const sim::SchedulerContext& ctx) {
+        sim::Plan p = dispatchOf(liveId(ctx, 0, 1), 3, 0, 2);
+        p.dispatches.push_back({liveId(ctx, 2, 0), 3, 0, 2});
+        return p;
+    };
+
+    // One line per plan call: the event the context follows (frames
+    // are named task/frame), the heads it must list, and the plan
+    // that causes the next event (none: an empty plan).
+    struct Line {
+        const char* after;
+        Heads ready;
+        Step plan;
+    };
+    const std::vector<Line> script = {
+        {"1/0 is admitted", {{1, 0}}, nullptr},
+        {"0/0 is admitted", {{0, 0}, {1, 0}}, dispatch(0, 0, 1)},
+        {"head 0/0 is dispatched", {{1, 0}}, nullptr},
+        {"a non-final layer of 0/0 completes", {{0, 0}, {1, 0}}, nullptr},
+        {"1/1 is queued behind its head", {{0, 0}, {1, 0}}, nullptr},
+        {"0/1 is queued behind its head", {{0, 0}, {1, 0}},
+         dispatch(0, 0, 2)},
+        {"0/0's last layers are dispatched", {{1, 0}}, nullptr},
+        {"0/0 completes, 0/1 queued, child 2/0 admitted",
+         {{0, 1}, {1, 0}, {2, 0}}, drop(1, 0)},
+        {"head 1/0 is dropped, 1/1 queued", {{0, 1}, {1, 1}, {2, 0}},
+         side_by_side},
+        {"heads 0/1 and 2/0 are dispatched", {{1, 1}}, nullptr},
+        {"0/1 completes, child 2/1 admitted behind running 2/0",
+         {{1, 1}}, nullptr},
+        {"2/0 completes, 2/1 queued", {{1, 1}, {2, 1}}, nullptr},
+        {"1/2 is queued behind its head", {{1, 1}, {2, 1}}, drop(1, 2)},
+        {"non-head 1/2 is dropped", {{1, 1}, {2, 1}}, nullptr},
+    };
+
+    size_t next = 0;
+    bool derailed = false;
+    ScriptedScheduler sched([&](const sim::SchedulerContext& ctx) {
+        if (derailed || next == script.size())
+            return sim::Plan{};
+        const Line& line = script[next++];
+        const Heads heads = headsOf(ctx);
+        EXPECT_EQ(heads, line.ready)
+            << "(task, frame) ready heads after line " << next << ", "
+            << line.after << ", at t=" << ctx.nowUs << " us";
+        // Off script, later lines would name frames that are not
+        // where the script expects them.
+        derailed = heads != line.ready;
+        return derailed || !line.plan ? sim::Plan{} : line.plan(ctx);
+    });
+    f.run(sched, 3e5);
+    EXPECT_EQ(next, script.size()) << "the run ended before the script";
 }
 
 /** What a run under @p step throws as std::logic_error ("" if none). */
