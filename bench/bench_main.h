@@ -2,8 +2,7 @@
  * @file
  * The command line and run selection every bench shares. Run a bench
  * with --help for its flags; src/engine/README.md and tools/README.md
- * describe the shard, chunk and record -> replay protocols they
- * drive.
+ * describe the shard and record -> replay protocols they drive.
  *
  * Parallel runs are bit-identical to --jobs 1: the engine orders
  * records by grid index before any sink sees them, for full and
@@ -14,7 +13,6 @@
 #define DREAM_BENCH_BENCH_MAIN_H
 
 #include <climits>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -71,14 +69,11 @@ struct MetricsFile {
 /** Parsed common bench flags. */
 struct Options {
     int jobs = 1;          ///< effective worker count (>= 1)
-    std::string out;       ///< result file path; empty = none
-    bool json = false;     ///< --out format: JSON instead of CSV
+    std::string out;       ///< result CSV path; empty = none
     std::string filter;    ///< grid-point key substring; empty = all
     bool list = false;     ///< print grid point keys and exit
     size_t shard = 0;      ///< --shard K/N: K; 0 without the flag
     size_t shards = 0;     ///< --shard K/N: N; 0 without the flag
-    engine::ChunkSpec chunk; ///< --chunk B:E; 0: without the flag
-    bool chunked = false;  ///< --chunk was given
     std::string traceDir;  ///< --record-trace dir; empty = none
     std::string traceEventDir; ///< --trace-events dir; empty = none
     std::string metricsPath;   ///< --metrics file; empty = none
@@ -95,20 +90,20 @@ struct Options {
     /** True when only a subset of the points should run (then exit). */
     bool subsetRun() const
     {
-        return !filter.empty() || shards > 0 || chunked;
+        return !filter.empty() || shards > 0;
     }
 
     /**
      * The half-open positions of a @p total-position selected
-     * ordering this invocation runs: --chunk B:E clamped to it,
-     * --shard K/N as [total(K-1)/N, total K/N), else all of it. Shard
-     * ranges tile [0, total) and differ in size by at most one.
+     * ordering this invocation runs: --shard K/N as
+     * [total(K-1)/N, total K/N), else all of it. Shard ranges tile
+     * [0, total) and differ in size by at most one.
      */
     std::pair<size_t, size_t> range(size_t total) const
     {
         if (shards > 0)
             return {total * (shard - 1) / shards, total * shard / shards};
-        return chunk.range(total);
+        return {0, total};
     }
 };
 
@@ -130,9 +125,6 @@ addFlags(flags::Table& table, Options& opts, Kind kind = Kind::Grid)
                flags::integer(&opts.jobs)});
     table.add({"--out", "", "F", "write engine result rows to F",
                flags::text(&opts.out)});
-    table.add({"--json", "", "",
-               "write --out as a JSON array instead of CSV",
-               flags::set(&opts.json)});
     table.add({"--list", "", "",
                "print the selected grid point keys; run nothing",
                flags::set(&opts.list)});
@@ -156,26 +148,6 @@ addFlags(flags::Table& table, Options& opts, Kind kind = Kind::Grid)
                    } catch (const flags::Error&) {
                        throw want;
                    }
-               }});
-    table.add({"--chunk", "", "B:E",
-               "run only positions [B, E) of the selected ordering\n"
-               "(B: runs to the end; the dream_shard protocol)",
-               [&opts](const std::string& v) {
-                   const flags::Error want("want B:E with B <= E, or B:");
-                   const size_t colon = v.find(':');
-                   if (colon == std::string::npos)
-                       throw want;
-                   try {
-                       const uint64_t b = flags::parseUint(
-                           v.substr(0, colon), 0, UINT64_MAX);
-                       const std::string e = v.substr(colon + 1);
-                       opts.chunk = {b, e.empty() ? engine::ChunkSpec::npos
-                                                  : flags::parseUint(
-                                                        e, b, UINT64_MAX)};
-                   } catch (const flags::Error&) {
-                       throw want;
-                   }
-                   opts.chunked = true;
                }});
     if (grid) {
         table.add({"--record-trace", "", "DIR",
@@ -202,9 +174,6 @@ addFlags(flags::Table& table, Options& opts, Kind kind = Kind::Grid)
                "byte-identical; only throughput changes)",
                flags::set(&opts.costCache, false)});
     table.check([&opts] {
-        if (opts.shards > 0 && opts.chunked)
-            throw flags::Error(
-                "--shard and --chunk are mutually exclusive");
         if (opts.jobs == 0)
             opts.jobs = engine::WorkerPool::defaultJobs();
         // Fail up front, not via a worker-thread exception after
@@ -270,27 +239,17 @@ engineOptions(const Options& opts)
     return eopts;
 }
 
-/** File sink for --out (CSV, or JSON with --json); null without.
- *  Also null under --list, which runs nothing — opening (and thereby
- *  truncating) an existing --out file would lose its contents.
- *  Exits with an error if the file cannot be opened for writing. */
-inline std::unique_ptr<engine::ResultSink>
+/** CSV sink for --out; null without. Also null under --list, which
+ *  runs nothing — opening (and thereby truncating) an existing --out
+ *  file would lose its contents. Exits with an error if the file
+ *  cannot be opened for writing. */
+inline std::unique_ptr<engine::CsvSink>
 makeFileSink(const Options& opts)
 {
     if (opts.out.empty() || opts.list)
         return nullptr;
-    bool ok = true;
-    std::unique_ptr<engine::ResultSink> sink;
-    if (opts.json) {
-        auto json = std::make_unique<engine::JsonSink>(opts.out);
-        ok = json->ok();
-        sink = std::move(json);
-    } else {
-        auto csv = std::make_unique<engine::CsvSink>(opts.out);
-        ok = csv->ok();
-        sink = std::move(csv);
-    }
-    if (!ok) {
+    auto sink = std::make_unique<engine::CsvSink>(opts.out);
+    if (!sink->ok()) {
         std::fprintf(stderr, "cannot open --out file for writing: %s\n",
                      opts.out.c_str());
         std::exit(2);
@@ -321,13 +280,12 @@ struct Scan {
 };
 
 /**
- * Serve --list, --filter, --shard and --chunk for every grid a bench
- * scans, in scan order, before the bench's own full run. The grids'
- * selected points form one ordering (engine::selectPoints), so
- * --shard and --chunk positions are global across them. With --list
- * the selected keys print and nothing runs; with a subset flag the
- * selected points run, their rows streaming to stdout as one CSV and
- * to @p file_sink. Returns false when the request was handled (the
+ * Serve --list, --filter and --shard for every grid a bench scans, in
+ * scan order, before the bench's own full run. The grids' selected
+ * points form one ordering (engine::selectPoints), so --shard
+ * positions are global across them. With --list the selected keys
+ * print and nothing runs; with a subset flag the selected points run,
+ * their rows streaming to stdout as one CSV and to @p file_sink. Returns false when the request was handled (the
  * bench should exit 0), true when the bench should go on with its
  * full run.
  */
@@ -372,9 +330,6 @@ runOrList(const Options& opts, const std::vector<Scan>& scans,
     std::string how;
     if (!opts.filter.empty())
         how = "--filter '" + opts.filter + "'";
-    if (opts.chunked)
-        how += (how.empty() ? "" : " and ") + std::string("--chunk ") +
-               opts.chunk.toString();
     if (opts.shards > 0)
         how += (how.empty() ? "" : " and ") + std::string("--shard ") +
                std::to_string(opts.shard) + '/' +

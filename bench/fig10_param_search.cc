@@ -60,8 +60,8 @@ main(int argc, char** argv)
     // The 7x7 reference grid of each case preset, in case order:
     // cases (c) and (d) share AR_Social's, which keeps --out free of
     // duplicate rows. Each grid's rows follow the grids before it in
-    // --out, and --list/--filter/--shard/--chunk address the three
-    // grids as one ordering.
+    // --out, and --list/--filter/--shard address the three grids as
+    // one ordering.
     const workload::ScenarioPreset presets[] = {
         workload::ScenarioPreset::VrGaming,
         workload::ScenarioPreset::ArCall,

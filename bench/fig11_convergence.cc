@@ -44,7 +44,7 @@ main(int argc, char** argv)
 
     // The per-case 7x7 reference grids, in case order. Each grid's
     // rows follow the grids before it in --out, and --list/--filter/
-    // --shard/--chunk address the four grids as one ordering.
+    // --shard address the four grids as one ordering.
     std::vector<engine::SweepGrid> grids;
     for (const auto& c : cases)
         grids.push_back(engine::paramSpaceGrid(sys_preset, c.preset, 7));

@@ -34,10 +34,10 @@ main(int argc, char** argv)
         workload::ScenarioPreset::ArSocial};
     const double probs[] = {0.5, 0.9};
 
-    // --shard/--chunk on this grid-less bench select from its fixed
-    // result row sequence (the searches all run; only row emission
-    // is gated), so the sharded or chunked files still merge back
-    // into the unsharded --out byte for byte.
+    // --shard on this grid-less bench selects from its fixed result
+    // row sequence (the searches all run; only row emission is
+    // gated), so the shard files still merge back into the unsharded
+    // --out byte for byte.
     const auto rows = opts.range((sizeof scenarios / sizeof scenarios[0]) *
                                  (sizeof probs / sizeof probs[0]) *
                                  3 /* objectives */);

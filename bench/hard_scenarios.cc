@@ -4,7 +4,7 @@
  * hard-scenarios suite (scenarios/hard_v1.json — worst-case mixes
  * found by tools/dream_hunt) across the evaluation scheduler set, on
  * the suite's system / window / seeds. The full bench toolchain
- * applies for free: --shard/--chunk for dream_shard, --record-trace,
+ * applies for free: --shard legs for dream_merge, --record-trace,
  * --metrics, dream_diff on the --out CSV — which is exactly how CI
  * gates the suite (.github/workflows/ci.yml, job hard-scenarios).
  *

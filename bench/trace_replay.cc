@@ -18,9 +18,9 @@
  * Result rows carry the original identity and indices (traces are
  * ordered by their recorded grid index), so the replayed CSV diffs
  * clean against the recording when replay is exact. All the shared
- * flags compose: --list/--filter/--shard/--chunk subset the replay
- * set, and --record-trace re-records the replayed runs for a
- * byte-level trace comparison.
+ * flags compose: --list/--filter/--shard subset the replay set, and
+ * --record-trace re-records the replayed runs for a byte-level trace
+ * comparison.
  *
  * Parameterised grid points (non-empty params axis) and generated
  * scenarios ("Gen<seed>") are not replayable from metadata alone and

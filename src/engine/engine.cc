@@ -23,20 +23,6 @@
 namespace dream {
 namespace engine {
 
-std::string
-ChunkSpec::toString() const
-{
-    return std::to_string(begin) + ':' +
-           (end == npos ? std::string() : std::to_string(end));
-}
-
-std::pair<size_t, size_t>
-ChunkSpec::range(size_t total) const
-{
-    const size_t lo = std::min(begin, total);
-    return {lo, std::max(lo, std::min(end, total))};
-}
-
 std::vector<std::vector<size_t>>
 selectPoints(const std::vector<const SweepGrid*>& grids,
              const std::string& filter,

@@ -76,25 +76,6 @@ struct EngineOptions {
 };
 
 /**
- * An explicit position range [begin, end) of a run's selected
- * ordering ("B:E" on the command line, "B:" for to-the-end): the
- * chunks tools/dream_shard hands out to its workers.
- */
-struct ChunkSpec {
-    /** Open end: the chunk extends to the end of the ordering. */
-    static constexpr size_t npos = size_t(-1);
-
-    size_t begin = 0;  ///< first position
-    size_t end = npos; ///< one past the last position
-
-    /** "B:E", or "B:" when the end is open. */
-    std::string toString() const;
-
-    /** The chunk clamped to a sequence of @p total positions. */
-    std::pair<size_t, size_t> range(size_t total) const;
-};
-
-/**
  * The one run-selection path. The points of @p grids whose key
  * contains @p filter, in scan order (grid by grid, ascending index),
  * form one ordering of T positions; @p range maps T to the half-open

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 #include "runner/table.h"
-#include "util/json.h"
 
 namespace dream {
 namespace engine {
@@ -227,6 +226,22 @@ parseSchema(const std::vector<std::string>& header)
     return schema;
 }
 
+/** The "index" cell of 1-based data row @p row: decimal digits only,
+ *  in uint64_t range (no sign, blank, suffix or wrap-around). */
+uint64_t
+parseRowIndex(const std::string& cell, size_t row)
+{
+    uint64_t index = 0;
+    const char* end = cell.data() + cell.size();
+    const auto [stop, ec] = std::from_chars(cell.data(), end, index);
+    if (ec != std::errc() || stop != end)
+        throw std::runtime_error("result CSV row " + std::to_string(row) +
+                                 ": index '" + cell +
+                                 "' is not a decimal integer in uint64_t "
+                                 "range");
+    return index;
+}
+
 } // anonymous namespace
 
 size_t
@@ -242,7 +257,7 @@ CsvSchema::columnIndex(const std::string& name) const
 uint64_t
 CsvTable::rowIndex(size_t r) const
 {
-    return std::strtoull(rows.at(r).at(0).c_str(), nullptr, 10);
+    return parseRowIndex(rows.at(r).at(0), r + 1);
 }
 
 std::string
@@ -277,6 +292,7 @@ readResultCsv(std::istream& in)
                 std::to_string(table.rows.size() + 1) + " has " +
                 std::to_string(cells.size()) + " cells, header has " +
                 std::to_string(table.schema.columns.size()));
+        parseRowIndex(cells[0], table.rows.size() + 1);
         table.rows.push_back(cells);
     }
     return table;
@@ -293,76 +309,6 @@ readResultCsv(const std::string& path)
     } catch (const std::runtime_error& e) {
         throw std::runtime_error(path + ": " + e.what());
     }
-}
-
-// --------------------------------------------------------------- JSON
-
-JsonSink::JsonSink(std::ostream& out) : out_(&out) {}
-
-JsonSink::JsonSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path)), out_(owned_.get())
-{}
-
-JsonSink::~JsonSink()
-{
-    close();
-}
-
-bool
-JsonSink::ok() const
-{
-    return !owned_ || owned_->is_open();
-}
-
-void
-JsonSink::write(const RunRecord& r)
-{
-    *out_ << (opened_ ? ",\n" : "[\n");
-    opened_ = true;
-    *out_ << "  {\"index\": " << r.index
-          << ", \"scenario\": " << json::quote(r.scenario)
-          << ", \"system\": " << json::quote(r.system)
-          << ", \"scheduler\": " << json::quote(r.scheduler)
-          << ", \"params\": {";
-    bool first = true;
-    for (const auto& kv : r.params) {
-        if (!first)
-            *out_ << ", ";
-        first = false;
-        *out_ << json::quote(kv.first) << ": " << formatValue(kv.second);
-    }
-    *out_ << "}, \"breakdown\": {";
-    first = true;
-    for (const auto& kv : r.breakdown) {
-        if (!first)
-            *out_ << ", ";
-        first = false;
-        *out_ << json::quote(kv.first) << ": " << formatValue(kv.second);
-    }
-    *out_ << "}, \"seed\": " << r.seed
-          << ", \"window_us\": " << formatValue(r.windowUs)
-          << ", \"ux_cost\": " << formatValue(r.uxCost)
-          << ", \"dlv_rate\": " << formatValue(r.dlvRate)
-          << ", \"norm_energy\": " << formatValue(r.normEnergy)
-          << ", \"energy_mj\": " << formatValue(r.energyMj)
-          << ", \"violation_frac\": "
-          << formatValue(r.violationFraction)
-          << ", \"drop_rate\": " << formatValue(r.dropRate)
-          << ", \"total_frames\": " << r.totalFrames
-          << ", \"violated_frames\": " << r.violatedFrames
-          << ", \"dropped_frames\": " << r.droppedFrames
-          << ", \"sched_invocations\": " << r.schedulerInvocations
-          << "}";
-}
-
-void
-JsonSink::close()
-{
-    if (closed_ || !out_)
-        return;
-    *out_ << (opened_ ? "\n]\n" : "[]\n");
-    out_->flush();
-    closed_ = true;
 }
 
 // ---------------------------------------------------------- aggregate

@@ -6,10 +6,9 @@
  * records to sinks in flat-index order after all workers joined, so
  * sink output is byte-identical for any --jobs value. CsvSink
  * buffers rows and emits them on close (the header needs the union
- * of breakdown columns); JsonSink streams rows to a file/stream;
- * AggregateSink folds records into per-cell summaries
- * (mean/p50/p99/min/max of UXCost, drop rate, energy, ...), where a
- * cell is a grid point minus the seed.
+ * of breakdown columns); AggregateSink folds records into per-cell
+ * summaries (mean/p50/p99/min/max of UXCost, drop rate, energy, ...),
+ * where a cell is a grid point minus the seed.
  *
  * Records additionally carry named breakdown columns (e.g. Supernet
  * variant shares), and the report helpers at the bottom (groupCells,
@@ -61,9 +60,9 @@ struct RunRecord {
      * Named breakdown columns beyond the fixed metrics, e.g. the
      * Supernet variant shares of Figure 14 ("OFA_Supernet_v0_share",
      * ...). Filled by fillMetrics() from the run's stats; empty for
-     * runs without breakdown-carrying features. CsvSink takes its
-     * breakdown header from the first record; JsonSink emits them as
-     * a per-record object; AggregateSink summarises them per cell.
+     * runs without breakdown-carrying features. CsvSink's header
+     * carries the union of every record's columns; AggregateSink
+     * summarises them per cell.
      */
     std::vector<std::pair<std::string, double>> breakdown;
 
@@ -116,28 +115,6 @@ private:
     std::ostream* out_;
     std::vector<RunRecord> pending_;
     bool flushed_ = false;
-};
-
-/** Streams records as a JSON array of objects. */
-class JsonSink : public ResultSink {
-public:
-    /** Write to a caller-owned stream. */
-    explicit JsonSink(std::ostream& out);
-    /** Write to a file (truncates). */
-    explicit JsonSink(const std::string& path);
-    ~JsonSink() override;
-
-    /** False if a file path could not be opened for writing. */
-    bool ok() const;
-
-    void write(const RunRecord& record) override;
-    void close() override;
-
-private:
-    std::unique_ptr<std::ofstream> owned_;
-    std::ostream* out_;
-    bool opened_ = false;
-    bool closed_ = false;
 };
 
 /** Per-cell (grid point minus seed) statistical aggregation. */
@@ -258,7 +235,11 @@ struct CsvTable {
     /** True for a file with no rows (and thus no header). */
     bool empty() const { return rows.empty(); }
 
-    /** Numeric value of row @p r's "index" column. */
+    /**
+     * Row @p r's "index" cell as a number.
+     * @throws std::runtime_error, as readResultCsv does, unless the
+     * cell is a decimal integer in uint64_t range.
+     */
     uint64_t rowIndex(size_t r) const;
     /**
      * Grid-point identity of row @p r — scenario, system,
@@ -274,7 +255,8 @@ struct CsvTable {
  * empty-shard case).
  *
  * @throws std::runtime_error on a malformed header (fixed columns
- * missing or out of order), an inconsistent cell count, or invalid
+ * missing or out of order), an inconsistent cell count, an "index"
+ * cell that is not a decimal integer in uint64_t range, or invalid
  * quoting.
  */
 CsvTable readResultCsv(std::istream& in);

@@ -1,6 +1,7 @@
 #include "tools/csv_merge.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -9,11 +10,20 @@
 namespace dream {
 namespace tools {
 
+namespace {
+
+/** One row of one input table, ordered for merged re-emission. */
+struct ShardRowRef {
+    size_t table;   ///< position in the caller's table list
+    size_t row;     ///< row within that table
+    uint64_t index; ///< the row's globally unique "index" cell
+};
+
+/** Every row of @p tables (at least one) in index order, after
+ *  checking that they form one grid with no row twice. */
 std::vector<ShardRowRef>
 orderShardRows(const std::vector<const engine::CsvTable*>& tables)
 {
-    if (tables.empty())
-        return {};
     const auto& schema = tables.front()->schema;
     for (const auto* t : tables) {
         if (t->schema.paramColumns != schema.paramColumns)
@@ -35,11 +45,14 @@ orderShardRows(const std::vector<const engine::CsvTable*>& tables)
                          return a.index < b.index;
                      });
     for (size_t i = 1; i < rows.size(); ++i) {
-        if (rows[i].index == rows[i - 1].index)
-            throw std::runtime_error(
-                "overlapping shards: row index " +
-                std::to_string(rows[i].index) +
-                " appears in more than one input");
+        if (rows[i].index != rows[i - 1].index)
+            continue;
+        const std::string index = std::to_string(rows[i].index);
+        if (rows[i].table == rows[i - 1].table)
+            throw std::runtime_error("row index " + index +
+                                     " appears twice in one input");
+        throw std::runtime_error("overlapping shards: row index " + index +
+                                 " appears in more than one input");
     }
     std::unordered_set<std::string> keys;
     keys.reserve(rows.size());
@@ -53,6 +66,8 @@ orderShardRows(const std::vector<const engine::CsvTable*>& tables)
     }
     return rows;
 }
+
+} // anonymous namespace
 
 void
 mergeResultCsvs(const std::vector<engine::CsvTable>& inputs,

@@ -21,26 +21,6 @@
 namespace dream {
 namespace tools {
 
-/** One row of one input table, ordered for merged re-emission. */
-struct ShardRowRef {
-    size_t table;   ///< position in the caller's table list
-    size_t row;     ///< row within that table
-    uint64_t index; ///< the row's globally unique "index" cell
-};
-
-/**
- * Order every row of @p tables by the globally unique index column
- * and validate the shard union. Shared by the CSV and JSON mergers
- * (and the dream_shard reassembly), so both formats enforce the
- * same invariants.
- *
- * @throws std::runtime_error if the tables disagree on the
- * parameter columns (different grids), or if two rows collide on
- * the row index or the grid-point key (overlapping shards).
- */
-std::vector<ShardRowRef>
-orderShardRows(const std::vector<const engine::CsvTable*>& tables);
-
 /**
  * Merge shard tables into one canonical result CSV on @p out.
  * Inputs may arrive in any order; empty tables (empty shards write
@@ -48,8 +28,9 @@ orderShardRows(const std::vector<const engine::CsvTable*>& tables);
  * written — matching an unsharded run with no rows.
  *
  * @throws std::runtime_error if the non-empty inputs disagree on
- * the column schema, or if two rows collide on the row index or on
- * the grid-point key (overlapping shards).
+ * the parameter columns (different grids), or if two rows collide
+ * on the row index or on the grid-point key (overlapping shards, or
+ * a duplicate row within one input).
  */
 void mergeResultCsvs(const std::vector<engine::CsvTable>& inputs,
                      std::ostream& out);

@@ -120,15 +120,6 @@ Table::positionals(std::string metavar, std::vector<std::string>* out,
 }
 
 Table&
-Table::rest(std::string metavar, std::vector<std::string>* out,
-            size_t min)
-{
-    positionals(std::move(metavar), out, min);
-    rest_ = true;
-    return *this;
-}
-
-Table&
 Table::check(std::function<void()> step)
 {
     checks_.push_back(std::move(step));
@@ -159,11 +150,6 @@ Table::parse(const std::vector<std::string>& args)
             break;
         }
         if (arg.size() < 2 || arg[0] != '-') {
-            if (rest_) {
-                loose.insert(loose.end(), args.begin() + long(i),
-                             args.end());
-                break;
-            }
             loose.push_back(arg);
             continue;
         }

@@ -9,8 +9,7 @@
  *   metavariable ("N"; empty for a switch), a help text and a typed
  *   setter. The setters below validate the whole value.
  * - A repeated single-valued flag keeps its last value.
- * - "--" ends the flags. A table may take positionals, or a rest
- *   list: the first positional and everything after it, unparsed.
+ * - "--" ends the flags. A table may take positionals.
  * - --help and -h print the generated usage and exit 0. Every error
  *   prints "<prog>: <what>" and exits 2.
  */
@@ -128,14 +127,6 @@ public:
                        size_t min, size_t max = SIZE_MAX);
 
     /**
-     * Collect the first positional and every argument after it,
-     * unparsed, into @p out (a command line to pass on); at least
-     * @p min of them.
-     */
-    Table& rest(std::string metavar, std::vector<std::string>* out,
-                size_t min = 0);
-
-    /**
      * Run @p step after every argument is applied: checks across
      * flags, and defaults that depend on several of them. It may
      * throw Error.
@@ -168,7 +159,6 @@ private:
     std::vector<std::string>* positionals_ = nullptr;
     size_t posMin_ = 0;
     size_t posMax_ = 0;
-    bool rest_ = false;
 };
 
 } // namespace flags

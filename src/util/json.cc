@@ -267,12 +267,6 @@ Document::Document(std::istream& in, std::string context)
     : Document(slurp(in), std::move(context))
 {}
 
-std::string
-Document::source(const Value& v) const
-{
-    return text_.substr(v.begin, v.end - v.begin);
-}
-
 void
 Document::fail(const Value& at, const std::string& what) const
 {

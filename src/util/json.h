@@ -8,8 +8,8 @@
  * - Grammar: RFC 8259, plus the bare number tokens nan, -nan, inf
  *   and -inf that the `%g` writers emit for non-finite values.
  *   Rejecting those is the schema's job, not the parser's.
- * - Numbers keep their raw token, so 64-bit integers stay exact and
- *   a result cell reads back exactly as it was written.
+ * - Numbers keep their raw token, so 64-bit integers (a suite's
+ *   generation seeds) stay exact.
  * - String escapes are \" \\ \/ \b \f \n \r \t. Raw control
  *   characters in strings are errors.
  * - Duplicate object keys, content after the top-level value and
@@ -33,7 +33,7 @@ namespace json {
 
 /**
  * One parsed value; containers own their children. A boolean's
- * value is not kept (no schema reads one; source() has it).
+ * value is not kept (no schema reads one).
  */
 struct Value {
     enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -68,9 +68,6 @@ public:
     Document(std::istream& in, std::string context);
 
     const Value& root() const { return root_; }
-
-    /** The verbatim source text of @p v. */
-    std::string source(const Value& v) const;
 
     /** Throw "<context>:<line>:<col>: <what>", located at @p at. */
     [[noreturn]] void fail(const Value& at,

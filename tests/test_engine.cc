@@ -212,33 +212,6 @@ TEST(CsvSink, EmitsHeaderAndRow)
               "0\n");
 }
 
-TEST(JsonSink, EmitsWellFormedArray)
-{
-    std::ostringstream out;
-    {
-        engine::JsonSink sink(out);
-        sink.write(syntheticRecord("A", 1, 1.0));
-        sink.write(syntheticRecord("B", 2, 2.0));
-        sink.close();
-    }
-    const std::string s = out.str();
-    EXPECT_EQ(s.front(), '[');
-    EXPECT_EQ(s.substr(s.size() - 2), "]\n");
-    EXPECT_NE(s.find("\"scheduler\": \"A\""), std::string::npos);
-    EXPECT_NE(s.find("\"scheduler\": \"B\""), std::string::npos);
-    EXPECT_NE(s.find("\"ux_cost\": 2"), std::string::npos);
-}
-
-TEST(JsonSink, EmptyRunYieldsEmptyArray)
-{
-    std::ostringstream out;
-    {
-        engine::JsonSink sink(out);
-        sink.close();
-    }
-    EXPECT_EQ(out.str(), "[]\n");
-}
-
 /** A small but real grid: 2 schedulers x 2 alphas x 2 seeds. */
 engine::SweepGrid
 smallGrid()
@@ -342,17 +315,6 @@ shardOpts(size_t k, size_t n, const std::string& filter = {})
     return opts;
 }
 
-/** bench::Options of a --chunk B:E run, with an optional --filter. */
-bench::Options
-chunkOpts(size_t b, size_t e, const std::string& filter = {})
-{
-    bench::Options opts;
-    opts.chunk = {b, e};
-    opts.chunked = true;
-    opts.filter = filter;
-    return opts;
-}
-
 /** The points of @p grid a bench run with @p opts selects. */
 std::vector<size_t>
 selected(const engine::SweepGrid& grid, const bench::Options& opts)
@@ -414,7 +376,7 @@ TEST(BenchOptions, ShardRangesTileTheSequenceExactly)
         EXPECT_LE(r.second - r.first, 1u) << k;
     }
     EXPECT_EQ(shardOpts(1, 4).range(2).second, 0u);
-    // Without --shard or --chunk a run selects everything.
+    // Without --shard a run selects everything.
     EXPECT_EQ(bench::Options().range(5), (std::pair<size_t, size_t>{0, 5}));
 }
 
@@ -463,21 +425,12 @@ TEST(Engine, ShardComposesWithKeyFilter)
     EXPECT_TRUE(selected(grid, shardOpts(2, 9, "seed=1")).empty());
 }
 
-TEST(ChunkSpec, RangeClampsAndSliceRebasesGlobally)
+TEST(Engine, ShardPositionsAreGlobalAcrossGrids)
 {
-    const engine::ChunkSpec c{3, 7};
-    EXPECT_EQ(c.range(100), (std::pair<size_t, size_t>{3, 7}));
-    EXPECT_EQ(c.range(5), (std::pair<size_t, size_t>{3, 5}));
-    EXPECT_EQ(c.range(2), (std::pair<size_t, size_t>{2, 2}));
-    EXPECT_EQ(c.toString(), "3:7");
-
-    const engine::ChunkSpec open{3, engine::ChunkSpec::npos};
-    EXPECT_EQ(open.range(10), (std::pair<size_t, size_t>{3, 10}));
-    EXPECT_EQ(open.toString(), "3:");
-
-    // Positions are global across grids: --chunk 95:105 over fig10's
-    // three 49-point grids runs the last 3 points of the second grid
-    // and the first 7 of the third.
+    // fig10 scans three 49-point grids as one ordering of 147
+    // positions, so a shard may straddle a grid boundary: shard 3/7
+    // is [42, 63), the first grid's last 7 points and the second
+    // grid's first 14.
     const auto g = engine::paramSpaceGrid(
         hw::SystemPreset::Sys4k1Os2Ws, workload::ScenarioPreset::VrGaming,
         7);
@@ -486,73 +439,28 @@ TEST(ChunkSpec, RangeClampsAndSliceRebasesGlobally)
     const auto range = [](const bench::Options& opts) {
         return [opts](size_t total) { return opts.range(total); };
     };
-    auto sel = engine::selectPoints(three, "", range(chunkOpts(95, 105)));
-    EXPECT_TRUE(sel[0].empty());
-    EXPECT_EQ(sel[1], (std::vector<size_t>{46, 47, 48}));
-    EXPECT_EQ(sel[2], (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6}));
+    auto sel = engine::selectPoints(three, "", range(shardOpts(3, 7)));
+    EXPECT_EQ(sel[0], (std::vector<size_t>{42, 43, 44, 45, 46, 47, 48}));
+    ASSERT_EQ(sel[1].size(), 14u);
+    EXPECT_EQ(sel[1].front(), 0u);
+    EXPECT_EQ(sel[1].back(), 13u);
+    EXPECT_TRUE(sel[2].empty());
 
-    // So are --shard ranges: shard 2/2 of the 147 positions is
-    // [73, 147), the second grid's tail and all of the third.
+    // Shard 2/2 of the 147 positions is [73, 147), the second grid's
+    // tail and all of the third.
     sel = engine::selectPoints(three, "", range(shardOpts(2, 2)));
     EXPECT_TRUE(sel[0].empty());
-    EXPECT_EQ(sel[1].size(), 25u);
+    ASSERT_EQ(sel[1].size(), 25u);
     EXPECT_EQ(sel[1].front(), 24u);
     EXPECT_EQ(sel[2].size(), 49u);
 
-    // The filter applies first; the range cuts the filtered ordering
-    // (each grid's first 7 points have alpha=0: 21 positions in all).
-    sel = engine::selectPoints(three, "alpha=0,", range(chunkOpts(5, 9)));
+    // The filter applies first; the shard cuts the filtered ordering
+    // (each grid's first 7 points have alpha=0: 21 positions in all,
+    // of which shard 2/4 is [5, 10)).
+    sel = engine::selectPoints(three, "alpha=0,", range(shardOpts(2, 4)));
     EXPECT_EQ(sel[0], (std::vector<size_t>{5, 6}));
-    EXPECT_EQ(sel[1], (std::vector<size_t>{0, 1}));
+    EXPECT_EQ(sel[1], (std::vector<size_t>{0, 1, 2}));
     EXPECT_TRUE(sel[2].empty());
-}
-
-TEST(Engine, ChunkedRunsPartitionTheGrid)
-{
-    const auto grid = smallGrid();
-    const auto full = engine::Engine({1}).run(grid);
-    ASSERT_EQ(full.size(), 8u);
-
-    // Deliberately uneven chunks (the orchestrator hands out
-    // whatever tiles the ordering) stitch back into the full run.
-    std::vector<engine::RunRecord> stitched;
-    for (const auto& [b, e] :
-         {std::pair{0, 3}, std::pair{3, 4}, std::pair{4, 8}}) {
-        const auto part = engine::Engine({2}).run(
-            grid, {}, selected(grid, chunkOpts(b, e)));
-        stitched.insert(stitched.end(), part.begin(), part.end());
-    }
-    ASSERT_EQ(stitched.size(), full.size());
-    for (size_t i = 0; i < full.size(); ++i) {
-        EXPECT_EQ(stitched[i].key(), full[i].key());
-        EXPECT_EQ(stitched[i].uxCost, full[i].uxCost) << i;
-        EXPECT_EQ(stitched[i].index, full[i].index) << i;
-    }
-
-    // Ranges beyond the grid clamp to empty.
-    EXPECT_TRUE(selected(grid, chunkOpts(20, 30)).empty());
-}
-
-TEST(Engine, ChunkComposesWithKeyFilter)
-{
-    const auto grid = smallGrid();
-    const auto filtered = engine::Engine({1}).run(
-        grid, {}, engine::selectPoints({&grid}, "seed=1", everything)[0]);
-    ASSERT_EQ(filtered.size(), 4u);
-
-    // Chunks address positions of the FILTERED sequence.
-    const auto head = engine::Engine({1}).run(
-        grid, {}, selected(grid, chunkOpts(0, 3, "seed=1")));
-    const auto tail = engine::Engine({1}).run(
-        grid, {}, selected(grid, chunkOpts(3, 4, "seed=1")));
-    ASSERT_EQ(head.size() + tail.size(), filtered.size());
-    for (size_t i = 0; i < head.size(); ++i)
-        EXPECT_EQ(head[i].key(), filtered[i].key());
-    for (size_t i = 0; i < tail.size(); ++i)
-        EXPECT_EQ(tail[i].key(), filtered[3 + i].key());
-
-    // A filter that matches nothing leaves every chunk empty.
-    EXPECT_TRUE(selected(grid, chunkOpts(0, 4, "no-such-key")).empty());
 }
 
 TEST(Engine, IndexBaseOffsetsRowTraceMetadataAndEventPid)

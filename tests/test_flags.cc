@@ -2,9 +2,9 @@
  * @file
  * The flag table (src/util/flags.h) and the shared bench flags
  * (bench/bench_main.h): typed setters validate whole values, a
- * repeated flag keeps its last value, "--" ends the flags, rest lists
- * and positionals collect what is left, --help lists the table in
- * order, and the exiting wrapper exits 0 on --help and 2 on errors.
+ * repeated flag keeps its last value, "--" ends the flags,
+ * positionals collect what is left, --help lists the table in order,
+ * and the exiting wrapper exits 0 on --help and 2 on errors.
  */
 
 #include <gtest/gtest.h>
@@ -113,17 +113,16 @@ TEST(Flags, StringSwitchAndAppendSetters)
 
 TEST(Flags, RepeatedFlagKeepsItsLastValue)
 {
-    // dream_shard appends its own --jobs, --chunk, --filter, --out
-    // and --json after the user's bench command.
-    const auto opts = benchArgs({"--jobs", "2", "--out", "a.csv", "--chunk",
-                                 "0:4", "--jobs", "3", "--out", "b.csv",
-                                 "--chunk", "4:8"});
+    const auto opts = benchArgs({"--jobs", "2", "--out", "a.csv", "--shard",
+                                 "1/4", "--jobs", "3", "--out", "b.csv",
+                                 "--shard", "2/4"});
     EXPECT_EQ(opts.jobs, 3);
     EXPECT_EQ(opts.out, "b.csv");
-    EXPECT_EQ(opts.chunk.toString(), "4:8");
+    EXPECT_EQ(opts.shard, 2u);
+    EXPECT_EQ(opts.shards, 4u);
 }
 
-TEST(Flags, DoubleDashEndsTheFlagsAndRestTakesTheCommand)
+TEST(Flags, DoubleDashEndsTheFlags)
 {
     bool quiet = false;
     std::vector<std::string> files;
@@ -133,21 +132,6 @@ TEST(Flags, DoubleDashEndsTheFlagsAndRestTakesTheCommand)
     ASSERT_TRUE(table.parse({"a", "--quiet", "--", "--quiet", "-x"}));
     EXPECT_TRUE(quiet);
     EXPECT_EQ(files, (std::vector<std::string>{"a", "--quiet", "-x"}));
-
-    // A rest list starts at the first positional (or after "--"), and
-    // nothing in it is parsed, not even --help.
-    int jobs = 0;
-    std::vector<std::string> command;
-    flags::Table shard;
-    shard.add({"--jobs", "-j", "N", "", flags::integer(&jobs)});
-    shard.rest("BENCH [ARGS...]", &command, 1);
-    ASSERT_TRUE(shard.parse({"-j", "4", "bench", "--jobs", "2", "--help"}));
-    EXPECT_EQ(jobs, 4);
-    EXPECT_EQ(command,
-              (std::vector<std::string>{"bench", "--jobs", "2", "--help"}));
-    ASSERT_TRUE(shard.parse({"--", "-bench", "-j"}));
-    EXPECT_EQ(command, (std::vector<std::string>{"-bench", "-j"}));
-    EXPECT_THROW(shard.parse({"-j", "4"}), flags::Error); // no BENCH
 }
 
 TEST(Flags, MalformedCommandLinesAreErrors)
@@ -205,10 +189,10 @@ TEST(Flags, HelpListsFlagsInTableOrderWithAliases)
     EXPECT_NE(help.find("  -j, --jobs N "), std::string::npos) << help;
     size_t last = 0;
     for (const char* flag :
-         {"--jobs", "--out", "--json", "--list", "--filter", "--shard K/N",
-          "--chunk B:E", "--record-trace DIR", "--trace-events DIR",
-          "--metrics F", "--metrics-full F", "--no-cost-cache",
-          "-h, --help", "epilog line"}) {
+         {"--jobs", "--out", "--list", "--filter", "--shard K/N",
+          "--record-trace DIR", "--trace-events DIR", "--metrics F",
+          "--metrics-full F", "--no-cost-cache", "-h, --help",
+          "epilog line"}) {
         const size_t at = help.find(flag);
         ASSERT_NE(at, std::string::npos) << flag;
         EXPECT_GT(at, last) << flag;
@@ -266,36 +250,19 @@ TEST(BenchFlags, ShardParsesValidSpecsAndRejectsMalformedOnes)
           // Out of int range: must be rejected, not wrapped.
           "4294967297/4294967297", "1/99999999999999999999"})
         EXPECT_THROW(benchArgs({"--shard", bad}), flags::Error) << bad;
-    EXPECT_THROW(benchArgs({"--shard", "1/2", "--chunk", "0:3"}),
-                 flags::Error);
-}
 
-TEST(ChunkSpec, ParsesValidSpecsAndRejectsMalformedOnes)
-{
-    auto opts = benchArgs({"--chunk", "3:7"});
-    EXPECT_EQ(opts.chunk.begin, 3u);
-    EXPECT_EQ(opts.chunk.end, 7u);
-    EXPECT_TRUE(opts.subsetRun());
-
-    opts = benchArgs({"--chunk", "5:5"});
-    EXPECT_EQ(opts.chunk.begin, opts.chunk.end); // empty chunks are valid
-
-    opts = benchArgs({"--chunk", "4:"});
-    EXPECT_EQ(opts.chunk.begin, 4u);
-    EXPECT_EQ(opts.chunk.end, engine::ChunkSpec::npos); // open end
-
-    // The whole ordering, but still a subset run (rows to stdout).
-    opts = benchArgs({"--chunk", "0:"});
-    EXPECT_EQ(opts.range(9), (std::pair<size_t, size_t>{0, 9}));
-    EXPECT_TRUE(opts.subsetRun());
-
-    for (const char* bad :
-         {"", ":", "3", ":7", "7:3", "-1:4", "1:b", "a:4", "1:4x", "1.5:4",
-          " 1:4",
-          // Overflow must be rejected, not saturated to npos.
-          "99999999999999999999:4", "1:99999999999999999999",
-          "99999999999999999999:99999999999999999998"})
-        EXPECT_THROW(benchArgs({"--chunk", bad}), flags::Error) << bad;
+    // --shard is the one range flag and CSV the one --out format:
+    // --chunk and --json are unknown to every bench.
+    for (const auto kind : {bench::Kind::Grid, bench::Kind::Rows}) {
+        for (const std::string gone : {"--chunk", "--json"}) {
+            try {
+                benchArgs({gone, "0:3"}, kind);
+                ADD_FAILURE() << gone << " was accepted";
+            } catch (const flags::Error& e) {
+                EXPECT_EQ(e.what(), "unknown flag '" + gone + "'");
+            }
+        }
+    }
 }
 
 TEST(BenchFlags, RowBenchesRejectPerGridPointFlags)
@@ -307,14 +274,13 @@ TEST(BenchFlags, RowBenchesRejectPerGridPointFlags)
         EXPECT_THROW(benchArgs({flag, "x"}, bench::Kind::Rows),
                      flags::Error)
             << flag;
-    // --list stays: dream_shard counts grid points with it.
+    // --list stays, and lists no grid point.
     EXPECT_TRUE(benchArgs({"--list"}, bench::Kind::Rows).list);
-    const auto opts =
-        benchArgs({"--jobs", "2", "--out", "o.csv", "--json", "--shard",
-                   "1/2", "--no-cost-cache"},
-                  bench::Kind::Rows);
+    const auto opts = benchArgs(
+        {"--jobs", "2", "--out", "o.csv", "--shard", "1/2", "--no-cost-cache"},
+        bench::Kind::Rows);
     EXPECT_EQ(opts.jobs, 2);
-    EXPECT_TRUE(opts.json);
+    EXPECT_EQ(opts.out, "o.csv");
     EXPECT_FALSE(opts.costCache);
 }
 

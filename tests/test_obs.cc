@@ -5,7 +5,7 @@
  * trace-event sink (src/obs/trace_event.h), the trace reader/
  * profiler behind dream_prof (src/tools/trace_prof.h), the
  * simulator/engine hooks that feed them, and the per-worker
- * occupancy reporting in WorkerPool and the shard orchestrator.
+ * occupancy reporting in WorkerPool.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@
 #include "runner/experiment.h"
 #include "sched/fcfs.h"
 #include "sim/simulator.h"
-#include "tools/shard_sched.h"
 #include "tools/trace_prof.h"
 #include "workload/scenario.h"
 
@@ -618,44 +617,6 @@ TEST(WorkerPool, ReportsPerWorkerOccupancy)
     ASSERT_EQ(serial.lastRunStats().size(), 1u);
     EXPECT_EQ(serial.lastRunStats()[0].items, 5u);
     EXPECT_EQ(serial.lastRunStats()[0].steals, 0u);
-}
-
-TEST(ChunkReport, IncludesPerWorkerUtilizationSection)
-{
-    tools::OrchestratorOptions opts;
-    opts.command = {"bench"};
-    tools::OrchestratorResult result;
-    result.ok = true;
-    result.workers = 2;
-    result.wallSeconds = 10.0;
-    result.chunks.resize(2);
-    result.chunks[0].chunk = {0, 4};
-    result.chunks[0].attempts = 1;
-    result.chunks[0].worker = 0;
-    result.chunks[0].wallSeconds = 4.0;
-    result.chunks[0].ok = true;
-    result.chunks[1].chunk = {4, 8};
-    result.chunks[1].attempts = 2;
-    result.chunks[1].worker = 1;
-    result.chunks[1].wallSeconds = 6.0;
-    result.chunks[1].ok = true;
-    result.workerStats.resize(2);
-    result.workerStats[0] = {2, 1, 7.5};
-    result.workerStats[1] = {1, 0, 6.0};
-
-    std::ostringstream out;
-    tools::writeChunkReport(opts, result, out);
-    const std::string report = out.str();
-    EXPECT_NE(report.find("| worker | chunks run | failed attempts "
-                          "| busy (s) | idle (s) | utilization |"),
-              std::string::npos)
-        << report;
-    EXPECT_NE(report.find("| 0 | 2 | 1 | 7.500 | 2.500 | 75.0% |"),
-              std::string::npos)
-        << report;
-    EXPECT_NE(report.find("| 1 | 1 | 0 | 6.000 | 4.000 | 60.0% |"),
-              std::string::npos)
-        << report;
 }
 
 // --------------------------------------------------- FrameRecord

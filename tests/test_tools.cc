@@ -3,15 +3,14 @@
  * Result-toolchain tests: the CSV reader/schema introspection, the
  * shard-merge round trip (merged shard CSVs byte-identical to the
  * unsharded run, including the empty-shard and --filter-composed
- * cases), the overlap validation, regression diffing (NaN cells,
- * within-tolerance drift, added/removed grid points), the shard
- * orchestrator's scheduling logic (chunk partition, retry queue,
- * out-of-order reassembly), and the JSON result reader/merger.
+ * cases), the overlap validation, and regression diffing (NaN cells,
+ * within-tolerance drift, added/removed grid points).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -22,11 +21,8 @@
 #include "engine/engine.h"
 #include "engine/param_eval.h"
 #include "engine/result_sink.h"
-#include "json_reject.h"
 #include "tools/csv_diff.h"
 #include "tools/csv_merge.h"
-#include "tools/json_result.h"
-#include "tools/shard_sched.h"
 
 namespace dream {
 namespace {
@@ -122,6 +118,25 @@ TEST(CsvReader, RejectsMalformedInput)
     const std::string good = toCsv({record(0, "sc", "A", 1, 1.0)});
     EXPECT_THROW(parse(good + "1,short,row\n"), std::runtime_error);
     EXPECT_THROW(parse("\"unterminated"), std::runtime_error);
+
+    // The index cell is the merge order: anything but a decimal
+    // uint64_t is an error that names the row, not a guess.
+    const std::string row2 = good.substr(good.find('\n') + 1);
+    ASSERT_EQ(row2.rfind("0,", 0), 0u) << row2;
+    for (const std::string bad :
+         {"abc", "7x", "-1", "", "+1", " 1", "99999999999999999999"}) {
+        try {
+            parse(good + bad + row2.substr(1));
+            ADD_FAILURE() << "index '" << bad << "' was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "result CSV row 2: index '" + bad +
+                          "' is not a decimal integer in uint64_t range");
+        }
+    }
+    EXPECT_EQ(parse(good + "18446744073709551615" + row2.substr(1))
+                  .rowIndex(1),
+              UINT64_MAX);
 }
 
 TEST(CsvMerge, ShardedBenchRunMergesByteIdentically)
@@ -193,6 +208,16 @@ TEST(CsvMerge, OverlappingShardsAreRejected)
     // Same row index, different grid point: index collision.
     const std::string b = toCsv({record(0, "sc", "B", 1, 1.0)});
     EXPECT_THROW(merged({a, b}), std::runtime_error);
+    // The same collision inside one input says so.
+    const std::string twice = toCsv(
+        {record(0, "sc", "A", 1, 1.0), record(0, "sc", "B", 1, 1.0)});
+    try {
+        merged({twice});
+        ADD_FAILURE() << "a duplicate row index was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "row index 0 appears twice in one input");
+    }
     // Disjoint rows merge fine.
     const std::string c = toCsv({record(1, "sc", "B", 1, 1.0)});
     EXPECT_NO_THROW(merged({a, c}));
@@ -359,272 +384,6 @@ TEST(CsvDiff, SummariesRenderBothFormats)
               std::string::npos);
     EXPECT_NE(json.str().find("\"column\": \"ux_cost\""),
               std::string::npos);
-}
-
-// --------------------------------------- shard orchestrator logic
-
-TEST(ShardSched, ChunkRangesTileTheSequenceExactly)
-{
-    for (const size_t total : {0u, 1u, 2u, 7u, 16u, 100u}) {
-        for (const size_t chunks : {1u, 2u, 3u, 5u, 16u, 200u}) {
-            const auto ranges = tools::chunkRanges(total, chunks);
-            EXPECT_LE(ranges.size(), chunks);
-            EXPECT_EQ(ranges.size(), std::min(total, chunks));
-            size_t prev_end = 0;
-            size_t lo = total, hi = 0;
-            for (const auto& c : ranges) {
-                EXPECT_EQ(c.begin, prev_end); // contiguous, in order
-                EXPECT_GT(c.end, c.begin);    // never empty
-                prev_end = c.end;
-                lo = std::min(lo, c.end - c.begin);
-                hi = std::max(hi, c.end - c.begin);
-            }
-            EXPECT_EQ(prev_end, total); // covering, exactly once
-            if (!ranges.empty()) {
-                EXPECT_LE(hi - lo, 1u); // balanced to within one
-            }
-        }
-    }
-    EXPECT_TRUE(tools::chunkRanges(5, 0).empty());
-    EXPECT_TRUE(tools::chunkRanges(0, 4).empty());
-}
-
-TEST(ShardSched, QueueHandsOutEveryChunkOnce)
-{
-    tools::ChunkQueue queue(tools::chunkRanges(10, 4), 3);
-    ASSERT_EQ(queue.size(), 4u);
-
-    std::vector<size_t> popped;
-    size_t id = 0;
-    while (queue.next(&id))
-        popped.push_back(id);
-    EXPECT_EQ(popped, (std::vector<size_t>{0, 1, 2, 3}));
-    EXPECT_FALSE(queue.allDone()); // in flight, not completed
-    for (const size_t p : popped)
-        queue.complete(p);
-    EXPECT_TRUE(queue.allDone());
-    EXPECT_EQ(queue.requeues(), 0u);
-    EXPECT_EQ(queue.failed(), 0u);
-}
-
-TEST(ShardSched, QueueRequeuesFailedChunksUntilTheBudget)
-{
-    // Budget of 2 attempts: one retry after the first failure.
-    tools::ChunkQueue queue(tools::chunkRanges(6, 3), 2);
-    size_t id = 0;
-    ASSERT_TRUE(queue.next(&id));
-    EXPECT_EQ(id, 0u);
-    EXPECT_EQ(queue.attempts(0), 1);
-
-    // Failure requeues at the BACK: fresh chunks run first.
-    EXPECT_TRUE(queue.fail(0));
-    EXPECT_EQ(queue.requeues(), 1u);
-    std::vector<size_t> order;
-    while (queue.next(&id))
-        order.push_back(id);
-    EXPECT_EQ(order, (std::vector<size_t>{1, 2, 0}));
-    EXPECT_EQ(queue.attempts(0), 2);
-
-    // Second failure exhausts the budget: permanent.
-    EXPECT_FALSE(queue.fail(0));
-    EXPECT_EQ(queue.failed(), 1u);
-    queue.complete(1);
-    queue.complete(2);
-    EXPECT_FALSE(queue.allDone()); // chunk 0 never completed
-    EXPECT_FALSE(queue.next(&id)); // and nothing is pending
-}
-
-TEST(ShardSched, OutOfOrderChunkCompletionMergesByteIdentically)
-{
-    // The orchestrator's reassembly invariant: whichever worker
-    // finishes whichever chunk in whatever order, the merged file
-    // equals the unsharded run byte for byte.
-    engine::SweepGrid grid;
-    grid.addScenario(workload::ScenarioPreset::VrGaming)
-        .addSystem(hw::SystemPreset::Sys4k1Ws2Os)
-        .addScheduler(runner::SchedKind::Fcfs)
-        .addScheduler(runner::SchedKind::DreamFull)
-        .seeds({1, 2})
-        .window(5e4);
-
-    std::ostringstream full;
-    engine::CsvSink full_sink(full);
-    engine::Engine({2}).run(grid, {&full_sink});
-    full_sink.close();
-
-    std::vector<std::string> chunk_csvs;
-    for (const auto& c : tools::chunkRanges(grid.size(), 3)) {
-        std::ostringstream out;
-        engine::CsvSink sink(out);
-        engine::Engine({2}).run(
-            grid, {&sink},
-            engine::selectPoints({&grid}, "", [&](size_t total) {
-                return c.range(total);
-            })[0]);
-        sink.close();
-        chunk_csvs.push_back(out.str());
-    }
-    ASSERT_EQ(chunk_csvs.size(), 3u);
-    // Every completion order reassembles the same bytes.
-    EXPECT_EQ(merged({chunk_csvs[0], chunk_csvs[1], chunk_csvs[2]}),
-              full.str());
-    EXPECT_EQ(merged({chunk_csvs[2], chunk_csvs[0], chunk_csvs[1]}),
-              full.str());
-    EXPECT_EQ(merged({chunk_csvs[1], chunk_csvs[2], chunk_csvs[0]}),
-              full.str());
-}
-
-// --------------------------------------------- JSON result files
-
-std::string
-toJson(const std::vector<engine::RunRecord>& records)
-{
-    std::ostringstream out;
-    engine::JsonSink sink(out);
-    for (const auto& r : records)
-        sink.write(r);
-    sink.close();
-    return out.str();
-}
-
-tools::JsonTable
-parseJson(const std::string& text)
-{
-    std::istringstream in(text);
-    return tools::readResultJson(in);
-}
-
-std::string
-mergedJson(const std::vector<std::string>& inputs)
-{
-    std::vector<tools::JsonTable> tables;
-    for (const auto& text : inputs)
-        tables.push_back(parseJson(text));
-    std::ostringstream out;
-    tools::mergeResultJsons(tables, out);
-    return out.str();
-}
-
-TEST(JsonResult, ReadsBackTheCsvTwinOfTheSameRun)
-{
-    engine::RunRecord r = record(3, "sc", "A", 11, 1.5);
-    r.params = {{"alpha", 0.25}, {"beta", 1.5}};
-    r.breakdown = {{"net_v0_share", 0.75}, {"net_v1_share", 0.25}};
-    r.dlvRate = std::numeric_limits<double>::quiet_NaN();
-
-    const auto json = parseJson(toJson({r}));
-    const auto csv = parse(toCsv({r}));
-    ASSERT_EQ(json.raw.size(), 1u);
-    EXPECT_EQ(json.raw[0].front(), '{');
-    EXPECT_EQ(json.raw[0].back(), '}');
-    // Same schema, same cell text (formatValue renders both sides),
-    // so the JSON view diffs exactly like the CSV view.
-    EXPECT_EQ(json.table.schema.columns, csv.schema.columns);
-    EXPECT_EQ(json.table.rows, csv.rows);
-    EXPECT_EQ(json.table.rowKey(0), csv.rowKey(0));
-    EXPECT_EQ(json.table.rowIndex(0), 3u);
-    EXPECT_TRUE(
-        tools::diffResultCsvs(csv, json.table).identical());
-
-    // Quoting round-trips through both encoders.
-    engine::RunRecord quoted =
-        record(0, "A,B \"quoted\"", "S", 1, 2.0);
-    EXPECT_EQ(parseJson(toJson({quoted})).table.rows[0][1],
-              "A,B \"quoted\"");
-
-    EXPECT_TRUE(parseJson("[]\n").empty());
-    EXPECT_TRUE(parseJson("").empty());
-}
-
-TEST(JsonResult, RejectsMalformedAndMixedGridInput)
-{
-    EXPECT_THROW(parseJson("[{]"), std::runtime_error);
-    EXPECT_THROW(parseJson("[{\"index\": 0}]"), std::runtime_error);
-    EXPECT_THROW(parseJson("{\"not\": \"an array\"}"),
-                 std::runtime_error);
-    const std::string good = toJson({record(0, "sc", "A", 1, 1.0)});
-    EXPECT_THROW(parseJson(good + "trailing"), std::runtime_error);
-
-    // Lax readers took these; each must be rejected at its line:col.
-    const auto read = [](const std::string& text) { parseJson(text); };
-    const auto mutate = [&good](const std::string& from,
-                                const std::string& to) {
-        std::string text = good;
-        text.replace(text.find(from), from.size(), to);
-        return text;
-    };
-    const std::string junk =
-        mutate("\"ux_cost\": 1,", "\"ux_cost\": 0.19xyz,");
-    test::expectRejectedAt(read, junk, "<result>", junk.find("xyz"),
-                           "expected ',' or '}'");
-    const std::string seed = mutate("\"seed\": 1,", "\"seed\": [11,");
-    test::expectRejectedAt(read, seed, "<result>",
-                           seed.find(':', seed.find("\"window_us\"")),
-                           "expected ',' or ']'");
-    const std::string dup =
-        mutate("\"seed\": 1,", "\"index\": 0, \"seed\": 1,");
-    test::expectRejectedAt(read, dup, "<result>", dup.rfind("\"index\""),
-                           "duplicate key \"index\"");
-    const std::string flag =
-        mutate("\"total_frames\": 100", "\"total_frames\": true");
-    test::expectRejectedAt(read, flag, "<result>", flag.find("true"),
-                           "\"total_frames\" must be a number");
-
-    // Two records disagreeing on parameter keys = two grids.
-    engine::RunRecord a = record(0, "sc", "A", 1, 1.0);
-    a.params = {{"alpha", 0.5}};
-    EXPECT_THROW(parseJson(toJson({a, record(1, "sc", "A", 2, 1.0)})),
-                 std::runtime_error);
-}
-
-TEST(JsonMerge, ChunkedJsonRunsMergeByteIdentically)
-{
-    engine::SweepGrid grid;
-    grid.addScenario(workload::ScenarioPreset::VrGaming)
-        .addSystem(hw::SystemPreset::Sys4k1Ws2Os)
-        .addScheduler(runner::SchedKind::Fcfs)
-        .addScheduler(runner::SchedKind::DreamFull)
-        .seeds({1, 2})
-        .window(5e4);
-
-    std::ostringstream full;
-    engine::JsonSink full_sink(full);
-    engine::Engine({2}).run(grid, {&full_sink});
-    full_sink.close();
-
-    std::vector<std::string> chunks;
-    for (const auto& c : tools::chunkRanges(grid.size(), 3)) {
-        std::ostringstream out;
-        engine::JsonSink sink(out);
-        engine::Engine({2}).run(
-            grid, {&sink},
-            engine::selectPoints({&grid}, "", [&](size_t total) {
-                return c.range(total);
-            })[0]);
-        sink.close();
-        chunks.push_back(out.str());
-    }
-    // Out-of-order completion must not matter for JSON either.
-    EXPECT_EQ(mergedJson({chunks[0], chunks[1], chunks[2]}),
-              full.str());
-    EXPECT_EQ(mergedJson({chunks[2], chunks[0], chunks[1]}),
-              full.str());
-}
-
-TEST(JsonMerge, EmptyInputsAndOverlapsMatchCsvSemantics)
-{
-    const std::string only =
-        toJson({record(0, "sc", "A", 1, 1.0),
-                record(1, "sc", "A", 2, 2.0)});
-    EXPECT_EQ(mergedJson({"[]\n", only}), only);
-    // All-empty: the rowless run's "[]", exactly as JsonSink writes
-    // it.
-    EXPECT_EQ(mergedJson({"[]\n", "[]\n"}), "[]\n");
-
-    const std::string a = toJson({record(0, "sc", "A", 1, 1.0)});
-    EXPECT_THROW(mergedJson({a, a}), std::runtime_error);
-    const std::string b = toJson({record(0, "sc", "B", 1, 1.0)});
-    EXPECT_THROW(mergedJson({a, b}), std::runtime_error);
 }
 
 } // anonymous namespace

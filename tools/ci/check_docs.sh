@@ -1,12 +1,17 @@
 #!/bin/sh
-# Doc-drift lint: every user-facing --flag must be documented.
+# Doc-drift lint: every user-facing --flag must be documented, and
+# every documented --flag must exist.
 #
 # Sources of truth are the flag tables themselves (src/util/flags.h):
 # the shared bench flags (bench/bench_main.h), each bench's extra
 # flags (bench/*.cc) and each tools/*.cc binary. A flag string literal
 # that appears in a table but in none of that surface's READMEs fails
 # the check — so adding a flag without documenting it breaks CI, and
-# the docs cannot silently rot as the CLIs grow.
+# the docs cannot silently rot as the CLIs grow. The other direction
+# catches a removed flag: a --flag that tools/README.md or
+# src/engine/README.md mentions must be a literal of one of those
+# tables, or an add_argument flag of perfbench/run.py or
+# tools/ci/*.py.
 #
 # Mapping:
 #   bench/bench_main.h, bench/*.cc
@@ -15,7 +20,8 @@
 #                          bench protocol)
 #   tools/dream_X.cc    -> tools/README.md
 #
-# --help/-h are exempt (self-documenting).
+# --help/-h are exempt (self-documenting), and so are cmake's --build
+# and the prose placeholder --flag in the READMEs.
 #
 # Usage: check_docs.sh [REPO_ROOT]
 set -eu
@@ -56,6 +62,24 @@ done
 
 for src in tools/*.cc; do
     check "$src" tools/README.md
+done
+
+accepted="$(
+    for src in bench/bench_main.h bench/*.cc tools/*.cc; do
+        flags_of "$src"
+    done
+    grep -hoE 'add_argument\("--[a-z0-9][a-z0-9-]*"' \
+        perfbench/run.py tools/ci/*.py | grep -oE -- '--[a-z0-9-]+'
+)"
+for doc in tools/README.md src/engine/README.md; do
+    for flag in $(grep -oE -- '--[a-z0-9][a-z0-9-]*' "$doc" | sort -u); do
+        case "$flag" in --help | --build | --flag) continue ;; esac
+        if ! printf '%s\n' "$accepted" | grep -qxF -- "$flag"; then
+            echo "check_docs: $doc documents '$flag' but no flag" \
+                 "table accepts it" >&2
+            fail=1
+        fi
+    done
 done
 
 # The documentation front door must exist and link every

@@ -1,12 +1,10 @@
 /**
  * @file
- * dream_diff: compare two result files from the same grid ("same
+ * dream_diff: compare two result CSVs from the same grid ("same
  * grid, two builds, same results" — the CI regression gate). Rows
  * are keyed by grid point; value columns compare numerically under
- * global or per-column absolute/relative tolerances. Each input may
- * be a result CSV or a `--json` bench run (sniffed from the
- * content), and the two formats mix freely — a JSON candidate diffs
- * against a CSV baseline.
+ * global or per-column absolute/relative tolerances. `--json` prints
+ * the summary as JSON.
  *
  * Exit codes: 0 = no differences (always 0 without --fail-on-diff),
  * 1 = differences found and --fail-on-diff given, 2 = usage or
@@ -22,7 +20,6 @@
 
 #include "engine/result_sink.h"
 #include "tools/csv_diff.h"
-#include "tools/json_result.h"
 #include "util/flags.h"
 
 using namespace dream;
@@ -35,8 +32,7 @@ main(int argc, char** argv)
     bool json = false;
     std::vector<std::string> paths;
     flags::Table table(
-        "compares result files (CSV or --json bench output, sniffed\n"
-        "from the content; formats may mix) keyed by grid point\n"
+        "compares result CSVs keyed by grid point\n"
         "(scenario/system/scheduler/params/seed); reports added/removed\n"
         "grid points and out-of-tolerance cells. NaN compares equal to\n"
         "NaN.");
@@ -75,8 +71,8 @@ main(int argc, char** argv)
     const std::string& path_b = paths[1];
 
     try {
-        const auto a = tools::readResultTable(path_a);
-        const auto b = tools::readResultTable(path_b);
+        const auto a = engine::readResultCsv(path_a);
+        const auto b = engine::readResultCsv(path_b);
         const auto result = tools::diffResultCsvs(a, b, options);
         if (json)
             tools::printDiffJson(result, std::cout);

@@ -1,13 +1,10 @@
 /**
  * @file
- * dream_merge: merge N shard or chunk result files (`bench --shard
- * K/N --out` / `bench --chunk B:E --out`) back into the canonical
- * single-run file. Both result formats merge: CSV inputs rebuild
- * the unsharded CSV, JSON inputs (`--json` bench runs, sniffed from
- * the content or forced with --json) rebuild the unsharded JSON
- * array — byte-identical either way, in any input order. Exits 0 on
- * success, 2 on any error (unreadable input, mixed formats, schema
- * mismatch, overlapping shards).
+ * dream_merge: merge N shard result CSVs (`bench --shard K/N --out`)
+ * back into the canonical single-run file — byte-identical to the
+ * unsharded `--out`, in any input order. Exits 0 on success, 2 on
+ * any error (unreadable or malformed input, schema mismatch,
+ * overlapping shards).
  */
 
 #include <cstdio>
@@ -18,7 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "tools/json_result.h"
+#include "engine/result_sink.h"
+#include "tools/csv_merge.h"
 #include "util/flags.h"
 
 using namespace dream;
@@ -27,49 +25,30 @@ int
 main(int argc, char** argv)
 {
     std::string out_path;
-    bool force_json = false;
     std::vector<std::string> inputs;
     flags::Table table(
-        "merges shard/chunk result files (bench --shard K/N or --chunk\n"
-        "B:E, CSV or --json) back into the canonical single-run file;\n"
-        "errors on mixed formats, overlapping shards or mixed grids");
+        "merges shard result CSVs (bench --shard K/N --out) back into the\n"
+        "canonical single-run file; errors on overlapping shards or\n"
+        "mixed grids");
     table.add({"--out", "", "F",
                "write the merged result to F (default: stdout)",
                flags::text(&out_path)});
-    table.add({"--json", "", "",
-               "treat inputs/output as result JSON (otherwise sniffed\n"
-               "from the input content)",
-               flags::set(&force_json)});
     table.positionals("SHARD [SHARD...]", &inputs, 1);
     table.parse(argc, argv);
 
     try {
-        // Format: --json forces JSON; otherwise the non-empty
-        // inputs decide (and must agree). Empty files — rowless
-        // shards — are compatible with either.
-        bool saw_csv = false, saw_json = false;
+        std::vector<engine::CsvTable> tables;
+        size_t rows = 0;
         for (const auto& path : inputs) {
-            switch (tools::sniffResultFormat(path)) {
-              case tools::ResultFormat::Csv:  saw_csv = true;  break;
-              case tools::ResultFormat::Json: saw_json = true; break;
-              case tools::ResultFormat::Empty:                 break;
-            }
+            tables.push_back(engine::readResultCsv(path));
+            rows += tables.back().rows.size();
         }
-        if (saw_csv && saw_json)
-            throw std::runtime_error(
-                "mixed CSV and JSON inputs cannot be merged");
-        if (force_json && saw_csv)
-            throw std::runtime_error(
-                "--json given but the inputs are CSV");
-        const bool json = force_json || saw_json;
-
         // Merge into a buffer BEFORE opening (truncating) --out, so
         // a malformed or overlapping shard cannot destroy a
         // previous good merge: --out is only touched once the whole
         // merge has succeeded.
         std::ostringstream buffer;
-        const size_t rows =
-            tools::mergeResultFiles(inputs, json, buffer);
+        tools::mergeResultCsvs(tables, buffer);
 
         if (out_path.empty()) {
             std::cout << buffer.str() << std::flush;
