@@ -49,13 +49,9 @@ main(int argc, char** argv)
         .seeds(runner::defaultSeeds())
         .window(runner::kDefaultWindowUs);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
-        return 0;
-
     engine::AggregateSink agg;
-    engine::Engine eng(bench::engineOptions(opts));
-    eng.run(grid, bench::sinkList({&agg, file_sink.get()}));
+    if (!bench::run(opts, {{grid}}, {&agg}))
+        return 0;
 
     std::printf("Ablation: max frame-drop rate (VR_Gaming @ 99%% "
                 "cascade on %s)\n\n",

@@ -1,12 +1,13 @@
 /**
  * @file
- * The command line and run selection every bench shares. Run a bench
- * with --help for its flags; src/engine/README.md and tools/README.md
- * describe the shard and record -> replay protocols they drive.
+ * The command line and the one run loop every bench shares. Run a
+ * bench with --help for its flags; src/engine/README.md and
+ * tools/README.md describe the shard and record -> replay protocols
+ * they drive.
  *
  * Parallel runs are bit-identical to --jobs 1: the engine orders
- * records by grid index before any sink sees them, for full and
- * subset runs alike.
+ * records by row before any sink sees them, for full and subset runs
+ * alike.
  */
 
 #ifndef DREAM_BENCH_BENCH_MAIN_H
@@ -19,6 +20,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,11 +36,9 @@ namespace dream {
 namespace bench {
 
 /**
- * The --metrics output: a registry every engine run of the bench
- * accumulates into, written as JSON when the Options go out of scope
- * (same end-of-main flush discipline as the --out sinks), so
- * multi-grid benches dump ONE merged registry without per-bench
- * plumbing.
+ * The --metrics output: the registry the bench's run merges every
+ * point's metrics into, written as JSON when the Options go out of
+ * scope.
  */
 struct MetricsFile {
     std::string path;     ///< --metrics: canonical, volatile excluded
@@ -81,9 +81,8 @@ struct Options {
     bool costCache = true; ///< false with --no-cost-cache
 
     /**
-     * The --metrics registry + file writer, shared by every engine
-     * run of the bench and flushed when the Options leave scope.
-     * Null without --metrics.
+     * The --metrics registry + file writer, flushed when the Options
+     * leave scope. Null without --metrics.
      */
     std::shared_ptr<MetricsFile> metricsFile;
 
@@ -206,18 +205,19 @@ addFlags(flags::Table& table, Options& opts, Kind kind = Kind::Grid)
 
 /**
  * Parse a @p kind bench's command line: the shared flags, then the
- * flags and checks @p extras adds. Exits 0 on --help and 2 on an
- * error.
+ * flags and checks @p extras adds (its checks may read the shared
+ * Options). Exits 0 on --help and 2 on an error.
  */
 inline Options
 parseArgs(int argc, char** argv, Kind kind = Kind::Grid,
-          const std::function<void(flags::Table&)>& extras = {})
+          const std::function<void(flags::Table&, const Options&)>&
+              extras = {})
 {
     Options opts;
     flags::Table table;
     addFlags(table, opts, kind);
     if (extras)
-        extras(table);
+        extras(table, opts);
     table.parse(argc, argv);
     // The cache enable flag is process-global: every path that
     // acquires a cost table (engine runs, runner::runOnce under a
@@ -226,27 +226,13 @@ parseArgs(int argc, char** argv, Kind kind = Kind::Grid,
     return opts;
 }
 
-/** The engine options a bench run should use (jobs + telemetry). */
-inline engine::EngineOptions
-engineOptions(const Options& opts)
-{
-    engine::EngineOptions eopts;
-    eopts.jobs = opts.jobs;
-    eopts.traceDir = opts.traceDir;
-    eopts.traceEventDir = opts.traceEventDir;
-    eopts.metrics =
-        opts.metricsFile ? &opts.metricsFile->registry : nullptr;
-    return eopts;
-}
-
-/** CSV sink for --out; null without. Also null under --list, which
- *  runs nothing — opening (and thereby truncating) an existing --out
- *  file would lose its contents. Exits with an error if the file
- *  cannot be opened for writing. */
+/** CSV sink for --out; null without. Exits with an error if the file
+ *  cannot be opened for writing. The run loops open it only when
+ *  they run something, so --list never truncates an existing file. */
 inline std::unique_ptr<engine::CsvSink>
 makeFileSink(const Options& opts)
 {
-    if (opts.out.empty() || opts.list)
+    if (opts.out.empty())
         return nullptr;
     auto sink = std::make_unique<engine::CsvSink>(opts.out);
     if (!sink->ok()) {
@@ -257,21 +243,9 @@ makeFileSink(const Options& opts)
     return sink;
 }
 
-/** Sink list for Engine::run() — drops null entries. */
-inline std::vector<engine::ResultSink*>
-sinkList(std::initializer_list<engine::ResultSink*> sinks)
-{
-    std::vector<engine::ResultSink*> out;
-    for (engine::ResultSink* s : sinks) {
-        if (s)
-            out.push_back(s);
-    }
-    return out;
-}
-
 /**
  * One grid a bench scans: its --list label (keys print bare without
- * one) and the index of its first row in the bench's --out file.
+ * one) and the row index of its first point in the bench's --out file.
  */
 struct Scan {
     const engine::SweepGrid& grid;
@@ -280,53 +254,34 @@ struct Scan {
 };
 
 /**
- * Serve --list, --filter and --shard for every grid a bench scans, in
- * scan order, before the bench's own full run. The grids' selected
- * points form one ordering (engine::selectPoints), so --shard
- * positions are global across them. With --list the selected keys
- * print and nothing runs; with a subset flag the selected points run,
- * their rows streaming to stdout as one CSV and to @p file_sink. Returns false when the request was handled (the
- * bench should exit 0), true when the bench should go on with its
- * full run.
+ * Hand a run's records on: to --out, then either (a full run) to
+ * @p sinks, returning the records for the bench's report, or (a
+ * subset run) to stdout as one CSV with a note on stderr, returning
+ * null — the bench exits 0 without its report, which needs every row.
+ * @p total counts the bench's @p unit ("grid points", "rows").
  */
-inline bool
-runOrList(const Options& opts, const std::vector<Scan>& scans,
-          engine::ResultSink* file_sink)
+inline std::optional<std::vector<engine::RunRecord>>
+deliver(const Options& opts, std::vector<engine::RunRecord> records,
+        engine::ResultSink* file_sink,
+        std::vector<engine::ResultSink*> sinks, size_t total,
+        const char* unit)
 {
-    if (!opts.list && !opts.subsetRun())
-        return true;
-    std::vector<const engine::SweepGrid*> grids;
-    for (const Scan& s : scans)
-        grids.push_back(&s.grid);
-    const auto selected =
-        engine::selectPoints(grids, opts.filter, [&](size_t total) {
-            return opts.range(total);
-        });
-
-    if (opts.list) {
-        for (size_t g = 0; g < scans.size(); ++g) {
-            for (const size_t i : selected[g])
-                std::printf("%s%s%s\n", scans[g].label.c_str(),
-                            scans[g].label.empty() ? "" : ": ",
-                            scans[g].grid.point(i).key().c_str());
-        }
-        return false;
+    // CsvSink buffers rows until close(), so the header is the union
+    // of every row's breakdown columns.
+    std::optional<engine::CsvSink> stdout_sink;
+    if (opts.subsetRun()) {
+        stdout_sink.emplace(std::cout);
+        sinks = {&*stdout_sink};
     }
-
-    // One stdout sink for every grid: CsvSink buffers rows until
-    // close(), so the header is the union of their breakdown columns.
-    engine::CsvSink stdout_sink(std::cout);
-    size_t ran = 0, total = 0;
-    for (size_t g = 0; g < scans.size(); ++g) {
-        auto eopts = engineOptions(opts);
-        eopts.indexBase = scans[g].indexBase;
-        ran += engine::Engine(eopts)
-                   .run(scans[g].grid, sinkList({&stdout_sink, file_sink}),
-                        selected[g])
-                   .size();
-        total += scans[g].grid.size();
+    if (file_sink)
+        sinks.push_back(file_sink);
+    for (engine::ResultSink* sink : sinks) {
+        for (const auto& r : records)
+            sink->write(r);
     }
-    stdout_sink.close();
+    if (!opts.subsetRun())
+        return records;
+    stdout_sink->close();
     std::string how;
     if (!opts.filter.empty())
         how = "--filter '" + opts.filter + "'";
@@ -334,9 +289,81 @@ runOrList(const Options& opts, const std::vector<Scan>& scans,
         how += (how.empty() ? "" : " and ") + std::string("--shard ") +
                std::to_string(opts.shard) + '/' +
                std::to_string(opts.shards);
-    std::fprintf(stderr, "%zu/%zu grid points selected by %s\n", ran, total,
-                 how.c_str());
-    return false;
+    std::fprintf(stderr, "%zu/%zu %s selected by %s\n", records.size(),
+                 total, unit, how.c_str());
+    return std::nullopt;
+}
+
+/**
+ * The run loop of a grid bench. The points of every grid in @p scans
+ * that --filter and --shard select (engine::selectPoints; without
+ * either flag, all of them) form one ordering, so --shard positions
+ * are global across the grids. --list prints their keys and returns
+ * null. Otherwise they run on one worker pool, each as the row its
+ * grid's indexBase puts it at, with the bench's telemetry flags, and
+ * their records are delivered (see deliver): a full run returns them
+ * in scan order, a subset run prints them and returns null.
+ */
+inline std::optional<std::vector<engine::RunRecord>>
+run(const Options& opts, const std::vector<Scan>& scans,
+    const std::vector<engine::ResultSink*>& sinks = {})
+{
+    std::vector<const engine::SweepGrid*> grids;
+    size_t total = 0;
+    for (const Scan& s : scans) {
+        grids.push_back(&s.grid);
+        total += s.grid.size();
+    }
+    const auto selected =
+        engine::selectPoints(grids, opts.filter, [&](size_t n) {
+            return opts.range(n);
+        });
+    std::vector<engine::SweepGrid::Point> points;
+    for (size_t g = 0; g < scans.size(); ++g) {
+        for (const size_t i : selected[g]) {
+            points.push_back(scans[g].grid.point(i));
+            if (opts.list)
+                std::printf("%s%s%s\n", scans[g].label.c_str(),
+                            scans[g].label.empty() ? "" : ": ",
+                            points.back().key().c_str());
+            points.back().index += scans[g].indexBase;
+        }
+    }
+    if (opts.list)
+        return std::nullopt;
+
+    engine::EngineOptions eopts(opts.jobs);
+    eopts.traceDir = opts.traceDir;
+    eopts.traceEventDir = opts.traceEventDir;
+    eopts.metrics =
+        opts.metricsFile ? &opts.metricsFile->registry : nullptr;
+    const auto file_sink = makeFileSink(opts);
+    return deliver(opts, engine::Engine(eopts).run(points),
+                   file_sink.get(), sinks, total, "grid points");
+}
+
+/**
+ * The run loop of a bench without a grid (fig13, cluster_route): a
+ * fixed sequence of @p total result rows, of which --shard selects
+ * one contiguous range (Options::range). @p run_rows runs exactly
+ * rows [lo, hi) and returns their records in row order; each
+ * record's index becomes its row. Delivery is a grid bench's (see
+ * deliver), and --list prints nothing and returns null.
+ */
+inline std::optional<std::vector<engine::RunRecord>>
+runRows(const Options& opts, size_t total,
+        const std::function<std::vector<engine::RunRecord>(size_t, size_t)>&
+            run_rows)
+{
+    if (opts.list) // no grid: nothing to list
+        return std::nullopt;
+    const auto range = opts.range(total);
+    const auto file_sink = makeFileSink(opts);
+    auto records = run_rows(range.first, range.second);
+    for (size_t i = 0; i < records.size(); ++i)
+        records[i].index = range.first + i;
+    return deliver(opts, std::move(records), file_sink.get(), {}, total,
+                   "rows");
 }
 
 } // namespace bench

@@ -78,12 +78,7 @@ makeMixes()
     return {steady, bursty};
 }
 
-struct RowResult {
-    engine::RunRecord record;
-    double fairnessSpread = 1.0;
-};
-
-RowResult
+engine::RunRecord
 runRow(const Mix& mix, size_t devices, serve::RouterPolicy router,
        const hw::SystemConfig& system)
 {
@@ -118,19 +113,15 @@ runRow(const Mix& mix, size_t devices, serve::RouterPolicy router,
         },
         intake);
 
-    RowResult row;
-    row.record.scenario =
-        std::string(mix.name) + "/" + serve::toString(router);
-    row.record.system = system.name;
-    row.record.scheduler =
-        runner::toString(runner::SchedKind::DreamFull);
-    row.record.params = {{"devices", double(devices)}};
-    row.record.seed = mix.seed;
-    row.record.windowUs = kWindowUs;
-    engine::fillMetrics(row.record, result.stats);
-    row.record.breakdown.emplace_back("fairness_spread",
-                                      result.fairnessSpread);
-    row.fairnessSpread = result.fairnessSpread;
+    engine::RunRecord row;
+    row.scenario = std::string(mix.name) + "/" + serve::toString(router);
+    row.system = system.name;
+    row.scheduler = runner::toString(runner::SchedKind::DreamFull);
+    row.params = {{"devices", double(devices)}};
+    row.seed = mix.seed;
+    row.windowUs = kWindowUs;
+    engine::fillMetrics(row, result.stats);
+    row.breakdown.emplace_back("fairness_spread", result.fairnessSpread);
     return row;
 }
 
@@ -141,14 +132,18 @@ main(int argc, char** argv)
 {
     bool check_fairness = false;
     const auto opts = bench::parseArgs(
-        argc, argv, bench::Kind::Rows, [&](flags::Table& table) {
+        argc, argv, bench::Kind::Rows,
+        [&](flags::Table& table, const bench::Options& o) {
             table.add({"--check-fairness", "", "",
                        "exit 1 unless finish_time_fairness beats "
                        "round_robin\non the mean fairness spread",
                        flags::set(&check_fairness)});
+            table.check([&] {
+                if (check_fairness && o.shards > 0)
+                    throw flags::Error("--check-fairness needs every "
+                                       "row; it cannot run with --shard");
+            });
         });
-    if (opts.list) // no grid: nothing to list
-        return 0;
 
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto mixes = makeMixes();
@@ -168,20 +163,19 @@ main(int argc, char** argv)
         }
     }
 
-    std::vector<RowResult> results(rows.size());
+    // --shard runs only its own rows' cluster runs.
     engine::WorkerPool pool(opts.jobs);
-    pool.parallelFor(rows.size(), [&](size_t i) {
-        results[i] = runRow(*rows[i].mix, rows[i].devices,
-                            rows[i].router, system);
-    });
-
-    auto file_sink = bench::makeFileSink(opts);
-    const auto selected = opts.range(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-        results[i].record.index = i;
-        if (file_sink && i >= selected.first && i < selected.second)
-            file_sink->write(results[i].record);
-    }
+    const auto records =
+        bench::runRows(opts, rows.size(), [&](size_t lo, size_t hi) {
+            std::vector<engine::RunRecord> out(hi - lo);
+            pool.parallelFor(hi - lo, [&](size_t k) {
+                const RowSpec& row = rows[lo + k];
+                out[k] = runRow(*row.mix, row.devices, row.router, system);
+            });
+            return out;
+        });
+    if (!records)
+        return 0;
 
     // Per-mix comparison table plus the round_robin vs
     // finish_time_fairness spread means the self-gate checks.
@@ -195,19 +189,19 @@ main(int argc, char** argv)
         for (size_t i = 0; i < rows.size(); ++i) {
             if (rows[i].mix != &mix)
                 continue;
-            const auto& r = results[i];
+            const auto& r = (*records)[i];
+            const double spread = r.breakdownValue("fairness_spread");
             t.addRow({std::to_string(rows[i].devices),
                       serve::toString(rows[i].router),
-                      runner::fmt(r.record.uxCost, 4),
-                      runner::fmt(r.record.dlvRate, 4),
-                      runner::fmt(r.fairnessSpread, 4)});
+                      runner::fmt(r.uxCost, 4), runner::fmt(r.dlvRate, 4),
+                      runner::fmt(spread, 4)});
             if (rows[i].router == serve::RouterPolicy::RoundRobin) {
-                rr_spread_sum += r.fairnessSpread;
+                rr_spread_sum += spread;
                 ++rr_rows;
             }
             if (rows[i].router ==
                 serve::RouterPolicy::FinishTimeFairness) {
-                ftf_spread_sum += r.fairnessSpread;
+                ftf_spread_sum += spread;
                 ++ftf_rows;
             }
         }

@@ -33,14 +33,11 @@ main(int argc, char** argv)
                 "VR_Gaming on %s\n\n", system.name.c_str());
 
     constexpr int n = 9;
-    engine::Engine eng(bench::engineOptions(opts));
     const auto grid = engine::paramSpaceGrid(sys_preset, sc_preset, n);
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
+    const auto records = bench::run(opts, {{grid}});
+    if (!records)
         return 0;
-    const auto records =
-        eng.run(grid, bench::sinkList({file_sink.get()}));
-    const auto best = engine::bestParams(records);
+    const auto best = engine::bestParams(*records);
 
     // Render the surface row by row (alpha down, beta across); the
     // engine's grid order is alpha-outer, beta-inner, so record
@@ -52,7 +49,7 @@ main(int argc, char** argv)
     for (int i = 0; i < n; ++i) {
         std::printf("%6.2f", 2.0 * i / (n - 1));
         for (int j = 0; j < n; ++j)
-            std::printf("  %5.2f", records[size_t(i * n + j)].uxCost);
+            std::printf("  %5.2f", (*records)[size_t(i * n + j)].uxCost);
         std::printf("\n");
     }
     std::printf("\ngrid optimum: UXCost %.4f at (alpha=%.2f, "

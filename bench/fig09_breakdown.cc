@@ -47,13 +47,9 @@ main(int argc, char** argv)
         grid.addScheduler(kind);
     grid.seeds(runner::defaultSeeds()).window(runner::kDefaultWindowUs);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
-        return 0;
-
     engine::AggregateSink agg;
-    engine::Engine eng(bench::engineOptions(opts));
-    eng.run(grid, bench::sinkList({&agg, file_sink.get()}));
+    if (!bench::run(opts, {{grid}}, {&agg}))
+        return 0;
     const auto cells = agg.cells();
 
     std::printf("Figure 9: VR_Gaming + AR_Social geomean UXCost "

@@ -8,10 +8,10 @@
  *   (d) VR_Gaming -> AR_Social (start from (a)'s locked parameters)
  * The paper reports convergence within 2% of the global optimum.
  *
- * Each case's 7x7 global-optimum reference grid runs through the
- * sweep engine (--jobs parallelises it, --out streams the rows; rows
+ * The case presets' 7x7 global-optimum reference grids run as one
+ * engine run (--jobs parallelises it, --out streams the rows; rows
  * are bit-identical for any --jobs value), and the search evaluates
- * each step's candidate batch on the same worker pool.
+ * each step's candidate batch on a worker pool of the same size.
  */
 
 #include <cstdio>
@@ -54,9 +54,6 @@ main(int argc, char** argv)
          workload::ScenarioPreset::ArSocial, 0.0, 0.0},
     };
 
-    engine::WorkerPool pool(opts.jobs);
-    auto file_sink = bench::makeFileSink(opts);
-
     // The 7x7 reference grid of each case preset, in case order:
     // cases (c) and (d) share AR_Social's, which keeps --out free of
     // duplicate rows. Each grid's rows follow the grids before it in
@@ -76,17 +73,18 @@ main(int argc, char** argv)
                          next_base});
         next_base += grids[i].size();
     }
-    if (!bench::runOrList(opts, scans, file_sink.get()))
+    const auto records = bench::run(opts, scans);
+    if (!records)
         return 0;
 
     std::map<workload::ScenarioPreset, engine::ParamOptimum> optima;
     for (size_t i = 0; i < scans.size(); ++i) {
-        auto eopts = bench::engineOptions(opts);
-        eopts.indexBase = scans[i].indexBase;
-        optima[presets[i]] = engine::bestParams(engine::Engine(eopts).run(
-            grids[i], bench::sinkList({file_sink.get()})));
+        const auto first = records->begin() + long(scans[i].indexBase);
+        optima[presets[i]] = engine::bestParams(
+            {first, first + long(grids[i].size())});
     }
 
+    engine::WorkerPool pool(opts.jobs);
     // The memoized searcher is shared per preset: case (d) re-walks
     // AR_Social terrain case (c) already simulated, so its
     // overlapping candidates come out of the transposition table.

@@ -5,9 +5,9 @@
  * reports >25% UXCost improvement within two steps and convergence
  * to within 2% of the global minimum within five steps.
  *
- * The per-case 7x7 reference grid runs through the sweep engine
- * (--jobs / --out), and the search evaluates each step's candidate
- * batch on the same worker pool.
+ * The per-case 7x7 reference grids run as one engine run (--jobs /
+ * --out), and the search evaluates each step's candidate batch on a
+ * worker pool of the same size.
  */
 
 #include <cstdio>
@@ -39,9 +39,6 @@ main(int argc, char** argv)
          0.1},
     };
 
-    engine::WorkerPool pool(opts.jobs);
-    auto file_sink = bench::makeFileSink(opts);
-
     // The per-case 7x7 reference grids, in case order. Each grid's
     // rows follow the grids before it in --out, and --list/--filter/
     // --shard address the four grids as one ordering.
@@ -54,9 +51,11 @@ main(int argc, char** argv)
         scans.push_back({grids[i], cases[i].name, next_base});
         next_base += grids[i].size();
     }
-    if (!bench::runOrList(opts, scans, file_sink.get()))
+    const auto records = bench::run(opts, scans);
+    if (!records)
         return 0;
 
+    engine::WorkerPool pool(opts.jobs);
     std::printf("Figure 11: UXCost vs optimisation step (normalised "
                 "to the step-0 value; gap vs 7x7 grid optimum)\n\n");
     runner::Table t({"Case", "Step0", "Step1", "Step2", "Step3",
@@ -64,10 +63,9 @@ main(int argc, char** argv)
     for (size_t i = 0; i < scans.size(); ++i) {
         const auto& c = cases[i];
         const auto scenario = workload::makeScenario(c.preset);
-        auto eopts = bench::engineOptions(opts);
-        eopts.indexBase = scans[i].indexBase;
-        const auto best = engine::bestParams(engine::Engine(eopts).run(
-            grids[i], bench::sinkList({file_sink.get()})));
+        const auto first = records->begin() + long(scans[i].indexBase);
+        const auto best =
+            engine::bestParams({first, first + long(grids[i].size())});
 
         const auto eval =
             engine::makeBatchEvaluator(system, scenario, pool);

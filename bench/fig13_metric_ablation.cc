@@ -9,10 +9,13 @@
  *
  * Each search step's candidate batch is evaluated on the engine's
  * worker pool (--jobs); --out streams the per-objective re-evaluation
- * runs as result rows.
+ * runs as result rows, and --shard K/N runs only the searches of its
+ * own rows (bench::runRows).
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
@@ -26,39 +29,31 @@ int
 main(int argc, char** argv)
 {
     const auto opts = bench::parseArgs(argc, argv, bench::Kind::Rows);
-    if (opts.list) // no grid: nothing to list
-        return 0;
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
-    const workload::ScenarioPreset scenarios[] = {
+    const workload::ScenarioPreset presets[] = {
         workload::ScenarioPreset::VrGaming,
         workload::ScenarioPreset::ArSocial};
     const double probs[] = {0.5, 0.9};
+    const metrics::Objective objectives[] = {
+        metrics::Objective::UxCost, metrics::Objective::DlvRateOnly,
+        metrics::Objective::EnergyOnly};
 
-    // --shard on this grid-less bench selects from its fixed result
-    // row sequence (the searches all run; only row emission is
-    // gated), so the shard files still merge back into the unsharded
-    // --out byte for byte.
-    const auto rows = opts.range((sizeof scenarios / sizeof scenarios[0]) *
-                                 (sizeof probs / sizeof probs[0]) *
-                                 3 /* objectives */);
-
+    // Row r is (preset, cascade probability, objective), objective
+    // fastest. Each row is one search plus the re-evaluation of the
+    // parameters it found, so --shard runs only its own rows'
+    // searches.
+    std::vector<workload::Scenario> scenarios;
+    for (const auto preset : presets) {
+        for (const double prob : probs)
+            scenarios.push_back(workload::makeScenario(preset, prob));
+    }
     engine::WorkerPool pool(opts.jobs);
-    auto file_sink = bench::makeFileSink(opts);
-    size_t row_index = 0;
-
-    for (const auto sc_preset : scenarios) {
-        std::printf("== Figure 13: %s on %s ==\n",
-                    toString(sc_preset).c_str(), system.name.c_str());
-        runner::Table t({"Cascade", "Objective", "alpha", "beta",
-                         "UXCost", "DLVRate", "NormEnergy",
-                         "UXCost vs UX-opt"});
-        for (const double prob : probs) {
-            const auto scenario =
-                workload::makeScenario(sc_preset, prob);
-            double ux_of_uxopt = 0.0;
-            for (const auto obj : {metrics::Objective::UxCost,
-                                   metrics::Objective::DlvRateOnly,
-                                   metrics::Objective::EnergyOnly}) {
+    const auto records = bench::runRows(
+        opts, scenarios.size() * 3, [&](size_t lo, size_t hi) {
+            std::vector<engine::RunRecord> out;
+            for (size_t row = lo; row < hi; ++row) {
+                const auto& scenario = scenarios[row / 3];
+                const auto obj = objectives[row % 3];
                 const auto eval = engine::makeBatchEvaluator(
                     system, scenario, pool, obj);
                 engine::ParamSearch search(eval);
@@ -66,40 +61,45 @@ main(int argc, char** argv)
                 // Re-evaluate the found parameters on all metrics.
                 core::DreamScheduler sched(
                     engine::fixedParamConfig(result.alpha, result.beta));
-                const auto r = runner::runOnce(
-                    system, scenario, sched, engine::kSearchWindowUs,
-                    engine::kSearchSeed);
-                if (obj == metrics::Objective::UxCost)
-                    ux_of_uxopt = r.uxCost;
-                const size_t index = row_index++;
-                if (file_sink && index >= rows.first &&
-                    index < rows.second) {
-                    engine::RunRecord rec;
-                    rec.index = index;
-                    rec.scenario = toString(sc_preset) + "@p" +
-                                   engine::formatValue(prob);
-                    rec.system = system.name;
-                    rec.scheduler = std::string("DREAM-Fixed/opt=") +
-                                    metrics::toString(obj);
-                    rec.params = {{"alpha", result.alpha},
-                                  {"beta", result.beta}};
-                    rec.seed = engine::kSearchSeed;
-                    rec.windowUs = engine::kSearchWindowUs;
-                    engine::fillMetrics(rec, r.stats);
-                    file_sink->write(rec);
-                }
-                t.addRow({runner::fmtPct(prob, 0),
-                          metrics::toString(obj),
-                          runner::fmt(result.alpha, 2),
-                          runner::fmt(result.beta, 2),
-                          runner::fmt(r.uxCost, 4),
-                          runner::fmt(r.stats.overallDlvRate(), 4),
-                          runner::fmt(r.stats.overallNormEnergy(), 3),
-                          runner::fmtPct(
-                              ux_of_uxopt > 0
-                                  ? r.uxCost / ux_of_uxopt - 1.0
-                                  : 0.0)});
+                engine::RunRecord rec;
+                rec.scenario = toString(presets[row / 6]) + "@p" +
+                               engine::formatValue(probs[row / 3 % 2]);
+                rec.system = system.name;
+                rec.scheduler = std::string("DREAM-Fixed/opt=") +
+                                metrics::toString(obj);
+                rec.params = {{"alpha", result.alpha},
+                              {"beta", result.beta}};
+                rec.seed = engine::kSearchSeed;
+                rec.windowUs = engine::kSearchWindowUs;
+                engine::fillMetrics(
+                    rec, runner::runOnce(system, scenario, sched,
+                                         {rec.windowUs, rec.seed}));
+                out.push_back(std::move(rec));
             }
+            return out;
+        });
+    if (!records)
+        return 0;
+
+    for (size_t p = 0; p < 2; ++p) {
+        std::printf("== Figure 13: %s on %s ==\n",
+                    toString(presets[p]).c_str(), system.name.c_str());
+        runner::Table t({"Cascade", "Objective", "alpha", "beta",
+                         "UXCost", "DLVRate", "NormEnergy",
+                         "UXCost vs UX-opt"});
+        for (size_t row = 6 * p; row < 6 * p + 6; ++row) {
+            const auto& r = (*records)[row];
+            // The UXCost-objective row of this cascade probability.
+            const double ux_opt = (*records)[row - row % 3].uxCost;
+            const double alpha = engine::paramValue(r.params, "alpha");
+            const double beta = engine::paramValue(r.params, "beta");
+            t.addRow({runner::fmtPct(probs[row / 3 % 2], 0),
+                      metrics::toString(objectives[row % 3]),
+                      runner::fmt(alpha, 2), runner::fmt(beta, 2),
+                      runner::fmt(r.uxCost, 4), runner::fmt(r.dlvRate, 4),
+                      runner::fmt(r.normEnergy, 3),
+                      runner::fmtPct(ux_opt > 0 ? r.uxCost / ux_opt - 1.0
+                                                : 0.0)});
         }
         t.print();
         std::printf("\n");

@@ -52,13 +52,9 @@ main(int argc, char** argv)
     for (const auto kind : schedulers)
         grid.addScheduler(kind);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
-        return 0;
-
     engine::AggregateSink agg;
-    engine::Engine eng(bench::engineOptions(opts));
-    eng.run(grid, bench::sinkList({&agg, file_sink.get()}));
+    if (!bench::run(opts, {{grid}}, {&agg}))
+        return 0;
     const auto cells = agg.cells();
 
     // Describe the generated mixes so the sweep is interpretable.

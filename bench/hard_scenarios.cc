@@ -36,7 +36,8 @@ main(int argc, char** argv)
     std::string suite_path = "scenarios/hard_v1.json";
     double check_tol = -1.0; // < 0: no expected-value check
     const auto opts = bench::parseArgs(
-        argc, argv, bench::Kind::Grid, [&](flags::Table& table) {
+        argc, argv, bench::Kind::Grid,
+        [&](flags::Table& table, const bench::Options&) {
             table.add({"--suite", "", "F",
                        "hard-scenarios suite JSON (default\n"
                        "scenarios/hard_v1.json)",
@@ -68,13 +69,9 @@ main(int argc, char** argv)
     for (const auto kind : schedulers)
         grid.addScheduler(kind);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
-        return 0;
-
     engine::AggregateSink agg;
-    engine::Engine eng(bench::engineOptions(opts));
-    eng.run(grid, bench::sinkList({&agg, file_sink.get()}));
+    if (!bench::run(opts, {{grid}}, {&agg}))
+        return 0;
 
     std::printf("Hard-scenarios sweep: %zu adversarial mixes (%s) on "
                 "%s, window %.0f us, %zu seed%s\n\n",

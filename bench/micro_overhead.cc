@@ -35,20 +35,16 @@ main(int argc, char** argv)
         grid.addScheduler(kind);
     grid.seeds({11}).window(5e5);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
+    const auto records = bench::run(opts, {{grid}});
+    if (!records)
         return 0;
-
-    engine::Engine eng(bench::engineOptions(opts));
-    const auto records =
-        eng.run(grid, bench::sinkList({file_sink.get()}));
 
     std::printf("Scheduler invocations over a %.1f ms VR_Gaming "
                 "window on %s\n\n", 5e5 / 1e3,
                 hw::toString(hw::SystemPreset::Sys4k1Ws2Os).c_str());
     runner::Table inv({"Scheduler", "Invocations", "Invocations/s",
                        "Frames"});
-    for (const auto& r : records) {
+    for (const auto& r : *records) {
         inv.addRow({r.scheduler,
                     std::to_string(r.schedulerInvocations),
                     runner::fmt(double(r.schedulerInvocations) /

@@ -49,8 +49,8 @@ main(int argc, char** argv)
         .seeds(runner::defaultSeeds())
         .window(runner::kDefaultWindowUs);
 
-    auto file_sink = bench::makeFileSink(opts);
-    if (!bench::runOrList(opts, {{grid}}, file_sink.get()))
+    engine::AggregateSink agg;
+    if (!bench::run(opts, {{grid}}, {&agg}))
         return 0;
 
     std::printf("Table 3: evaluated real-time workload scenarios\n");
@@ -108,9 +108,6 @@ main(int argc, char** argv)
                     runner::fmtPct(total_load).c_str());
     }
 
-    engine::AggregateSink agg;
-    engine::Engine eng(bench::engineOptions(opts));
-    eng.run(grid, bench::sinkList({&agg, file_sink.get()}));
     const auto cells = agg.cells();
 
     std::printf("== measured scenario difficulty (on %s) ==\n",

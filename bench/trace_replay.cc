@@ -14,13 +14,14 @@
  * names the grid point), so the bench rebuilds every recorded
  * point — scenario/system presets, scheduler, seed, window — as a
  * one-point SweepGrid whose scenario axis is the recorded trace
- * (SweepGrid::addTraceReplay) and runs it through engine::Engine.
- * Result rows carry the original identity and indices (traces are
- * ordered by their recorded grid index), so the replayed CSV diffs
- * clean against the recording when replay is exact. All the shared
- * flags compose: --list/--filter/--shard subset the replay set, and
- * --record-trace re-records the replayed runs for a byte-level trace
- * comparison.
+ * (SweepGrid::addTraceReplay), and runs them all as one bench run
+ * (bench::run). Result rows carry the original identity and indices
+ * (traces are ordered by their recorded grid index), so the replayed
+ * CSV diffs clean against the recording when replay is exact. All
+ * the shared flags compose: --list/--filter/--shard subset the
+ * replay set, --record-trace re-records the replayed runs for a
+ * byte-level trace comparison, and --metrics/--trace-events record
+ * the replays' telemetry as the recording's run recorded its own.
  *
  * Parameterised grid points (non-empty params axis) and generated
  * scenarios ("Gen<seed>") are not replayable from metadata alone and
@@ -33,13 +34,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_main.h"
 #include "engine/engine.h"
-#include "engine/worker_pool.h"
 #include "runner/table.h"
 #include "runner/trace.h"
 
@@ -68,7 +69,8 @@ main(int argc, char** argv)
 {
     std::string traces_dir;
     const auto opts = bench::parseArgs(
-        argc, argv, bench::Kind::Grid, [&](flags::Table& table) {
+        argc, argv, bench::Kind::Grid,
+        [&](flags::Table& table, const bench::Options&) {
             table.add({"--traces", "", "DIR",
                        "directory of *.trace.csv files recorded with\n"
                        "--record-trace (required)",
@@ -126,45 +128,27 @@ main(int argc, char** argv)
     for (size_t i = 0; i < traces.size(); ++i)
         scans.push_back({grids[i], traces[i].scenario, traces[i].index});
 
-    auto file_sink = bench::makeFileSink(opts);
+    std::optional<std::vector<engine::RunRecord>> replays;
     try {
-        if (!bench::runOrList(opts, scans, file_sink.get()))
-            return 0;
+        replays = bench::run(opts, scans);
     } catch (const std::exception& e) {
         // E.g. a ReplaySource scenario/trace mismatch surfacing from
         // a worker thread.
         std::fprintf(stderr, "trace_replay: %s\n", e.what());
         return 2;
     }
+    if (!replays)
+        return 0;
 
     std::printf("Trace replay: %zu recorded run(s) from %s, "
                 "re-driven through the engine\n\n",
                 traces.size(), traces_dir.c_str());
     runner::Table table({"Point", "Frames", "Violated rec/rep",
                          "Dropped rec/rep", "Energy drift", "Exact"});
-    // Each replay is one grid point, so --jobs parallelism has to
-    // come from the outer per-trace loop; records are written to
-    // sinks in recorded order afterwards, keeping output
-    // byte-identical for any --jobs value.
-    std::vector<engine::RunRecord> replays(traces.size());
-    try {
-        engine::WorkerPool pool(opts.jobs);
-        pool.parallelFor(traces.size(), [&](size_t i) {
-            engine::EngineOptions eopts;
-            eopts.traceDir = opts.traceDir;
-            eopts.indexBase = traces[i].index;
-            replays[i] = engine::runGridPoint(grids[i].point(0), eopts);
-        });
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "trace_replay: %s\n", e.what());
-        return 2;
-    }
     size_t drifted = 0;
     for (size_t i = 0; i < traces.size(); ++i) {
         const auto& t = traces[i];
-        const engine::RunRecord& r = replays[i];
-        if (file_sink)
-            file_sink->write(r);
+        const engine::RunRecord& r = (*replays)[i];
 
         // Expected aggregates from the recorded per-frame outcomes.
         uint64_t total = 0, violated = 0, dropped = 0;

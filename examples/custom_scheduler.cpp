@@ -4,13 +4,18 @@
  *
  * Implements a minimal earliest-deadline-first (EDF) scheduler
  * against the public sim::Scheduler interface and benchmarks it
- * against FCFS and DREAM on the AR_Call workload. Use this as the
- * starting point for scheduling research on top of this framework.
+ * against FCFS and DREAM on the AR_Call workload: the three
+ * schedulers are one engine::SweepGrid's scheduler axis, and an
+ * engine::AggregateSink averages each over the default seeds. Use
+ * this as the starting point for scheduling research on top of this
+ * framework.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
+#include "engine/engine.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
 #include "sim/scheduler.h"
@@ -56,28 +61,32 @@ int
 main()
 {
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
 
     std::printf("Custom scheduler plug-in demo: EDF vs built-ins on "
                 "AR_Call / %s\n\n", system.name.c_str());
 
+    // Each grid point gets a fresh scheduler from its factory.
+    const auto edf = [](const engine::ParamMap&) {
+        return std::unique_ptr<sim::Scheduler>(
+            std::make_unique<EdfScheduler>());
+    };
+    engine::SweepGrid grid;
+    grid.addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k1Ws2Os)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .addScheduler("EDF(custom)", edf)
+        .addScheduler(runner::SchedKind::DreamFull)
+        .seeds(runner::defaultSeeds())
+        .window(runner::kDefaultWindowUs);
+    engine::AggregateSink agg;
+    engine::Engine().run(grid, {&agg});
+
     runner::Table t({"Scheduler", "UXCost", "DLV frames",
                      "Energy(mJ)"});
-    EdfScheduler edf;
-    std::vector<sim::Scheduler*> schedulers;
-    auto fcfs = runner::makeScheduler(runner::SchedKind::Fcfs);
-    auto dream = runner::makeScheduler(runner::SchedKind::DreamFull);
-    schedulers.push_back(fcfs.get());
-    schedulers.push_back(&edf);
-    schedulers.push_back(dream.get());
-    for (auto* sched : schedulers) {
-        const auto agg = runner::runSeeds(system, scenario, *sched,
-                                          runner::kDefaultWindowUs,
-                                          runner::defaultSeeds());
-        t.addRow({sched->name(), runner::fmt(agg.uxCost, 4),
-                  runner::fmtPct(agg.violationFraction),
-                  runner::fmt(agg.energyMj, 1)});
+    for (const auto& cell : agg.cells()) {
+        t.addRow({cell.scheduler, runner::fmt(cell.uxCost.mean, 4),
+                  runner::fmtPct(cell.violationFraction.mean),
+                  runner::fmt(cell.energyMj.mean, 1)});
     }
     t.print();
     std::printf("\nImplementing sim::Scheduler requires one method: "

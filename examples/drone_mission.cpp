@@ -13,6 +13,7 @@
 
 #include <cstdio>
 
+#include "metrics/uxcost.h"
 #include "models/zoo.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
@@ -67,20 +68,20 @@ main()
           runner::SchedKind::DreamFull}) {
         auto sched = runner::makeScheduler(kind);
         const auto r =
-            runner::runOnce(system, scenario, *sched, 3e6, 11);
-        t.addRow({sched->name(), runner::fmt(r.uxCost, 4),
-                  std::to_string(r.stats.totalViolated()) + "/" +
-                      std::to_string(r.stats.totalFrames()),
-                  runner::fmt(r.stats.totalEnergyMj(), 1),
-                  std::to_string(r.stats.contextSwitches)});
+            runner::runOnce(system, scenario, *sched, {3e6, 11});
+        t.addRow({sched->name(), runner::fmt(metrics::uxCost(r), 4),
+                  std::to_string(r.totalViolated()) + "/" +
+                      std::to_string(r.totalFrames()),
+                  runner::fmt(r.totalEnergyMj(), 1),
+                  std::to_string(r.contextSwitches)});
     }
     t.print();
 
     std::printf("\nPer-model outcome under DREAM-Full:\n");
     auto dream = runner::makeScheduler(runner::SchedKind::DreamFull);
-    const auto r = runner::runOnce(system, scenario, *dream, 3e6, 11);
+    const auto r = runner::runOnce(system, scenario, *dream, {3e6, 11});
     runner::Table d({"Model", "Frames", "Violated", "DLVRate"});
-    for (const auto& ts : r.stats.tasks) {
+    for (const auto& ts : r.tasks) {
         d.addRow({ts.model, std::to_string(ts.totalFrames),
                   std::to_string(ts.violatedFrames),
                   runner::fmt(ts.dlvRate(), 3)});

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string>
 
+#include "metrics/uxcost.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
 
@@ -75,12 +76,12 @@ main(int argc, char** argv)
                 runner::fmtPct(cascade, 0).c_str());
 
     const auto r = runner::runOnce(system, scenario, *sched,
-                                   runner::kDefaultWindowUs, 11);
+                                   {runner::kDefaultWindowUs, 11});
 
     runner::Table t({"Model", "Frames", "Done", "Violated", "Dropped",
                      "DLVRate", "Energy(mJ)", "NormEnergy",
                      "AvgLat(ms)"});
-    for (const auto& ts : r.stats.tasks) {
+    for (const auto& ts : r.tasks) {
         t.addRow({ts.model, std::to_string(ts.totalFrames),
                   std::to_string(ts.completedFrames),
                   std::to_string(ts.violatedFrames),
@@ -96,7 +97,7 @@ main(int argc, char** argv)
                       : "-"});
     }
     t.print();
-    for (const auto& ts : r.stats.tasks) {
+    for (const auto& ts : r.tasks) {
         if (ts.variantStarts.empty())
             continue;
         std::printf("\n%s subnet usage:", ts.model.c_str());
@@ -110,11 +111,11 @@ main(int argc, char** argv)
         std::printf("\n");
     }
     std::printf("\ncontext switches: %llu (%.1f mJ)\n",
-                (unsigned long long)r.stats.contextSwitches,
-                r.stats.contextSwitchEnergyMj);
+                (unsigned long long)r.contextSwitches,
+                r.contextSwitchEnergyMj);
     std::printf("UXCost = %.4f  (overall DLV %.4f x norm energy "
                 "%.4f)\n",
-                r.uxCost, r.stats.overallDlvRate(),
-                r.stats.overallNormEnergy());
+                metrics::uxCost(r), r.overallDlvRate(),
+                r.overallNormEnergy());
     return 0;
 }

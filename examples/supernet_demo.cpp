@@ -32,16 +32,16 @@ main()
                  {runner::SchedKind::DreamSmartDrop,
                   runner::SchedKind::DreamFull}) {
                 auto sched = runner::makeScheduler(kind);
-                const auto r = runner::runOnce(
-                    system, scenario, *sched, runner::kDefaultWindowUs,
-                    11);
+                const auto stats = runner::runOnce(
+                    system, scenario, *sched,
+                    {runner::kDefaultWindowUs, 11});
                 std::vector<std::string> row{
                     toString(sc_preset), runner::fmtPct(prob, 0),
                     kind == runner::SchedKind::DreamFull
                         ? "with switching"
                         : "without"};
                 bool found = false;
-                for (const auto& ts : r.stats.tasks) {
+                for (const auto& ts : stats.tasks) {
                     if (ts.variantStarts.empty())
                         continue;
                     uint64_t total = 0;
@@ -57,9 +57,9 @@ main()
                 }
                 if (!found)
                     row.insert(row.end(), {"-", "-", "-", "-"});
-                row.push_back(std::to_string(r.stats.totalViolated()));
+                row.push_back(std::to_string(stats.totalViolated()));
                 row.push_back(
-                    runner::fmt(r.stats.totalEnergyMj(), 1));
+                    runner::fmt(stats.totalEnergyMj(), 1));
                 t.addRow(row);
             }
         }

@@ -7,18 +7,16 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "costmodel/cost_table_cache.h"
 #include "engine/worker_pool.h"
 #include "metrics/uxcost.h"
 #include "obs/telemetry.h"
+#include "runner/experiment.h"
 #include "runner/table.h"
 #include "runner/trace.h"
-#include "sim/simulator.h"
 
 namespace dream {
 namespace engine {
@@ -108,8 +106,7 @@ namespace {
  *  recording. */
 void
 recordTrace(const std::string& trace_dir, const SweepGrid::Point& point,
-            size_t index, const workload::Scenario& scenario,
-            const sim::RunStats& stats)
+            const workload::Scenario& scenario, const sim::RunStats& stats)
 {
     std::filesystem::create_directories(trace_dir);
     const std::string path = trace_dir + '/' + traceFileName(point);
@@ -130,7 +127,7 @@ recordTrace(const std::string& trace_dir, const SweepGrid::Point& point,
     meta.push_back({"params", params});
     meta.push_back({"seed", std::to_string(point.seed)});
     meta.push_back({"window_us", runner::preciseDouble(point.windowUs)});
-    meta.push_back({"index", std::to_string(index)});
+    meta.push_back({"index", std::to_string(point.index)});
     runner::writeFrameTraceCsv(out, stats, scenario, meta);
     if (!out)
         throw std::runtime_error("short write to trace file: " + path);
@@ -155,24 +152,25 @@ recordTraceEvents(const std::string& dir,
                                  path);
 }
 
-} // anonymous namespace
-
+/**
+ * Simulate one grid point in isolation (runs on worker threads).
+ * Points of a trace-replay scenario (point.trace set) run through a
+ * workload::ReplaySource. A non-null @p metrics_out collects the
+ * run's metrics (Engine::run merges the per-point registries;
+ * opts.metrics itself is NOT touched here, so workers stay
+ * share-nothing).
+ */
 RunRecord
 runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
              obs::MetricsRegistry* metrics_out)
 {
     // Materialise everything locally: workers share nothing MUTABLE.
-    // The cost table is the exception that proves the rule — a frozen
-    // immutable table shared through the process-wide cache, so a
-    // sweep builds each distinct (system, model set) table once
-    // instead of once per point (see cost_table_cache.h for the
+    // runner::runOnce shares the cost table, a frozen immutable table
+    // from the process-wide cache (see cost_table_cache.h for the
     // determinism argument; --no-cost-cache restores private lazy
     // tables).
     const workload::Scenario scenario = (*point.makeScenario)();
     const hw::SystemConfig system = (*point.makeSystem)();
-    const std::shared_ptr<const cost::CostTable> costs =
-        cost::acquireCostTable(system, scenario, metrics_out);
-
     auto sched = (*point.makeScheduler)(point.params);
     assert(sched && "scheduler factory returned nullptr");
 
@@ -189,13 +187,12 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     }
 
     // Telemetry: one sink/registry pair per point (share-nothing);
-    // pid = the point's global row index, so traces from several
-    // grids line up with the --out rows. Identity metadata goes in
-    // up front — process_name names the track group in Perfetto,
-    // dream_meta carries what dream_prof needs (the window for
-    // utilization, the key for the report).
-    const size_t global_index = opts.indexBase + point.index;
-    obs::TraceEventSink trace_sink{int64_t(global_index)};
+    // pid = the point's row index, so traces from several grids line
+    // up with the --out rows. Identity metadata goes in up front —
+    // process_name names the track group in Perfetto, dream_meta
+    // carries what dream_prof needs (the window for utilization, the
+    // key for the report).
+    obs::TraceEventSink trace_sink{int64_t(point.index)};
     obs::SimTelemetry telemetry;
     if (!opts.traceEventDir.empty()) {
         trace_sink.processName(point.key());
@@ -204,7 +201,7 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
                 .str("key", point.key())
                 .num("window_us", point.windowUs)
                 .integer("seed", (long long) point.seed)
-                .integer("index", (long long) global_index));
+                .integer("index", (long long) point.index));
         telemetry.trace = &trace_sink;
     }
     if (metrics_out)
@@ -212,15 +209,15 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     if (telemetry.trace || telemetry.metrics)
         cfg.telemetry = &telemetry;
 
-    sim::Simulator simulator(system, scenario, *costs, cfg);
-    const sim::RunStats stats = simulator.run(*sched);
+    const sim::RunStats stats =
+        runner::runOnce(system, scenario, *sched, cfg, metrics_out);
     if (!opts.traceDir.empty())
-        recordTrace(opts.traceDir, point, global_index, scenario, stats);
+        recordTrace(opts.traceDir, point, scenario, stats);
     if (!opts.traceEventDir.empty())
         recordTraceEvents(opts.traceEventDir, point, trace_sink);
 
     RunRecord r;
-    r.index = global_index;
+    r.index = point.index;
     r.scenario = point.scenario;
     r.system = point.system;
     r.scheduler = point.scheduler;
@@ -230,6 +227,8 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     fillMetrics(r, stats);
     return r;
 }
+
+} // anonymous namespace
 
 void
 fillMetrics(RunRecord& r, const sim::RunStats& stats)
@@ -288,27 +287,28 @@ std::vector<RunRecord>
 Engine::run(const SweepGrid& grid,
             const std::vector<ResultSink*>& sinks) const
 {
-    std::vector<size_t> indices(grid.size());
-    std::iota(indices.begin(), indices.end(), size_t(0));
-    return run(grid, sinks, indices);
+    std::vector<SweepGrid::Point> points;
+    points.reserve(grid.size());
+    for (size_t i = 0; i < grid.size(); ++i)
+        points.push_back(grid.point(i));
+    return run(points, sinks);
 }
 
 std::vector<RunRecord>
-Engine::run(const SweepGrid& grid, const std::vector<ResultSink*>& sinks,
-            const std::vector<size_t>& indices) const
+Engine::run(const std::vector<SweepGrid::Point>& points,
+            const std::vector<ResultSink*>& sinks) const
 {
-    std::vector<RunRecord> records(indices.size());
-    // One registry per point, merged in flat-index order AFTER the
-    // pool joins: workers never touch shared telemetry state, so the
+    std::vector<RunRecord> records(points.size());
+    // One registry per point, merged in list order AFTER the pool
+    // joins: workers never touch shared telemetry state, so the
     // merged registry — like the record vector — is byte-identical
     // for any worker count.
     std::vector<obs::MetricsRegistry> point_metrics(
-        opts_.metrics ? indices.size() : 0);
+        opts_.metrics ? points.size() : 0);
     WorkerPool pool(opts_.jobs);
-    pool.parallelFor(indices.size(), [&](size_t k) {
+    pool.parallelFor(points.size(), [&](size_t k) {
         records[k] = runGridPoint(
-            grid.point(indices[k]), opts_,
-            opts_.metrics ? &point_metrics[k] : nullptr);
+            points[k], opts_, opts_.metrics ? &point_metrics[k] : nullptr);
     });
     if (opts_.metrics) {
         for (const auto& m : point_metrics)

@@ -32,9 +32,7 @@ namespace engine {
 /** Engine knobs. */
 struct EngineOptions {
     EngineOptions() = default;
-    EngineOptions(int jobs_, std::string trace_dir = {})
-        : jobs(jobs_), traceDir(std::move(trace_dir))
-    {}
+    EngineOptions(int jobs_) : jobs(jobs_) {}
 
     /** Worker threads; <= 0 selects hardware concurrency. */
     int jobs = 1;
@@ -49,19 +47,11 @@ struct EngineOptions {
      */
     std::string traceDir;
     /**
-     * Added to every executed point's index: in its RunRecord, in its
-     * recorded "# index=" trace metadata and as its telemetry events'
-     * pid. A bench that streams several grids into one result file
-     * passes each grid's row base here, so indices stay unique and
-     * increasing across the file (the order dream_merge restores).
-     */
-    size_t indexBase = 0;
-    /**
      * When non-empty, every executed grid point writes its telemetry
      * event trace (Chrome trace-event JSON, openable in Perfetto) to
      * "<traceEventDir>/<sanitized point key>-<hash>.trace.json" —
      * the same per-point naming discipline as traceDir. The events'
-     * pid is indexBase + point.index.
+     * pid is the point's index.
      */
     std::string traceEventDir;
     /**
@@ -80,25 +70,13 @@ struct EngineOptions {
  * contains @p filter, in scan order (grid by grid, ascending index),
  * form one ordering of T positions; @p range maps T to the half-open
  * position range to run, which is clamped to [0, T). Returns each
- * grid's selected indices, ascending — the input of
- * Engine::run(grid, sinks, indices).
+ * grid's selected indices, ascending. Every bench run, full or
+ * subset, comes through here (bench::run turns the selection into
+ * the point list Engine::run(points) runs).
  */
 std::vector<std::vector<size_t>> selectPoints(
     const std::vector<const SweepGrid*>& grids, const std::string& filter,
     const std::function<std::pair<size_t, size_t>(size_t total)>& range);
-
-/**
- * Simulate one grid point in isolation (runs on worker threads).
- * Points of a trace-replay scenario (point.trace set) run through a
- * workload::ReplaySource. @p opts supplies the index base,
- * frame-trace recording (traceDir) and telemetry event traces
- * (traceEventDir); a non-null @p metrics_out collects the run's
- * metrics (the engine merges the per-point registries; opts.metrics
- * itself is NOT touched here, so workers stay share-nothing).
- */
-RunRecord runGridPoint(const SweepGrid::Point& point,
-                       const EngineOptions& opts,
-                       obs::MetricsRegistry* metrics_out = nullptr);
 
 /**
  * The trace-file name a grid point records to under
@@ -135,26 +113,24 @@ public:
     explicit Engine(int jobs) : opts_(jobs) {}
 
     /**
-     * Execute every point of @p grid, then deliver all records to
-     * @p sinks in flat-index order. Sinks are not closed (a sink may
-     * accumulate several runs); callers or sink destructors close.
+     * Execute @p points, then deliver their records to @p sinks in
+     * list order. Each point runs in isolation through
+     * runner::runOnce, and its index is its row: the record's index,
+     * the recorded "# index=" metadata and the telemetry events' pid,
+     * so points from several grids can share one result file. Sinks
+     * are not closed (a sink may accumulate several runs); callers or
+     * sink destructors close.
      *
-     * @return all records, indexed by flat grid index.
+     * @return the records, in list order.
      */
+    std::vector<RunRecord>
+    run(const std::vector<SweepGrid::Point>& points,
+        const std::vector<ResultSink*>& sinks = {}) const;
+
+    /** Run every point of @p grid, in flat-index order. */
     std::vector<RunRecord>
     run(const SweepGrid& grid,
         const std::vector<ResultSink*>& sinks = {}) const;
-
-    /**
-     * Execute exactly the grid points @p indices (ascending flat
-     * indices, e.g. one grid's share of selectPoints) and deliver
-     * their records to @p sinks in that order — byte-identical for
-     * any worker count, like a full run.
-     */
-    std::vector<RunRecord> run(const SweepGrid& grid,
-                               const std::vector<ResultSink*>& sinks,
-                               const std::vector<size_t>& indices)
-        const;
 
     int jobs() const { return opts_.jobs; }
 

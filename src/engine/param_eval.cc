@@ -27,9 +27,9 @@ makeBatchEvaluator(const hw::SystemConfig& system,
         pool.parallelFor(pts.size(), [&](size_t i) {
             core::DreamScheduler sched(
                 fixedParamConfig(pts[i].first, pts[i].second));
-            const auto r = runner::runOnce(system, scenario, sched,
-                                           kSearchWindowUs, kSearchSeed);
-            out[i] = metrics::evaluate(objective, r.stats);
+            out[i] = metrics::evaluate(
+                objective, runner::runOnce(system, scenario, sched,
+                                           {kSearchWindowUs, kSearchSeed}));
         });
         return out;
     };

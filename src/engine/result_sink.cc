@@ -28,15 +28,6 @@ paramFragment(const ParamMap& params)
 
 } // anonymous namespace
 
-std::string
-csvQuote(const std::string& s)
-{
-    // One quoting rule repo-wide: result sinks, the merge/diff
-    // toolchain and the frame-trace writer all share
-    // runner::csvQuote, so cells round-trip across layers.
-    return runner::csvQuote(s);
-}
-
 const std::vector<std::string>&
 csvIdentityColumns()
 {
@@ -61,11 +52,11 @@ csvHeaderLine(const std::vector<std::string>& param_columns,
 {
     std::string out = "index,scenario,system,scheduler";
     for (const auto& name : param_columns)
-        out += ',' + csvQuote(name);
+        out += ',' + runner::csvQuote(name);
     for (const auto& name : csvMetricColumns())
         out += ',' + name;
     for (const auto& name : breakdown_columns)
-        out += ',' + csvQuote(name);
+        out += ',' + runner::csvQuote(name);
     return out;
 }
 
@@ -148,8 +139,9 @@ CsvSink::close()
               << '\n';
     }
     for (const auto& r : pending_) {
-        *out_ << r.index << ',' << csvQuote(r.scenario) << ','
-              << csvQuote(r.system) << ',' << csvQuote(r.scheduler);
+        *out_ << r.index << ',' << runner::csvQuote(r.scenario) << ','
+              << runner::csvQuote(r.system) << ','
+              << runner::csvQuote(r.scheduler);
         for (const auto& kv : r.params)
             *out_ << ',' << formatValue(kv.second);
         *out_ << ',' << r.seed << ',' << formatValue(r.windowUs)
@@ -313,20 +305,6 @@ readResultCsv(const std::string& path)
 
 // ---------------------------------------------------------- aggregate
 
-double
-AggregateSink::percentile(std::vector<double> values, double pct)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank =
-        std::clamp(pct, 0.0, 100.0) / 100.0 * double(values.size() - 1);
-    const size_t lo = size_t(rank);
-    const size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - double(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
-}
-
 void
 AggregateSink::write(const RunRecord& r)
 {
@@ -369,16 +347,9 @@ summarize(const std::vector<double>& v)
     if (v.empty())
         return s;
     double sum = 0.0;
-    s.min = v.front();
-    s.max = v.front();
-    for (const double x : v) {
+    for (const double x : v)
         sum += x;
-        s.min = std::min(s.min, x);
-        s.max = std::max(s.max, x);
-    }
     s.mean = sum / double(v.size());
-    s.p50 = AggregateSink::percentile(v, 50.0);
-    s.p99 = AggregateSink::percentile(v, 99.0);
     return s;
 }
 
@@ -409,16 +380,6 @@ AggregateSink::cells() const
         out.push_back(std::move(c));
     }
     return out;
-}
-
-const AggregateSink::Summary*
-AggregateSink::Cell::breakdownSummary(const std::string& name) const
-{
-    for (const auto& kv : breakdown) {
-        if (kv.first == name)
-            return &kv.second;
-    }
-    return nullptr;
 }
 
 // ------------------------------------------------- report helpers

@@ -7,8 +7,8 @@
  * sink output is byte-identical for any --jobs value. CsvSink
  * buffers rows and emits them on close (the header needs the union
  * of breakdown columns); AggregateSink folds records into per-cell
- * summaries (mean/p50/p99/min/max of UXCost, drop rate, energy, ...),
- * where a cell is a grid point minus the seed.
+ * means (of UXCost, drop rate, energy, ...), where a cell is a grid
+ * point minus the seed.
  *
  * Records additionally carry named breakdown columns (e.g. Supernet
  * variant shares), and the report helpers at the bottom (groupCells,
@@ -120,13 +120,9 @@ private:
 /** Per-cell (grid point minus seed) statistical aggregation. */
 class AggregateSink : public ResultSink {
 public:
-    /** Distribution summary of one metric across a cell's seeds. */
+    /** Summary of one metric across a cell's seeds. */
     struct Summary {
-        double mean = 0.0;
-        double p50 = 0.0;
-        double p99 = 0.0;
-        double min = 0.0;
-        double max = 0.0;
+        double mean = 0.0; ///< summed in record (seed) order
     };
 
     /** Aggregated results of one cell. */
@@ -145,21 +141,12 @@ public:
         Summary dropRate;
         /** Breakdown columns, summarised per name (record order). */
         std::vector<std::pair<std::string, Summary>> breakdown;
-
-        /** Summary of breakdown column @p name; nullptr if absent. */
-        const Summary* breakdownSummary(const std::string& name) const;
     };
 
     void write(const RunRecord& record) override;
 
     /** Summarised cells in first-seen (i.e. grid index) order. */
     std::vector<Cell> cells() const;
-
-    /**
-     * Linear-interpolated percentile of @p values (pct in [0, 100]);
-     * 0 on empty input. Exposed for unit testing.
-     */
-    static double percentile(std::vector<double> values, double pct);
 
 private:
     struct Samples {
@@ -180,11 +167,9 @@ private:
 // The counterpart of CsvSink: schema introspection over a result
 // CSV's header and a reader returning the raw (unquoted) cell text
 // of every row. The merge/diff tools are built on this — raw cells
-// round-trip byte-identically through csvQuote(), numbers are only
-// parsed where a comparison needs them.
-
-/** Quote one CSV cell the way CsvSink does (RFC-4180 style). */
-std::string csvQuote(const std::string& cell);
+// round-trip byte-identically through runner::csvQuote(), the one
+// quoting rule of every CSV writer, and numbers are only parsed
+// where a comparison needs them.
 
 /**
  * The fixed identity columns every result CSV starts with

@@ -6,8 +6,8 @@
  * Perfetto / chrome://tracing.
  *
  * Conventions used by the simulator hooks (src/obs/README.md has the
- * full map): `pid` is the grid point (EngineOptions::indexBase
- * + point.index), `tid` 0..N-1 are the system's accelerators, tid N
+ * full map): `pid` is the grid point's row index (point.index),
+ * `tid` 0..N-1 are the system's accelerators, tid N
  * is the scheduler track and tid N+1 the frame-lifecycle track.
  * Timestamps are simulated microseconds — exactly the unit the
  * trace-event format expects — and events are appended in event-loop

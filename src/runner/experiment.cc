@@ -93,52 +93,18 @@ toString(SchedKind kind)
     return "??";
 }
 
-RunResult
+sim::RunStats
 runOnce(const hw::SystemConfig& system,
         const workload::Scenario& scenario, sim::Scheduler& sched,
-        double window_us, uint64_t seed)
+        const sim::SimConfig& config, obs::MetricsRegistry* cache_metrics)
 {
-    // Route through the shared cache: the multi-seed / multi-
-    // scheduler loops above this call (runSeeds, bench sweeps,
-    // ParamSearch evaluations) repeat one (system, model set) pair
-    // many times — each repeat now reuses one frozen table instead
-    // of rebuilding it.
+    // Every offline run shares the process-wide cache: sweeps,
+    // searches and replays repeat one (system, model set) pair many
+    // times, and each repeat reuses one frozen table.
     const std::shared_ptr<const cost::CostTable> costs =
-        cost::acquireCostTable(system, scenario);
-
-    sim::SimConfig cfg;
-    cfg.windowUs = window_us;
-    cfg.seed = seed;
-    sim::Simulator simulator(system, scenario, *costs, cfg);
-
-    RunResult r;
-    r.stats = simulator.run(sched);
-    r.uxCost = metrics::uxCost(r.stats);
-    return r;
-}
-
-AggregateResult
-runSeeds(const hw::SystemConfig& system,
-         const workload::Scenario& scenario, sim::Scheduler& sched,
-         double window_us, const std::vector<uint64_t>& seeds)
-{
-    AggregateResult agg;
-    for (const uint64_t seed : seeds) {
-        RunResult r = runOnce(system, scenario, sched, window_us, seed);
-        agg.uxCost += r.uxCost;
-        agg.dlvRate += r.stats.overallDlvRate();
-        agg.normEnergy += r.stats.overallNormEnergy();
-        agg.energyMj += r.stats.totalEnergyMj();
-        agg.violationFraction += r.stats.violationFraction();
-        agg.lastStats = std::move(r.stats);
-    }
-    const double n = double(seeds.size());
-    agg.uxCost /= n;
-    agg.dlvRate /= n;
-    agg.normEnergy /= n;
-    agg.energyMj /= n;
-    agg.violationFraction /= n;
-    return agg;
+        cost::acquireCostTable(system, scenario, cache_metrics);
+    sim::Simulator simulator(system, scenario, *costs, config);
+    return simulator.run(sched);
 }
 
 std::vector<uint64_t>

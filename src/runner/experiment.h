@@ -1,8 +1,7 @@
 /**
  * @file
- * Experiment harness: one-call execution of (system, scenario,
- * scheduler) runs with CostTable pre-warming, multi-seed averaging
- * and a scheduler factory covering every scheduler in the repo.
+ * Experiment harness: the one offline run set-up (runOnce) and a
+ * scheduler factory covering every scheduler in the repo.
  */
 
 #ifndef DREAM_RUNNER_EXPERIMENT_H
@@ -15,11 +14,15 @@
 #include "core/dream_config.h"
 #include "core/dream_scheduler.h"
 #include "hw/system.h"
-#include "metrics/uxcost.h"
 #include "sim/simulator.h"
 #include "workload/scenario.h"
 
 namespace dream {
+
+namespace obs {
+class MetricsRegistry;
+}
+
 namespace runner {
 
 /** Every scheduler evaluated in the paper. */
@@ -56,39 +59,23 @@ const char* toString(SchedKind kind);
  */
 bool parseSchedKind(const std::string& name, SchedKind* out);
 
-/** Result of one run. */
-struct RunResult {
-    sim::RunStats stats;
-    double uxCost = 0.0;
-};
-
-/** Multi-seed aggregate (arithmetic means). */
-struct AggregateResult {
-    double uxCost = 0.0;
-    double dlvRate = 0.0;      ///< overall (summed per-task) DLV rate
-    double normEnergy = 0.0;   ///< overall normalised energy
-    double energyMj = 0.0;     ///< total actual energy
-    double violationFraction = 0.0;
-    /** Stats of the last seed's run (for detail inspection). */
-    sim::RunStats lastStats;
-};
-
-/** Execute one window under @p sched. */
-RunResult runOnce(const hw::SystemConfig& system,
-                  const workload::Scenario& scenario,
-                  sim::Scheduler& sched, double window_us,
-                  uint64_t seed);
-
-/** Execute one window per seed and aggregate. */
-AggregateResult runSeeds(const hw::SystemConfig& system,
-                         const workload::Scenario& scenario,
-                         sim::Scheduler& sched, double window_us,
-                         const std::vector<uint64_t>& seeds);
+/**
+ * The one offline run set-up: acquire the shared cost table of
+ * (@p system, @p scenario) and run one sim::Simulator configured by
+ * @p config (window, seed, arrival source, telemetry) under
+ * @p sched. A non-null @p cache_metrics records the cache outcome
+ * (the volatile costcache/{hit,miss,evict} counters, see
+ * cost::acquireCostTable).
+ */
+sim::RunStats runOnce(const hw::SystemConfig& system,
+                      const workload::Scenario& scenario,
+                      sim::Scheduler& sched, const sim::SimConfig& config,
+                      obs::MetricsRegistry* cache_metrics = nullptr);
 
 /** Default evaluation window (2 s, the paper's Texec example). */
 constexpr double kDefaultWindowUs = 2e6;
 
-/** Default seed set for multi-seed averaging. */
+/** Default seed set of the multi-seed benches. */
 std::vector<uint64_t> defaultSeeds();
 
 } // namespace runner

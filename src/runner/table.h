@@ -53,7 +53,7 @@ double geomean(const std::vector<double>& values);
 // ------------------------------------------------- CSV primitives
 //
 // One quoting rule and one record reader for every CSV the repo
-// writes or parses. engine::csvQuote / the result-CSV reader and the
+// writes or parses. The result sinks and reader, dream_merge and the
 // frame-trace round trip all sit on these, so a cell that one layer
 // writes always parses back identically in another.
 

@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "runner/table.h"
+
 namespace dream {
 namespace tools {
 
@@ -111,13 +113,13 @@ mergeResultCsvs(const std::vector<engine::CsvTable>& inputs,
         for (size_t c = 0; c < fixed; ++c) {
             if (c)
                 out << ',';
-            out << engine::csvQuote(cells[c]);
+            out << runner::csvQuote(cells[c]);
         }
         for (const auto& name : breakdown) {
             const size_t c = sch.columnIndex(name);
             out << ',';
             if (c != std::string::npos)
-                out << engine::csvQuote(cells[c]);
+                out << runner::csvQuote(cells[c]);
         }
         out << '\n';
     }

@@ -130,17 +130,17 @@ TEST(DreamScheduler, FullConfigRunsEndToEnd)
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::VrGaming);
     core::DreamScheduler sched(core::DreamConfig::full());
-    const auto r = runner::runOnce(system, scenario, sched, 1e6, 3);
-    EXPECT_GT(r.stats.totalFrames(), 0u);
+    const auto r = runner::runOnce(system, scenario, sched, {1e6, 3});
+    EXPECT_GT(r.totalFrames(), 0u);
     // The online tuner must have been exercised.
     EXPECT_GE(sched.tuner().completedSteps(), 1);
 }
 
 TEST(DreamScheduler, ReusedInstanceMatchesFresh)
 {
-    // runner::runSeeds runs one scheduler instance per seed, so
-    // reset() must leave DREAM-Full, online tuner included, exactly
-    // as a fresh instance starts.
+    // One scheduler instance may serve several runs (Simulator::run
+    // resets it first), so reset() must leave DREAM-Full, online
+    // tuner included, exactly as a fresh instance starts.
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     for (const auto preset : {workload::ScenarioPreset::VrGaming,
                               workload::ScenarioPreset::ArSocial,
@@ -148,13 +148,14 @@ TEST(DreamScheduler, ReusedInstanceMatchesFresh)
         SCOPED_TRACE(workload::toString(preset));
         const auto scenario = workload::makeScenario(preset, 0.9);
         core::DreamScheduler reused(core::DreamConfig::full());
-        runner::runOnce(system, scenario, reused, 1e6, 3);
+        runner::runOnce(system, scenario, reused, {1e6, 3});
         const auto second =
-            runner::runOnce(system, scenario, reused, 1e6, 7);
+            runner::runOnce(system, scenario, reused, {1e6, 7});
 
         core::DreamScheduler fresh(core::DreamConfig::full());
-        const auto first = runner::runOnce(system, scenario, fresh, 1e6, 7);
-        test::expectStatsBitIdentical(scenario, second.stats, first.stats);
+        const auto first =
+            runner::runOnce(system, scenario, fresh, {1e6, 7});
+        test::expectStatsBitIdentical(scenario, second, first);
         EXPECT_EQ(reused.tuner().completedSteps(),
                   fresh.tuner().completedSteps());
         EXPECT_EQ(reused.tuner().retriggers(),

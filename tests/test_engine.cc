@@ -1,9 +1,10 @@
 /**
  * @file
  * Sweep engine tests: worker-pool semantics, grid decoding, sink
- * formatting, percentile aggregation, the --jobs determinism
- * contract (parallel == serial, byte for byte) and the equivalence
- * of the engine's parameter grid with the single-point evaluator.
+ * formatting, per-cell aggregation, run selection and the bench run
+ * loop, the --jobs determinism contract (parallel == serial, byte
+ * for byte) and the equivalence of the engine's parameter grid with
+ * the single-point evaluator.
  */
 
 #include <gtest/gtest.h>
@@ -130,25 +131,6 @@ TEST(SweepGrid, LinspaceHitsEndpoints)
     EXPECT_DOUBLE_EQ(axis.values.back(), 2.0);
 }
 
-TEST(AggregateSink, PercentileInterpolatesLinearly)
-{
-    using engine::AggregateSink;
-    EXPECT_EQ(AggregateSink::percentile({}, 50.0), 0.0);
-    EXPECT_DOUBLE_EQ(AggregateSink::percentile({5.0}, 99.0), 5.0);
-    EXPECT_DOUBLE_EQ(
-        AggregateSink::percentile({4.0, 1.0, 3.0, 2.0}, 50.0), 2.5);
-    EXPECT_DOUBLE_EQ(
-        AggregateSink::percentile({1.0, 2.0, 3.0, 4.0}, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(
-        AggregateSink::percentile({1.0, 2.0, 3.0, 4.0}, 100.0), 4.0);
-
-    std::vector<double> v;
-    for (int i = 1; i <= 100; ++i)
-        v.push_back(double(i));
-    EXPECT_DOUBLE_EQ(AggregateSink::percentile(v, 50.0), 50.5);
-    EXPECT_NEAR(AggregateSink::percentile(v, 99.0), 99.01, 1e-12);
-}
-
 namespace {
 
 engine::RunRecord
@@ -182,13 +164,10 @@ TEST(AggregateSink, GroupsSeedsIntoCells)
     EXPECT_EQ(cells[0].key, "sc/sys/A");
     EXPECT_EQ(cells[0].runs, 3u);
     EXPECT_DOUBLE_EQ(cells[0].uxCost.mean, 2.0);
-    EXPECT_DOUBLE_EQ(cells[0].uxCost.p50, 2.0);
-    EXPECT_DOUBLE_EQ(cells[0].uxCost.min, 1.0);
-    EXPECT_DOUBLE_EQ(cells[0].uxCost.max, 3.0);
     EXPECT_DOUBLE_EQ(cells[0].dropRate.mean, 0.02);
     EXPECT_EQ(cells[1].key, "sc/sys/B");
     EXPECT_EQ(cells[1].runs, 1u);
-    EXPECT_DOUBLE_EQ(cells[1].uxCost.p99, 10.0);
+    EXPECT_DOUBLE_EQ(cells[1].uxCost.mean, 10.0);
 }
 
 TEST(CsvSink, EmitsHeaderAndRow)
@@ -315,26 +294,35 @@ shardOpts(size_t k, size_t n, const std::string& filter = {})
     return opts;
 }
 
+/** The points of @p grid at @p indices: a list Engine::run runs. */
+std::vector<engine::SweepGrid::Point>
+pointsAt(const engine::SweepGrid& grid, const std::vector<size_t>& indices)
+{
+    std::vector<engine::SweepGrid::Point> points;
+    for (const size_t i : indices)
+        points.push_back(grid.point(i));
+    return points;
+}
+
 /** The points of @p grid a bench run with @p opts selects. */
-std::vector<size_t>
+std::vector<engine::SweepGrid::Point>
 selected(const engine::SweepGrid& grid, const bench::Options& opts)
 {
-    return engine::selectPoints({&grid}, opts.filter, [&](size_t total) {
-        return opts.range(total);
-    })[0];
+    const auto range = [&](size_t total) { return opts.range(total); };
+    return pointsAt(grid,
+                    engine::selectPoints({&grid}, opts.filter, range)[0]);
 }
 
 TEST(Engine, FilteredRunSelectsMatchingPointsDeterministically)
 {
     const auto grid = smallGrid();
-    const auto indices =
-        engine::selectPoints({&grid}, "seed=1", everything)[0];
+    const auto points = pointsAt(
+        grid, engine::selectPoints({&grid}, "seed=1", everything)[0]);
 
     std::ostringstream csv1, csv4;
     engine::CsvSink sink1(csv1), sink4(csv4);
-    const auto serial = engine::Engine({1}).run(grid, {&sink1}, indices);
-    const auto parallel =
-        engine::Engine({4}).run(grid, {&sink4}, indices);
+    const auto serial = engine::Engine({1}).run(points, {&sink1});
+    const auto parallel = engine::Engine({4}).run(points, {&sink4});
 
     ASSERT_EQ(serial.size(), 4u); // half of the 8 points
     EXPECT_EQ(csv1.str(), csv4.str());
@@ -388,8 +376,8 @@ TEST(Engine, ShardedRunsPartitionTheGrid)
 
     std::vector<engine::RunRecord> stitched;
     for (size_t k = 1; k <= 3; ++k) {
-        const auto part = engine::Engine({2}).run(
-            grid, {}, selected(grid, shardOpts(k, 3)));
+        const auto part =
+            engine::Engine({2}).run(selected(grid, shardOpts(k, 3)));
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
     ASSERT_EQ(stitched.size(), full.size());
@@ -403,15 +391,15 @@ TEST(Engine, ShardedRunsPartitionTheGrid)
 TEST(Engine, ShardComposesWithKeyFilter)
 {
     const auto grid = smallGrid();
-    const auto filtered = engine::Engine({1}).run(
-        grid, {}, engine::selectPoints({&grid}, "seed=1", everything)[0]);
+    const auto filtered = engine::Engine({1}).run(pointsAt(
+        grid, engine::selectPoints({&grid}, "seed=1", everything)[0]));
     ASSERT_EQ(filtered.size(), 4u);
 
     // The shards partition the FILTERED sequence, not the grid.
     std::vector<engine::RunRecord> stitched;
     for (size_t k = 1; k <= 2; ++k) {
         const auto part = engine::Engine({1}).run(
-            grid, {}, selected(grid, shardOpts(k, 2, "seed=1")));
+            selected(grid, shardOpts(k, 2, "seed=1")));
         EXPECT_EQ(part.size(), 2u);
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
@@ -463,6 +451,102 @@ TEST(Engine, ShardPositionsAreGlobalAcrossGrids)
     EXPECT_TRUE(sel[2].empty());
 }
 
+namespace {
+
+/** What one bench::run invocation wrote. */
+struct BenchOutput {
+    bool returned = false; ///< records came back (a full run)
+    std::vector<engine::RunRecord> records;
+    std::string out;     ///< the --out file
+    std::string printed; ///< stdout
+    std::string metrics; ///< the canonical --metrics dump
+};
+
+BenchOutput
+runBench(bench::Options opts, const std::vector<bench::Scan>& scans,
+         const std::string& out_path)
+{
+    opts.out = out_path;
+    opts.metricsFile = std::make_shared<bench::MetricsFile>();
+    ::testing::internal::CaptureStdout();
+    const auto records = bench::run(opts, scans);
+    BenchOutput o;
+    o.printed = ::testing::internal::GetCapturedStdout();
+    o.returned = records.has_value();
+    if (records)
+        o.records = *records;
+    std::ifstream in(out_path);
+    o.out.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    std::ostringstream metrics;
+    opts.metricsFile->registry.writeJson(metrics);
+    o.metrics = metrics.str();
+    EXPECT_FALSE(opts.metricsFile->registry.counters().empty());
+    return o;
+}
+
+} // anonymous namespace
+
+TEST(BenchRun, FullRunEqualsAnAllSelectingFilterAndItsShards)
+{
+    // Shaped like trace_replay: several grids whose rows sit at
+    // explicit, non-contiguous bases (its recorded indices).
+    const std::string dir = ::testing::TempDir() + "dream_bench_run";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<engine::SweepGrid> grids(3);
+    grids[0].addScenario(workload::ScenarioPreset::ArCall)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .seeds({1, 2});
+    grids[1].addScenario(workload::ScenarioPreset::DroneOutdoor)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .seeds({3});
+    grids[2].addScenario(workload::ScenarioPreset::ArCall)
+        .addScheduler(runner::SchedKind::StaticFcfs)
+        .seeds({1});
+    for (auto& grid : grids)
+        grid.addSystem(hw::SystemPreset::Sys4k2Ws).window(5e4);
+    const std::vector<bench::Scan> scans = {
+        {grids[0], "A", 2}, {grids[1], "B", 5}, {grids[2], "C", 9}};
+
+    bench::Options full_opts;
+    full_opts.jobs = 2;
+    const auto full = runBench(full_opts, scans, dir + "/full.csv");
+    ASSERT_TRUE(full.returned);
+    ASSERT_EQ(full.records.size(), 4u);
+    const std::vector<size_t> rows = {2, 3, 5, 9};
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(full.records[i].index, rows[i]);
+    EXPECT_TRUE(full.printed.empty()); // the report is the bench's
+
+    // Every key contains '/': the filter selects everything, runs it
+    // as a subset run (rows on stdout, no records back) and writes
+    // the same --out bytes and the same merged registry.
+    bench::Options filter_opts;
+    filter_opts.filter = "/";
+    const auto filtered = runBench(filter_opts, scans, dir + "/f.csv");
+    EXPECT_FALSE(filtered.returned);
+    EXPECT_EQ(filtered.out, full.out);
+    EXPECT_EQ(filtered.printed, full.out);
+    EXPECT_EQ(filtered.metrics, full.metrics);
+
+    // The --shard K/4 legs hold one row each, in row order.
+    const auto full_table = engine::readResultCsv(dir + "/full.csv");
+    std::vector<std::vector<std::string>> legs;
+    for (size_t k = 1; k <= 4; ++k) {
+        const std::string path = dir + "/leg" + std::to_string(k);
+        const auto leg = runBench(shardOpts(k, 4), scans, path);
+        EXPECT_FALSE(leg.returned);
+        EXPECT_EQ(leg.printed, leg.out);
+        const auto table = engine::readResultCsv(path);
+        EXPECT_EQ(table.schema.columns, full_table.schema.columns);
+        EXPECT_EQ(table.rows.size(), 1u) << k;
+        legs.insert(legs.end(), table.rows.begin(), table.rows.end());
+    }
+    EXPECT_EQ(legs, full_table.rows);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Engine, IndexBaseOffsetsRowTraceMetadataAndEventPid)
 {
     const std::string dir =
@@ -475,13 +559,16 @@ TEST(Engine, IndexBaseOffsetsRowTraceMetadataAndEventPid)
         .seeds({1, 2})
         .window(5e4);
 
+    // Grid point 1 as row 101, as a bench whose earlier grids hold
+    // rows 0-99 runs it.
+    auto point = grid.point(1);
+    point.index += 100;
     engine::EngineOptions opts;
-    opts.indexBase = 100;
     opts.traceDir = dir + "/frames";
     opts.traceEventDir = dir + "/events";
     std::ostringstream csv;
     engine::CsvSink sink(csv);
-    const auto records = engine::Engine(opts).run(grid, {&sink}, {1});
+    const auto records = engine::Engine(opts).run({point}, {&sink});
     sink.close();
     ASSERT_EQ(records.size(), 1u);
 
@@ -489,7 +576,6 @@ TEST(Engine, IndexBaseOffsetsRowTraceMetadataAndEventPid)
     // pid all carry the base, so several grids share one file.
     EXPECT_EQ(records[0].index, 101u);
     EXPECT_NE(csv.str().find("\n101,"), std::string::npos) << csv.str();
-    const auto point = grid.point(1);
     EXPECT_EQ(runner::readFrameTraceCsv(opts.traceDir + '/' +
                                         engine::traceFileName(point))
                   .metaValue("index"),
@@ -571,12 +657,9 @@ TEST(AggregateSink, SummarisesBreakdownColumnsPerCell)
     agg.write(b);
     const auto cells = agg.cells();
     ASSERT_EQ(cells.size(), 1u);
-    const auto* summary = cells[0].breakdownSummary("net_v0_share");
-    ASSERT_NE(summary, nullptr);
-    EXPECT_DOUBLE_EQ(summary->mean, 0.6);
-    EXPECT_DOUBLE_EQ(summary->min, 0.4);
-    EXPECT_DOUBLE_EQ(summary->max, 0.8);
-    EXPECT_EQ(cells[0].breakdownSummary("nope"), nullptr);
+    ASSERT_EQ(cells[0].breakdown.size(), 1u);
+    EXPECT_EQ(cells[0].breakdown[0].first, "net_v0_share");
+    EXPECT_DOUBLE_EQ(cells[0].breakdown[0].second.mean, 0.6);
 }
 
 TEST(ReportHelpers, GroupFindAndRatioCells)

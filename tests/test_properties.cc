@@ -38,13 +38,13 @@ TEST_P(SchedulerSweep, RunInvariants)
     const auto system = hw::makeSystem(sc.system);
     const auto scenario = workload::makeScenario(sc.scenario);
     auto sched = runner::makeScheduler(sc.sched);
-    const auto r = runner::runOnce(system, scenario, *sched, 1e6, 17);
+    const auto r = runner::runOnce(system, scenario, *sched, {1e6, 17});
 
-    EXPECT_GT(r.stats.totalFrames(), 0u);
-    EXPECT_GE(r.uxCost, 0.0);
-    EXPECT_TRUE(std::isfinite(r.uxCost));
-    EXPECT_GT(r.stats.totalEnergyMj(), 0.0);
-    for (const auto& ts : r.stats.tasks) {
+    EXPECT_GT(r.totalFrames(), 0u);
+    EXPECT_GE(metrics::uxCost(r), 0.0);
+    EXPECT_TRUE(std::isfinite(metrics::uxCost(r)));
+    EXPECT_GT(r.totalEnergyMj(), 0.0);
+    for (const auto& ts : r.tasks) {
         EXPECT_LE(ts.droppedFrames, ts.violatedFrames);
         EXPECT_LE(ts.violatedFrames, ts.totalFrames);
         EXPECT_LE(ts.completedFrames, ts.totalFrames);
@@ -68,11 +68,11 @@ TEST_P(SchedulerSweep, RunInvariants)
     }
     // UXCost is never below the all-floors product.
     double floor_rate = 0.0;
-    for (const auto& ts : r.stats.tasks) {
+    for (const auto& ts : r.tasks) {
         if (ts.totalFrames > 0)
             floor_rate += 1.0 / (2.0 * double(ts.totalFrames));
     }
-    EXPECT_GE(r.stats.overallDlvRate() + 1e-12, floor_rate);
+    EXPECT_GE(r.overallDlvRate() + 1e-12, floor_rate);
 }
 
 std::vector<SweepCase>
@@ -109,9 +109,9 @@ TEST_P(CascadeSweep, HigherProbabilityMoreDependentFrames)
     const auto lo = workload::makeScenario(
         workload::ScenarioPreset::ArCall, prob);
     auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto r = runner::runOnce(system, lo, *sched, 2e6, 21);
-    const double kws_done = double(r.stats.tasks[0].completedFrames);
-    const double gnmt = double(r.stats.tasks[1].totalFrames);
+    const auto r = runner::runOnce(system, lo, *sched, {2e6, 21});
+    const double kws_done = double(r.tasks[0].completedFrames);
+    const double gnmt = double(r.tasks[1].totalFrames);
     ASSERT_GT(kws_done, 0.0);
     // Dependent frame count tracks the trigger probability.
     EXPECT_NEAR(gnmt / kws_done, prob, 0.25);
@@ -135,11 +135,11 @@ TEST_P(SeedSweep, DreamNeverWorseThanWorstBaselineByFar)
         workload::makeScenario(workload::ScenarioPreset::ArSocial);
     auto dream = runner::makeScheduler(runner::SchedKind::DreamFull);
     auto fcfs = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto rd = runner::runOnce(system, scenario, *dream, 1e6,
-                                    GetParam());
-    const auto rf = runner::runOnce(system, scenario, *fcfs, 1e6,
-                                    GetParam());
-    EXPECT_LT(rd.uxCost, rf.uxCost * 1.5);
+    const auto rd =
+        runner::runOnce(system, scenario, *dream, {1e6, GetParam()});
+    const auto rf =
+        runner::runOnce(system, scenario, *fcfs, {1e6, GetParam()});
+    EXPECT_LT(metrics::uxCost(rd), metrics::uxCost(rf) * 1.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,

@@ -33,19 +33,6 @@ TEST(Runner, EvaluationSetMatchesPaper)
     EXPECT_EQ(set.back(), runner::SchedKind::DreamFull);
 }
 
-TEST(Runner, RunSeedsAveragesOverSeeds)
-{
-    const auto system = hw::makeSystem(hw::SystemPreset::Sys8k2Ws);
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::DroneOutdoor);
-    auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto r1 = runner::runOnce(system, scenario, *sched, 5e5, 1);
-    const auto r2 = runner::runOnce(system, scenario, *sched, 5e5, 2);
-    const auto agg =
-        runner::runSeeds(system, scenario, *sched, 5e5, {1, 2});
-    EXPECT_NEAR(agg.uxCost, (r1.uxCost + r2.uxCost) / 2.0, 1e-9);
-}
-
 TEST(Table, AlignsAndRenders)
 {
     runner::Table t({"A", "LongHeader"});

@@ -101,10 +101,10 @@ TEST(Serve, StreamedTraceReplayMatchesOfflineReplay)
     // Record a run, then re-load it the way dream_serve --replay
     // does (through the CSV round trip, not in-memory stats).
     auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto recorded = runner::runOnce(system, scenario, *sched,
-                                          window_us, seed);
+    const auto recorded =
+        runner::runOnce(system, scenario, *sched, {window_us, seed});
     const auto csv =
-        runner::frameTraceCsv(recorded.stats, scenario);
+        runner::frameTraceCsv(recorded, scenario);
     std::istringstream is(csv);
     const auto trace = runner::readFrameTraceCsv(is);
     const workload::ReplaySource replay(scenario, seed, trace);
@@ -124,7 +124,7 @@ TEST(Serve, StreamedTraceReplayMatchesOfflineReplay)
         serveStream(system, scenario, costs, runner::SchedKind::Fcfs,
                     replay, window_us, seed);
     test::expectStatsBitIdentical(scenario, offline, streamed);
-    test::expectStatsBitIdentical(scenario, recorded.stats, streamed);
+    test::expectStatsBitIdentical(scenario, recorded, streamed);
 }
 
 TEST(Serve, IncrementalApiMatchesRunWithArbitraryStepping)

@@ -26,8 +26,7 @@ runFcfs(hw::SystemPreset sys_preset,
     const auto system = hw::makeSystem(sys_preset);
     const auto scenario = workload::makeScenario(sc_preset);
     sched::FcfsScheduler fcfs;
-    return runner::runOnce(system, scenario, fcfs, window_us, seed)
-        .stats;
+    return runner::runOnce(system, scenario, fcfs, {window_us, seed});
 }
 
 TEST(Simulator, FrameAccountingConservation)
@@ -106,9 +105,9 @@ TEST(Simulator, SameWorkloadForEverySchedulerSameSeed)
     sched::FcfsScheduler fcfs;
     core::DreamScheduler dream(core::DreamConfig::mapScore());
     const auto a =
-        runner::runOnce(system, scenario, fcfs, 1e6, 5).stats;
+        runner::runOnce(system, scenario, fcfs, {1e6, 5});
     const auto b =
-        runner::runOnce(system, scenario, dream, 1e6, 5).stats;
+        runner::runOnce(system, scenario, dream, {1e6, 5});
     // Root-task frame counts are workload properties, not scheduler
     // properties.
     ASSERT_EQ(a.tasks.size(), b.tasks.size());
@@ -129,7 +128,7 @@ TEST(Simulator, EnergyIsChargedAndContextSwitchesCounted)
         workload::makeScenario(workload::ScenarioPreset::ArSocial);
     core::DreamScheduler dream(core::DreamConfig::mapScore());
     const auto stats =
-        runner::runOnce(system, scenario, dream, 1e6, 3).stats;
+        runner::runOnce(system, scenario, dream, {1e6, 3});
     EXPECT_GT(stats.totalEnergyMj(), 0.0);
     EXPECT_GT(stats.contextSwitches, 0u);
     EXPECT_GT(stats.contextSwitchEnergyMj, 0.0);
@@ -158,7 +157,7 @@ TEST(Simulator, SupernetVariantTalliesMatchStartedFrames)
         workload::makeScenario(workload::ScenarioPreset::ArSocial);
     core::DreamScheduler dream(core::DreamConfig::full());
     const auto stats =
-        runner::runOnce(system, scenario, dream, 1e6, 3).stats;
+        runner::runOnce(system, scenario, dream, {1e6, 3});
     for (const auto& ts : stats.tasks) {
         if (ts.variantStarts.empty())
             continue;

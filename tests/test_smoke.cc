@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/uxcost.h"
 #include "runner/experiment.h"
 
 namespace dream {
@@ -22,11 +23,11 @@ TEST(Smoke, EverySchedulerRunsEveryScenario)
               runner::SchedKind::Veltair, runner::SchedKind::Planaria,
               runner::SchedKind::DreamFull}) {
             auto sched = runner::makeScheduler(kind);
-            const auto r = runner::runOnce(system, scenario, *sched,
-                                           5e5, 1);
-            EXPECT_GT(r.stats.totalFrames(), 0u)
+            const auto r =
+                runner::runOnce(system, scenario, *sched, {5e5, 1});
+            EXPECT_GT(r.totalFrames(), 0u)
                 << toString(preset) << " / " << sched->name();
-            EXPECT_GE(r.uxCost, 0.0);
+            EXPECT_GE(metrics::uxCost(r), 0.0);
         }
     }
 }

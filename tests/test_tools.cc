@@ -163,11 +163,14 @@ TEST(CsvMerge, ShardedBenchRunMergesByteIdentically)
         bench::Options opts;
         opts.shard = k;
         opts.shards = 3;
-        engine::Engine({2}).run(
-            grid, {&sink},
+        const auto selected =
             engine::selectPoints({&grid}, "", [&](size_t total) {
                 return opts.range(total);
-            })[0]);
+            });
+        std::vector<engine::SweepGrid::Point> points;
+        for (const size_t i : selected[0])
+            points.push_back(grid.point(i));
+        engine::Engine({2}).run(points, {&sink});
         sink.close();
         shards.push_back(out.str());
     }

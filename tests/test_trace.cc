@@ -89,14 +89,14 @@ TEST(Trace, FrameRecordsMatchTaskStats)
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
     auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto r = runner::runOnce(system, scenario, *sched, 1e6, 3);
+    const auto r = runner::runOnce(system, scenario, *sched, {1e6, 3});
 
     // Every admitted frame is recorded; exactly the in-window ones
     // are counted in TaskStats.
     uint64_t in_window = 0;
     std::vector<uint64_t> violated(scenario.tasks.size(), 0);
     std::vector<uint64_t> dropped(scenario.tasks.size(), 0);
-    for (const auto& fr : r.stats.frames) {
+    for (const auto& fr : r.frames) {
         EXPECT_GE(fr.deadlineUs, fr.arrivalUs);
         if (fr.isCompleted()) {
             EXPECT_GE(fr.completionUs, fr.arrivalUs);
@@ -107,11 +107,11 @@ TEST(Trace, FrameRecordsMatchTaskStats)
         violated[size_t(fr.task)] += fr.violated ? 1 : 0;
         dropped[size_t(fr.task)] += fr.dropped ? 1 : 0;
     }
-    EXPECT_EQ(in_window, r.stats.totalFrames());
-    EXPECT_GE(r.stats.frames.size(), in_window);
+    EXPECT_EQ(in_window, r.totalFrames());
+    EXPECT_GE(r.frames.size(), in_window);
     for (size_t t = 0; t < scenario.tasks.size(); ++t) {
-        EXPECT_EQ(violated[t], r.stats.tasks[t].violatedFrames);
-        EXPECT_EQ(dropped[t], r.stats.tasks[t].droppedFrames);
+        EXPECT_EQ(violated[t], r.tasks[t].violatedFrames);
+        EXPECT_EQ(dropped[t], r.tasks[t].droppedFrames);
     }
 }
 
@@ -121,9 +121,9 @@ TEST(Trace, CsvShapeAndHeader)
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::DroneOutdoor);
     auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto r = runner::runOnce(system, scenario, *sched, 5e5, 3);
+    const auto r = runner::runOnce(system, scenario, *sched, {5e5, 3});
 
-    const auto csv = runner::frameTraceCsv(r.stats, scenario);
+    const auto csv = runner::frameTraceCsv(r, scenario);
     std::istringstream is(csv);
     std::string line;
     ASSERT_TRUE(std::getline(is, line));
@@ -138,7 +138,7 @@ TEST(Trace, CsvShapeAndHeader)
         // contains a comma).
         EXPECT_EQ(std::count(line.begin(), line.end(), ','), 11);
     }
-    EXPECT_EQ(rows, r.stats.frames.size());
+    EXPECT_EQ(rows, r.frames.size());
     EXPECT_NE(csv.find("TrailNet"), std::string::npos);
 }
 
@@ -148,21 +148,21 @@ TEST(Trace, RoundTripIsLosslessIncludingMeta)
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::VrGaming);
     auto sched = runner::makeScheduler(runner::SchedKind::DreamFull);
-    const auto r = runner::runOnce(system, scenario, *sched, 3e5, 7);
+    const auto r = runner::runOnce(system, scenario, *sched, {3e5, 7});
 
     const runner::TraceMeta meta = {{"scenario", "VR_Gaming"},
                                     {"seed", "7"}};
-    const auto csv = runner::frameTraceCsv(r.stats, scenario, meta);
+    const auto csv = runner::frameTraceCsv(r, scenario, meta);
     std::istringstream is(csv);
     const auto trace = runner::readFrameTraceCsv(is);
 
     EXPECT_EQ(trace.meta, meta);
     EXPECT_EQ(trace.metaValue("scenario"), "VR_Gaming");
     EXPECT_EQ(trace.metaValue("absent"), "");
-    ASSERT_EQ(trace.frames.size(), r.stats.frames.size());
+    ASSERT_EQ(trace.frames.size(), r.frames.size());
     for (size_t i = 0; i < trace.frames.size(); ++i) {
         const auto& got = trace.frames[i];
-        const auto& want = r.stats.frames[i];
+        const auto& want = r.frames[i];
         EXPECT_EQ(got.task, want.task);
         EXPECT_EQ(got.model,
                   scenario.tasks[size_t(want.task)].model.name);
@@ -376,12 +376,12 @@ TEST(Trace, LoadRecordedPointResolvesAndRejectsMetadata)
         .addScheduler(runner::SchedKind::StaticFcfs)
         .seeds({11})
         .window(5e4);
+    auto recorded = grid.point(0);
+    recorded.index = 7; // its row in a multi-grid run
     engine::EngineOptions opts;
     opts.traceDir = dir;
-    opts.indexBase = 7;
-    engine::Engine(opts).run(grid);
-    const std::string path =
-        dir + '/' + engine::traceFileName(grid.point(0));
+    engine::Engine(opts).run({recorded});
+    const std::string path = dir + '/' + engine::traceFileName(recorded);
 
     const auto point = runner::loadRecordedPoint(path);
     EXPECT_EQ(point.scenario, "AR_Call");

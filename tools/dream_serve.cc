@@ -403,12 +403,9 @@ verifyOffline(const Session& session,
     config.windowUs = session.windowUs;
     config.seed = session.seed;
     config.arrivals = &replay;
-    sim::Simulator sim(session.system, session.scenario,
-                       *cost::acquireCostTable(session.system,
-                                               session.scenario),
-                       config);
     const auto sched = runner::makeScheduler(session.scheduler);
-    const sim::RunStats offline = sim.run(*sched);
+    const sim::RunStats offline = runner::runOnce(
+        session.system, session.scenario, *sched, config);
 
     // Byte-level comparison through the canonical serialisations:
     // the per-frame trace CSV covers every admitted frame's exact
