@@ -96,12 +96,7 @@ runRow(const Mix& mix, size_t devices, serve::RouterPolicy router,
 
     workload::FrameSource frames(scenario, mix.seed);
     workload::StreamSource intake(frames);
-    auto arrivals = frames.rootFrames(kWindowUs);
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    for (auto& frame : arrivals)
+    for (auto& frame : workload::rootFramesByArrival(frames, kWindowUs))
         intake.push(std::move(frame));
     intake.close();
 

@@ -169,6 +169,23 @@ private:
     mutable std::unordered_map<LayerKey, Entry, LayerKeyHash> cache_;
 };
 
+/**
+ * Best-case latency of a layer sequence (a layer vector or a
+ * models::Path): each layer on its fastest accelerator, summed front
+ * to back. The admission backlog, the router's per-frame work and the
+ * cluster's fairness denominator all use it. A back-to-front sum
+ * (sim::Resolution::suffixMin[0]) rounds differently.
+ */
+template <class Layers>
+double
+bestCaseLatencyUs(const CostTable& costs, const Layers& layers)
+{
+    double total = 0.0;
+    for (const models::Layer& layer : layers)
+        total += costs.minLatencyUs(layer);
+    return total;
+}
+
 } // namespace cost
 } // namespace dream
 

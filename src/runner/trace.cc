@@ -1,5 +1,6 @@
 #include "runner/trace.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -103,12 +104,12 @@ parseOptionalDouble(const std::string& cell, size_t row, const char* column)
 int
 parseInt(const std::string& cell, size_t row, const char* column)
 {
-    char* end = nullptr;
-    const long v = std::strtol(cell.c_str(), &end, 10);
-    if (cell.empty() || end != cell.c_str() + cell.size())
+    try {
+        return int(flags::parseUint(cell, 0, INT_MAX));
+    } catch (const flags::Error& e) {
         rowError(row, std::string("malformed '") + column +
-                          "' value '" + cell + "'");
-    return int(v);
+                          "' value '" + cell + "' (" + e.what() + ")");
+    }
 }
 
 bool

@@ -41,12 +41,8 @@ double
 AdmissionController::pathLatencyUs(const models::Path& path)
 {
     auto [it, fresh] = latencyUs_.try_emplace(path.id(), path, 0.0);
-    if (fresh) {
-        double total = 0.0;
-        for (const auto& layer : path)
-            total += costs_->minLatencyUs(layer);
-        it->second.second = total;
-    }
+    if (fresh)
+        it->second.second = cost::bestCaseLatencyUs(*costs_, path);
     return it->second.second;
 }
 

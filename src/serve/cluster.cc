@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "workload/session_demux.h"
-
 namespace dream {
 namespace serve {
 
@@ -21,11 +19,9 @@ Cluster::Cluster(const hw::SystemConfig& system,
     if (config_.devices == 0)
         throw std::invalid_argument(
             "Cluster needs at least one device");
-    idealFrameUs_.assign(scenario.tasks.size(), 0.0);
-    for (size_t t = 0; t < scenario.tasks.size(); ++t) {
-        for (const auto& layer : scenario.tasks[t].model.layers)
-            idealFrameUs_[t] += costs.minLatencyUs(layer);
-    }
+    for (const auto& task : scenario.tasks)
+        idealFrameUs_.push_back(
+            cost::bestCaseLatencyUs(costs, task.model.layers));
 }
 
 ClusterResult
@@ -39,36 +35,31 @@ Cluster::run(const SchedulerFactory& make_scheduler,
     scheds.reserve(n);
     loops.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-        ServeConfig device_config = config_.serve;
-        if (n > 1) {
-            const std::string dev = "dev" + std::to_string(k);
-            device_config.metricsPrefix += dev + "/";
-            device_config.logLabel += "/" + dev;
-            // The simulator's own metric keys (frames/*, sim/*,
-            // accel/*) are not device-namespaced; their gauges would
-            // be last-writer-wins across N simulators.
-            device_config.attachSimMetrics = false;
-        }
         loops.push_back(std::make_unique<ServeLoop>(
-            system_, scenario_, costs_, device_config));
+            system_, scenario_, costs_, config_.serve,
+            n > 1 ? "dev" + std::to_string(k) : ""));
         scheds.push_back(make_scheduler());
         if (!scheds.back())
             throw std::invalid_argument(
                 "Cluster: scheduler factory returned null");
+        loops[k]->begin(*scheds[k], intake.source());
     }
 
-    workload::SessionDemux demux(intake, n);
     Dispatcher dispatcher(config_.router, n, scenario_, costs_,
                           config_.serve.windowUs);
-    for (size_t k = 0; k < n; ++k)
-        loops[k]->begin(*scheds[k], demux.stream(k));
-
+    ClusterResult result;
+    // The session table: root task -> device, -1 until routed.
+    result.assignment.assign(scenario_.tasks.size(), -1);
     std::vector<DeviceGauges> gauges(n);
     while (true) {
         auto batch = intake.waitDrain();
         if (batch.empty())
             break; // closed and drained — end of the intake stream
         for (auto& frame : batch) {
+            if (frame.task < 0 ||
+                size_t(frame.task) >= result.assignment.size())
+                throw std::invalid_argument(
+                    "Cluster: intake frame names no task");
             const double t_route = frame.arrivalUs - 1e-9;
             // Lock step: every device reaches the routing instant
             // before the decision reads any gauge, so the decision
@@ -76,36 +67,22 @@ Cluster::run(const SchedulerFactory& make_scheduler,
             // event loop's grouping epsilon (serve_loop.cc).
             for (size_t k = 0; k < n; ++k)
                 loops[k]->advanceTo(t_route);
-            size_t device;
-            const int pinned = demux.assignment(frame.task);
-            if (pinned >= 0) {
-                device = size_t(pinned);
-            } else {
+            int& device = result.assignment[size_t(frame.task)];
+            if (device < 0) {
                 if (n > 1) {
-                    for (size_t k = 0; k < n; ++k) {
-                        const ServeLoop::Gauges g =
-                            loops[k]->pollGauges(t_route);
-                        gauges[k].backlogUs = g.backlogUs;
-                        gauges[k].liveFrames = g.liveFrames;
-                        gauges[k].violationRate = g.violationRate;
-                    }
+                    for (size_t k = 0; k < n; ++k)
+                        gauges[k] = loops[k]->pollGauges(t_route);
                 }
-                device = dispatcher.route(frame.task,
-                                          frame.arrivalUs, gauges);
+                device = int(dispatcher.route(frame.task,
+                                              frame.arrivalUs, gauges));
             }
-            demux.push(std::move(frame), device);
-            for (auto& routed : demux.stream(device).drain())
-                loops[device]->offer(std::move(routed));
+            loops[size_t(device)]->offer(std::move(frame));
         }
     }
-    demux.closeAll();
 
-    ClusterResult result;
     result.devices.reserve(n);
     for (size_t k = 0; k < n; ++k)
         result.devices.push_back(loops[k]->finish());
-    result.assignment = demux.assignments();
-    result.assignment.resize(scenario_.tasks.size(), -1);
 
     for (const auto& device : result.devices) {
         result.admission.offered += device.admission.offered;
@@ -123,12 +100,6 @@ Cluster::run(const SchedulerFactory& make_scheduler,
 void
 Cluster::mergeStats(ClusterResult& result) const
 {
-    // A single-device cluster returns device 0's stats unchanged —
-    // the bit-identity anchor to the pre-cluster serve path.
-    if (result.devices.size() == 1) {
-        result.stats = result.devices.front().stats;
-        return;
-    }
     sim::RunStats merged;
     const sim::RunStats& first = result.devices.front().stats;
     merged.windowUs = first.windowUs;
@@ -202,7 +173,7 @@ Cluster::publishClusterMetrics(const ClusterResult& result) const
     // same schema a single-device run publishes, so dream_prof's
     // aggregate serve table renders either way — plus the cluster
     // gauges (src/obs/README.md).
-    const std::string& p = config_.serve.metricsPrefix;
+    const std::string p = "serve/";
     const AdmissionStats& a = result.admission;
     m->count(p + "frames/offered", a.offered);
     m->count(p + "frames/admitted", a.admitted);

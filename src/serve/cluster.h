@@ -1,19 +1,19 @@
 /**
  * @file
- * Cluster serving: N per-device DREAM instances behind one
- * dispatcher. Each device slot is a full serving pipeline — its own
- * Simulator, StreamSource, AdmissionController and ServeLoop — and a
- * workload::SessionDemux pins every arriving session (one root task
- * plus its cascade descendants) to exactly one device. The cluster
- * drains the intake stream in global arrival order and drives all
- * device loops in virtual-time lock step: before a session is
- * routed, every device has advanced to the routing instant, so the
- * dispatcher's gauges are pure functions of virtual time and an
- * N-device run replays bit-for-bit (ARCHITECTURE.md invariant 7).
- *
- * A single-device cluster *is* the single-device serve path — same
- * ServeLoop primitives, same metric keys, same log lines — so
- * tools/dream_serve has no legacy code path to keep in sync.
+ * Cluster serving, the one serving path for one device or N: N
+ * per-device DREAM instances behind one dispatcher. Each device slot
+ * is a full serving pipeline — its own ServeLoop, AdmissionController
+ * and Simulator — and every session (one root task plus its cascade
+ * descendants) is served on exactly one device. The cluster drains
+ * the intake StreamSource in global arrival order and offers each
+ * frame straight to its device's loop: a session's first frame is
+ * routed by the Dispatcher, its later frames follow the session
+ * table, and its cascade children materialise inside that device's
+ * simulator. All device loops advance in virtual-time lock step:
+ * before a session is routed, every device has advanced to the
+ * routing instant, so the dispatcher's gauges are pure functions of
+ * virtual time and an N-device run replays bit-for-bit
+ * (ARCHITECTURE.md invariant 7).
  */
 
 #ifndef DREAM_SERVE_CLUSTER_H
@@ -41,12 +41,12 @@ struct ClusterConfig {
     size_t devices = 1;
     RouterPolicy router = RouterPolicy::FinishTimeFairness;
     /**
-     * Per-device serve template. With devices > 1 the cluster
-     * rewrites metricsPrefix to "<prefix>dev<k>/", tags log lines
-     * with the device, and detaches the simulator's un-namespaced
-     * metric hooks; with devices == 1 it is used verbatim, which
-     * keeps the single-device output bit-identical to a plain
-     * ServeLoop::run.
+     * Every device's serve settings. With devices > 1 device k's loop
+     * publishes under "serve/dev<k>/", tags its log lines
+     * "[serve/dev<k>]" and detaches the simulator's un-namespaced
+     * metric hooks, and the cluster publishes "serve/" rollups; a
+     * single device publishes and logs as plain "serve"
+     * (ServeLoop's constructor).
      */
     ServeConfig serve;
 };
@@ -57,7 +57,7 @@ struct ClusterResult {
     /** Merged run stats: per-task tallies summed (sessions are
      *  disjoint across devices), frames concatenated in device
      *  order, per-accelerator busy time concatenated. For a
-     *  single-device cluster this is device 0's stats unchanged. */
+     *  single device this is bit-identical to its own stats. */
     sim::RunStats stats;
     /** Summed admission tallies. */
     AdmissionStats admission;
@@ -80,8 +80,7 @@ struct ClusterResult {
 /**
  * The cluster. One instance runs one (system, scenario, cost table)
  * across N simulated devices; run() consumes an intake StreamSource
- * until it is closed and drained, exactly like ServeLoop::run does
- * for one device.
+ * until it is closed and drained.
  */
 class Cluster {
 public:
@@ -94,7 +93,8 @@ public:
             const workload::Scenario& scenario,
             const cost::CostTable& costs, ClusterConfig config);
 
-    /** Serve the intake stream to the window end. */
+    /** Serve the intake stream to the window end. Throws
+     *  std::invalid_argument on a frame that names no task. */
     ClusterResult run(const SchedulerFactory& make_scheduler,
                       workload::StreamSource& intake);
 

@@ -64,11 +64,6 @@ Dispatcher::Dispatcher(RouterPolicy policy, size_t devices,
     // roots only by construction of the generators; recurse via
     // childrenOf instead of assuming an order.
     const size_t n_tasks = scenario.tasks.size();
-    std::vector<double> own(n_tasks, 0.0);
-    for (size_t t = 0; t < n_tasks; ++t) {
-        for (const auto& layer : scenario.tasks[t].model.layers)
-            own[t] += costs.minLatencyUs(layer);
-    }
     frameWorkUs_.assign(n_tasks, -1.0);
     // Iterative post-order over the dependency forest (memoized).
     const std::function<double(workload::TaskId)> expected =
@@ -76,7 +71,8 @@ Dispatcher::Dispatcher(RouterPolicy policy, size_t devices,
         double& memo = frameWorkUs_[size_t(task)];
         if (memo >= 0.0)
             return memo;
-        double work = own[size_t(task)];
+        double work = cost::bestCaseLatencyUs(
+            costs, scenario.tasks[size_t(task)].model.layers);
         for (const workload::TaskId child :
              scenario.childrenOf(task)) {
             work += scenario.tasks[size_t(child)].triggerProb *

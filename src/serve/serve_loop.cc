@@ -14,9 +14,11 @@ namespace serve {
 
 ServeLoop::ServeLoop(const hw::SystemConfig& system,
                      const workload::Scenario& scenario,
-                     const cost::CostTable& costs, ServeConfig config)
+                     const cost::CostTable& costs, ServeConfig config,
+                     std::string device)
     : system_(system), scenario_(scenario), costs_(costs),
-      config_(std::move(config)),
+      config_(std::move(config)), device_(std::move(device)),
+      label_(device_.empty() ? "serve" : "serve/" + device_),
       latency_(config_.rollingSpanUs),
       outcomes_(config_.rollingSpanUs),
       violations_(config_.rollingSpanUs),
@@ -73,10 +75,9 @@ ServeLoop::takeSnapshot(double t_us)
                       "[%s] t=%.0fus live=%zu p50=%.1fus "
                       "p99=%.1fus viol=%.1f%% drop=%.1f%% "
                       "rej=%.1f%% backlog=%.0fus",
-                      config_.logLabel.c_str(), s.tUs, s.queueDepth,
-                      s.p50Us, s.p99Us, 100.0 * s.violationRate,
-                      100.0 * s.dropRate, 100.0 * s.rejectRate,
-                      s.backlogUs);
+                      label_.c_str(), s.tUs, s.queueDepth, s.p50Us,
+                      s.p99Us, 100.0 * s.violationRate, 100.0 * s.dropRate,
+                      100.0 * s.rejectRate, s.backlogUs);
         *config_.log << buf << '\n';
     }
     return s;
@@ -118,8 +119,7 @@ ServeLoop::begin(sim::Scheduler& sched,
     sim_config.seed = config_.seed;
     sim_config.arrivals = &arrivals;
     telemetry_ = obs::SimTelemetry{};
-    telemetry_.metrics =
-        config_.attachSimMetrics ? config_.metrics : nullptr;
+    telemetry_.metrics = device_.empty() ? config_.metrics : nullptr;
     telemetry_.outcomes = this;
     sim_config.telemetry = &telemetry_;
     sim_ = std::make_unique<sim::Simulator>(system_, scenario_,
@@ -185,7 +185,7 @@ ServeLoop::finish()
     return result;
 }
 
-ServeLoop::Gauges
+DeviceGauges
 ServeLoop::pollGauges(double t_us)
 {
     if (admission_)
@@ -193,7 +193,7 @@ ServeLoop::pollGauges(double t_us)
     outcomes_.advanceTo(t_us);
     violations_.advanceTo(t_us);
 
-    Gauges g;
+    DeviceGauges g;
     g.backlogUs = admission_ ? admission_->backlogUs() : 0.0;
     g.liveFrames = sim_ ? sim_->liveFrames() : 0;
     const uint64_t n_out = outcomes_.count();
@@ -202,28 +202,13 @@ ServeLoop::pollGauges(double t_us)
     return g;
 }
 
-ServeResult
-ServeLoop::run(sim::Scheduler& sched,
-               workload::StreamSource& stream)
-{
-    begin(sched, stream);
-    while (true) {
-        auto batch = stream.waitDrain();
-        if (batch.empty())
-            break; // closed and drained — end of stream
-        for (auto& frame : batch)
-            offer(std::move(frame));
-    }
-    return finish();
-}
-
 void
 ServeLoop::publishMetrics(const ServeResult& result, double wall_ms)
 {
     if (!config_.metrics)
         return;
     obs::MetricsRegistry& m = *config_.metrics;
-    const std::string& p = config_.metricsPrefix;
+    const std::string p = label_ + '/';
     const AdmissionStats& a = result.admission;
     m.count(p + "frames/offered", a.offered);
     m.count(p + "frames/admitted", a.admitted);

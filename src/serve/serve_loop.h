@@ -1,21 +1,19 @@
 /**
  * @file
- * Event-driven serve loop: drives the simulator incrementally as
- * arrivals land on a StreamSource — no end-of-window barrier. Each
- * drained frame passes the admission gate, then the simulator is
+ * One device's serve loop: drives its simulator incrementally as
+ * serve::Cluster offers it frames — no end-of-window barrier. Each
+ * offered frame passes the admission gate, then the simulator is
  * advanced to its arrival time before the frame is offered, which
  * preserves the offline event order exactly: with admission disabled,
  * the final RunStats is bit-identical to Simulator::run() over the
- * same source. Rolling-window telemetry (p50/p99 latency,
+ * same frames. Rolling-window telemetry (p50/p99 latency,
  * SLO-violation/drop/reject rates) is reported at fixed virtual-time
  * intervals and published through obs::MetricsRegistry.
  *
- * The loop exposes two driving styles over one state machine:
- * run() serves a whole StreamSource to the window end, and the
- * incremental begin()/offer()/advanceTo()/finish() primitives let a
- * serve::Cluster drive N loops (one per device) in virtual-time lock
- * step. run() is implemented exactly on the primitives, so a cluster
- * of one device is the same computation as the single-device loop.
+ * serve::Cluster is the only caller, for one device or N: it calls
+ * begin(), then offer() for each frame routed to this device and
+ * advanceTo() to keep the devices in virtual-time lock step, then
+ * finish().
  */
 
 #ifndef DREAM_SERVE_SERVE_LOOP_H
@@ -34,11 +32,12 @@
 #include "obs/rolling.h"
 #include "obs/telemetry.h"
 #include "serve/admission.h"
+#include "serve/dispatcher.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
+#include "workload/frame_source.h"
 #include "workload/scenario.h"
-#include "workload/stream_source.h"
 
 namespace dream {
 namespace serve {
@@ -58,17 +57,6 @@ struct ServeConfig {
     obs::MetricsRegistry* metrics = nullptr;
     /** Optional stream for one human-readable line per report. */
     std::ostream* log = nullptr;
-    /** Prefix of every published serve metric key. A cluster rewrites
-     *  this to "serve/dev<k>/" per device so N loops sharing one
-     *  registry never collide (src/obs/README.md). */
-    std::string metricsPrefix = "serve/";
-    /** Tag of per-report log lines ("[<label>] t=..."). */
-    std::string logLabel = "serve";
-    /** Attach the simulator's own metric hooks (the frames/, sim/
-     *  and accel/ keys) to @ref metrics. A cluster disables this for
-     *  N > 1: those keys are not device-namespaced, and their gauges
-     *  would be last-writer-wins across devices. */
-    bool attachSimMetrics = true;
 };
 
 /** One rolling-telemetry report, taken at virtual time tUs. */
@@ -91,31 +79,30 @@ struct ServeResult {
 };
 
 /**
- * One serving session over one (system, scenario, cost table). The
- * loop consumes a StreamSource until it is closed and drained; a
- * producer thread may keep pushing while run() executes, and the
- * result is deterministic regardless of producer timing because all
- * decisions key off virtual arrival times.
+ * One device's serving session over one (system, scenario, cost
+ * table). Deterministic: every decision keys off virtual arrival
+ * times, never wall time.
  */
 class ServeLoop : public obs::FrameOutcomeSink {
 public:
+    /**
+     * @p device tags the loop: empty for a single device, "dev<k>"
+     * for device k of a cluster. A single device publishes under
+     * "serve/", logs as "[serve]" and attaches the simulator's own
+     * metric hooks (the frames/, sim/ and accel/ keys); device k
+     * publishes under "serve/dev<k>/", logs as "[serve/dev<k>]" and
+     * leaves those hooks detached, since they are not
+     * device-namespaced and their gauges would be last-writer-wins
+     * across devices (src/obs/README.md).
+     */
     ServeLoop(const hw::SystemConfig& system,
               const workload::Scenario& scenario,
-              const cost::CostTable& costs, ServeConfig config);
-
-    /** Serve the stream to the window end under @p sched. */
-    ServeResult run(sim::Scheduler& sched,
-                    workload::StreamSource& stream);
-
-    // ------------------------------------------- incremental API
-    // run() is exactly begin() + offer() per drained frame +
-    // finish(). A cluster interleaves the offers of N loops in
-    // global arrival order; each loop's device sees the identical
-    // event sequence a standalone run over its share would.
+              const cost::CostTable& costs, ServeConfig config,
+              std::string device);
 
     /** Reset per-serve state, bind @p sched, and open the stream.
-     *  @p arrivals materialises cascade children (and, for run(),
-     *  supplies the root frames); it must outlive finish(). */
+     *  @p arrivals materialises cascade children; it must outlive
+     *  finish(). */
     void begin(sim::Scheduler& sched,
                const workload::ArrivalSource& arrivals);
 
@@ -132,16 +119,11 @@ public:
      *  metrics, and return the result. */
     ServeResult finish();
 
-    /** Live load gauges a cluster dispatcher routes on — pure
+    /** Live load gauges the cluster's dispatcher routes on — pure
      *  functions of virtual time. Advances the rolling windows (and
      *  the admission backlog projection) to @p t_us, which must be
      *  nondecreasing across calls. */
-    struct Gauges {
-        double backlogUs = 0.0;    ///< admission backlog projection
-        size_t liveFrames = 0;     ///< frames live in the simulator
-        double violationRate = 0.0;  ///< rolling SLO-violation rate
-    };
-    Gauges pollGauges(double t_us);
+    DeviceGauges pollGauges(double t_us);
 
     /** FrameOutcomeSink: feeds the rolling windows. */
     void onFrameOutcome(const obs::FrameOutcome& outcome) override;
@@ -155,6 +137,11 @@ private:
     const workload::Scenario& scenario_;
     const cost::CostTable& costs_;
     ServeConfig config_;
+    /** Empty or "dev<k>" (see the constructor). */
+    std::string device_;
+    /** "serve" or "serve/dev<k>": the log-line tag; the metric key
+     *  prefix is this plus '/'. */
+    std::string label_;
 
     // Per-serve state (reset by begin()).
     std::unique_ptr<sim::Simulator> sim_;

@@ -603,15 +603,8 @@ RunStats
 Simulator::run(Scheduler& sched)
 {
     beginStream(sched);
-    auto arrivals = source_->rootFrames(config_.windowUs);
-    // Stable: simultaneous arrivals keep source order, so a trace
-    // replay (whose source order is the recorded admission order)
-    // reproduces the original run's admission sequence exactly.
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    for (auto& spec : arrivals)
+    for (auto& spec :
+         workload::rootFramesByArrival(*source_, config_.windowUs))
         offerArrival(std::move(spec));
     return finishStream();
 }

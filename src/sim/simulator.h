@@ -79,7 +79,7 @@ public:
      * Incremental (streaming) execution. run() is exactly
      *
      *     beginStream(sched);
-     *     for (frame : stable-sorted rootFrames)
+     *     for (frame : workload::rootFramesByArrival(source, window))
      *         offerArrival(std::move(frame));
      *     return finishStream();
      *

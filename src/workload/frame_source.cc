@@ -169,5 +169,16 @@ FrameSource::childFrame(TaskId child, int frame_idx,
     return f;
 }
 
+std::vector<FrameSpec>
+rootFramesByArrival(const ArrivalSource& source, double window_us)
+{
+    auto frames = source.rootFrames(window_us);
+    std::stable_sort(frames.begin(), frames.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.arrivalUs < b.arrivalUs;
+                     });
+    return frames;
+}
+
 } // namespace workload
 } // namespace dream

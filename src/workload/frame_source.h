@@ -76,6 +76,16 @@ public:
 };
 
 /**
+ * Every root frame of @p source inside [0, window_us), in arrival
+ * order: the order Simulator::run offers them and every serving
+ * producer pushes them. The sort is stable, so simultaneous arrivals
+ * keep source order; for a replay that is the recorded admission
+ * order, which the replay must reproduce exactly.
+ */
+std::vector<FrameSpec> rootFramesByArrival(const ArrivalSource& source,
+                                           double window_us);
+
+/**
  * Deterministic frame generator for one run.
  *
  * Per-frame randomness derives from hash(seed, task, frameIdx), never

@@ -1,13 +1,11 @@
 /**
  * @file
- * Streaming arrival source: the third ArrivalSource implementation.
- * Where FrameSource materialises a whole window up front and
- * ReplaySource re-injects a recorded trace, StreamSource is fed one
- * frame at a time through a thread-safe ingest queue — the seam a
- * long-running serve loop (tools/dream_serve) pushes live traffic
- * through. Cascade children are delegated to a wrapped source so
- * generative dynamicity (FrameSource) and replay (ReplaySource) both
- * work unchanged behind it.
+ * The serving intake queue. Producers push root frames into a
+ * StreamSource one at a time; serve::Cluster drains it and offers
+ * each frame straight to its device's serve loop. It is not an
+ * ArrivalSource: the frames it holds are consumed, never re-listed.
+ * Cascade children materialise through source(), the FrameSource
+ * (generative) or ReplaySource (replay) the intake was built over.
  */
 
 #ifndef DREAM_WORKLOAD_STREAM_SOURCE_H
@@ -24,24 +22,23 @@ namespace dream {
 namespace workload {
 
 /**
- * Producer/consumer frame queue behind the ArrivalSource interface.
+ * Producer/consumer queue of root frames.
  *
  * Producers push() frames in nondecreasing arrival order and close()
- * the stream when done; the consumer (a serve loop) drains them and
- * offers each to the simulator. rootFrames() snapshots the currently
- * queued frames without consuming them, so a StreamSource whose
- * whole load was pushed up front is a drop-in offline source too.
- *
- * The queue is mutex-guarded (const-thread-safe like its siblings);
- * determinism is preserved regardless of producer timing because
- * frames carry their own virtual arrival times and must be pushed in
- * order.
+ * the stream when done; the consumer (serve::Cluster) drains them
+ * with waitDrain() until it returns empty. The queue is
+ * mutex-guarded; determinism holds regardless of producer timing
+ * because frames carry their own virtual arrival times and must be
+ * pushed in order.
  */
-class StreamSource : public ArrivalSource {
+class StreamSource {
 public:
-    /** @p delegate materialises cascade children (and must outlive
-     *  this source); the caller keeps ownership. */
-    explicit StreamSource(const ArrivalSource& delegate);
+    /** @p source materialises cascade children (and must outlive
+     *  this queue); the caller keeps ownership. */
+    explicit StreamSource(const ArrivalSource& source);
+
+    /** The source cascade children materialise through. */
+    const ArrivalSource& source() const { return *source_; }
 
     /**
      * Queue one externally-released frame. Throws
@@ -53,36 +50,16 @@ public:
     /** Mark the end of the stream; further push() calls throw. */
     void close();
 
-    bool closed() const;
-
-    /** Frames currently queued (pushed, not yet drained). */
-    size_t pending() const;
-
-    /** Pop every currently queued frame, without blocking. Frames
-     *  are moved out of the queue, not copied. */
-    std::vector<FrameSpec> drain();
-
     /**
      * Block until at least one frame is queued or the stream is
-     * closed, then pop everything queued. An empty result therefore
-     * means end-of-stream.
+     * closed, then move everything queued out. An empty result
+     * therefore means end-of-stream.
      */
     std::vector<FrameSpec> waitDrain();
 
-    /** Snapshot of queued frames with arrival inside [0, window). */
-    std::vector<FrameSpec> rootFrames(double window_us) const override;
-
-    /** Delegated to the wrapped source. */
-    FrameSpec childFrame(TaskId child, int frame_idx,
-                         double parent_arrival_us,
-                         double parent_completion_us) const override;
-
 private:
-    /** Move every queued frame out; the caller holds mu_. */
-    std::vector<FrameSpec> takeQueued();
-
-    const ArrivalSource* delegate_;
-    mutable std::mutex mu_;
+    const ArrivalSource* source_;
+    std::mutex mu_;
     std::condition_variable cv_;
     std::deque<FrameSpec> queue_;
     double lastArrivalUs_ = 0.0;

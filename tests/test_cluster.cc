@@ -1,10 +1,9 @@
 /** @file Tests for the cluster serving layer: Simulator streaming
- *  edge cases, SessionDemux pinning, Dispatcher policies, the
- *  single-device Cluster's bit-identity with ServeLoop::run,
- *  N-device replay determinism, and the device-namespaced metric
- *  schema. */
+ *  edge cases, Dispatcher policies, a single-device Cluster's
+ *  bit-identity with the offline run, sessions staying on their
+ *  device, N-device replay determinism, and the device-namespaced
+ *  metric schema. */
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,10 +15,8 @@
 #include "sched/fcfs.h"
 #include "serve/cluster.h"
 #include "serve/dispatcher.h"
-#include "serve/serve_loop.h"
 #include "sim/simulator.h"
 #include "workload/frame_source.h"
-#include "workload/session_demux.h"
 #include "workload/stream_source.h"
 
 #include "test_util.h"
@@ -37,21 +34,6 @@ buildCosts(const hw::SystemConfig& system,
     return costs;
 }
 
-/** Push every root frame in arrival order and close the stream. */
-void
-feedStream(workload::StreamSource& stream,
-           const workload::ArrivalSource& source, double window_us)
-{
-    auto frames = source.rootFrames(window_us);
-    std::stable_sort(frames.begin(), frames.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    for (auto& frame : frames)
-        stream.push(std::move(frame));
-    stream.close();
-}
-
 serve::ClusterResult
 runCluster(const hw::SystemConfig& system,
            const workload::Scenario& scenario,
@@ -62,7 +44,9 @@ runCluster(const hw::SystemConfig& system,
     config.serve.seed = seed;
     const workload::FrameSource frames(scenario, seed);
     workload::StreamSource intake(frames);
-    feedStream(intake, frames, window_us);
+    for (auto& frame : workload::rootFramesByArrival(frames, window_us))
+        intake.push(std::move(frame));
+    intake.close();
     serve::Cluster cluster(system, scenario, costs, config);
     return cluster.run(
         [] { return runner::makeScheduler(runner::SchedKind::Fcfs); },
@@ -193,46 +177,6 @@ TEST(ClusterIngest, RootFrameValidatesItsInputs)
                  std::invalid_argument);
 }
 
-// ------------------------------------------------- SessionDemux
-
-TEST(ClusterDemux, SessionsStickToTheirFirstDevice)
-{
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const workload::FrameSource delegate(scenario, 1);
-    workload::SessionDemux demux(delegate, 3);
-
-    EXPECT_EQ(demux.assignment(0), -1);
-
-    workload::FrameSpec f;
-    f.task = 0;
-    f.arrivalUs = 0.0;
-    EXPECT_EQ(demux.push(f, 2), 2u);
-    EXPECT_EQ(demux.assignment(0), 2);
-
-    // Later frames of the pinned session ignore device_if_new.
-    f.arrivalUs = 100.0;
-    EXPECT_EQ(demux.push(f, 0), 2u);
-    EXPECT_EQ(demux.stream(2).pending(), 2u);
-    EXPECT_EQ(demux.stream(0).pending(), 0u);
-
-    workload::FrameSpec g;
-    g.task = 1;
-    g.arrivalUs = 50.0;
-    EXPECT_EQ(demux.push(g, 0), 0u);
-    EXPECT_EQ(demux.assignment(1), 0);
-
-    EXPECT_THROW(demux.push(f, 7), std::out_of_range);
-    workload::FrameSpec bad;
-    bad.task = workload::TaskId(-1);
-    EXPECT_THROW(demux.push(bad, 0), std::invalid_argument);
-
-    demux.closeAll();
-    EXPECT_TRUE(demux.stream(0).closed());
-    EXPECT_TRUE(demux.stream(1).closed());
-    EXPECT_TRUE(demux.stream(2).closed());
-}
-
 // --------------------------------------------------- Dispatcher
 
 TEST(ClusterDispatcher, PolicyNamesRoundTrip)
@@ -283,7 +227,7 @@ TEST(ClusterDispatcher, LeastLoadedAvoidsTheBackloggedDevice)
 
 // ----------------------------------------------------- Cluster
 
-TEST(Cluster, SingleDeviceIsBitIdenticalToServeLoopRun)
+TEST(Cluster, SingleDeviceIsBitIdenticalToOfflineRun)
 {
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     const auto scenario =
@@ -292,28 +236,84 @@ TEST(Cluster, SingleDeviceIsBitIdenticalToServeLoopRun)
     const double window_us = 1e6;
     const uint64_t seed = 11;
 
-    const workload::FrameSource frames(scenario, seed);
-    workload::StreamSource direct(frames);
-    feedStream(direct, frames, window_us);
-    serve::ServeConfig serve_config;
-    serve_config.windowUs = window_us;
-    serve_config.seed = seed;
-    serve::ServeLoop loop(system, scenario, costs, serve_config);
-    auto sched = runner::makeScheduler(runner::SchedKind::Fcfs);
-    const auto direct_stats = loop.run(*sched, direct).stats;
+    sim::SimConfig cfg;
+    cfg.windowUs = window_us;
+    cfg.seed = seed;
+    sim::Simulator simulator(system, scenario, costs, cfg);
+    sched::FcfsScheduler fcfs;
+    const auto offline = simulator.run(fcfs);
 
+    // The router has one device to pick, whatever its policy, and
+    // the merge of one device's stats is that device's stats.
     for (const auto router : serve::allRouterPolicies()) {
+        SCOPED_TRACE(serve::toString(router));
         serve::ClusterConfig config;
         config.devices = 1;
         config.router = router;
         const auto clustered = runCluster(
             system, scenario, costs, config, window_us, seed);
-        EXPECT_EQ(runner::frameTraceCsv(direct_stats, scenario),
-                  runner::frameTraceCsv(clustered.stats, scenario));
-        EXPECT_EQ(direct_stats.schedulerInvocations,
-                  clustered.stats.schedulerInvocations);
-        EXPECT_EQ(direct_stats.accelBusyUs,
-                  clustered.stats.accelBusyUs);
+        test::expectStatsBitIdentical(scenario, offline,
+                                      clustered.stats);
+        test::expectStatsBitIdentical(scenario, offline,
+                                      clustered.devices.front().stats);
+        EXPECT_EQ(offline.windowUs, clustered.stats.windowUs);
+    }
+}
+
+TEST(Cluster, SessionsStayOnTheirDevice)
+{
+    // VR_Gaming has six root tasks and three cascade children, so on
+    // three devices every device serves sessions with children.
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
+    const auto scenario = workload::makeScenario(
+        workload::ScenarioPreset::VrGaming, 0.9);
+    const auto costs = buildCosts(system, scenario);
+    const auto rootOf = [&](workload::TaskId task) {
+        while (scenario.tasks[size_t(task)].dependsOn !=
+               workload::kNoParent)
+            task = scenario.tasks[size_t(task)].dependsOn;
+        return task;
+    };
+
+    for (const auto router : serve::allRouterPolicies()) {
+        SCOPED_TRACE(serve::toString(router));
+        serve::ClusterConfig config;
+        config.devices = 3;
+        config.router = router;
+        const auto result =
+            runCluster(system, scenario, costs, config, 5e5, 23);
+        ASSERT_EQ(result.devices.size(), 3u);
+        // Every frame device k ran, cascade children included,
+        // belongs to a session the session table pins to device k.
+        size_t misplaced = 0;
+        size_t children = 0;
+        for (size_t k = 0; k < 3; ++k) {
+            const auto& frames = result.devices[k].stats.frames;
+            EXPECT_FALSE(frames.empty()) << "device " << k;
+            for (const auto& f : frames) {
+                const workload::TaskId root = rootOf(f.task);
+                children += root != f.task;
+                misplaced += result.assignment[size_t(root)] != int(k);
+            }
+        }
+        EXPECT_EQ(misplaced, 0u);
+        EXPECT_GT(children, 0u);
+    }
+
+    // An intake frame that names no task has no session to join.
+    const workload::FrameSource frames(scenario, 23);
+    const serve::Cluster::SchedulerFactory fcfs = [] {
+        return std::make_unique<sched::FcfsScheduler>();
+    };
+    for (const auto bad : {workload::TaskId(-1),
+                           workload::TaskId(scenario.tasks.size())}) {
+        workload::StreamSource intake(frames);
+        workload::FrameSpec f;
+        f.task = bad;
+        intake.push(f);
+        intake.close();
+        serve::Cluster cluster(system, scenario, costs, {});
+        EXPECT_THROW(cluster.run(fcfs, intake), std::invalid_argument);
     }
 }
 

@@ -12,9 +12,9 @@
  * either became incremental. It also checks every live request's
  * cost-cache rows against the cost table's own entries for its path.
  * It is driven over seeded random generated mixes x schedulers x
- * batch and ragged stream stepping x serve-loop admission off,
- * reject and degrade x a 4-device cluster, whose devices each see
- * only the sessions routed to them.
+ * batch and ragged stream stepping x single-device serving with
+ * admission off, reject and degrade x a 4-device cluster, whose
+ * devices each see only the sessions routed to them.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@
 #include "costmodel/cost_table_cache.h"
 #include "runner/experiment.h"
 #include "serve/cluster.h"
-#include "serve/serve_loop.h"
 #include "sim/cost_cache.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -290,18 +289,6 @@ const runner::SchedKind kScheds[] = {
 
 constexpr double kWindowUs = 3e5;
 
-/** Root frames in the order run() offers them. */
-std::vector<workload::FrameSpec>
-arrivalsOf(const workload::FrameSource& frames)
-{
-    auto arrivals = frames.rootFrames(kWindowUs);
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    return arrivals;
-}
-
 /** Stream @p mix with ragged advances strictly below each arrival. */
 sim::RunStats
 runChunked(const Mix& mix, runner::SchedKind kind, std::mt19937_64& rng)
@@ -314,7 +301,8 @@ runChunked(const Mix& mix, runner::SchedKind kind, std::mt19937_64& rng)
     const workload::FrameSource frames(mix.scenario, mix.seed);
     simulator.beginStream(oracle);
     double step = 0.0;
-    for (const auto& spec : arrivalsOf(frames)) {
+    for (const auto& spec :
+         workload::rootFramesByArrival(frames, kWindowUs)) {
         while (true) {
             const double next = step + uniform(rng, 1.0, 3e4);
             if (next >= spec.arrivalUs - 1.0)
@@ -329,49 +317,52 @@ runChunked(const Mix& mix, runner::SchedKind kind, std::mt19937_64& rng)
     return simulator.finishStream();
 }
 
-/** Serve @p mix through a ServeLoop under @p admission. */
-serve::ServeResult
-runServed(const Mix& mix, runner::SchedKind kind,
-          const serve::AdmissionConfig& admission)
-{
-    serve::ServeConfig config;
-    config.windowUs = kWindowUs;
-    config.seed = mix.seed;
-    config.admission = admission;
-    serve::ServeLoop loop(mix.system, mix.scenario, *mix.costs, config);
-    ContextOracle oracle(kind);
-    const workload::FrameSource frames(mix.scenario, mix.seed);
-    loop.begin(oracle, frames);
-    for (const auto& spec : arrivalsOf(frames))
-        loop.offer(spec);
-    return loop.finish();
-}
+/** What serving a mix returns: the cluster's result and each
+ *  device's oracle. */
+struct Served {
+    serve::ClusterResult result;
+    std::vector<std::unique_ptr<ContextOracle>> oracles;
+};
 
-/** Serve @p mix on four devices routed by @p router, each device's
- *  scheduler checked by its own oracle; returns the oracles. */
-std::vector<std::unique_ptr<ContextOracle>>
-runClustered(const Mix& mix, runner::SchedKind kind,
-             serve::RouterPolicy router)
+/** Serve @p mix on @p devices devices routed by @p router under
+ *  @p admission, each device's scheduler checked by its own oracle. */
+Served
+serveMix(const Mix& mix, runner::SchedKind kind, size_t devices,
+         serve::RouterPolicy router,
+         const serve::AdmissionConfig& admission)
 {
     serve::ClusterConfig config;
-    config.devices = 4;
+    config.devices = devices;
     config.router = router;
     config.serve.windowUs = kWindowUs;
     config.serve.seed = mix.seed;
+    config.serve.admission = admission;
     const workload::FrameSource frames(mix.scenario, mix.seed);
     workload::StreamSource intake(frames);
-    for (auto& spec : arrivalsOf(frames))
+    for (auto& spec : workload::rootFramesByArrival(frames, kWindowUs))
         intake.push(std::move(spec));
     intake.close();
-    std::vector<std::unique_ptr<ContextOracle>> oracles;
+    Served served;
     serve::Cluster cluster(mix.system, mix.scenario, *mix.costs, config);
-    cluster.run(
+    served.result = cluster.run(
         [&] {
-            oracles.push_back(std::make_unique<ContextOracle>(kind));
-            return std::make_unique<OracleHandle>(*oracles.back());
+            served.oracles.push_back(
+                std::make_unique<ContextOracle>(kind));
+            return std::make_unique<OracleHandle>(
+                *served.oracles.back());
         },
         intake);
-    return oracles;
+    return served;
+}
+
+/** Serve @p mix on one device under @p admission. */
+serve::ClusterResult
+runServed(const Mix& mix, runner::SchedKind kind,
+          const serve::AdmissionConfig& admission)
+{
+    return serveMix(mix, kind, 1, serve::RouterPolicy::RoundRobin,
+                    admission)
+        .result;
 }
 
 TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
@@ -433,7 +424,9 @@ TEST(ContextOracle, IncrementalContextMatchesFullRebuild)
         SCOPED_TRACE(wide.scenario.name + " under " +
                      runner::toString(kind) + " on 4 devices, " +
                      serve::toString(router));
-        const auto devices = runClustered(wide, kind, router);
+        const auto devices =
+            serveMix(wide, kind, 4, router, serve::AdmissionConfig{})
+                .oracles;
         ASSERT_EQ(devices.size(), 4u);
         for (size_t k = 0; k < devices.size(); ++k)
             EXPECT_GT(devices[k]->calls, 0u) << "device " << k;

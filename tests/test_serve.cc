@@ -1,7 +1,8 @@
-/** @file Tests for the serving subsystem: stream-mode replay parity
- *  with the offline simulator, the incremental Simulator API, the
- *  admission controller's reject/degrade policies, and rolling-window
- *  telemetry vs the exact LatencyHistogram. */
+/** @file Tests for the serving subsystem: stream-mode parity of a
+ *  single-device Cluster with the offline simulator, the incremental
+ *  Simulator API, the intake queue, the admission controller's
+ *  reject/degrade policies, and rolling-window telemetry vs the
+ *  exact LatencyHistogram. */
 
 #include <algorithm>
 #include <cmath>
@@ -14,7 +15,7 @@
 #include "runner/experiment.h"
 #include "runner/trace.h"
 #include "sched/fcfs.h"
-#include "serve/serve_loop.h"
+#include "serve/cluster.h"
 #include "sim/simulator.h"
 #include "workload/replay_source.h"
 #include "workload/stream_source.h"
@@ -24,19 +25,26 @@
 namespace dream {
 namespace {
 
-/** Push every root frame in arrival order and close the stream. */
-void
-feedStream(workload::StreamSource& stream,
-           const workload::ArrivalSource& source, double window_us)
+/** Serve @p source through a single-device Cluster, the one serving
+ *  path, admission as @p config sets it. */
+serve::ServeResult
+serveOneDevice(const hw::SystemConfig& system,
+               const workload::Scenario& scenario,
+               const cost::CostTable& costs,
+               const serve::Cluster::SchedulerFactory& make_scheduler,
+               const workload::ArrivalSource& source,
+               serve::ServeConfig config)
 {
-    auto frames = source.rootFrames(window_us);
-    std::stable_sort(frames.begin(), frames.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    for (auto& frame : frames)
-        stream.push(std::move(frame));
-    stream.close();
+    workload::StreamSource intake(source);
+    for (auto& frame :
+         workload::rootFramesByArrival(source, config.windowUs))
+        intake.push(std::move(frame));
+    intake.close();
+    serve::ClusterConfig cluster_config;
+    cluster_config.serve = std::move(config);
+    serve::Cluster cluster(system, scenario, costs, cluster_config);
+    auto result = cluster.run(make_scheduler, intake);
+    return std::move(result.devices.front());
 }
 
 /** Serve @p source in stream mode with admission off. */
@@ -47,14 +55,12 @@ serveStream(const hw::SystemConfig& system,
             const workload::ArrivalSource& source, double window_us,
             uint64_t seed)
 {
-    workload::StreamSource stream(source);
-    feedStream(stream, source, window_us);
     serve::ServeConfig config;
     config.windowUs = window_us;
     config.seed = seed;
-    serve::ServeLoop loop(system, scenario, costs, config);
-    auto sched = runner::makeScheduler(kind);
-    return loop.run(*sched, stream).stats;
+    const auto make = [kind] { return runner::makeScheduler(kind); };
+    return serveOneDevice(system, scenario, costs, make, source, config)
+        .stats;
 }
 
 TEST(Serve, StreamedGenerativeRunMatchesOfflineRun)
@@ -148,11 +154,7 @@ TEST(Serve, IncrementalApiMatchesRunWithArbitraryStepping)
     // offered right before the clock passes it, with interleaved
     // partial advances at ragged boundaries.
     const workload::FrameSource frames(scenario, cfg.seed);
-    auto arrivals = frames.rootFrames(window_us);
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
+    const auto arrivals = workload::rootFramesByArrival(frames, window_us);
     auto sched_b = runner::makeScheduler(runner::SchedKind::Fcfs);
     sim::Simulator inc(system, scenario, costs, cfg);
     inc.beginStream(*sched_b);
@@ -211,6 +213,7 @@ TEST(Serve, StreamSourceQueueSemantics)
         workload::makeScenario(workload::ScenarioPreset::ArCall);
     const workload::FrameSource delegate(scenario, 1);
     workload::StreamSource stream(delegate);
+    EXPECT_EQ(&stream.source(), &delegate);
 
     workload::FrameSpec f;
     f.arrivalUs = 10.0;
@@ -219,16 +222,14 @@ TEST(Serve, StreamSourceQueueSemantics)
     EXPECT_THROW(stream.push(f), std::invalid_argument);
     f.arrivalUs = 20.0;
     stream.push(f);
-    EXPECT_EQ(stream.pending(), 2u);
 
-    // rootFrames snapshots without consuming; drain consumes.
-    EXPECT_EQ(stream.rootFrames(15.0).size(), 1u);
-    EXPECT_EQ(stream.rootFrames(1e9).size(), 2u);
-    EXPECT_EQ(stream.drain().size(), 2u);
-    EXPECT_EQ(stream.pending(), 0u);
+    // waitDrain moves out everything queued, in push order.
+    const auto queued = stream.waitDrain();
+    ASSERT_EQ(queued.size(), 2u);
+    EXPECT_EQ(queued[0].arrivalUs, 10.0);
+    EXPECT_EQ(queued[1].arrivalUs, 20.0);
 
     stream.close();
-    EXPECT_TRUE(stream.closed());
     EXPECT_THROW(stream.push(f), std::logic_error);
     EXPECT_TRUE(stream.waitDrain().empty());
 }
@@ -245,18 +246,15 @@ TEST(Serve, AdmissionRejectsWhenQueueDepthExceeded)
     cost::CostTable costs(system);
     costs.addModel(task.model);
 
-    const double window_us = 5e4;
     workload::FrameSource frames(scenario, 3);
-    workload::StreamSource stream(frames);
-    feedStream(stream, frames, window_us);
-
     serve::ServeConfig config;
-    config.windowUs = window_us;
+    config.windowUs = 5e4;
     config.seed = 3;
     config.admission.maxQueueDepth = 4;
-    serve::ServeLoop loop(system, scenario, costs, config);
-    sched::FcfsScheduler fcfs;
-    const auto result = loop.run(fcfs, stream);
+    const auto result = serveOneDevice(
+        system, scenario, costs,
+        [] { return std::make_unique<sched::FcfsScheduler>(); }, frames,
+        config);
 
     EXPECT_GT(result.admission.offered, 0u);
     EXPECT_GT(result.admission.rejected, 0u);
@@ -283,9 +281,8 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
     // Calibrate the bound so exactly one original-path frame fits:
     // the first offer admits, the second (same instant, no drain)
     // overloads and must degrade.
-    double original_cost = 0.0;
-    for (const auto& layer : task.model.layers)
-        original_cost += costs.minLatencyUs(layer);
+    const double original_cost =
+        cost::bestCaseLatencyUs(costs, task.model.layers);
     ASSERT_GT(original_cost, 0.0);
 
     serve::AdmissionConfig config;
@@ -334,9 +331,8 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
     plain.tasks.push_back(ptask);
     cost::CostTable pcosts(system);
     pcosts.addModel(ptask.model);
-    double plain_cost = 0.0;
-    for (const auto& layer : ptask.model.layers)
-        plain_cost += pcosts.minLatencyUs(layer);
+    const double plain_cost =
+        cost::bestCaseLatencyUs(pcosts, ptask.model.layers);
     ASSERT_GT(plain_cost, 0.0);
     serve::AdmissionConfig pconfig = config;
     pconfig.maxBacklogUs = 1.5 * plain_cost;
@@ -450,16 +446,15 @@ TEST(Serve, RollingSnapshotsAreDeterministicAndOrdered)
 
     const workload::FrameSource frames(scenario, 9);
     const auto runServe = [&]() {
-        workload::StreamSource stream(frames);
-        feedStream(stream, frames, window_us);
         serve::ServeConfig config;
         config.windowUs = window_us;
         config.seed = 9;
         config.reportIntervalUs = 1e5;
         config.rollingSpanUs = 2e5;
-        serve::ServeLoop loop(system, scenario, costs, config);
-        sched::FcfsScheduler fcfs;
-        return loop.run(fcfs, stream);
+        return serveOneDevice(
+            system, scenario, costs,
+            [] { return std::make_unique<sched::FcfsScheduler>(); },
+            frames, config);
     };
     const auto a = runServe();
     const auto b = runServe();

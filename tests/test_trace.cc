@@ -277,6 +277,31 @@ TEST(Trace, ReaderRejectsMalformedInput)
     // Metadata lines must be key=value.
     EXPECT_THROW(read("# no equals sign\n" + header),
                  std::runtime_error);
+    // task, frame and variant are decimal integers in [0, INT_MAX]:
+    // no sign, and no wrapping of a value past the range.
+    const auto row = [](const std::string& task, const std::string& frame,
+                        const std::string& variant) {
+        return task + ",cam," + frame + ",10,20,15,5,0,0,1," + variant +
+               ",0.5\n";
+    };
+    for (const std::string bad : {"4294967296", "-1", "+1"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(read(header + row(bad, "0", "0")),
+                     std::runtime_error);
+        EXPECT_THROW(read(header + row("0", bad, "0")),
+                     std::runtime_error);
+        EXPECT_THROW(read(header + row("0", "0", bad)),
+                     std::runtime_error);
+    }
+    // The error names the row and the column.
+    try {
+        read(header + row("0", "0", "0") + row("0", "4294967296", "0"));
+        ADD_FAILURE() << "a frame cell past INT_MAX was accepted";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("'frame'"), std::string::npos) << what;
+    }
     // Valid minimal trace parses.
     const auto trace =
         read("# k=v\n" + header + "0,cam,0,10,20,15,5,0,0,1,0,0.5\n");

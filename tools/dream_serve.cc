@@ -32,15 +32,16 @@
  *     "task frame_idx arrival_us" (whitespace- or comma-separated;
  *     '#' comments and blank lines skipped), materialised through
  *     the generative FrameSource of the --gen scenario (default:
- *     'default') and pushed onto StreamSource::push. Out-of-order
- *     arrivals or unknown tasks are clean errors (exit 2), never
+ *     'default') and pushed onto StreamSource::push. Malformed or
+ *     out-of-range cells, arrivals outside [0, window), out-of-order
+ *     arrivals and unknown tasks are clean errors (exit 2), never
  *     aborts.
  *
  * Exit codes: 0 success, 1 verify-offline drift, 2 usage/load error.
  */
 
 #include <algorithm>
-#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -324,12 +325,7 @@ void
 feedStream(workload::StreamSource& stream,
            const workload::ArrivalSource& source, double window_us)
 {
-    auto frames = source.rootFrames(window_us);
-    std::stable_sort(frames.begin(), frames.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    for (auto& frame : frames)
+    for (auto& frame : workload::rootFramesByArrival(source, window_us))
         stream.push(std::move(frame));
     stream.close();
 }
@@ -337,43 +333,58 @@ feedStream(workload::StreamSource& stream,
 /**
  * The stdin ingest frontend: one arrival per line, materialised
  * through the generative FrameSource so paths and cascade gates are
- * the deterministic per-frame draws. Malformed lines, unknown or
- * dependent tasks, and out-of-order arrivals are reported with their
- * line number and exit 2 — StreamSource's ordering contract surfaces
- * as a clean error, never an abort.
+ * the deterministic per-frame draws. Malformed lines, a task or
+ * frame_idx that is not an integer in [0, INT_MAX], an arrival
+ * outside [0, window), unknown or dependent tasks, and out-of-order
+ * arrivals are reported as "stdin:<line>: ..." and exit 2 —
+ * StreamSource's ordering contract surfaces as a clean error, never
+ * an abort.
  */
 void
 feedFromStdin(workload::StreamSource& stream,
-              const workload::FrameSource& source)
+              const workload::FrameSource& source, double window_us)
 {
     std::string line;
     size_t lineno = 0;
     while (std::getline(std::cin, line)) {
         ++lineno;
+        const std::string where = "stdin:" + std::to_string(lineno) + ": ";
         std::replace(line.begin(), line.end(), ',', ' ');
         std::istringstream in(line);
-        long task = 0;
-        long frame_idx = 0;
-        double arrival_us = 0.0;
-        std::string head;
-        if (!(in >> head) || head[0] == '#')
+        std::string task, frame_idx, arrival, trailing;
+        if (!(in >> task) || task[0] == '#')
             continue; // blank or comment line
-        char* end = nullptr;
-        errno = 0;
-        task = std::strtol(head.c_str(), &end, 10);
-        std::string trailing;
-        if (end != head.c_str() + head.size() || errno == ERANGE ||
-            !(in >> frame_idx >> arrival_us) || (in >> trailing))
-            fail("stdin:" + std::to_string(lineno) +
-                 ": expected 'task frame_idx arrival_us', got '" +
+        if (!(in >> frame_idx >> arrival) || (in >> trailing))
+            fail(where + "expected 'task frame_idx arrival_us', got '" +
                  line + "'");
+        const auto field = [&](const char* column, const std::string& cell,
+                               const auto& parse) {
+            try {
+                return parse(cell);
+            } catch (const flags::Error& e) {
+                fail(where + column + " '" + cell + "': " + e.what());
+            }
+        };
+        const auto id = [](const std::string& cell) {
+            return int(flags::parseUint(cell, 0, INT_MAX));
+        };
+        const int task_id = field("task", task, id);
+        const int frame = field("frame_idx", frame_idx, id);
+        const double arrival_us =
+            field("arrival_us", arrival, [](const std::string& cell) {
+                return flags::parseReal(cell, 0.0, HUGE_VAL);
+            });
+        if (arrival_us >= window_us) {
+            std::ostringstream what;
+            what << where << "arrival_us '" << arrival
+                 << "' is not before the window end (" << window_us
+                 << " us)";
+            fail(what.str());
+        }
         try {
-            stream.push(source.rootFrame(workload::TaskId(task),
-                                         int(frame_idx),
-                                         arrival_us));
+            stream.push(source.rootFrame(task_id, frame, arrival_us));
         } catch (const std::exception& e) {
-            fail("stdin:" + std::to_string(lineno) + ": " +
-                 e.what());
+            fail(where + e.what());
         }
     }
     stream.close();
@@ -473,7 +484,7 @@ main(int argc, char** argv)
     // The feed: replay re-injects the recorded arrivals; gen
     // materialises the scaled generative workload; ingest reads
     // stdin. Either way the frames flow through the same intake
-    // StreamSource, which the cluster demuxes per device.
+    // StreamSource, whose frames the cluster offers to their devices.
     std::unique_ptr<workload::ReplaySource> replay;
     std::unique_ptr<workload::FrameSource> generative;
     const workload::ArrivalSource* delegate = nullptr;
@@ -489,7 +500,7 @@ main(int argc, char** argv)
 
     workload::StreamSource intake(*delegate);
     if (!opts.ingest.empty())
-        feedFromStdin(intake, *generative);
+        feedFromStdin(intake, *generative, session.windowUs);
     else
         feedStream(intake, *delegate, session.windowUs);
 
