@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "costmodel/cost_table_cache.h"
 #include "engine/engine.h"
 #include "engine/result_sink.h"
 #include "engine/worker_pool.h"
@@ -78,7 +77,6 @@ struct Options {
     std::string traceEventDir; ///< --trace-events dir; empty = none
     std::string metricsPath;   ///< --metrics file; empty = none
     std::string metricsFullPath; ///< --metrics-full file; empty = none
-    bool costCache = true; ///< false with --no-cost-cache
 
     /**
      * The --metrics registry + file writer, flushed when the Options
@@ -168,10 +166,6 @@ addFlags(flags::Table& table, Options& opts, Kind kind = Kind::Grid)
                    "cost-cache counters); for dream_prof, not byte-stable",
                    flags::nonEmpty(&opts.metricsFullPath)});
     }
-    table.add({"--no-cost-cache", "", "",
-               "disable the shared cost-table cache (results are\n"
-               "byte-identical; only throughput changes)",
-               flags::set(&opts.costCache, false)});
     table.check([&opts] {
         if (opts.jobs == 0)
             opts.jobs = engine::WorkerPool::defaultJobs();
@@ -219,10 +213,6 @@ parseArgs(int argc, char** argv, Kind kind = Kind::Grid,
     if (extras)
         extras(table, opts);
     table.parse(argc, argv);
-    // The cache enable flag is process-global: every path that
-    // acquires a cost table (engine runs, runner::runOnce under a
-    // ParamSearch) honours it without plumbing.
-    cost::CostTableCache::setEnabled(opts.costCache);
     return opts;
 }
 

@@ -50,17 +50,22 @@ CostTable::CostTable(const hw::SystemConfig& system) : system_(system)
     assert(!system_.accelerators.empty());
 }
 
-const CostTable::Entry&
-CostTable::entryFor(const models::Layer& layer) const
+CostTable::LayerView
+CostTable::view(const models::Layer& layer) const
+{
+    const auto it = cache_.find(makeKey(layer));
+    if (it == cache_.end())
+        throw std::logic_error("layer '" + layer.name +
+                               "' is in no model added to the cost table");
+    return LayerView(&it->second);
+}
+
+void
+CostTable::addLayer(const models::Layer& layer)
 {
     const LayerKey key = makeKey(layer);
-    auto it = cache_.find(key);
-    if (it != cache_.end())
-        return it->second;
-    if (frozen_)
-        throw std::logic_error(
-            "layer missing from frozen cost table (model not "
-            "pre-warmed via addModel before freeze)");
+    if (cache_.count(key))
+        return;
 
     Entry e;
     e.byAccel.resize(system_.size());
@@ -87,63 +92,18 @@ CostTable::entryFor(const models::Layer& layer) const
         }
     }
     e.agg.avgLatencyUs = e.agg.sumLatencyUs / double(system_.size());
-    return cache_.emplace(key, std::move(e)).first->second;
+    cache_.emplace(key, std::move(e));
 }
 
 void
 CostTable::addModel(const models::Model& model)
 {
     for (const auto& l : model.layers)
-        entryFor(l);
+        addLayer(l);
     for (const auto& v : model.variants) {
         for (const auto& l : v.bodyLayers)
-            entryFor(l);
+            addLayer(l);
     }
-}
-
-const LayerCost&
-CostTable::cost(const models::Layer& layer, size_t acc) const
-{
-    return cost(layer, acc, system_.accelerators[acc].numSlices);
-}
-
-const LayerCost&
-CostTable::cost(const models::Layer& layer, size_t acc,
-                uint32_t slices) const
-{
-    assert(acc < system_.size());
-    assert(slices >= 1 && slices <= system_.accelerators[acc].numSlices);
-    return entryFor(layer).byAccel[acc][slices - 1];
-}
-
-double
-CostTable::avgLatencyUs(const models::Layer& layer) const
-{
-    return entryFor(layer).agg.avgLatencyUs;
-}
-
-double
-CostTable::sumLatencyUs(const models::Layer& layer) const
-{
-    return entryFor(layer).agg.sumLatencyUs;
-}
-
-double
-CostTable::minLatencyUs(const models::Layer& layer) const
-{
-    return entryFor(layer).agg.minLatencyUs;
-}
-
-double
-CostTable::sumEnergyMj(const models::Layer& layer) const
-{
-    return entryFor(layer).agg.sumEnergyMj;
-}
-
-double
-CostTable::maxEnergyMj(const models::Layer& layer) const
-{
-    return entryFor(layer).agg.maxEnergyMj;
 }
 
 } // namespace cost

@@ -16,10 +16,11 @@
  * costs of the same layer) pays one lookup per layer instead of one
  * per query.
  *
- * freeze() turns a pre-warmed table immutable: further lookups of
- * unknown layers throw instead of lazily extending the cache. A
- * frozen table is safe to share across threads (concurrent const
- * lookups never mutate), which is what CostTableCache hands out.
+ * A table has one mode: addModel() computes entries, and lookups
+ * only read them. A lookup of a layer that no added model covers
+ * throws std::logic_error, so concurrent const lookups never mutate
+ * and a table may be shared across threads, which is what
+ * CostTableCache does.
  */
 
 #ifndef DREAM_COSTMODEL_COST_TABLE_H
@@ -70,29 +71,17 @@ struct LayerAgg {
 };
 
 /**
- * Latency/energy lookup for one target system.
- *
- * Lookups are lazy: the first query for a given layer computes and
- * caches the full (accelerator x slice) cost matrix. addModel() can
- * pre-warm the cache offline, matching the paper's flow; freeze()
- * then locks the table for thread-safe sharing.
+ * Latency/energy lookup for one target system. addModel() computes
+ * the full (accelerator x slice) cost matrix of each new layer shape
+ * offline, matching the paper's flow; every lookup reads an entry
+ * addModel() built and throws std::logic_error for any other layer.
  */
 class CostTable {
 public:
     explicit CostTable(const hw::SystemConfig& system);
 
-    /** Pre-compute costs for every layer of a model (incl. variants). */
+    /** Compute costs for every layer of a model (incl. variants). */
     void addModel(const models::Model& model);
-
-    /**
-     * Lock the table: lookups of layers not already cached throw
-     * std::logic_error instead of lazily computing. After freeze(),
-     * const lookups never mutate, so the table may be shared across
-     * threads without synchronisation.
-     */
-    void freeze() { frozen_ = true; }
-    /** True once freeze() was called. */
-    bool frozen() const { return frozen_; }
 
     /** Number of accelerators in the target system. */
     size_t numAccelerators() const { return system_.size(); }
@@ -102,21 +91,20 @@ public:
     size_t numLayers() const { return cache_.size(); }
 
     /** Cost of @p layer on accelerator @p acc with all slices. */
-    const LayerCost& cost(const models::Layer& layer, size_t acc) const;
-    /** Cost of @p layer on accelerator @p acc with @p slices slices. */
-    const LayerCost& cost(const models::Layer& layer, size_t acc,
-                          uint32_t slices) const;
-
+    const LayerCost& cost(const models::Layer& layer, size_t acc) const
+    {
+        return view(layer).cost(acc);
+    }
     /** Mean full-slice latency of @p layer across accelerators. */
-    double avgLatencyUs(const models::Layer& layer) const;
-    /** Sum of full-slice latencies of @p layer across accelerators. */
-    double sumLatencyUs(const models::Layer& layer) const;
+    double avgLatencyUs(const models::Layer& layer) const
+    {
+        return view(layer).agg().avgLatencyUs;
+    }
     /** Minimum full-slice latency of @p layer across accelerators. */
-    double minLatencyUs(const models::Layer& layer) const;
-    /** Sum of full-slice energies of @p layer across accelerators. */
-    double sumEnergyMj(const models::Layer& layer) const;
-    /** Worst-case (max across accelerators) energy of @p layer. */
-    double maxEnergyMj(const models::Layer& layer) const;
+    double minLatencyUs(const models::Layer& layer) const
+    {
+        return view(layer).agg().minLatencyUs;
+    }
 
 private:
     /** Per-layer cost matrix: [accelerator][slices-1]. */
@@ -155,18 +143,16 @@ public:
         const Entry* entry_;
     };
 
-    /** The entry for @p layer (computed now if absent and unfrozen). */
-    LayerView view(const models::Layer& layer) const
-    {
-        return LayerView(&entryFor(layer));
-    }
+    /** The entry for @p layer; throws std::logic_error when no
+     *  added model covers it. */
+    LayerView view(const models::Layer& layer) const;
 
 private:
-    const Entry& entryFor(const models::Layer& layer) const;
+    /** Build @p layer's entry unless its shape already has one. */
+    void addLayer(const models::Layer& layer);
 
     hw::SystemConfig system_;
-    bool frozen_ = false;
-    mutable std::unordered_map<LayerKey, Entry, LayerKeyHash> cache_;
+    std::unordered_map<LayerKey, Entry, LayerKeyHash> cache_;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "costmodel/cost_table_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -30,8 +29,6 @@ appendDouble(std::string& out, double v)
     std::memcpy(&bits, &v, sizeof bits);
     appendBits(out, bits);
 }
-
-std::atomic<bool> g_enabled{true};
 
 } // anonymous namespace
 
@@ -102,19 +99,6 @@ CostTableCache::CostTableCache(size_t capacity) : capacity_(capacity)
 {
 }
 
-uint64_t
-CostTableCache::evictOverCapacityLocked()
-{
-    uint64_t evicted = 0;
-    while (map_.size() > capacity_ && !lru_.empty()) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-        ++evicted;
-    }
-    evictions_ += evicted;
-    return evicted;
-}
-
 CostTableCache::Result
 CostTableCache::acquire(const hw::SystemConfig& system,
                         const workload::Scenario& scenario)
@@ -140,12 +124,16 @@ CostTableCache::acquire(const hw::SystemConfig& system,
     auto table = std::make_shared<CostTable>(system);
     for (const auto& task : scenario.tasks)
         table->addModel(task.model);
-    table->freeze();
     r.table = table;
 
     lru_.push_front(key);
     map_.emplace(std::move(key), Slot{r.table, lru_.begin()});
-    r.evicted = evictOverCapacityLocked();
+    while (map_.size() > capacity_) {
+        map_.erase(lru_.back());
+        lru_.pop_back();
+        ++r.evicted;
+    }
+    evictions_ += r.evicted;
     return r;
 }
 
@@ -167,21 +155,6 @@ CostTableCache::clear()
     evictions_ = 0;
 }
 
-size_t
-CostTableCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-}
-
-void
-CostTableCache::setCapacity(size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = capacity;
-    evictOverCapacityLocked();
-}
-
 CostTableCache&
 CostTableCache::global()
 {
@@ -189,31 +162,11 @@ CostTableCache::global()
     return instance;
 }
 
-bool
-CostTableCache::enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
-CostTableCache::setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const CostTable>
 acquireCostTable(const hw::SystemConfig& system,
                  const workload::Scenario& scenario,
                  obs::MetricsRegistry* metrics)
 {
-    if (!CostTableCache::enabled()) {
-        // Bypass: a private lazy table, exactly the pre-cache
-        // behaviour (and the --no-cost-cache reference mode).
-        auto table = std::make_shared<CostTable>(system);
-        for (const auto& task : scenario.tasks)
-            table->addModel(task.model);
-        return table;
-    }
     const CostTableCache::Result r =
         CostTableCache::global().acquire(system, scenario);
     if (metrics) {

@@ -1,6 +1,7 @@
 /**
  * @file
- * Process-wide cache of pre-warmed, frozen CostTables.
+ * Process-wide cache of shared CostTables: the one way a run gets a
+ * table.
  *
  * Sweeps pay a large fixed tax per grid point when every point
  * builds its own CostTable: a 10k-point parameter scan over one
@@ -14,12 +15,13 @@
  *
  * Determinism argument: a CostTable is a pure function of
  * (SystemConfig, layer-shape set). The key captures both inputs
- * exactly (full equality compare, no hash truncation), tables are
- * pre-warmed via addModel() and frozen before they are published, and
- * frozen lookups never mutate — so a cached run computes the same
- * numbers as an uncached one, byte for byte, at any --jobs value.
- * Only the hit/miss/evict counters depend on scheduling history;
- * they are marked volatile in the metrics registry.
+ * exactly (full equality compare, no hash truncation), a table's
+ * addModel() calls all happen before it is published, and lookups
+ * never mutate — so a run on the shared table computes the same
+ * numbers as a run on a table built for that run alone, byte for
+ * byte, at any --jobs value (ARCHITECTURE.md invariant 3). Only the
+ * hit/miss/evict counters depend on scheduling history; they are
+ * marked volatile in the metrics registry.
  */
 
 #ifndef DREAM_COSTMODEL_COST_TABLE_CACHE_H
@@ -72,9 +74,9 @@ TableKey makeTableKey(const hw::SystemConfig& system,
                       const workload::Scenario& scenario);
 
 /**
- * Thread-safe LRU cache of frozen CostTables. Tables build under the
- * cache lock, so concurrent workers missing on the same key build it
- * once (the second worker hits), and the miss count equals the
+ * Thread-safe LRU cache of immutable CostTables. Tables build under
+ * the cache lock, so concurrent workers missing on the same key build
+ * it once (the second worker hits), and the miss count equals the
  * number of distinct keys seen (modulo evictions).
  */
 class CostTableCache {
@@ -98,9 +100,9 @@ public:
     explicit CostTableCache(size_t capacity = kDefaultCapacity);
 
     /**
-     * The frozen table for (system, scenario's model set): built and
-     * pre-warmed now on a miss, shared on a hit. The returned
-     * shared_ptr keeps the table alive past eviction.
+     * The table of (system, scenario's model set): built now on a
+     * miss, shared on a hit. The returned shared_ptr keeps the table
+     * alive past eviction.
      */
     Result acquire(const hw::SystemConfig& system,
                    const workload::Scenario& scenario);
@@ -108,23 +110,13 @@ public:
     Stats stats() const;
     /** Drop every entry and zero the counters (tests, perf passes). */
     void clear();
-    size_t capacity() const;
-    /** Evicts LRU entries immediately if over the new capacity. */
-    void setCapacity(size_t capacity);
 
     /** The process-wide instance engine/runner acquire from. */
     static CostTableCache& global();
-    /** Global kill switch (--no-cost-cache): when false,
-     *  acquireCostTable() builds private tables and never touches
-     *  the cache. Default true. */
-    static bool enabled();
-    static void setEnabled(bool on);
 
 private:
-    uint64_t evictOverCapacityLocked();
-
     mutable std::mutex mu_;
-    size_t capacity_;
+    const size_t capacity_;
     /** Keys in LRU order, most recent first. */
     std::list<TableKey> lru_;
     struct Slot {
@@ -138,13 +130,12 @@ private:
 };
 
 /**
- * The one entry point run paths use: a pre-warmed table for
- * (system, scenario) — shared via the global cache when enabled,
- * private (lazy, like the pre-cache code) when disabled. When
- * @p metrics is non-null and the cache is enabled, records the
- * outcome as counters costcache/{hit,miss,evict}, marked volatile
- * (hit order is scheduling-dependent, so the canonical --metrics
- * dump must not depend on it).
+ * The one entry point run paths use: the table of (system,
+ * scenario), shared through CostTableCache::global(). When
+ * @p metrics is non-null, records the outcome as counters
+ * costcache/{hit,miss,evict}, marked volatile (hit order is
+ * scheduling-dependent, so the canonical --metrics dump must not
+ * depend on it).
  */
 std::shared_ptr<const CostTable>
 acquireCostTable(const hw::SystemConfig& system,

@@ -165,10 +165,9 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
              obs::MetricsRegistry* metrics_out)
 {
     // Materialise everything locally: workers share nothing MUTABLE.
-    // runner::runOnce shares the cost table, a frozen immutable table
-    // from the process-wide cache (see cost_table_cache.h for the
-    // determinism argument; --no-cost-cache restores private lazy
-    // tables).
+    // runner::runOnce shares the cost table, an immutable table from
+    // the process-wide cache (see cost_table_cache.h for the
+    // determinism argument).
     const workload::Scenario scenario = (*point.makeScenario)();
     const hw::SystemConfig system = (*point.makeSystem)();
     auto sched = (*point.makeScheduler)(point.params);
@@ -210,7 +209,7 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
         cfg.telemetry = &telemetry;
 
     const sim::RunStats stats =
-        runner::runOnce(system, scenario, *sched, cfg, metrics_out);
+        runner::runOnce(system, scenario, *sched, cfg);
     if (!opts.traceDir.empty())
         recordTrace(opts.traceDir, point, scenario, stats);
     if (!opts.traceEventDir.empty())

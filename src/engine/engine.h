@@ -4,8 +4,9 @@
  * a WorkerPool and delivers RunRecords to result sinks.
  *
  * Determinism contract: each grid point is simulated with its own
- * Simulator, CostTable and scheduler instance, seeded from the grid
- * point alone, and records are collected into a pre-sized vector by
+ * Simulator and scheduler instance over the shared read-only
+ * CostTable of its (system, model set), seeded from the grid point
+ * alone, and records are collected into a pre-sized vector by
  * flat index. Sinks therefore observe the exact same byte stream for
  * any worker count — `--jobs 8` equals `--jobs 1`.
  */

@@ -1,6 +1,7 @@
 #include "runner/experiment.h"
 
 #include "costmodel/cost_table_cache.h"
+#include "obs/telemetry.h"
 #include "sched/fcfs.h"
 #include "sched/planaria.h"
 #include "sched/static_fcfs.h"
@@ -96,13 +97,15 @@ toString(SchedKind kind)
 sim::RunStats
 runOnce(const hw::SystemConfig& system,
         const workload::Scenario& scenario, sim::Scheduler& sched,
-        const sim::SimConfig& config, obs::MetricsRegistry* cache_metrics)
+        const sim::SimConfig& config)
 {
     // Every offline run shares the process-wide cache: sweeps,
     // searches and replays repeat one (system, model set) pair many
-    // times, and each repeat reuses one frozen table.
+    // times, and each repeat reuses one table.
     const std::shared_ptr<const cost::CostTable> costs =
-        cost::acquireCostTable(system, scenario, cache_metrics);
+        cost::acquireCostTable(
+            system, scenario,
+            config.telemetry ? config.telemetry->metrics : nullptr);
     sim::Simulator simulator(system, scenario, *costs, config);
     return simulator.run(sched);
 }

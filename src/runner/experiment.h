@@ -19,10 +19,6 @@
 
 namespace dream {
 
-namespace obs {
-class MetricsRegistry;
-}
-
 namespace runner {
 
 /** Every scheduler evaluated in the paper. */
@@ -63,14 +59,13 @@ bool parseSchedKind(const std::string& name, SchedKind* out);
  * The one offline run set-up: acquire the shared cost table of
  * (@p system, @p scenario) and run one sim::Simulator configured by
  * @p config (window, seed, arrival source, telemetry) under
- * @p sched. A non-null @p cache_metrics records the cache outcome
- * (the volatile costcache/{hit,miss,evict} counters, see
+ * @p sched. A telemetry metrics registry also records the cache
+ * outcome (the volatile costcache/{hit,miss,evict} counters, see
  * cost::acquireCostTable).
  */
 sim::RunStats runOnce(const hw::SystemConfig& system,
                       const workload::Scenario& scenario,
-                      sim::Scheduler& sched, const sim::SimConfig& config,
-                      obs::MetricsRegistry* cache_metrics = nullptr);
+                      sim::Scheduler& sched, const sim::SimConfig& config);
 
 /** Default evaluation window (2 s, the paper's Texec example). */
 constexpr double kDefaultWindowUs = 2e6;

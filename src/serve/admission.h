@@ -61,7 +61,7 @@ struct AdmissionStats {
 /**
  * The admission gate. Deterministic: decisions depend only on the
  * offered frame sequence, the queue depths the caller reports, and
- * the frozen cost table — never on wall time.
+ * the cost table — never on wall time.
  *
  * The backlog model is intentionally simple (the gate must be cheap):
  * admitting a frame adds its best-case path latency (computed once

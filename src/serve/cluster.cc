@@ -67,13 +67,16 @@ Cluster::run(const SchedulerFactory& make_scheduler,
             // event loop's grouping epsilon (serve_loop.cc).
             for (size_t k = 0; k < n; ++k)
                 loops[k]->advanceTo(t_route);
-            int& device = result.assignment[size_t(frame.task)];
+            // A replay intake carries recorded cascade children as
+            // frames of their own: each joins its root's session.
+            const workload::TaskId session = scenario_.rootOf(frame.task);
+            int& device = result.assignment[size_t(session)];
             if (device < 0) {
                 if (n > 1) {
                     for (size_t k = 0; k < n; ++k)
                         gauges[k] = loops[k]->pollGauges(t_route);
                 }
-                device = int(dispatcher.route(frame.task,
+                device = int(dispatcher.route(session,
                                               frame.arrivalUs, gauges));
             }
             loops[size_t(device)]->offer(std::move(frame));

@@ -105,10 +105,9 @@ Dispatcher::remainingDemandUs(workload::TaskId session,
 }
 
 double
-Dispatcher::sharedFinishUs(size_t device, double committed_us,
+Dispatcher::sharedFinishUs(double committed_us,
                            const DeviceGauges& gauge) const
 {
-    (void)device;
     return (gauge.backlogUs + committed_us) / capacityUs_;
 }
 
@@ -182,7 +181,7 @@ Dispatcher::route(workload::TaskId session, double now_us,
                                           isoFinishUs_[size_t(s)]);
                 }
                 shared[d] = (1.0 + gauge(d).violationRate) *
-                            sharedFinishUs(d, committed, gauge(d));
+                            sharedFinishUs(committed, gauge(d));
                 lightest = std::min(lightest, shared[d]);
             }
             constexpr double kLoadSlack = 1.25;

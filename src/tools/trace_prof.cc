@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -20,6 +21,17 @@ namespace {
 
 using json::Value;
 using Kind = json::Value::Kind;
+
+/** True when @p token is decimal digits in uint64_t range: the one
+ *  form obs::MetricsRegistry::writeJson writes a counter in. */
+bool
+isDecimalUint64(const std::string& token)
+{
+    uint64_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), end, value);
+    return ec == std::errc() && stop == end;
+}
 
 /** Union length of [begin, end) intervals (modifies @p spans). */
 double
@@ -227,9 +239,6 @@ readTraceEventJson(std::istream& in, const std::string& name)
                 if (const std::string* w = ev.arg("wall_ns"))
                     pt.decisionWallNs.push_back(
                         std::strtod(w->c_str(), nullptr));
-                if (const std::string* r = ev.arg("rounds"))
-                    pt.planRounds.push_back(
-                        std::strtod(r->c_str(), nullptr));
             }
         } else if (ev.ph == 'i') {
             if (ev.name == "frame_arrival")
@@ -387,11 +396,16 @@ readMetricsJson(std::istream& in, const std::string& name)
                      : section == "gauges" ? &m.gauges
                                            : nullptr;
         for (const auto& [key, v] : body.members) {
-            if (kept && v.kind != Kind::Number)
+            if (!kept)
+                continue;
+            if (v.kind != Kind::Number)
                 doc.fail(v, section + " \"" + key +
                                 "\" must be a number");
-            if (kept)
-                kept->push_back({key, v.number()});
+            if (kept == &m.counters && !isDecimalUint64(v.text))
+                doc.fail(v, "counters \"" + key +
+                                "\" must be a decimal integer in "
+                                "uint64_t range");
+            kept->push_back({key, v.number()});
         }
     }
     return m;

@@ -73,7 +73,6 @@ struct PointProfile {
 
     size_t schedInvocations = 0;
     std::vector<double> decisionWallNs; ///< "sched" spans' wall_ns
-    std::vector<double> planRounds;     ///< "sched" spans' rounds
 
     size_t frameArrivals = 0;
     size_t frameDrops = 0;
@@ -142,7 +141,9 @@ struct MetricsProfile {
  *
  * @throws std::runtime_error "<name>:<line>:<col>: <what>" on
  * malformed input: bad JSON, a duplicated name, a section that is
- * not an object, or a counter or gauge that is not a number.
+ * not an object, a gauge that is not a number, or a counter that is
+ * not a decimal integer in uint64_t range (the one form
+ * obs::MetricsRegistry::writeJson writes).
  */
 MetricsProfile readMetricsJson(std::istream& in,
                                const std::string& name = "<metrics>");

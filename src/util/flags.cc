@@ -67,9 +67,9 @@ nonEmpty(std::string* out)
 }
 
 Setter
-set(bool* out, bool value)
+set(bool* out)
 {
-    return [out, value](const std::string&) { *out = value; };
+    return [out](const std::string&) { *out = true; };
 }
 
 Setter

@@ -50,8 +50,8 @@ double parseReal(const std::string& text, double lo, double hi);
 Setter text(std::string* out);
 /** A non-empty string. */
 Setter nonEmpty(std::string* out);
-/** A switch: stores @p value. */
-Setter set(bool* out, bool value = true);
+/** A switch: stores true. */
+Setter set(bool* out);
 /** A finite double in [lo, hi]. */
 Setter real(double* out, double lo, double hi = HUGE_VAL);
 /** A finite double > 0. */

@@ -18,6 +18,14 @@ Scenario::childrenOf(TaskId parent) const
     return kids;
 }
 
+TaskId
+Scenario::rootOf(TaskId task) const
+{
+    while (tasks[size_t(task)].dependsOn != kNoParent)
+        task = tasks[size_t(task)].dependsOn;
+    return task;
+}
+
 bool
 Scenario::isLeaf(TaskId task) const
 {

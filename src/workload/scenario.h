@@ -52,6 +52,9 @@ struct Scenario {
 
     /** Children of task @p parent. */
     std::vector<TaskId> childrenOf(TaskId parent) const;
+    /** The root of @p task's session: dependsOn followed up to
+     *  kNoParent (@p task itself for a root task). */
+    TaskId rootOf(TaskId task) const;
     /** True if no other task depends on @p task (frame-drop Cond. 3). */
     bool isLeaf(TaskId task) const;
 };

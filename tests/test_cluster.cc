@@ -1,10 +1,11 @@
 /** @file Tests for the cluster serving layer: Simulator streaming
  *  edge cases, Dispatcher policies, a single-device Cluster's
  *  bit-identity with the offline run, sessions staying on their
- *  device, N-device replay determinism, and the device-namespaced
- *  metric schema. */
+ *  device (generative and replay intakes), N-device replay
+ *  determinism, and the device-namespaced metric schema. */
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "serve/dispatcher.h"
 #include "sim/simulator.h"
 #include "workload/frame_source.h"
+#include "workload/replay_source.h"
 #include "workload/stream_source.h"
 
 #include "test_util.h"
@@ -34,17 +36,21 @@ buildCosts(const hw::SystemConfig& system,
     return costs;
 }
 
+/** Serve @p replay's frames, or a generative run of (@p scenario,
+ *  @p seed) without one, on a cluster of FCFS devices. */
 serve::ClusterResult
 runCluster(const hw::SystemConfig& system,
            const workload::Scenario& scenario,
            const cost::CostTable& costs, serve::ClusterConfig config,
-           double window_us, uint64_t seed)
+           double window_us, uint64_t seed,
+           const workload::ArrivalSource* replay = nullptr)
 {
     config.serve.windowUs = window_us;
     config.serve.seed = seed;
     const workload::FrameSource frames(scenario, seed);
-    workload::StreamSource intake(frames);
-    for (auto& frame : workload::rootFramesByArrival(frames, window_us))
+    const workload::ArrivalSource& source = replay ? *replay : frames;
+    workload::StreamSource intake(source);
+    for (auto& frame : workload::rootFramesByArrival(source, window_us))
         intake.push(std::move(frame));
     intake.close();
     serve::Cluster cluster(system, scenario, costs, config);
@@ -260,6 +266,30 @@ TEST(Cluster, SingleDeviceIsBitIdenticalToOfflineRun)
     }
 }
 
+/**
+ * Every frame device k ran, cascade children included, must belong
+ * to a session the session table pins to device k; and some of them
+ * must be children, or the check shows nothing.
+ */
+void
+expectSessionsOnTheirDevice(const workload::Scenario& scenario,
+                            const serve::ClusterResult& result)
+{
+    size_t misplaced = 0;
+    size_t children = 0;
+    for (size_t k = 0; k < result.devices.size(); ++k) {
+        const auto& frames = result.devices[k].stats.frames;
+        EXPECT_FALSE(frames.empty()) << "device " << k;
+        for (const auto& f : frames) {
+            const workload::TaskId root = scenario.rootOf(f.task);
+            children += root != f.task;
+            misplaced += result.assignment[size_t(root)] != int(k);
+        }
+    }
+    EXPECT_EQ(misplaced, 0u);
+    EXPECT_GT(children, 0u);
+}
+
 TEST(Cluster, SessionsStayOnTheirDevice)
 {
     // VR_Gaming has six root tasks and three cascade children, so on
@@ -268,12 +298,6 @@ TEST(Cluster, SessionsStayOnTheirDevice)
     const auto scenario = workload::makeScenario(
         workload::ScenarioPreset::VrGaming, 0.9);
     const auto costs = buildCosts(system, scenario);
-    const auto rootOf = [&](workload::TaskId task) {
-        while (scenario.tasks[size_t(task)].dependsOn !=
-               workload::kNoParent)
-            task = scenario.tasks[size_t(task)].dependsOn;
-        return task;
-    };
 
     for (const auto router : serve::allRouterPolicies()) {
         SCOPED_TRACE(serve::toString(router));
@@ -283,21 +307,7 @@ TEST(Cluster, SessionsStayOnTheirDevice)
         const auto result =
             runCluster(system, scenario, costs, config, 5e5, 23);
         ASSERT_EQ(result.devices.size(), 3u);
-        // Every frame device k ran, cascade children included,
-        // belongs to a session the session table pins to device k.
-        size_t misplaced = 0;
-        size_t children = 0;
-        for (size_t k = 0; k < 3; ++k) {
-            const auto& frames = result.devices[k].stats.frames;
-            EXPECT_FALSE(frames.empty()) << "device " << k;
-            for (const auto& f : frames) {
-                const workload::TaskId root = rootOf(f.task);
-                children += root != f.task;
-                misplaced += result.assignment[size_t(root)] != int(k);
-            }
-        }
-        EXPECT_EQ(misplaced, 0u);
-        EXPECT_GT(children, 0u);
+        expectSessionsOnTheirDevice(scenario, result);
     }
 
     // An intake frame that names no task has no session to join.
@@ -314,6 +324,37 @@ TEST(Cluster, SessionsStayOnTheirDevice)
         intake.close();
         serve::Cluster cluster(system, scenario, costs, {});
         EXPECT_THROW(cluster.run(fcfs, intake), std::invalid_argument);
+    }
+}
+
+TEST(Cluster, ReplaySessionsStayOnTheirDevice)
+{
+    // A replay intake carries the recorded cascade children as
+    // frames of their own, released at their recorded times; each
+    // must join its root's session on the root's device.
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
+    const auto scenario = workload::makeScenario(
+        workload::ScenarioPreset::VrGaming, 0.9);
+    const auto costs = buildCosts(system, scenario);
+    const double window_us = 5e5;
+    const uint64_t seed = 23;
+
+    const auto fcfs = runner::makeScheduler(runner::SchedKind::Fcfs);
+    std::istringstream csv(runner::frameTraceCsv(
+        runner::runOnce(system, scenario, *fcfs, {window_us, seed}),
+        scenario));
+    const auto trace = runner::readFrameTraceCsv(csv);
+    const workload::ReplaySource replay(scenario, seed, trace);
+
+    for (const auto router : serve::allRouterPolicies()) {
+        SCOPED_TRACE(serve::toString(router));
+        serve::ClusterConfig config;
+        config.devices = 4;
+        config.router = router;
+        const auto result = runCluster(system, scenario, costs, config,
+                                       window_us, seed, &replay);
+        ASSERT_EQ(result.devices.size(), 4u);
+        expectSessionsOnTheirDevice(scenario, result);
     }
 }
 

@@ -45,7 +45,7 @@ hashedSums(const sim::Request& req, const cost::CostTable& costs)
         h.min[i] = h.min[i + 1] + best;
     }
     for (const auto& layer : req.path)
-        h.worstEnergyMj += costs.maxEnergyMj(layer);
+        h.worstEnergyMj += costs.view(layer).agg().maxEnergyMj;
     return h;
 }
 
@@ -63,7 +63,7 @@ expectRowsAddress(const sim::Request& req, const sim::Resolution& cache,
                 costs.system().accelerators[a].numSlices;
             for (uint32_t s = 1; s <= slices; ++s) {
                 EXPECT_EQ(&cache.rows[i].cost(a, s),
-                          &costs.cost(req.path[i], a, s))
+                          &costs.view(req.path[i]).cost(a, s))
                     << "layer " << i << " accel " << a << " slices " << s;
             }
             EXPECT_EQ(&cache.rows[i].cost(a), &costs.cost(req.path[i], a));

@@ -1,6 +1,5 @@
 /** @file Tests for the shared cost-table cache: key canonicality,
- *  table sharing, LRU eviction, the frozen-table contract and the
- *  --no-cost-cache bypass. */
+ *  table sharing, LRU eviction and the read-only table contract. */
 
 #include <memory>
 #include <stdexcept>
@@ -15,18 +14,6 @@
 namespace dream {
 namespace {
 
-/** Restore the process-global enable flag and cache on exit, so a
- *  test toggling --no-cost-cache semantics cannot leak into its
- *  siblings (the flag and cache are process-wide). */
-struct CacheStateGuard {
-    bool saved = cost::CostTableCache::enabled();
-    ~CacheStateGuard()
-    {
-        cost::CostTableCache::setEnabled(saved);
-        cost::CostTableCache::global().clear();
-    }
-};
-
 TEST(CostTableCache, EqualPairsShareOneFrozenTable)
 {
     cost::CostTableCache cache;
@@ -37,7 +24,6 @@ TEST(CostTableCache, EqualPairsShareOneFrozenTable)
     const auto r1 = cache.acquire(system, scenario);
     EXPECT_FALSE(r1.hit);
     ASSERT_NE(r1.table, nullptr);
-    EXPECT_TRUE(r1.table->frozen());
     EXPECT_GT(r1.table->numLayers(), 0u);
 
     // A scenario built again from the same preset is a different
@@ -127,25 +113,6 @@ TEST(CostTableCache, LeastRecentlyUsedEntryIsEvictedAtCapacity)
     EXPECT_GE(stats.evictions, 2u);
 }
 
-TEST(CostTableCache, ShrinkingCapacityEvictsImmediately)
-{
-    cost::CostTableCache cache;
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
-    cache.acquire(hw::makeSystem(hw::SystemPreset::Sys4k2Ws), scenario);
-    cache.acquire(hw::makeSystem(hw::SystemPreset::Sys4k2Os), scenario);
-    cache.acquire(hw::makeSystem(hw::SystemPreset::Sys8k2Ws), scenario);
-    ASSERT_EQ(cache.stats().entries, 3u);
-
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    // The survivor is the most recently used key.
-    EXPECT_TRUE(
-        cache.acquire(hw::makeSystem(hw::SystemPreset::Sys8k2Ws), scenario)
-            .hit);
-}
-
 TEST(CostTableCache, SharedTableIsFrozenAgainstUnknownLayers)
 {
     cost::CostTableCache cache;
@@ -166,45 +133,20 @@ TEST(CostTableCache, SharedTableIsFrozenAgainstUnknownLayers)
     EXPECT_THROW(table->minLatencyUs(foreign), std::logic_error);
 }
 
-TEST(CostTableCache, DisabledAcquireBypassesTheGlobalCache)
+TEST(CostTableCache, AcquireSharesThroughTheGlobalCache)
 {
-    CacheStateGuard guard;
     cost::CostTableCache::global().clear();
-    cost::CostTableCache::setEnabled(false);
 
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
     const auto t1 = cost::acquireCostTable(system, scenario);
     const auto t2 = cost::acquireCostTable(system, scenario);
-
-    // Pre-cache behaviour: private lazy tables, one per call.
     ASSERT_NE(t1, nullptr);
-    ASSERT_NE(t2, nullptr);
-    EXPECT_NE(t1.get(), t2.get());
-    EXPECT_FALSE(t1->frozen());
-
-    const auto stats = cost::CostTableCache::global().stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.entries, 0u);
-}
-
-TEST(CostTableCache, EnabledAcquireSharesThroughTheGlobalCache)
-{
-    CacheStateGuard guard;
-    cost::CostTableCache::global().clear();
-    cost::CostTableCache::setEnabled(true);
-
-    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Os2Ws);
-    const auto scenario =
-        workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto t1 = cost::acquireCostTable(system, scenario);
-    const auto t2 = cost::acquireCostTable(system, scenario);
     EXPECT_EQ(t1.get(), t2.get());
-    EXPECT_TRUE(t1->frozen());
 
     const auto stats = cost::CostTableCache::global().stats();
+    cost::CostTableCache::global().clear();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 1u);
 }

@@ -30,6 +30,7 @@
 #include "engine/result_sink.h"
 #include "engine/worker_pool.h"
 #include "runner/trace.h"
+#include "sim/simulator.h"
 
 namespace dream {
 namespace {
@@ -228,29 +229,64 @@ TEST(Engine, ParallelRunsAreByteIdenticalToSerial)
     }
 }
 
-TEST(Engine, CostCacheOnAndOffAreByteIdentical)
+TEST(Engine, SharedCostTablesMatchPerPointTables)
 {
-    // The acceptance contract of the shared cost-table cache: it may
-    // only change throughput, never a single output byte, at any
-    // --jobs value.
-    const auto grid = smallGrid();
-    const bool saved = cost::CostTableCache::enabled();
+    // ARCHITECTURE.md invariant 3: a run on the cache's shared table
+    // gives the bytes of a run on a table built for that point alone,
+    // at any --jobs value. The two systems have the same shape but
+    // different dataflows, so a cache key that ignored the system
+    // would hand one system the other's numbers; VR_Gaming brings a
+    // Supernet, whose variant layers DREAM-Full switches to.
+    engine::SweepGrid grid;
+    grid.addScenario(workload::ScenarioPreset::VrGaming)
+        .addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k2Ws)
+        .addSystem(hw::SystemPreset::Sys4k2Os)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .addScheduler(runner::SchedKind::DreamFull)
+        .seeds({3})
+        .window(1e5);
+    ASSERT_EQ(grid.size(), 8u);
 
-    std::ostringstream on1, on4, off1;
+    std::ostringstream shared1, shared4, own;
+    cost::CostTableCache::global().clear();
     {
-        engine::CsvSink sink_on1(on1), sink_on4(on4), sink_off1(off1);
-        cost::CostTableCache::setEnabled(true);
-        cost::CostTableCache::global().clear();
-        engine::Engine({1}).run(grid, {&sink_on1});
-        engine::Engine({4}).run(grid, {&sink_on4});
-        cost::CostTableCache::setEnabled(false);
-        engine::Engine({1}).run(grid, {&sink_off1});
+        engine::CsvSink sink1(shared1), sink4(shared4);
+        engine::Engine({1}).run(grid, {&sink1});
+        engine::Engine({4}).run(grid, {&sink4});
     }
-    cost::CostTableCache::setEnabled(saved);
     cost::CostTableCache::global().clear();
 
-    EXPECT_EQ(on1.str(), off1.str());
-    EXPECT_EQ(on1.str(), on4.str());
+    {
+        engine::CsvSink sink(own);
+        for (size_t i = 0; i < grid.size(); ++i) {
+            const auto point = grid.point(i);
+            const workload::Scenario scenario = (*point.makeScenario)();
+            const hw::SystemConfig system = (*point.makeSystem)();
+            cost::CostTable costs(system);
+            for (const auto& task : scenario.tasks)
+                costs.addModel(task.model);
+            sim::SimConfig cfg;
+            cfg.windowUs = point.windowUs;
+            cfg.seed = point.seed;
+            const auto sched = (*point.makeScheduler)(point.params);
+            sim::Simulator simulator(system, scenario, costs, cfg);
+
+            engine::RunRecord r;
+            r.index = point.index;
+            r.scenario = point.scenario;
+            r.system = point.system;
+            r.scheduler = point.scheduler;
+            r.params = point.params;
+            r.seed = point.seed;
+            r.windowUs = point.windowUs;
+            engine::fillMetrics(r, simulator.run(*sched));
+            sink.write(r);
+        }
+    }
+
+    EXPECT_EQ(shared1.str(), own.str());
+    EXPECT_EQ(shared4.str(), own.str());
 }
 
 TEST(Engine, ParamGridMatchesSingleEvaluator)

@@ -94,21 +94,19 @@ TEST(Flags, StringSwitchAndAppendSetters)
 {
     std::string text = "x", name = "keep";
     std::vector<std::string> all;
-    bool on = false, off = true;
+    bool on = false;
     flags::Table table;
     table.add({"--text", "", "S", "", flags::text(&text)});
     table.add({"--name", "", "S", "", flags::nonEmpty(&name)});
     table.add({"--metrics", "", "F", "", flags::append(&all)});
     table.add({"--on", "", "", "", flags::set(&on)});
-    table.add({"--no-off", "", "", "", flags::set(&off, false)});
     EXPECT_THROW(table.parse({"--name", ""}), flags::Error);
     EXPECT_EQ(name, "keep");
     ASSERT_TRUE(table.parse({"--text", "", "--metrics", "a", "--on",
-                             "--metrics", "b", "--no-off"}));
+                             "--metrics", "b"}));
     EXPECT_EQ(text, "");
     EXPECT_EQ(all, (std::vector<std::string>{"a", "b"}));
     EXPECT_TRUE(on);
-    EXPECT_FALSE(off);
 }
 
 TEST(Flags, RepeatedFlagKeepsItsLastValue)
@@ -191,7 +189,7 @@ TEST(Flags, HelpListsFlagsInTableOrderWithAliases)
     for (const char* flag :
          {"--jobs", "--out", "--list", "--filter", "--shard K/N",
           "--record-trace DIR", "--trace-events DIR", "--metrics F",
-          "--metrics-full F", "--no-cost-cache", "-h, --help",
+          "--metrics-full F", "-h, --help",
           "epilog line"}) {
         const size_t at = help.find(flag);
         ASSERT_NE(at, std::string::npos) << flag;
@@ -277,11 +275,10 @@ TEST(BenchFlags, RowBenchesRejectPerGridPointFlags)
     // --list stays, and lists no grid point.
     EXPECT_TRUE(benchArgs({"--list"}, bench::Kind::Rows).list);
     const auto opts = benchArgs(
-        {"--jobs", "2", "--out", "o.csv", "--shard", "1/2", "--no-cost-cache"},
+        {"--jobs", "2", "--out", "o.csv", "--shard", "1/2"},
         bench::Kind::Rows);
     EXPECT_EQ(opts.jobs, 2);
     EXPECT_EQ(opts.out, "o.csv");
-    EXPECT_FALSE(opts.costCache);
 }
 
 } // namespace

@@ -52,7 +52,7 @@ TEST(MapScore, LatencyPreferenceFavoursFasterAccelerator)
     // latPref is the inverse latency significance: sum/lat.
     const auto& next = req->path[0];
     EXPECT_DOUBLE_EQ(s_ws.latPref,
-                     cb.costs().sumLatencyUs(next) /
+                     cb.costs().view(next).agg().sumLatencyUs /
                          cb.costs().cost(next, 0).latencyUs);
 }
 

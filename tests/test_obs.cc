@@ -366,14 +366,29 @@ TEST(MetricsProf, RejectsMalformedDumps)
     reject("{\"counters\": 3}");       // section not an object
     reject("{\"counters\": {}} junk"); // trailing data
 
+    const auto read = [](const std::string& text) {
+        std::istringstream in(text);
+        tools::readMetricsJson(in, "t");
+    };
     // A duplicated name is an error at the copy, not last-wins.
     const std::string dup = "{\"counters\": {\"a\": 1, \"a\": 2}}";
-    test::expectRejectedAt(
-        [](const std::string& text) {
-            std::istringstream in(text);
-            tools::readMetricsJson(in, "t");
-        },
-        dup, "t", dup.rfind("\"a\""), "duplicate key \"a\"");
+    test::expectRejectedAt(read, dup, "t", dup.rfind("\"a\""),
+                           "duplicate key \"a\"");
+
+    // Counters are decimal uint64_t, as MetricsRegistry writes them:
+    // no sign, fraction, exponent or wrap-around.
+    const std::string head = "{\"counters\": {\"costcache/hit\": ";
+    for (const std::string bad :
+         {"-1", "1.5", "-1.5", "1e3", "18446744073709551616"})
+        test::expectRejectedAt(read, head + bad + "}}", "t", head.size(),
+                               "counters \"costcache/hit\" must be a "
+                               "decimal integer in uint64_t range");
+    std::istringstream max(head + "18446744073709551615}}");
+    EXPECT_EQ(tools::readMetricsJson(max, "t").counter("costcache/hit"),
+              18446744073709551615.0);
+    // Gauges stay doubles.
+    std::istringstream gauge("{\"gauges\": {\"busy\": -1.5e3}}");
+    EXPECT_EQ(tools::readMetricsJson(gauge, "t").gauge("busy"), -1.5e3);
 }
 
 // ------------------------------------------- simulator telemetry
@@ -529,8 +544,6 @@ TEST(EngineTelemetry, CostCacheCountersAreRecordedButVolatile)
     // Cache traffic depends on scheduling history (which worker
     // misses first), so the counters must reach profilers through
     // the full dump while staying out of the canonical one.
-    const bool saved = cost::CostTableCache::enabled();
-    cost::CostTableCache::setEnabled(true);
     cost::CostTableCache::global().clear();
 
     const auto grid = obsGrid();
@@ -539,8 +552,6 @@ TEST(EngineTelemetry, CostCacheCountersAreRecordedButVolatile)
     opts.jobs = 1;
     opts.metrics = &m;
     engine::Engine(opts).run(grid);
-
-    cost::CostTableCache::setEnabled(saved);
     cost::CostTableCache::global().clear();
 
     ASSERT_TRUE(m.counters().count("costcache/hit"));
