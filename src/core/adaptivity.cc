@@ -4,14 +4,37 @@
 #include <cassert>
 #include <cmath>
 
+#include "metrics/uxcost.h"
+
 namespace dream {
 namespace core {
 
+namespace {
+
+/** Section 3.6: the first search radius in (alpha, beta) space. */
+constexpr double kInitialRadius = 0.5;
+/** Section 3.6: the radius halves each step until it falls below
+ *  this threshold. */
+constexpr double kRadiusThreshold = 0.05;
+/** Section 3.6: alpha and beta range over [kParamMin, kParamMax]. */
+constexpr double kParamMin = 0.0;
+constexpr double kParamMax = 2.0;
+/** Section 4.4: length of one online-tuning trial window (us). */
+constexpr double kTrialWindowUs = 1.5e5;
+/**
+ * Noise guard, added beyond Algorithm 1: the tuner moves only when a
+ * candidate beats the current point's measured windowed cost by
+ * this factor.
+ */
+constexpr double kOnlineImprovementFactor = 0.93;
+
 double
-ParamSearch::clamp(double v) const
+clamp(double v)
 {
-    return std::min(paramMax_, std::max(paramMin_, v));
+    return std::min(kParamMax, std::max(kParamMin, v));
 }
+
+} // anonymous namespace
 
 SearchResult
 ParamSearch::optimize(const CostFn& cost, double a0, double b0) const
@@ -40,11 +63,11 @@ ParamSearch::optimize(const BatchCostFn& cost, double a0,
     double b = clamp(b0);
     double c = eval1(a, b);
     ++result.evaluations;
-    result.trajectory.push_back({a, b, c, initialRadius_, 0});
+    result.trajectory.push_back({a, b, c, kInitialRadius, 0});
 
     double best_a = a, best_b = b, best_c = c;
     int step = 0;
-    for (double radius = initialRadius_; radius >= radiusThreshold_;
+    for (double radius = kInitialRadius; radius >= kRadiusThreshold;
          radius *= 0.5) {
         ++step;
         // Neighbouring pairs at the radius plus distant pairs at twice
@@ -100,8 +123,7 @@ ParamSearch::optimize(const BatchCostFn& cost, double a0,
 }
 
 double
-windowedObjective(metrics::Objective objective,
-                  const sim::RunStats& begin, const sim::RunStats& end)
+windowedObjective(const sim::RunStats& begin, const sim::RunStats& end)
 {
     assert(begin.tasks.size() == end.tasks.size());
     sim::RunStats window;
@@ -119,7 +141,7 @@ windowedObjective(metrics::Objective objective,
         w.worstCaseEnergyMj = s1.worstCaseEnergyMj -
                               s0.worstCaseEnergyMj;
     }
-    return metrics::evaluate(objective, window);
+    return metrics::uxCost(window);
 }
 
 OnlineTuner::OnlineTuner(const DreamConfig& config) : config_(config)
@@ -144,8 +166,8 @@ OnlineTuner::buildCandidates()
 {
     candidates_.clear();
     const auto add = [this](double pa, double pb) {
-        pa = std::min(config_.paramMax, std::max(config_.paramMin, pa));
-        pb = std::min(config_.paramMax, std::max(config_.paramMin, pb));
+        pa = clamp(pa);
+        pb = clamp(pb);
         for (const auto& c : candidates_) {
             if (std::abs(c.alpha - pa) < 1e-9 &&
                 std::abs(c.beta - pb) < 1e-9) {
@@ -180,7 +202,7 @@ OnlineTuner::beginTrial(const sim::SchedulerContext& ctx,
 {
     trialIdx_ = candidate;
     trialStart_ = *ctx.stats;
-    trialEndUs_ = ctx.nowUs + config_.trialWindowUs;
+    trialEndUs_ = ctx.nowUs + kTrialWindowUs;
     engine.setParams(candidates_[candidate].alpha,
                      candidates_[candidate].beta);
 }
@@ -210,7 +232,7 @@ OnlineTuner::finishRound(MapScoreEngine& engine)
     // candidates_[0] is always the current point.
     const double current_cost = candidates_[0].cost;
     if (best != 0 &&
-        best_c < current_cost * config_.onlineImprovementFactor) {
+        best_c < current_cost * kOnlineImprovementFactor) {
         curAlpha_ = 0.5 * (candidates_[best].alpha +
                            candidates_[second].alpha);
         curBeta_ = 0.5 * (candidates_[best].beta +
@@ -221,8 +243,7 @@ OnlineTuner::finishRound(MapScoreEngine& engine)
     }
     radius_ *= 0.5;
     ++completedSteps_;
-    phase_ = (radius_ < config_.radiusThreshold) ? Phase::Idle
-                                                 : Phase::Trial;
+    phase_ = (radius_ < kRadiusThreshold) ? Phase::Idle : Phase::Trial;
 }
 
 double
@@ -235,7 +256,7 @@ OnlineTuner::update(const sim::SchedulerContext& ctx,
     if (!started_) {
         started_ = true;
         lastFingerprint_ = fingerprint(ctx);
-        radius_ = config_.initialRadius;
+        radius_ = kInitialRadius;
         startRound(ctx, engine);
         return phase_ == Phase::Trial ? trialEndUs_ : -1.0;
     }
@@ -245,8 +266,7 @@ OnlineTuner::update(const sim::SchedulerContext& ctx,
             return trialEndUs_;
         // Close the current trial.
         candidates_[trialIdx_].cost =
-            windowedObjective(config_.objective, trialStart_,
-                              *ctx.stats);
+            windowedObjective(trialStart_, *ctx.stats);
         if (trialIdx_ + 1 < candidates_.size()) {
             beginTrial(ctx, engine, trialIdx_ + 1);
             return trialEndUs_;
@@ -269,7 +289,7 @@ OnlineTuner::update(const sim::SchedulerContext& ctx,
     lastViolationFraction_ = viol;
     if (task_change || load_change) {
         ++retriggers_;
-        radius_ = config_.initialRadius;
+        radius_ = kInitialRadius;
         startRound(ctx, engine);
         return phase_ == Phase::Trial ? trialEndUs_ : -1.0;
     }

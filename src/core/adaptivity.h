@@ -74,22 +74,12 @@ using CostFn = std::function<double(double, double)>;
 using BatchCostFn = std::function<std::vector<double>(
     const std::vector<std::pair<double, double>>&)>;
 
-/** Offline shrinking-radius (alpha, beta) search. */
+/**
+ * Offline shrinking-radius (alpha, beta) search over the Section 3.6
+ * radius and bounds, which it shares with the online tuner.
+ */
 class ParamSearch {
 public:
-    ParamSearch(double initial_radius, double radius_threshold,
-                double param_min, double param_max)
-        : initialRadius_(initial_radius),
-          radiusThreshold_(radius_threshold), paramMin_(param_min),
-          paramMax_(param_max)
-    {}
-
-    /** Build from a DreamConfig's search settings. */
-    explicit ParamSearch(const DreamConfig& config)
-        : ParamSearch(config.initialRadius, config.radiusThreshold,
-                      config.paramMin, config.paramMax)
-    {}
-
     /** Run the search from (a0, b0). */
     SearchResult optimize(const CostFn& cost, double a0,
                           double b0) const;
@@ -101,22 +91,13 @@ public:
      */
     SearchResult optimize(const BatchCostFn& cost, double a0,
                           double b0) const;
-
-private:
-    double clamp(double v) const;
-
-    double initialRadius_;
-    double radiusThreshold_;
-    double paramMin_;
-    double paramMax_;
 };
 
 /**
- * Windowed objective between two cumulative stats snapshots: applies
- * Algorithm 2 to the per-task deltas of the interval.
+ * Windowed objective between two cumulative stats snapshots: the
+ * UXCost (Algorithm 2) of the per-task deltas of the interval.
  */
-double windowedObjective(metrics::Objective objective,
-                         const sim::RunStats& begin,
+double windowedObjective(const sim::RunStats& begin,
                          const sim::RunStats& end);
 
 /** Non-blocking run-time (alpha, beta) tuner. */

@@ -2,17 +2,21 @@
  * @file
  * Configuration of the DREAM scheduler, including the three evaluated
  * variants of Table 4: DREAM-MapScore, DREAM-SmartDrop, DREAM-Full.
+ *
+ * Only the values some bench varies are fields: the MapScore factors,
+ * the three Table 4 switches, the drop-rate cap (abl01) and the
+ * settle factor (abl02). The scheduler's fixed design constants are
+ * named in the files that read them (the "Fixed constants" list in
+ * docs/ARCHITECTURE.md).
  */
 
 #ifndef DREAM_CORE_DREAM_CONFIG_H
 #define DREAM_CORE_DREAM_CONFIG_H
 
-#include "metrics/uxcost.h"
-
 namespace dream {
 namespace core {
 
-/** All DREAM tunables. */
+/** The DREAM tunables some bench varies. */
 struct DreamConfig {
     /** Starvation factor (alpha in Algorithm 1, range [0, 2]). */
     double alpha = 1.0;
@@ -26,45 +30,18 @@ struct DreamConfig {
     /** Supernet switching (Section 4.5.1). */
     bool supernetSwitch = false;
 
-    /** Maximum frame-drop rate per task (evaluation uses 20%). */
+    /** Maximum frame-drop rate per task (evaluation uses 20%;
+     *  abl01 sweeps it). */
     double maxDropRate = 0.2;
-    /** Frame window length used by the drop-rate bound. */
-    int dropRateWindowFrames = 10;
-
-    /** Length of one online-tuning trial window (us). */
-    double trialWindowUs = 1.5e5;
-    /** A candidate must beat the current point's measured cost by
-     *  this factor before the tuner moves (noise guard). */
-    double onlineImprovementFactor = 0.93;
-    /** Initial search radius in (alpha, beta) space. */
-    double initialRadius = 0.5;
-    /** Stop shrinking the radius below this threshold. */
-    double radiusThreshold = 0.05;
-    /** Parameter-space bounds (paper: [0, 2]). */
-    double paramMin = 0.0;
-    double paramMax = 2.0;
-
-    /** Optimisation objective (Figure 13 ablates this). */
-    metrics::Objective objective = metrics::Objective::UxCost;
 
     /**
      * Settle-vs-wait rule of the dispatch engine: a (request,
      * accelerator) pair whose next-layer latency exceeds
      * settleFactor x the request's best-accelerator latency is
      * deferred while waiting is deadline-safe. 0 disables the rule
-     * (pure greedy highest-MapScore dispatch).
+     * (pure greedy highest-MapScore dispatch); abl02 sweeps it.
      */
     double settleFactor = 2.5;
-    /** Fraction of the slack the wait-for-preferred path may use. */
-    double waitSafety = 0.7;
-
-    /** Safety margin for Supernet switching: a variant is deemed
-     *  feasible when minToGo <= supernetSlackMargin * slack. */
-    double supernetSlackMargin = 1.0;
-    /** How strongly system-load pressure biases Supernet switching
-     *  towards lighter subnets (scales the expected queueing delay;
-     *  0 disables the load term). */
-    double supernetLoadSensitivity = 5.0;
 
     /** Table 4 row 1: score-driven assignment + param optimisation. */
     static DreamConfig mapScore();

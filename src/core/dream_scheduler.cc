@@ -12,6 +12,12 @@ namespace core {
 namespace {
 
 /**
+ * Settle-vs-wait rule, added beyond Algorithm 1: the fraction of the
+ * slack that waiting for a preferred accelerator may use.
+ */
+constexpr double kWaitSafety = 0.7;
+
+/**
  * True when deferring @p req until a well-matched accelerator frees
  * up still leaves enough slack to finish in time.
  */
@@ -40,35 +46,27 @@ waitIsSafe(const sim::SchedulerContext& ctx, const sim::Request& req,
         const auto& cache = sim::ensureCostCache(req, *ctx.costs);
         min_to_go = cache.suffixMin[req.nextLayer];
     }
-    return wait + min_to_go <= cfg.waitSafety * slack;
+    return wait + min_to_go <= kWaitSafety * slack;
 }
 
 } // anonymous namespace
 
 DreamScheduler::DreamScheduler(DreamConfig config)
     : config_(config), engine_(config.alpha, config.beta),
-      dropEngine_(config), supernetEngine_(config), tuner_(config)
+      dropEngine_(config.maxDropRate), tuner_(config)
 {
 }
 
 std::string
 DreamScheduler::name() const
 {
-    std::string base;
     if (!config_.paramOptimization)
-        base = "DREAM-Fixed";
-    else if (!config_.smartDrop)
-        base = "DREAM-MapScore";
-    else if (!config_.supernetSwitch)
-        base = "DREAM-SmartDrop";
-    else
-        base = "DREAM-Full";
-    if (config_.objective != metrics::Objective::UxCost) {
-        base += "[";
-        base += metrics::toString(config_.objective);
-        base += "]";
-    }
-    return base;
+        return "DREAM-Fixed";
+    if (!config_.smartDrop)
+        return "DREAM-MapScore";
+    if (!config_.supernetSwitch)
+        return "DREAM-SmartDrop";
+    return "DREAM-Full";
 }
 
 void

@@ -5,6 +5,13 @@
 namespace dream {
 namespace core {
 
+namespace {
+
+/** Section 4.2: the frame window of the drop-rate bound. */
+constexpr int kDropRateWindowFrames = 10;
+
+} // anonymous namespace
+
 bool
 FrameDropEngine::expectedViolation(const sim::SchedulerContext& ctx,
                                    const MapScoreEngine& scores,
@@ -25,10 +32,10 @@ FrameDropEngine::dropBudgetAvailable(const sim::SchedulerContext& ctx,
     // keep the task at or under maxDropRate, evaluated against at
     // least one window's worth of frames so early drops are allowed.
     const double frames = std::max<double>(
-        double(config_.dropRateWindowFrames),
+        double(kDropRateWindowFrames),
         double(ts.completedFrames + ts.droppedFrames + 1));
     return (double(ts.droppedFrames) + 1.0) / frames <=
-           config_.maxDropRate + 1e-12;
+           maxDropRate_ + 1e-12;
 }
 
 std::optional<int>

@@ -11,7 +11,7 @@
  *  3. Dependency-free: the frame's task is the last model of its
  *     pipeline (no other model depends on it).
  *  4. Drop-rate bound: the task stays under the maximum frame-drop
- *     rate over the configured frame window.
+ *     rate over a window of frames.
  *
  * Conditions 1, 3 and 4 are evaluated on the ready frames (the
  * droppable task heads); among those that qualify, the one with the
@@ -23,7 +23,6 @@
 
 #include <optional>
 
-#include "core/dream_config.h"
 #include "core/mapscore.h"
 #include "sim/scheduler.h"
 
@@ -33,8 +32,9 @@ namespace core {
 /** Selects at most one frame to drop per scheduling round. */
 class FrameDropEngine {
 public:
-    explicit FrameDropEngine(const DreamConfig& config)
-        : config_(config)
+    /** Drops keep each task at or under @p max_drop_rate. */
+    explicit FrameDropEngine(double max_drop_rate)
+        : maxDropRate_(max_drop_rate)
     {}
 
     /**
@@ -61,7 +61,7 @@ public:
                              workload::TaskId task) const;
 
 private:
-    DreamConfig config_;
+    double maxDropRate_;
 };
 
 } // namespace core

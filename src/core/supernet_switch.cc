@@ -5,6 +5,21 @@
 namespace dream {
 namespace core {
 
+namespace {
+
+/**
+ * Load term, added beyond Algorithm 1: how strongly the committed
+ * accelerator work biases switching towards lighter subnets (it
+ * scales the expected queueing delay; 0 would disable the term).
+ */
+constexpr double kSupernetLoadSensitivity = 5.0;
+/** Safety margin, added beyond Algorithm 1: a variant is feasible
+ *  when its minimum to-go fits kSupernetSlackMargin x the
+ *  load-discounted slack. */
+constexpr double kSupernetSlackMargin = 1.0;
+
+} // anonymous namespace
+
 std::optional<int>
 SupernetSwitchEngine::chooseVariant(const sim::SchedulerContext& ctx,
                                     const MapScoreEngine& scores,
@@ -37,10 +52,10 @@ SupernetSwitchEngine::chooseVariant(const sim::SchedulerContext& ctx,
             committed_us += scores.minToGoUs(ctx, *other);
     }
     const double expected_delay =
-        config_.supernetLoadSensitivity * committed_us /
+        kSupernetLoadSensitivity * committed_us /
         double(ctx.numAccels());
     const double budget =
-        (slack - expected_delay) * config_.supernetSlackMargin;
+        (slack - expected_delay) * kSupernetSlackMargin;
 
     // Variants are ordered heaviest (0 == Original) to lightest.
     // Pick the heaviest one whose optimistic remaining time fits the

@@ -14,7 +14,6 @@
 
 #include <optional>
 
-#include "core/dream_config.h"
 #include "core/mapscore.h"
 #include "sim/scheduler.h"
 
@@ -24,10 +23,6 @@ namespace core {
 /** Chooses Supernet variants at dispatch time. */
 class SupernetSwitchEngine {
 public:
-    explicit SupernetSwitchEngine(const DreamConfig& config)
-        : config_(config)
-    {}
-
     /**
      * If @p req is a Supernet frame still before its switch point,
      * return the variant it should run (possibly its current one
@@ -36,9 +31,6 @@ public:
     std::optional<int> chooseVariant(const sim::SchedulerContext& ctx,
                                      const MapScoreEngine& scores,
                                      const sim::Request& req) const;
-
-private:
-    DreamConfig config_;
 };
 
 } // namespace core

@@ -118,13 +118,7 @@ recordTrace(const std::string& trace_dir, const SweepGrid::Point& point,
     meta.push_back({"scenario", point.scenario});
     meta.push_back({"system", point.system});
     meta.push_back({"scheduler", point.scheduler});
-    std::string params;
-    for (const auto& kv : point.params) {
-        if (!params.empty())
-            params += ',';
-        params += kv.first + '=' + formatValue(kv.second);
-    }
-    meta.push_back({"params", params});
+    meta.push_back({"params", paramFragment(point.params)});
     meta.push_back({"seed", std::to_string(point.seed)});
     meta.push_back({"window_us", runner::preciseDouble(point.windowUs)});
     meta.push_back({"index", std::to_string(point.index)});

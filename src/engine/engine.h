@@ -108,10 +108,9 @@ void fillMetrics(RunRecord& record, const sim::RunStats& stats);
 /** Parallel sweep driver. */
 class Engine {
 public:
+    /** Engine(N) runs on N worker threads (EngineOptions(int)). */
     explicit Engine(EngineOptions opts = {}) : opts_(std::move(opts))
     {}
-    /** Engine({N}) shorthand: N worker threads, no trace recording. */
-    explicit Engine(int jobs) : opts_(jobs) {}
 
     /**
      * Execute @p points, then deliver their records to @p sinks in
@@ -132,8 +131,6 @@ public:
     std::vector<RunRecord>
     run(const SweepGrid& grid,
         const std::vector<ResultSink*>& sinks = {}) const;
-
-    int jobs() const { return opts_.jobs; }
 
 private:
     EngineOptions opts_;

@@ -4,13 +4,11 @@
 #include <cassert>
 #include <set>
 
-#include "core/dream_config.h"
-
 namespace dream {
 namespace engine {
 
 ParamSearch::ParamSearch(core::BatchCostFn evaluate)
-    : walk_(core::DreamConfig()), evaluate_(std::move(evaluate))
+    : evaluate_(std::move(evaluate))
 {
 }
 

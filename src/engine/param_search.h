@@ -40,8 +40,8 @@ class ParamSearch {
 public:
     /**
      * Search over @p evaluate (engine::makeBatchEvaluator for
-     * simulation objectives) with the radii and bounds of the
-     * default core::DreamConfig.
+     * simulation objectives) with core::ParamSearch's Section 3.6
+     * radii and bounds.
      */
     explicit ParamSearch(core::BatchCostFn evaluate);
 

@@ -12,22 +12,6 @@
 namespace dream {
 namespace engine {
 
-namespace {
-
-std::string
-paramFragment(const ParamMap& params)
-{
-    std::string out;
-    for (const auto& kv : params) {
-        if (!out.empty())
-            out += ',';
-        out += kv.first + '=' + formatValue(kv.second);
-    }
-    return out;
-}
-
-} // anonymous namespace
-
 const std::vector<std::string>&
 csvIdentityColumns()
 {
@@ -73,11 +57,7 @@ RunRecord::breakdownValue(const std::string& name) const
 std::string
 RunRecord::cellKey() const
 {
-    std::string out = scenario + '/' + system + '/' + scheduler;
-    const std::string params_frag = paramFragment(params);
-    if (!params_frag.empty())
-        out += '/' + params_frag;
-    return out;
+    return engine::cellKey(scenario, system, scheduler, params);
 }
 
 std::string
@@ -312,20 +292,20 @@ AggregateSink::write(const RunRecord& r)
     auto it = cells_.find(key);
     if (it == cells_.end()) {
         order_.push_back(key);
-        Samples s;
+        Sums s;
         s.scenario = r.scenario;
         s.system = r.system;
         s.scheduler = r.scheduler;
         s.params = r.params;
         it = cells_.emplace(key, std::move(s)).first;
     }
-    Samples& s = it->second;
-    s.uxCost.push_back(r.uxCost);
-    s.dlvRate.push_back(r.dlvRate);
-    s.normEnergy.push_back(r.normEnergy);
-    s.energyMj.push_back(r.energyMj);
-    s.violationFraction.push_back(r.violationFraction);
-    s.dropRate.push_back(r.dropRate);
+    Sums& s = it->second;
+    s.uxCost.add(r.uxCost);
+    s.dlvRate.add(r.dlvRate);
+    s.normEnergy.add(r.normEnergy);
+    s.energyMj.add(r.energyMj);
+    s.violationFraction.add(r.violationFraction);
+    s.dropRate.add(r.dropRate);
     for (const auto& kv : r.breakdown) {
         auto col = std::find_if(
             s.breakdown.begin(), s.breakdown.end(),
@@ -334,26 +314,18 @@ AggregateSink::write(const RunRecord& r)
             s.breakdown.push_back({kv.first, {}});
             col = std::prev(s.breakdown.end());
         }
-        col->second.push_back(kv.second);
+        col->second.add(kv.second);
     }
 }
 
-namespace {
-
 AggregateSink::Summary
-summarize(const std::vector<double>& v)
+AggregateSink::Sum::summary() const
 {
-    AggregateSink::Summary s;
-    if (v.empty())
-        return s;
-    double sum = 0.0;
-    for (const double x : v)
-        sum += x;
-    s.mean = sum / double(v.size());
+    Summary s;
+    if (count > 0)
+        s.mean = total / double(count);
     return s;
 }
-
-} // anonymous namespace
 
 std::vector<AggregateSink::Cell>
 AggregateSink::cells() const
@@ -361,22 +333,22 @@ AggregateSink::cells() const
     std::vector<Cell> out;
     out.reserve(order_.size());
     for (const auto& key : order_) {
-        const Samples& s = cells_.at(key);
+        const Sums& s = cells_.at(key);
         Cell c;
         c.key = key;
         c.scenario = s.scenario;
         c.system = s.system;
         c.scheduler = s.scheduler;
         c.params = s.params;
-        c.runs = s.uxCost.size();
-        c.uxCost = summarize(s.uxCost);
-        c.dlvRate = summarize(s.dlvRate);
-        c.normEnergy = summarize(s.normEnergy);
-        c.energyMj = summarize(s.energyMj);
-        c.violationFraction = summarize(s.violationFraction);
-        c.dropRate = summarize(s.dropRate);
+        c.runs = s.uxCost.count;
+        c.uxCost = s.uxCost.summary();
+        c.dlvRate = s.dlvRate.summary();
+        c.normEnergy = s.normEnergy.summary();
+        c.energyMj = s.energyMj.summary();
+        c.violationFraction = s.violationFraction.summary();
+        c.dropRate = s.dropRate.summary();
         for (const auto& col : s.breakdown)
-            c.breakdown.push_back({col.first, summarize(col.second)});
+            c.breakdown.push_back({col.first, col.second.summary()});
         out.push_back(std::move(c));
     }
     return out;
@@ -432,12 +404,10 @@ cellAt(const std::vector<AggregateSink::Cell>& cells,
 {
     const auto* cell =
         findCell(cells, scenario, system, scheduler, params);
-    if (!cell) {
-        std::string key = scenario + '/' + system + '/' + scheduler;
-        for (const auto& kv : params)
-            key += '/' + kv.first + '=' + formatValue(kv.second);
-        throw std::out_of_range("no aggregated cell for " + key);
-    }
+    if (!cell)
+        throw std::out_of_range(
+            "no aggregated cell for " +
+            cellKey(scenario, system, scheduler, params));
     return *cell;
 }
 

@@ -149,17 +149,29 @@ public:
     std::vector<Cell> cells() const;
 
 private:
-    struct Samples {
+    /** Running sum of one metric, added in record (seed) order. */
+    struct Sum {
+        double total = 0.0;
+        size_t count = 0;
+
+        void add(double v)
+        {
+            total += v;
+            ++count;
+        }
+        Summary summary() const;
+    };
+
+    struct Sums {
         std::string scenario, system, scheduler;
         ParamMap params;
-        std::vector<double> uxCost, dlvRate, normEnergy, energyMj,
-            violationFraction, dropRate;
-        std::vector<std::pair<std::string, std::vector<double>>>
-            breakdown;
+        Sum uxCost, dlvRate, normEnergy, energyMj, violationFraction,
+            dropRate;
+        std::vector<std::pair<std::string, Sum>> breakdown;
     };
 
     std::vector<std::string> order_;
-    std::unordered_map<std::string, Samples> cells_;
+    std::unordered_map<std::string, Sums> cells_;
 };
 
 // -------------------------------------------- CSV schema + reader

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <set>
 
 #include "engine/engine.h"
 #include "engine/sweep_grid.h"
@@ -14,31 +15,10 @@ namespace engine {
 
 namespace {
 
-uint64_t
-fnv1a(uint64_t h, const void* data, size_t n)
-{
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/**
- * Exact candidate identity: the canonical spec serialisation (every
- * knob shortest-round-trip, so bit-equal specs — and only those —
- * collide) plus the generation seed.
- */
-uint64_t
-candidateKey(const workload::ScenarioGenSpec& spec, uint64_t genSeed)
-{
-    const std::string s = workload::serializeGenSpec(spec);
-    uint64_t h = 1469598103934665603ull;
-    h = fnv1a(h, s.data(), s.size());
-    h = fnv1a(h, &genSeed, sizeof genSeed);
-    return h;
-}
+/** Neighbours drawn per hill-climbing round. */
+constexpr int kNeighbors = 8;
+/** Mutation-radius halvings before a start is abandoned. */
+constexpr int kMaxShrinks = 3;
 
 uint64_t
 nextU64(uint64_t& state)
@@ -56,8 +36,7 @@ clampTo(double v, double lo, double hi)
 ScenarioSearch::Options
 validated(ScenarioSearch::Options opts)
 {
-    assert(opts.budget > 0 && opts.starts > 0 &&
-           opts.neighbors > 0 && opts.maxShrinks > 0);
+    assert(opts.budget > 0 && opts.starts > 0);
     assert(opts.windowUs > 0.0);
     std::string why;
     if (!workload::validateGenSpec(opts.base, &why)) {
@@ -130,17 +109,18 @@ ScenarioSearch::memoizedBatch(
     // in-batch occurrence of a missing identity simulates, duplicates
     // read the table afterwards (so simulations() == tableSize()
     // always holds). Points beyond the simulation budget are dropped.
-    std::vector<uint64_t> keys(pts.size());
+    std::vector<CandidateKey> keys(pts.size());
     std::vector<char> resolved(pts.size(), 0);
     std::vector<size_t> need;
-    std::unordered_map<uint64_t, size_t> in_batch;
+    std::set<CandidateKey> in_batch;
     const uint64_t budget = uint64_t(opts_.budget);
     for (size_t i = 0; i < pts.size(); ++i) {
-        keys[i] = candidateKey(pts[i].first, pts[i].second);
+        keys[i] = {workload::serializeGenSpec(pts[i].first),
+                   pts[i].second};
         if (table_.count(keys[i])) {
             ++hits_;
             resolved[i] = 1;
-        } else if (in_batch.emplace(keys[i], i).second) {
+        } else if (in_batch.insert(keys[i]).second) {
             if (simulations_ + need.size() < budget) {
                 need.push_back(i);
                 resolved[i] = 1;
@@ -246,12 +226,12 @@ ScenarioSearch::climbFrom(const Candidate& start, uint64_t& rng)
     Candidate cur = start;
     double radius = 1.0;
     int shrinks = 0;
-    while (shrinks < opts_.maxShrinks &&
+    while (shrinks < kMaxShrinks &&
            simulations_ < uint64_t(opts_.budget)) {
         std::vector<std::pair<workload::ScenarioGenSpec, uint64_t>>
             batch;
-        batch.reserve(size_t(opts_.neighbors));
-        for (int n = 0; n < opts_.neighbors; ++n)
+        batch.reserve(size_t(kNeighbors));
+        for (int n = 0; n < kNeighbors; ++n)
             batch.push_back(
                 mutate(cur.spec, cur.genSeed, radius, rng));
         const std::vector<Candidate> results = memoizedBatch(batch);
@@ -319,8 +299,8 @@ ScenarioSearch::run()
     }
 
     // The frontier is every distinct candidate ever evaluated,
-    // hardest first. Sorting the deterministic evaluation-order list
-    // (never the hash table) keeps the result byte-stable.
+    // hardest first. Sorting the evaluation-order list (never the
+    // key-ordered memo) keeps ties in evaluation order.
     Result result;
     result.frontier = evaluated_;
     std::stable_sort(result.frontier.begin(), result.frontier.end(),

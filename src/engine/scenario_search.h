@@ -34,8 +34,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,10 +70,6 @@ public:
         int budget = 160;
         /** Independent probe starts (start 0 is the base spec). */
         int starts = 6;
-        /** Neighbours drawn per hill-climbing round. */
-        int neighbors = 8;
-        /** Mutation-radius halvings before a start is abandoned. */
-        int maxShrinks = 3;
         /** Seed of the search trajectory (mutation draws). */
         uint64_t searchSeed = 1;
         /** Simulation seed every candidate is evaluated with. */
@@ -144,6 +140,13 @@ public:
     uint64_t prunedStarts() const { return pruned_; }
 
 private:
+    /**
+     * Exact candidate identity: the canonical spec serialisation
+     * (every knob shortest-round-trip, so bit-equal specs, and only
+     * those, match) plus the generation seed.
+     */
+    using CandidateKey = std::pair<std::string, uint64_t>;
+
     /** Evaluate a batch through the memo; appends new Candidates. */
     std::vector<Candidate> memoizedBatch(
         const std::vector<
@@ -156,8 +159,8 @@ private:
 
     Options opts_;
     BatchEvalFn evaluate_;
-    /** Memo: candidate identity hash -> evaluated candidate. */
-    std::unordered_map<uint64_t, Candidate> table_;
+    /** Memo: candidate identity -> evaluated candidate. */
+    std::map<CandidateKey, Candidate> table_;
     /** Every distinct evaluated candidate, in evaluation order. */
     std::vector<Candidate> evaluated_;
     uint64_t simulations_ = 0;

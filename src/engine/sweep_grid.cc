@@ -29,9 +29,6 @@ formatValue(double v)
     return buf;
 }
 
-namespace {
-
-/** Key fragment "a=0.25,b=1.5" of a parameter map (empty if none). */
 std::string
 paramFragment(const ParamMap& params)
 {
@@ -44,16 +41,21 @@ paramFragment(const ParamMap& params)
     return out;
 }
 
-} // anonymous namespace
-
 std::string
-SweepGrid::Point::cellKey() const
+cellKey(const std::string& scenario, const std::string& system,
+        const std::string& scheduler, const ParamMap& params)
 {
     std::string out = scenario + '/' + system + '/' + scheduler;
     const std::string params_frag = paramFragment(params);
     if (!params_frag.empty())
         out += '/' + params_frag;
     return out;
+}
+
+std::string
+SweepGrid::Point::cellKey() const
+{
+    return engine::cellKey(scenario, system, scheduler, params);
 }
 
 std::string
@@ -83,19 +85,10 @@ SweepGrid::addScenario(std::string name,
 }
 
 SweepGrid&
-SweepGrid::addTraceReplay(TraceReplaySpec spec)
+SweepGrid::addTraceReplay(ScenarioSpec spec)
 {
     assert(spec.trace && "trace replay needs a recorded trace");
-    scenarios_.push_back({std::move(spec.name), std::move(spec.make),
-                          std::move(spec.trace)});
-    return *this;
-}
-
-SweepGrid&
-SweepGrid::addTraceReplays(std::vector<TraceReplaySpec> specs)
-{
-    for (auto& spec : specs)
-        addTraceReplay(std::move(spec));
+    scenarios_.push_back(std::move(spec));
     return *this;
 }
 

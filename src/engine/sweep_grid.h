@@ -45,6 +45,17 @@ double paramValue(const ParamMap& params, const std::string& name);
  */
 std::string formatValue(double v);
 
+/** Key fragment "a=0.25,b=1.5" of a parameter map (empty if none). */
+std::string paramFragment(const ParamMap& params);
+
+/**
+ * The aggregation-cell key of a grid point, its identity without the
+ * seed: "scenario/system/scheduler", plus "/" and the parameter
+ * fragment when the grid sweeps parameters.
+ */
+std::string cellKey(const std::string& scenario, const std::string& system,
+                    const std::string& scheduler, const ParamMap& params);
+
 /**
  * Builds a scheduler for one grid point. The factory receives the
  * point's free-parameter values so parameterised schedulers (e.g.
@@ -64,16 +75,6 @@ struct ScenarioSpec {
      * scenario drives the simulator through a workload::ReplaySource,
      * so all scheduler/config points see byte-identical load.
      */
-    std::shared_ptr<const workload::FrameTrace> trace;
-};
-
-/** One recorded trace offered to SweepGrid::addTraceReplays. */
-struct TraceReplaySpec {
-    /** Scenario-axis name of the replay (grid keys, sink rows). */
-    std::string name;
-    /** Factory of the recorded scenario (same task list). */
-    std::function<workload::Scenario()> make;
-    /** The recorded trace. */
     std::shared_ptr<const workload::FrameTrace> trace;
 };
 
@@ -153,11 +154,10 @@ public:
      * in the sweep sees byte-identical load. For bit-exact
      * reproduction of the recorded run, the grid's seed list must
      * contain the recording seed (execution paths re-materialise
-     * from it).
+     * from it). @p spec.make builds the recorded scenario (same task
+     * list) and @p spec.trace must be set.
      */
-    SweepGrid& addTraceReplay(TraceReplaySpec spec);
-    /** addTraceReplay for each spec, in order. */
-    SweepGrid& addTraceReplays(std::vector<TraceReplaySpec> specs);
+    SweepGrid& addTraceReplay(ScenarioSpec spec);
     /** Add a Table 2 system preset. */
     SweepGrid& addSystem(hw::SystemPreset preset);
     /** Add a custom named system factory. */
@@ -182,16 +182,6 @@ public:
     /** Decode flat @p index into a Point. */
     Point point(size_t index) const;
 
-    const std::vector<ScenarioSpec>& scenarios() const
-    {
-        return scenarios_;
-    }
-    const std::vector<SystemSpec>& systems() const { return systems_; }
-    const std::vector<SchedulerSpec>& schedulers() const
-    {
-        return schedulers_;
-    }
-    const std::vector<ParamAxis>& paramAxes() const { return params_; }
     const std::vector<uint64_t>& seedList() const { return seeds_; }
     double windowUs() const { return windowUs_; }
 

@@ -18,11 +18,10 @@ namespace dream {
 namespace obs {
 
 /**
- * Exact quantiles over the samples recorded in the trailing
- * @c spanUs() of virtual time. quantile()/mean() delegate to a
- * LatencyHistogram built over the live window, so a rolling window
- * and a LatencyHistogram fed the same samples agree bit-for-bit —
- * the property tests/test_serve.cc pins.
+ * Exact quantiles over the samples recorded in the trailing span of
+ * virtual time. snapshot() builds a LatencyHistogram over the live
+ * window, so a rolling window and a LatencyHistogram fed the same
+ * samples agree bit-for-bit — the property tests/test_serve.cc pins.
  *
  * Samples must be recorded in nondecreasing time order (the
  * simulator's event order guarantees this). Eviction keeps samples
@@ -43,13 +42,8 @@ public:
     /** Exact-quantile histogram over the current window samples. */
     LatencyHistogram snapshot() const;
 
-    /** Exact quantile over the window (NaN when empty). */
-    double quantile(double q) const { return snapshot().quantile(q); }
-    double mean() const { return snapshot().mean(); }
-
     uint64_t count() const { return uint64_t(samples_.size()); }
     bool empty() const { return samples_.empty(); }
-    double spanUs() const { return spanUs_; }
 
 private:
     struct Sample {
@@ -65,8 +59,8 @@ private:
 };
 
 /**
- * Count of events in the trailing @c spanUs() of virtual time, for
- * rolling rates (SLO violations, drops, rejects per window).
+ * Count of events in the trailing span of virtual time, for rolling
+ * rates (SLO violations, drops, rejects per window).
  */
 class RollingEventCounter {
 public:
@@ -80,7 +74,6 @@ public:
 
     /** Events currently inside the window. */
     uint64_t count() const { return uint64_t(events_.size()); }
-    double spanUs() const { return spanUs_; }
 
 private:
     double spanUs_;

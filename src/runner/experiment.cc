@@ -23,21 +23,19 @@ makeScheduler(SchedKind kind)
       case SchedKind::Planaria:
         return std::make_unique<sched::PlanariaScheduler>();
       case SchedKind::DreamFixed:
-        return makeDream(core::DreamConfig::fixedParams());
+        return std::make_unique<core::DreamScheduler>(
+            core::DreamConfig::fixedParams());
       case SchedKind::DreamMapScore:
-        return makeDream(core::DreamConfig::mapScore());
+        return std::make_unique<core::DreamScheduler>(
+            core::DreamConfig::mapScore());
       case SchedKind::DreamSmartDrop:
-        return makeDream(core::DreamConfig::smartDropConfig());
+        return std::make_unique<core::DreamScheduler>(
+            core::DreamConfig::smartDropConfig());
       case SchedKind::DreamFull:
-        return makeDream(core::DreamConfig::full());
+        return std::make_unique<core::DreamScheduler>(
+            core::DreamConfig::full());
     }
     return nullptr;
-}
-
-std::unique_ptr<core::DreamScheduler>
-makeDream(const core::DreamConfig& config)
-{
-    return std::make_unique<core::DreamScheduler>(config);
 }
 
 std::vector<SchedKind>

@@ -36,10 +36,6 @@ enum class SchedKind {
 /** Instantiate a scheduler. */
 std::unique_ptr<sim::Scheduler> makeScheduler(SchedKind kind);
 
-/** Instantiate a DREAM scheduler with an explicit config. */
-std::unique_ptr<core::DreamScheduler>
-makeDream(const core::DreamConfig& config);
-
 /** The scheduler set of Figures 7, 8 and 12. */
 std::vector<SchedKind> evaluationSchedulers();
 

@@ -7,6 +7,16 @@
 namespace dream {
 namespace sched {
 
+namespace {
+
+/** Block latency target with a single ready request (us), a
+ *  modelling choice of this baseline. */
+constexpr double kBaseBlockLatencyUs = 4000.0;
+/** Lower bound on the adaptive block-latency threshold (us). */
+constexpr double kMinBlockLatencyUs = 500.0;
+
+} // anonymous namespace
+
 size_t
 VeltairScheduler::blockLength(const sim::SchedulerContext& ctx,
                               const sim::Request& req, size_t accel,
@@ -41,8 +51,8 @@ VeltairScheduler::plan(const sim::SchedulerContext& ctx)
     // Adaptive threshold: more contention -> smaller blocks (fewer
     // scheduling conflicts), as in VELTAIR's adaptive compilation.
     const double threshold =
-        std::max(config_.minBlockLatencyUs,
-                 config_.baseBlockLatencyUs /
+        std::max(kMinBlockLatencyUs,
+                 kBaseBlockLatencyUs /
                      double(std::max<size_t>(1, ready.size())));
 
     // Heterogeneity-blind placement (homogeneous-cluster assumption):

@@ -21,21 +21,9 @@
 namespace dream {
 namespace sched {
 
-/** Tunables of the Veltair-style baseline. */
-struct VeltairConfig {
-    /** Block latency target with a single ready request (us). */
-    double baseBlockLatencyUs = 4000.0;
-    /** Lower bound on the adaptive threshold (us). */
-    double minBlockLatencyUs = 500.0;
-};
-
 /** Adaptive layer-block EDF scheduler. */
 class VeltairScheduler : public sim::Scheduler {
 public:
-    explicit VeltairScheduler(VeltairConfig config = {})
-        : config_(config)
-    {}
-
     std::string name() const override { return "Veltair"; }
 
     sim::Plan plan(const sim::SchedulerContext& ctx) override;
@@ -48,9 +36,6 @@ public:
     size_t blockLength(const sim::SchedulerContext& ctx,
                        const sim::Request& req, size_t accel,
                        double threshold_us) const;
-
-private:
-    VeltairConfig config_;
 };
 
 } // namespace sched

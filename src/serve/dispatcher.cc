@@ -21,19 +21,6 @@ toString(RouterPolicy policy)
     return "?";
 }
 
-bool
-parseRouterPolicy(const std::string& name, RouterPolicy* out)
-{
-    for (const RouterPolicy policy : allRouterPolicies()) {
-        if (name == toString(policy)) {
-            if (out)
-                *out = policy;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<RouterPolicy>
 allRouterPolicies()
 {

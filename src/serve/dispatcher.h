@@ -45,9 +45,6 @@ enum class RouterPolicy {
 /** CLI name: "round_robin", "least_loaded", "finish_time_fairness". */
 std::string toString(RouterPolicy policy);
 
-/** Parse a CLI name; returns false on an unknown one. */
-bool parseRouterPolicy(const std::string& name, RouterPolicy* out);
-
 /** All policies, in a fixed comparison order. */
 std::vector<RouterPolicy> allRouterPolicies();
 

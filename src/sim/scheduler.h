@@ -118,11 +118,6 @@ struct SchedulerContext {
     {
         return (*accels)[i];
     }
-    /** Peak activation bytes of a task's model (context switches). */
-    uint64_t taskActivationBytes(workload::TaskId t) const
-    {
-        return scenario->tasks[t].model.peakActivationBytes();
-    }
 };
 
 /** Abstract scheduler. */

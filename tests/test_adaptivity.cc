@@ -16,7 +16,7 @@ TEST(ParamSearch, ConvergesOnConvexBowl)
     const auto bowl = [](double a, double b) {
         return (a - 0.7) * (a - 0.7) + (b - 1.3) * (b - 1.3);
     };
-    core::ParamSearch search(0.5, 0.01, 0.0, 2.0);
+    const core::ParamSearch search{};
     const auto r = search.optimize(bowl, 1.9, 0.1);
     EXPECT_NEAR(r.alpha, 0.7, 0.15);
     EXPECT_NEAR(r.beta, 1.3, 0.15);
@@ -28,7 +28,7 @@ TEST(ParamSearch, ConvergesOnConvexBowl)
 TEST(ParamSearch, RespectsBounds)
 {
     const auto edge = [](double a, double b) { return -(a + b); };
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
+    const core::ParamSearch search{};
     const auto r = search.optimize(edge, 1.0, 1.0);
     EXPECT_LE(r.alpha, 2.0);
     EXPECT_LE(r.beta, 2.0);
@@ -44,7 +44,7 @@ TEST(ParamSearch, TrajectoryMonotoneSteps)
     const auto bowl = [](double a, double b) {
         return (a - 1.0) * (a - 1.0) + (b - 1.0) * (b - 1.0);
     };
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
+    const core::ParamSearch search{};
     const auto r = search.optimize(bowl, 0.0, 2.0);
     // Accepted cost never increases along the trajectory.
     for (size_t i = 1; i < r.trajectory.size(); ++i)
@@ -61,10 +61,11 @@ TEST(ParamSearch, RadiusShrinksBelowThreshold)
         ++evals;
         return 1.0;
     };
-    core::ParamSearch search(0.4, 0.1, 0.0, 2.0);
+    const core::ParamSearch search{};
     const auto r = search.optimize(counting, 1.0, 1.0);
-    // Radii 0.4, 0.2, 0.1 -> 3 refinement steps + initial point.
-    EXPECT_EQ(r.trajectory.size(), 4u);
+    // Radii 0.5, 0.25, 0.125, 0.0625 (the next, 0.03125, is below
+    // the 0.05 threshold) -> 4 refinement steps + initial point.
+    EXPECT_EQ(r.trajectory.size(), 5u);
     EXPECT_EQ(evals, r.evaluations);
 }
 
@@ -82,8 +83,7 @@ TEST(WindowedObjective, UsesDeltasBetweenSnapshots)
     end.tasks[0].energyMj = 30.0;
     end.tasks[0].worstCaseEnergyMj = 60.0;
     // Window: 50 frames, 10 violations, 20/40 energy.
-    const double v = core::windowedObjective(
-        metrics::Objective::UxCost, begin, end);
+    const double v = core::windowedObjective(begin, end);
     EXPECT_DOUBLE_EQ(v, (10.0 / 50.0) * (20.0 / 40.0));
 }
 
@@ -100,11 +100,7 @@ TEST(OnlineTuner, DisabledWhenConfigSaysSo)
 
 TEST(OnlineTuner, RunsTrialRoundsAndConverges)
 {
-    auto cfg = core::DreamConfig::mapScore();
-    cfg.trialWindowUs = 100.0;
-    cfg.initialRadius = 0.2;
-    cfg.radiusThreshold = 0.15; // a single refinement round
-    core::OnlineTuner tuner(cfg);
+    core::OnlineTuner tuner(core::DreamConfig::mapScore());
     core::MapScoreEngine engine(1.0, 1.0);
     test::ContextBuilder cb;
     const auto t = cb.addTask(test::toyModel());
@@ -114,18 +110,19 @@ TEST(OnlineTuner, RunsTrialRoundsAndConverges)
     double wake = tuner.update(cb.context(now), engine);
     EXPECT_GT(wake, now);
     EXPECT_TRUE(tuner.tuning());
-    // Drive the trial state machine to completion.
+    // Drive the trial state machine to completion: radii 0.5, 0.25,
+    // 0.125 and 0.0625, at most five trials each.
     for (int i = 0; i < 50 && tuner.tuning(); ++i) {
         now = wake > now ? wake : now + 100.0;
         wake = tuner.update(cb.context(now), engine);
     }
     EXPECT_FALSE(tuner.tuning());
-    EXPECT_GE(tuner.completedSteps(), 1);
-    // Parameters remain within the legal range.
-    EXPECT_GE(engine.alpha(), cfg.paramMin);
-    EXPECT_LE(engine.alpha(), cfg.paramMax);
-    EXPECT_GE(engine.beta(), cfg.paramMin);
-    EXPECT_LE(engine.beta(), cfg.paramMax);
+    EXPECT_EQ(tuner.completedSteps(), 4);
+    // Parameters remain within the legal range [0, 2].
+    EXPECT_GE(engine.alpha(), 0.0);
+    EXPECT_LE(engine.alpha(), 2.0);
+    EXPECT_GE(engine.beta(), 0.0);
+    EXPECT_LE(engine.beta(), 2.0);
 }
 
 } // namespace

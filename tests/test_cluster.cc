@@ -17,6 +17,7 @@
 #include "serve/cluster.h"
 #include "serve/dispatcher.h"
 #include "sim/simulator.h"
+#include "util/flags.h"
 #include "workload/frame_source.h"
 #include "workload/replay_source.h"
 #include "workload/stream_source.h"
@@ -187,13 +188,27 @@ TEST(ClusterIngest, RootFrameValidatesItsInputs)
 
 TEST(ClusterDispatcher, PolicyNamesRoundTrip)
 {
-    for (const auto policy : serve::allRouterPolicies()) {
-        serve::RouterPolicy parsed;
-        EXPECT_TRUE(
-            serve::parseRouterPolicy(toString(policy), &parsed));
-        EXPECT_EQ(parsed, policy);
+    // The three --router names, parsed back through the choice table
+    // dream_serve builds from allRouterPolicies().
+    const std::vector<std::string> names = {
+        "round_robin", "least_loaded", "finish_time_fairness"};
+    const auto policies = serve::allRouterPolicies();
+    ASSERT_EQ(policies.size(), names.size());
+    serve::RouterPolicy parsed = serve::RouterPolicy::RoundRobin;
+    flags::Table table;
+    table.add({"--router", "", "POLICY", "",
+               flags::choice(&parsed,
+                             flags::namesOf(policies,
+                                            [](serve::RouterPolicy p) {
+                                                return serve::toString(p);
+                                            }))});
+    for (size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(serve::toString(policies[i]), names[i]);
+        ASSERT_TRUE(table.parse({"--router", names[i]}));
+        EXPECT_EQ(parsed, policies[i]);
     }
-    EXPECT_FALSE(serve::parseRouterPolicy("fastest_first", nullptr));
+    EXPECT_THROW(table.parse({"--router", "fastest_first"}),
+                 flags::Error);
 }
 
 TEST(ClusterDispatcher, RoundRobinCyclesAndValidatesSessions)

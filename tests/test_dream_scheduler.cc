@@ -22,9 +22,6 @@ TEST(DreamScheduler, NamesFollowTable4)
     EXPECT_EQ(core::DreamScheduler(core::DreamConfig::fixedParams())
                   .name(),
               "DREAM-Fixed");
-    auto cfg = core::DreamConfig::full();
-    cfg.objective = metrics::Objective::EnergyOnly;
-    EXPECT_EQ(core::DreamScheduler(cfg).name(), "DREAM-Full[Energy]");
 }
 
 TEST(DreamScheduler, DispatchesOneLayerOnIdleAccelerator)

@@ -124,12 +124,17 @@ TEST(SweepGrid, UnknownParamNameThrows)
 TEST(SweepGrid, LinspaceHitsEndpoints)
 {
     engine::SweepGrid grid;
-    grid.linspaceParam("a", 0.0, 2.0, 9);
-    const auto& axis = grid.paramAxes().front();
-    ASSERT_EQ(axis.values.size(), 9u);
-    EXPECT_DOUBLE_EQ(axis.values.front(), 0.0);
-    EXPECT_DOUBLE_EQ(axis.values[4], 1.0);
-    EXPECT_DOUBLE_EQ(axis.values.back(), 2.0);
+    grid.addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k2Ws)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .linspaceParam("a", 0.0, 2.0, 9);
+    ASSERT_EQ(grid.size(), 9u);
+    const auto value = [&grid](size_t i) {
+        return engine::paramValue(grid.point(i).params, "a");
+    };
+    EXPECT_DOUBLE_EQ(value(0), 0.0);
+    EXPECT_DOUBLE_EQ(value(4), 1.0);
+    EXPECT_DOUBLE_EQ(value(8), 2.0);
 }
 
 namespace {
@@ -216,8 +221,8 @@ TEST(Engine, ParallelRunsAreByteIdenticalToSerial)
 
     std::ostringstream csv1, csv8;
     engine::CsvSink sink1(csv1), sink8(csv8);
-    const auto serial = engine::Engine({1}).run(grid, {&sink1});
-    const auto parallel = engine::Engine({8}).run(grid, {&sink8});
+    const auto serial = engine::Engine(1).run(grid, {&sink1});
+    const auto parallel = engine::Engine(8).run(grid, {&sink8});
 
     ASSERT_EQ(serial.size(), parallel.size());
     EXPECT_EQ(csv1.str(), csv8.str());
@@ -252,8 +257,8 @@ TEST(Engine, SharedCostTablesMatchPerPointTables)
     cost::CostTableCache::global().clear();
     {
         engine::CsvSink sink1(shared1), sink4(shared4);
-        engine::Engine({1}).run(grid, {&sink1});
-        engine::Engine({4}).run(grid, {&sink4});
+        engine::Engine(1).run(grid, {&sink1});
+        engine::Engine(4).run(grid, {&sink4});
     }
     cost::CostTableCache::global().clear();
 
@@ -295,7 +300,7 @@ TEST(Engine, ParamGridMatchesSingleEvaluator)
     const auto sc_preset = workload::ScenarioPreset::VrGaming;
     const auto grid =
         engine::paramSpaceGrid(sys_preset, sc_preset, 2);
-    const auto records = engine::Engine({2}).run(grid);
+    const auto records = engine::Engine(2).run(grid);
     ASSERT_EQ(records.size(), 4u);
 
     const auto system = hw::makeSystem(sys_preset);
@@ -357,8 +362,8 @@ TEST(Engine, FilteredRunSelectsMatchingPointsDeterministically)
 
     std::ostringstream csv1, csv4;
     engine::CsvSink sink1(csv1), sink4(csv4);
-    const auto serial = engine::Engine({1}).run(points, {&sink1});
-    const auto parallel = engine::Engine({4}).run(points, {&sink4});
+    const auto serial = engine::Engine(1).run(points, {&sink1});
+    const auto parallel = engine::Engine(4).run(points, {&sink4});
 
     ASSERT_EQ(serial.size(), 4u); // half of the 8 points
     EXPECT_EQ(csv1.str(), csv4.str());
@@ -407,13 +412,13 @@ TEST(BenchOptions, ShardRangesTileTheSequenceExactly)
 TEST(Engine, ShardedRunsPartitionTheGrid)
 {
     const auto grid = smallGrid();
-    const auto full = engine::Engine({1}).run(grid);
+    const auto full = engine::Engine(1).run(grid);
     ASSERT_EQ(full.size(), 8u);
 
     std::vector<engine::RunRecord> stitched;
     for (size_t k = 1; k <= 3; ++k) {
         const auto part =
-            engine::Engine({2}).run(selected(grid, shardOpts(k, 3)));
+            engine::Engine(2).run(selected(grid, shardOpts(k, 3)));
         stitched.insert(stitched.end(), part.begin(), part.end());
     }
     ASSERT_EQ(stitched.size(), full.size());
@@ -427,14 +432,14 @@ TEST(Engine, ShardedRunsPartitionTheGrid)
 TEST(Engine, ShardComposesWithKeyFilter)
 {
     const auto grid = smallGrid();
-    const auto filtered = engine::Engine({1}).run(pointsAt(
+    const auto filtered = engine::Engine(1).run(pointsAt(
         grid, engine::selectPoints({&grid}, "seed=1", everything)[0]));
     ASSERT_EQ(filtered.size(), 4u);
 
     // The shards partition the FILTERED sequence, not the grid.
     std::vector<engine::RunRecord> stitched;
     for (size_t k = 1; k <= 2; ++k) {
-        const auto part = engine::Engine({1}).run(
+        const auto part = engine::Engine(1).run(
             selected(grid, shardOpts(k, 2, "seed=1")));
         EXPECT_EQ(part.size(), 2u);
         stitched.insert(stitched.end(), part.begin(), part.end());
@@ -635,7 +640,7 @@ TEST(Engine, SupernetRunsCarryVariantShareBreakdown)
         .addScheduler(runner::SchedKind::DreamFull)
         .seeds({11})
         .window(1e5);
-    const auto records = engine::Engine({1}).run(grid);
+    const auto records = engine::Engine(1).run(grid);
     ASSERT_EQ(records.size(), 1u);
     const auto& r = records[0];
     ASSERT_FALSE(r.breakdown.empty());
@@ -748,6 +753,29 @@ TEST(ReportHelpers, GroupFindAndRatioCells)
     EXPECT_DOUBLE_EQ(viol_ratios[0].ratio, 0.4);
 }
 
+TEST(ReportHelpers, CellAtNamesTheGridCellKey)
+{
+    // A two-parameter grid point no aggregated cell holds: the error
+    // names it by the key the grid and the sinks print.
+    engine::SweepGrid grid;
+    grid.addScenario(workload::ScenarioPreset::ArCall)
+        .addSystem(hw::SystemPreset::Sys4k2Ws)
+        .addScheduler(runner::SchedKind::Fcfs)
+        .addParam("alpha", {1.0})
+        .addParam("beta", {2.0});
+    const auto point = grid.point(0);
+    engine::AggregateSink agg;
+    agg.write(syntheticRecord("A", 1, 1.0));
+    try {
+        engine::cellAt(agg.cells(), point.scenario, point.system,
+                       point.scheduler, point.params);
+        FAIL() << "cellAt found a cell no record made";
+    } catch (const std::out_of_range& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "no aggregated cell for " + point.cellKey());
+    }
+}
+
 TEST(SweepGrid, GeneratedScenarioAxisIsDeterministic)
 {
     workload::ScenarioGenSpec spec;
@@ -770,8 +798,8 @@ TEST(SweepGrid, GeneratedScenarioAxisIsDeterministic)
     EXPECT_EQ(grid.point(2).scenario, "Gen9");
 
     // Two independently built grids simulate identically.
-    const auto r1 = engine::Engine({1}).run(build());
-    const auto r2 = engine::Engine({4}).run(build());
+    const auto r1 = engine::Engine(1).run(build());
+    const auto r2 = engine::Engine(4).run(build());
     ASSERT_EQ(r1.size(), r2.size());
     for (size_t i = 0; i < r1.size(); ++i) {
         EXPECT_EQ(r1[i].key(), r2[i].key());
@@ -795,7 +823,7 @@ TEST(ParamSearch, BatchedOptimizeMatchesSerial)
             return out;
         };
 
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
+    const core::ParamSearch search{};
     const auto serial = search.optimize(cost, 0.2, 1.8);
     const auto batched = search.optimize(batch, 0.2, 1.8);
 
@@ -877,7 +905,7 @@ TEST(Engine, RecordReplayRoundTripThroughTheGrid)
         replay.seeds({r.seed});
         replay.window(r.windowUs);
 
-        const auto replayed = engine::Engine({1}).run(replay);
+        const auto replayed = engine::Engine(1).run(replay);
         ASSERT_EQ(replayed.size(), 1u);
         const auto& p = replayed[0];
         EXPECT_EQ(p.key(), r.key());
@@ -925,8 +953,7 @@ TEST(Engine, TraceAxisGivesEverySchedulerIdenticalLoad)
             engine::traceFileName(point_grid.point(0))));
 
     engine::SweepGrid sweep;
-    sweep.addTraceReplays(
-        {{"AR_Call", scenario_factory, trace}});
+    sweep.addTraceReplay({"AR_Call", scenario_factory, trace});
     sweep.addSystem(hw::SystemPreset::Sys4k2Ws);
     sweep.addScheduler(runner::SchedKind::Fcfs);
     sweep.addScheduler(runner::SchedKind::DreamFull);
@@ -937,7 +964,7 @@ TEST(Engine, TraceAxisGivesEverySchedulerIdenticalLoad)
     uint64_t in_window = 0;
     for (const auto& fr : trace->frames)
         in_window += fr.inWindow ? 1 : 0;
-    const auto records = engine::Engine({2}).run(sweep);
+    const auto records = engine::Engine(2).run(sweep);
     ASSERT_EQ(records.size(), 3u);
     for (const auto& r : records)
         EXPECT_EQ(r.totalFrames, in_window) << r.key();

@@ -8,14 +8,9 @@
 namespace dream {
 namespace {
 
-core::DreamConfig
-dropConfig()
-{
-    auto cfg = core::DreamConfig::smartDropConfig();
-    cfg.maxDropRate = 0.2;
-    cfg.dropRateWindowFrames = 10;
-    return cfg;
-}
+/** The evaluation's 20% drop-rate cap (the bound's window is a
+ *  fixed 10 frames). */
+constexpr double kMaxDropRate = 0.2;
 
 TEST(FrameDrop, NoDropWhenEveryoneMeetsDeadlines)
 {
@@ -24,7 +19,7 @@ TEST(FrameDrop, NoDropWhenEveryoneMeetsDeadlines)
     cb.addRequest(t, 0.0, 1e6);
     cb.addRequest(cb.addTask(test::toyModel("toy2")), 0.0, 1e6);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     EXPECT_FALSE(drop.selectDrop(cb.context(0.0), engine).has_value());
 }
 
@@ -36,7 +31,7 @@ TEST(FrameDrop, Condition2NoDropForSingleViolation)
     cb.addRequest(t1, 0.0, 1.0); // hopeless deadline
     cb.addRequest(t2, 0.0, 1e6);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     // Only one expected violation: dropping would be redundant.
     EXPECT_FALSE(drop.selectDrop(cb.context(0.0), engine).has_value());
 }
@@ -50,7 +45,7 @@ TEST(FrameDrop, DropsWorstRatioWhenMultipleViolations)
     auto* r2 = cb.addRequest(t2, 0.0, 2000.0);
     (void)r1;
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     const auto victim = drop.selectDrop(cb.context(1900.0), engine);
     ASSERT_TRUE(victim.has_value());
     // late2 is the heavier model: higher minToGo / slack ratio.
@@ -70,7 +65,7 @@ TEST(FrameDrop, Condition3OnlyLeavesDroppable)
     auto* ro = cb.addRequest(other, 0.0, 100.0);
     (void)rp;
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     const auto victim = drop.selectDrop(cb.context(50.0), engine);
     ASSERT_TRUE(victim.has_value());
     // The parent is not a leaf; only `other` may be dropped.
@@ -88,7 +83,7 @@ TEST(FrameDrop, Condition4BudgetCapsDropRate)
     cb.stats().tasks[size_t(t1)].droppedFrames = 2;
     cb.stats().tasks[size_t(t1)].completedFrames = 8;
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     ASSERT_FALSE(
         drop.dropBudgetAvailable(cb.context(50.0), t1));
     EXPECT_TRUE(drop.dropBudgetAvailable(cb.context(50.0), t2));
@@ -106,7 +101,7 @@ TEST(FrameDrop, InFlightFramesAreNotDroppable)
     auto* r2 = cb.addRequest(t2, 0.0, 100.0);
     r1->inFlight = true; // running: cannot be pre-empted/dropped
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     const auto victim = drop.selectDrop(cb.context(50.0), engine);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, r2->id);
@@ -118,7 +113,7 @@ TEST(FrameDrop, ExpectedViolationUsesBestVariant)
     const auto t = cb.addTask(test::toySupernet());
     auto* req = cb.addRequest(t, 0.0, 0.0);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::FrameDropEngine drop(dropConfig());
+    core::FrameDropEngine drop(kMaxDropRate);
     // Pick a deadline between the light and heavy variants' minToGo:
     // the frame must NOT count as an expected violation because
     // switching can still save it.

@@ -63,7 +63,7 @@ expectResultsBitIdentical(const core::SearchResult& a,
 TEST(ParamSearch, MemoizedResultIsBitIdenticalToCoreSearch)
 {
     CountingBowl plain_cost, memo_cost;
-    const core::ParamSearch plain(0.5, 0.05, 0.0, 2.0);
+    const core::ParamSearch plain{};
     const auto expected = plain.optimize(plain_cost.fn(), 0.2, 1.8);
 
     engine::ParamSearch memo(memo_cost.fn());
@@ -123,7 +123,7 @@ TEST(ParamSearch, SimulationBackedSearchMatchesBatchedCoreSearch)
 
     const auto batch =
         engine::makeBatchEvaluator(system, scenario, pool);
-    const core::ParamSearch plain(0.5, 0.05, 0.0, 2.0);
+    const core::ParamSearch plain{};
     const auto expected = plain.optimize(batch, 0.2, 1.8);
 
     engine::ParamSearch memo(batch);

@@ -60,7 +60,6 @@ testOptions()
     engine::ScenarioSearch::Options opts;
     opts.budget = 60;
     opts.starts = 4;
-    opts.neighbors = 5;
     opts.searchSeed = 7;
     return opts;
 }
@@ -147,8 +146,6 @@ TEST(ScenarioSearch, EngineBackedHuntIsJobsInvariant)
         engine::ScenarioSearch::Options opts;
         opts.budget = 8;
         opts.starts = 2;
-        opts.neighbors = 3;
-        opts.maxShrinks = 1;
         opts.searchSeed = 3;
         opts.windowUs = 2e5;
         opts.jobs = jobs;

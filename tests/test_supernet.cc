@@ -14,7 +14,7 @@ TEST(Supernet, KeepsOriginalWhenRelaxed)
     const auto t = cb.addTask(test::toySupernet());
     auto* req = cb.addRequest(t, 0.0, 1e6);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::SupernetSwitchEngine sw(core::DreamConfig::full());
+    const core::SupernetSwitchEngine sw{};
     // Huge slack, idle system: stay on the Original subnet.
     EXPECT_FALSE(
         sw.chooseVariant(cb.context(0.0), engine, *req).has_value());
@@ -26,7 +26,7 @@ TEST(Supernet, SwitchesLighterWhenSlackTight)
     const auto t = cb.addTask(test::toySupernet());
     auto* req = cb.addRequest(t, 0.0, 0.0);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::SupernetSwitchEngine sw(core::DreamConfig::full());
+    const core::SupernetSwitchEngine sw{};
     auto& ctx = cb.context(0.0);
     const double heavy = engine.minToGoUs(ctx, *req);
     req->deadlineUs = heavy * 0.5; // heavy cannot finish in time
@@ -41,7 +41,7 @@ TEST(Supernet, SwitchesLighterUnderBacklog)
     const auto t = cb.addTask(test::toySupernet());
     auto* req = cb.addRequest(t, 0.0, 0.0);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::SupernetSwitchEngine sw(core::DreamConfig::full());
+    const core::SupernetSwitchEngine sw{};
     auto& ctx = cb.context(0.0);
     const double heavy = engine.minToGoUs(ctx, *req);
     req->deadlineUs = heavy * 1.5; // fits when the system is idle
@@ -67,7 +67,7 @@ TEST(Supernet, NoSwitchPastSwitchPoint)
     req->nextLayer =
         cb.scenario().tasks[t].model.supernetSwitchPoint + 1;
     core::MapScoreEngine engine(1.0, 1.0);
-    core::SupernetSwitchEngine sw(core::DreamConfig::full());
+    const core::SupernetSwitchEngine sw{};
     EXPECT_FALSE(
         sw.chooseVariant(cb.context(0.0), engine, *req).has_value());
 }
@@ -78,7 +78,7 @@ TEST(Supernet, NonSupernetModelsAreIgnored)
     const auto t = cb.addTask(test::toyModel());
     auto* req = cb.addRequest(t, 0.0, 1.0);
     core::MapScoreEngine engine(1.0, 1.0);
-    core::SupernetSwitchEngine sw(core::DreamConfig::full());
+    const core::SupernetSwitchEngine sw{};
     EXPECT_FALSE(
         sw.chooseVariant(cb.context(0.0), engine, *req).has_value());
 }

@@ -153,7 +153,7 @@ TEST(CsvMerge, ShardedBenchRunMergesByteIdentically)
 
     std::ostringstream full;
     engine::CsvSink full_sink(full);
-    engine::Engine({2}).run(grid, {&full_sink});
+    engine::Engine(2).run(grid, {&full_sink});
     full_sink.close();
 
     std::vector<std::string> shards;
@@ -170,7 +170,7 @@ TEST(CsvMerge, ShardedBenchRunMergesByteIdentically)
         std::vector<engine::SweepGrid::Point> points;
         for (const size_t i : selected[0])
             points.push_back(grid.point(i));
-        engine::Engine({2}).run(points, {&sink});
+        engine::Engine(2).run(points, {&sink});
         sink.close();
         shards.push_back(out.str());
     }

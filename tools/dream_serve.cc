@@ -224,6 +224,13 @@ parseArgs(int argc, char** argv)
             throw flags::Error(
                 "--verify-offline requires --devices 1 (an N-device run "
                 "has no single offline run to anchor to)");
+        // Fail before serving a frame, not after the whole run.
+        for (const std::string* p :
+             {&opts.outFile, &opts.metricsFile, &opts.metricsFullFile}) {
+            if (!p->empty() && !std::ofstream(*p).is_open())
+                throw flags::Error("cannot open output file for writing: " +
+                                   *p);
+        }
     });
     table.parse(argc, argv);
     return opts;
