@@ -27,6 +27,12 @@ constexpr double kTrialWindowUs = 1.5e5;
  * this factor.
  */
 constexpr double kOnlineImprovementFactor = 0.93;
+/**
+ * Load re-trigger, added beyond Algorithm 1: an idle tuner starts a
+ * new round when the run's violation fraction has moved by more than
+ * this since its last check.
+ */
+constexpr double kViolationRetrigger = 0.15;
 
 double
 clamp(double v)
@@ -35,20 +41,6 @@ clamp(double v)
 }
 
 } // anonymous namespace
-
-SearchResult
-ParamSearch::optimize(const CostFn& cost, double a0, double b0) const
-{
-    const BatchCostFn batch =
-        [&cost](const std::vector<std::pair<double, double>>& pts) {
-            std::vector<double> out;
-            out.reserve(pts.size());
-            for (const auto& pt : pts)
-                out.push_back(cost(pt.first, pt.second));
-            return out;
-        };
-    return optimize(batch, a0, b0);
-}
 
 SearchResult
 ParamSearch::optimize(const BatchCostFn& cost, double a0,
@@ -284,7 +276,7 @@ OnlineTuner::update(const sim::SchedulerContext& ctx,
     const double viol = ctx.stats->violationFraction();
     const bool task_change = fp != lastFingerprint_ && fp != 0;
     const bool load_change =
-        std::abs(viol - lastViolationFraction_) > 0.15;
+        std::abs(viol - lastViolationFraction_) > kViolationRetrigger;
     lastFingerprint_ = fp != 0 ? fp : lastFingerprint_;
     lastViolationFraction_ = viol;
     if (task_change || load_change) {

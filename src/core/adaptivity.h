@@ -61,15 +61,12 @@ struct SearchResult {
     int simulated = 0;
 };
 
-/** Cost callback: objective value at (alpha, beta); lower is better. */
-using CostFn = std::function<double(double, double)>;
-
 /**
- * Batched cost callback: objective values for a list of (alpha,
- * beta) pairs, in order. Lets callers evaluate the independent
+ * Cost callback: objective values for a list of (alpha, beta) pairs,
+ * in order; lower is better. Lets callers evaluate the independent
  * candidate points of one search step concurrently (e.g. on the
  * sweep engine's WorkerPool) while the search itself stays
- * sequential — results are identical to the serial CostFn path.
+ * sequential, so the result does not depend on how the batch runs.
  */
 using BatchCostFn = std::function<std::vector<double>(
     const std::vector<std::pair<double, double>>&)>;
@@ -80,14 +77,9 @@ using BatchCostFn = std::function<std::vector<double>(
  */
 class ParamSearch {
 public:
-    /** Run the search from (a0, b0). */
-    SearchResult optimize(const CostFn& cost, double a0,
-                          double b0) const;
-
     /**
      * Run the search from (a0, b0), evaluating each step's candidate
-     * points through one batched call (bit-identical to the serial
-     * overload).
+     * points through one batched call.
      */
     SearchResult optimize(const BatchCostFn& cost, double a0,
                           double b0) const;

@@ -23,14 +23,6 @@ constexpr double kMinSlackPeriodFraction = 0.1;
 } // anonymous namespace
 
 double
-MapScoreEngine::toGoUs(const sim::SchedulerContext& ctx,
-                       const sim::Request& req) const
-{
-    const auto& cache = sim::ensureCostCache(req, *ctx.costs);
-    return cache.suffixAvg[req.nextLayer];
-}
-
-double
 MapScoreEngine::minToGoUs(const sim::SchedulerContext& ctx,
                           const sim::Request& req) const
 {

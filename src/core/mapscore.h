@@ -57,13 +57,6 @@ public:
     }
 
     /**
-     * ToGo (Algorithm 1 line 2): predicted remaining processing time,
-     * averaged across accelerators.
-     */
-    double toGoUs(const sim::SchedulerContext& ctx,
-                  const sim::Request& req) const;
-
-    /**
      * Minimum remaining time to completion assuming the best-latency
      * accelerator per layer and no context switches (the
      * minimum_to_go of the smart-frame-drop conditions).

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "runner/table.h"
+#include "util/flags.h"
 
 namespace dream {
 namespace engine {
@@ -57,7 +57,8 @@ RunRecord::breakdownValue(const std::string& name) const
 std::string
 RunRecord::cellKey() const
 {
-    return engine::cellKey(scenario, system, scheduler, params);
+    return engine::cellKey(scenario, system, scheduler,
+                           paramFragment(params));
 }
 
 std::string
@@ -203,15 +204,15 @@ parseSchema(const std::vector<std::string>& header)
 uint64_t
 parseRowIndex(const std::string& cell, size_t row)
 {
-    uint64_t index = 0;
-    const char* end = cell.data() + cell.size();
-    const auto [stop, ec] = std::from_chars(cell.data(), end, index);
-    if (ec != std::errc() || stop != end)
+    try {
+        return flags::parseUint(cell, 0,
+                                std::numeric_limits<uint64_t>::max());
+    } catch (const flags::Error&) {
         throw std::runtime_error("result CSV row " + std::to_string(row) +
                                  ": index '" + cell +
                                  "' is not a decimal integer in uint64_t "
                                  "range");
-    return index;
+    }
 }
 
 } // anonymous namespace
@@ -237,16 +238,12 @@ CsvTable::rowKey(size_t r) const
 {
     const auto& row = rows.at(r);
     const size_t n_params = schema.paramColumns.size();
-    std::string out = row.at(1) + '/' + row.at(2) + '/' + row.at(3);
-    std::string params_frag;
-    for (size_t i = 0; i < n_params; ++i) {
-        if (!params_frag.empty())
-            params_frag += ',';
-        params_frag += schema.paramColumns[i] + '=' + row.at(4 + i);
-    }
-    if (!params_frag.empty())
-        out += '/' + params_frag;
-    return out + "/seed=" + row.at(4 + n_params);
+    std::vector<std::pair<std::string, std::string>> params;
+    for (size_t i = 0; i < n_params; ++i)
+        params.push_back({schema.paramColumns[i], row.at(4 + i)});
+    return cellKey(row.at(1), row.at(2), row.at(3),
+                   paramFragment(params)) +
+           "/seed=" + row.at(4 + n_params);
 }
 
 CsvTable
@@ -407,7 +404,7 @@ cellAt(const std::vector<AggregateSink::Cell>& cells,
     if (!cell)
         throw std::out_of_range(
             "no aggregated cell for " +
-            cellKey(scenario, system, scheduler, params));
+            cellKey(scenario, system, scheduler, paramFragment(params)));
     return *cell;
 }
 

@@ -30,32 +30,42 @@ formatValue(double v)
 }
 
 std::string
-paramFragment(const ParamMap& params)
+paramFragment(
+    const std::vector<std::pair<std::string, std::string>>& params)
 {
     std::string out;
-    for (const auto& kv : params) {
+    for (const auto& [name, value] : params) {
         if (!out.empty())
             out += ',';
-        out += kv.first + '=' + formatValue(kv.second);
+        out += name + '=' + value;
     }
     return out;
 }
 
 std::string
+paramFragment(const ParamMap& params)
+{
+    std::vector<std::pair<std::string, std::string>> texts;
+    for (const auto& [name, value] : params)
+        texts.push_back({name, formatValue(value)});
+    return paramFragment(texts);
+}
+
+std::string
 cellKey(const std::string& scenario, const std::string& system,
-        const std::string& scheduler, const ParamMap& params)
+        const std::string& scheduler, const std::string& params_fragment)
 {
     std::string out = scenario + '/' + system + '/' + scheduler;
-    const std::string params_frag = paramFragment(params);
-    if (!params_frag.empty())
-        out += '/' + params_frag;
+    if (!params_fragment.empty())
+        out += '/' + params_fragment;
     return out;
 }
 
 std::string
 SweepGrid::Point::cellKey() const
 {
-    return engine::cellKey(scenario, system, scheduler, params);
+    return engine::cellKey(scenario, system, scheduler,
+                           paramFragment(params));
 }
 
 std::string

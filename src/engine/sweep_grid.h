@@ -45,16 +45,25 @@ double paramValue(const ParamMap& params, const std::string& name);
  */
 std::string formatValue(double v);
 
-/** Key fragment "a=0.25,b=1.5" of a parameter map (empty if none). */
+/**
+ * Key fragment "a=0.25,b=1.5" of (parameter name, value text) pairs
+ * (empty if none): the one format of a key's parameters, for grid
+ * points and result CSV rows alike.
+ */
+std::string paramFragment(
+    const std::vector<std::pair<std::string, std::string>>& params);
+
+/** paramFragment of a parameter map, each value via formatValue. */
 std::string paramFragment(const ParamMap& params);
 
 /**
  * The aggregation-cell key of a grid point, its identity without the
- * seed: "scenario/system/scheduler", plus "/" and the parameter
- * fragment when the grid sweeps parameters.
+ * seed: "scenario/system/scheduler", plus "/" and @p params_fragment
+ * (a paramFragment) when the grid sweeps parameters.
  */
 std::string cellKey(const std::string& scenario, const std::string& system,
-                    const std::string& scheduler, const ParamMap& params);
+                    const std::string& scheduler,
+                    const std::string& params_fragment);
 
 /**
  * Builds a scheduler for one grid point. The factory receives the

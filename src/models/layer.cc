@@ -5,24 +5,6 @@
 namespace dream {
 namespace models {
 
-std::string
-toString(LayerKind kind)
-{
-    switch (kind) {
-      case LayerKind::Conv2d:
-        return "conv";
-      case LayerKind::FullyConnected:
-        return "fc";
-      case LayerKind::Rnn:
-        return "rnn";
-      case LayerKind::Pool:
-        return "pool";
-      case LayerKind::Eltwise:
-        return "eltwise";
-    }
-    return "??";
-}
-
 uint32_t
 Layer::outH() const
 {

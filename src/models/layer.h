@@ -39,9 +39,6 @@ enum class LayerKind {
     Eltwise,
 };
 
-/** Short name ("conv", "fc", ...). */
-std::string toString(LayerKind kind);
-
 /**
  * Shape descriptor of one operator instance.
  *

@@ -1,6 +1,5 @@
 #include "models/model.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace dream {
@@ -28,19 +27,6 @@ Model::totalWeightBytes() const
     for (const auto& l : layers)
         total += l.weightBytes();
     return total;
-}
-
-uint64_t
-Model::peakActivationBytes() const
-{
-    uint64_t peak = 0;
-    for (const auto& l : layers) {
-        // Live set while executing a layer: its input and output tiles.
-        // Rnn layers stream step-by-step, so only one step is live.
-        const uint64_t rep = std::max<uint32_t>(l.repeat, 1);
-        peak = std::max(peak, (l.inputBytes() + l.outputBytes()) / rep);
-    }
-    return peak;
 }
 
 std::vector<Layer>

@@ -77,12 +77,6 @@ struct Model {
     uint64_t totalMacs() const;
     /** Total weight bytes of the default path. */
     uint64_t totalWeightBytes() const;
-    /**
-     * Peak live activation footprint in bytes: the largest
-     * input+output footprint over the default path. Used for
-     * context-switch (activation flush/fetch) energy.
-     */
-    uint64_t peakActivationBytes() const;
 
     /**
      * Materialise the layer sequence for Supernet variant

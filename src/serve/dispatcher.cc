@@ -74,12 +74,6 @@ Dispatcher::Dispatcher(RouterPolicy policy, size_t devices,
 }
 
 double
-Dispatcher::expectedFrameWorkUs(workload::TaskId task) const
-{
-    return frameWorkUs_[size_t(task)];
-}
-
-double
 Dispatcher::remainingDemandUs(workload::TaskId session,
                               double now_us) const
 {

@@ -78,14 +78,6 @@ public:
     size_t route(workload::TaskId session, double now_us,
                  const std::vector<DeviceGauges>& gauges);
 
-    /**
-     * Expected best-case work of one frame of @p task in
-     * microseconds of accelerator time: its model's default path on
-     * the fastest accelerator per layer, plus the trigger-probability
-     * weighted work of its cascade descendants.
-     */
-    double expectedFrameWorkUs(workload::TaskId task) const;
-
     /** Best-case service demand @p session still generates in
      *  [now_us, window): frame rate x expected per-frame work. */
     double remainingDemandUs(workload::TaskId session,

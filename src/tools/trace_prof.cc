@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
-#include "obs/metrics.h"
+#include "obs/trace_event.h"
 #include "runner/table.h"
+#include "util/flags.h"
 #include "util/json.h"
 
 namespace dream {
@@ -21,22 +24,35 @@ namespace {
 
 using json::Value;
 using Kind = json::Value::Kind;
+using Track = std::pair<long long, long long>; ///< (pid, tid)
 
-/** True when @p token is decimal digits in uint64_t range: the one
- *  form obs::MetricsRegistry::writeJson writes a counter in. */
-bool
-isDecimalUint64(const std::string& token)
+/**
+ * @p v's token as a decimal uint64_t (the one form the writers use
+ * for counts); fails at @p v with @p what otherwise.
+ */
+uint64_t
+decimalUint64(const json::Document& doc, const Value& v,
+              const std::string& what)
 {
-    uint64_t value = 0;
-    const char* end = token.data() + token.size();
-    const auto [stop, ec] = std::from_chars(token.data(), end, value);
-    return ec == std::errc() && stop == end;
+    try {
+        return flags::parseUint(v.text, 0,
+                                std::numeric_limits<uint64_t>::max());
+    } catch (const flags::Error&) {
+        doc.fail(v, what);
+    }
 }
 
-/** Union length of [begin, end) intervals (modifies @p spans). */
+/**
+ * Union length of the [begin, end) intervals of @p spans, each end
+ * clamped to @p window_us when it is positive (modifies @p spans).
+ */
 double
-intervalUnion(std::vector<std::pair<double, double>>& spans)
+intervalUnion(std::vector<std::pair<double, double>>& spans,
+              double window_us)
 {
+    if (window_us > 0.0)
+        for (auto& s : spans)
+            s.second = std::min(s.second, window_us);
     std::sort(spans.begin(), spans.end());
     double total = 0.0;
     double cur_begin = 0.0, cur_end = -1.0;
@@ -65,16 +81,17 @@ fmtNs(double ns)
     return runner::fmt(ns, 0);
 }
 
-} // namespace
-
-const std::string*
-ProfEvent::arg(const std::string& key) const
+/** Entry @p name of @p section, or @p fallback when absent. */
+template <class T>
+double
+valueOr(const std::map<std::string, T>& section,
+        const std::string& name, double fallback = 0.0)
 {
-    for (const auto& kv : args)
-        if (kv.first == key)
-            return &kv.second;
-    return nullptr;
+    const auto it = section.find(name);
+    return it == section.end() ? fallback : double(it->second);
 }
+
+} // namespace
 
 TraceProfile
 readTraceEventJson(std::istream& in, const std::string& name)
@@ -85,6 +102,11 @@ readTraceEventJson(std::istream& in, const std::string& name)
         doc.fail(root, "not a trace-event array (expected '[')");
 
     TraceProfile profile;
+    profile.eventCount = root.items.size();
+    std::map<long long, PointProfile> points;
+    std::map<Track, std::string> track_names;
+    std::map<Track, std::vector<std::pair<double, double>>> job_spans;
+    std::map<Track, double> last_ts;
     for (size_t index = 0; index < root.items.size(); ++index) {
         const Value& item = root.items[index];
         const std::string tag = "event " + std::to_string(index) + ": ";
@@ -110,7 +132,9 @@ readTraceEventJson(std::istream& in, const std::string& name)
             return v.text;
         };
 
-        ProfEvent ev;
+        obs::TraceEvent ev;
+        long long pid = 0;
+        const Value* args = nullptr;
         for (const auto& [key, val] : item.members) {
             if (key == "name") {
                 ev.name = str(val, key);
@@ -126,7 +150,7 @@ readTraceEventJson(std::istream& in, const std::string& name)
             } else if (key == "dur") {
                 ev.durUs = num(val, key);
             } else if (key == "pid") {
-                ev.pid = integer(val, key);
+                pid = integer(val, key);
             } else if (key == "tid") {
                 ev.tid = integer(val, key);
             } else if (key == "args") {
@@ -137,8 +161,8 @@ readTraceEventJson(std::istream& in, const std::string& name)
                         doc.fail(v, tag + "arg \"" + arg +
                                         "\" must be a number or a "
                                         "string");
-                    ev.args.push_back({arg, v.text});
                 }
+                args = &val;
             }
         }
 
@@ -165,116 +189,94 @@ readTraceEventJson(std::istream& in, const std::string& name)
             doc.fail(item, tag + "unknown phase '" +
                                std::string(1, ev.ph) + "'");
         }
-        if (ev.ph != 'M' && !std::isfinite(ev.tsUs))
-            doc.fail(item, tag + "non-finite \"ts\"");
-        profile.events.push_back(std::move(ev));
-    }
 
-    // Timestamps must never step backwards within one (pid, tid)
-    // track — the simulator emits in event-loop order, so a
-    // violation means a corrupted or hand-edited trace.
-    std::map<std::pair<long long, long long>, double> last_ts;
-    for (size_t i = 0; i < profile.events.size(); ++i) {
-        const ProfEvent& ev = profile.events[i];
-        if (ev.ph == 'M')
-            continue;
-        const auto track = std::make_pair(ev.pid, ev.tid);
-        const auto it = last_ts.find(track);
-        if (it != last_ts.end() && ev.tsUs < it->second)
-            doc.fail(root.items[i],
-                     "event " + std::to_string(i) + ": timestamp " +
-                         runner::preciseDouble(ev.tsUs) +
-                         " goes backwards on track pid=" +
-                         std::to_string(ev.pid) +
-                         " tid=" + std::to_string(ev.tid) +
-                         " (previous " +
-                         runner::preciseDouble(it->second) + ")");
-        last_ts[track] = ev.tsUs;
-    }
-
-    // Fold events into per-point profiles.
-    std::map<long long, PointProfile> points;
-    std::map<std::pair<long long, long long>, std::string>
-        track_names;
-    for (const ProfEvent& ev : profile.events) {
-        PointProfile& pt = points[ev.pid];
-        pt.pid = ev.pid;
-        if (ev.ph == 'M') {
-            const std::string* n = ev.arg("name");
-            if (ev.name == "process_name" && n && pt.key.empty())
-                pt.key = *n;
-            else if (ev.name == "thread_name" && n)
-                track_names[{ev.pid, ev.tid}] = *n;
-            else if (ev.name == "dream_meta") {
-                if (const std::string* k = ev.arg("key"))
-                    pt.key = *k;
-                if (const std::string* w = ev.arg("window_us"))
-                    pt.windowUs = std::strtod(w->c_str(), nullptr);
-            }
+        // Timestamps must never step backwards within one (pid, tid)
+        // track — the simulator emits in event-loop order, so a
+        // violation means a corrupted or hand-edited trace.
+        const Track track(pid, ev.tid);
+        if (ev.ph != 'M') {
+            if (!std::isfinite(ev.tsUs))
+                doc.fail(item, tag + "non-finite \"ts\"");
+            const auto it = last_ts.find(track);
+            if (it != last_ts.end() && ev.tsUs < it->second)
+                doc.fail(item,
+                         tag + "timestamp " +
+                             runner::preciseDouble(ev.tsUs) +
+                             " goes backwards on track pid=" +
+                             std::to_string(pid) +
+                             " tid=" + std::to_string(ev.tid) +
+                             " (previous " +
+                             runner::preciseDouble(it->second) + ")");
+            last_ts[track] = ev.tsUs;
         }
-    }
 
-    // Accelerator tracks carry a "accel<i> ..." thread_name; collect
-    // their job spans and take the interval union per track, each
-    // span clamped to [0, window] — matching the simulator's busy
-    // accounting, which also stops the clock at the window edge.
-    std::map<std::pair<long long, long long>,
-             std::vector<std::pair<double, double>>> job_spans;
-    std::map<std::pair<long long, long long>, size_t> job_counts;
-    for (const ProfEvent& ev : profile.events) {
-        PointProfile& pt = points[ev.pid];
-        if (ev.ph == 'X') {
+        // Fold the event into its point.
+        const auto arg = [&](const char* key) {
+            return args ? args->find(key) : nullptr;
+        };
+        PointProfile& pt = points[pid];
+        pt.pid = pid;
+        if (ev.ph == 'M') {
+            const Value* n = arg("name");
+            if (ev.name == "process_name" && n && pt.key.empty())
+                pt.key = n->text;
+            else if (ev.name == "thread_name" && n)
+                track_names[track] = n->text;
+            else if (ev.name == "dream_meta") {
+                if (const Value* k = arg("key"))
+                    pt.key = k->text;
+                if (const Value* w = arg("window_us"))
+                    pt.windowUs = num(*w, "window_us");
+            }
+        } else if (ev.ph == 'X') {
             if (ev.cat == "job") {
-                const auto track = std::make_pair(ev.pid, ev.tid);
-                double begin = std::max(ev.tsUs, 0.0);
-                double end = ev.tsUs + ev.durUs;
-                if (pt.windowUs > 0.0)
-                    end = std::min(end, pt.windowUs);
-                job_spans[track].push_back({begin, end});
-                job_counts[track] += 1;
+                // Clamped to the window after the loop: dream_meta
+                // may come after the spans.
+                job_spans[track].push_back(
+                    {std::max(ev.tsUs, 0.0), ev.tsUs + ev.durUs});
             } else if (ev.cat == "cs") {
                 pt.contextSwitches += 1;
             } else if (ev.cat == "sched") {
-                pt.schedInvocations += 1;
-                if (const std::string* w = ev.arg("wall_ns"))
-                    pt.decisionWallNs.push_back(
-                        std::strtod(w->c_str(), nullptr));
+                pt.schedEvents += 1;
+                if (const Value* r = arg("rounds"))
+                    pt.planCalls += decimalUint64(
+                        doc, *r,
+                        tag + "\"rounds\" must be a decimal integer");
+                if (const Value* w = arg("wall_ns"))
+                    pt.decisionWallNs.record(num(*w, "wall_ns"));
             }
-        } else if (ev.ph == 'i') {
-            if (ev.name == "frame_arrival")
-                pt.frameArrivals += 1;
-            else if (ev.name == "frame_drop")
-                pt.frameDrops += 1;
-            else if (ev.name == "deadline_violation")
-                pt.deadlineViolations += 1;
-            else if (ev.name == "variant_switch")
-                pt.variantSwitches += 1;
+        } else if (ev.name == "frame_arrival") {
+            pt.frameArrivals += 1;
+        } else if (ev.name == "frame_drop") {
+            pt.frameDrops += 1;
+        } else if (ev.name == "deadline_violation") {
+            pt.deadlineViolations += 1;
+        } else if (ev.name == "variant_switch") {
+            pt.variantSwitches += 1;
         }
     }
 
-    for (auto& entry : points) {
-        PointProfile& pt = entry.second;
-        for (const auto& tn : track_names) {
-            if (tn.first.first != pt.pid)
-                continue;
-            if (tn.second.compare(0, 5, "accel") != 0)
-                continue;
-            AccelProfile ap;
-            ap.tid = tn.first.second;
-            ap.name = tn.second;
-            const auto it = job_spans.find(tn.first);
-            if (it != job_spans.end()) {
-                ap.jobs = job_counts[tn.first];
-                ap.busyUs = intervalUnion(it->second);
-            }
-            pt.accels.push_back(std::move(ap));
+    // Accelerator tracks carry an "accel<i> ..." thread_name; their
+    // busy time is the union of their job spans, each clamped to
+    // [0, window] — matching the simulator's busy accounting, which
+    // also stops the clock at the window edge. The map visits each
+    // point's tracks in ascending tid.
+    for (const auto& [track, track_name] : track_names) {
+        if (track_name.compare(0, 5, "accel") != 0)
+            continue;
+        PointProfile& pt = points[track.first];
+        AccelProfile ap;
+        ap.tid = track.second;
+        ap.name = track_name;
+        const auto it = job_spans.find(track);
+        if (it != job_spans.end()) {
+            ap.jobs = it->second.size();
+            ap.busyUs = intervalUnion(it->second, pt.windowUs);
         }
-        std::sort(pt.accels.begin(), pt.accels.end(),
-                  [](const AccelProfile& a, const AccelProfile& b) {
-                      return a.tid < b.tid;
-                  });
-        profile.points.push_back(std::move(pt));
+        pt.accels.push_back(std::move(ap));
     }
+    for (auto& entry : points)
+        profile.points.push_back(std::move(entry.second));
     return profile;
 }
 
@@ -313,11 +315,9 @@ profileReport(const TraceProfile& profile)
                              ap.utilization(pt.windowUs), 1)});
         out << util.str();
 
-        obs::LatencyHistogram wall;
-        for (double ns : pt.decisionWallNs)
-            wall.record(ns);
-        out << "scheduler: " << pt.schedInvocations
-            << " invocations\n";
+        const obs::LatencyHistogram& wall = pt.decisionWallNs;
+        out << "scheduler: events=" << pt.schedEvents
+            << " plan_calls=" << pt.planCalls << "\n";
         if (!wall.empty()) {
             runner::Table lat({"decision latency", "min", "p50",
                                "p90", "p99", "max"});
@@ -337,47 +337,7 @@ profileReport(const TraceProfile& profile)
     return out.str();
 }
 
-double
-MetricsProfile::counter(const std::string& name, double fallback) const
-{
-    for (const auto& kv : counters) {
-        if (kv.first == name)
-            return kv.second;
-    }
-    return fallback;
-}
-
-bool
-MetricsProfile::has(const std::string& name) const
-{
-    for (const auto& kv : counters) {
-        if (kv.first == name)
-            return true;
-    }
-    return false;
-}
-
-double
-MetricsProfile::gauge(const std::string& name, double fallback) const
-{
-    for (const auto& kv : gauges) {
-        if (kv.first == name)
-            return kv.second;
-    }
-    return fallback;
-}
-
-bool
-MetricsProfile::hasGauge(const std::string& name) const
-{
-    for (const auto& kv : gauges) {
-        if (kv.first == name)
-            return true;
-    }
-    return false;
-}
-
-MetricsProfile
+obs::MetricsRegistry
 readMetricsJson(std::istream& in, const std::string& name)
 {
     const json::Document doc(in, name);
@@ -387,31 +347,31 @@ readMetricsJson(std::istream& in, const std::string& name)
 
     // Every section is an object. The scalar ones ("counters",
     // "gauges") are kept; histogram summaries are parsed past.
-    MetricsProfile m;
+    obs::MetricsRegistry m;
     for (const auto& [section, body] : root.members) {
         if (body.kind != Kind::Object)
             doc.fail(body, "section \"" + section +
                                "\" must be an object");
-        auto* kept = section == "counters" ? &m.counters
-                     : section == "gauges" ? &m.gauges
-                                           : nullptr;
+        if (section != "counters" && section != "gauges")
+            continue;
         for (const auto& [key, v] : body.members) {
-            if (!kept)
-                continue;
             if (v.kind != Kind::Number)
                 doc.fail(v, section + " \"" + key +
                                 "\" must be a number");
-            if (kept == &m.counters && !isDecimalUint64(v.text))
-                doc.fail(v, "counters \"" + key +
-                                "\" must be a decimal integer in "
-                                "uint64_t range");
-            kept->push_back({key, v.number()});
+            if (section == "gauges")
+                m.gaugeSet(key, v.number());
+            else
+                m.count(key, decimalUint64(
+                                 doc, v,
+                                 "counters \"" + key +
+                                     "\" must be a decimal integer "
+                                     "in uint64_t range"));
         }
     }
     return m;
 }
 
-MetricsProfile
+obs::MetricsRegistry
 readMetricsJson(const std::string& path)
 {
     std::ifstream in(path);
@@ -421,19 +381,17 @@ readMetricsJson(const std::string& path)
 }
 
 std::string
-cacheReport(const MetricsProfile& metrics)
+cacheReport(const obs::MetricsRegistry& metrics)
 {
-    std::ostringstream out;
-    if (!metrics.has("costcache/hit") &&
-        !metrics.has("costcache/miss")) {
-        out << "no cost-cache counters in this dump (they are "
+    const auto& counters = metrics.counters();
+    if (!counters.count("costcache/hit") &&
+        !counters.count("costcache/miss"))
+        return "no cost-cache counters in this dump (they are "
                "volatile: record with --metrics-full, the canonical "
                "--metrics output excludes them)\n";
-        return out.str();
-    }
-    const double hits = metrics.counter("costcache/hit");
-    const double misses = metrics.counter("costcache/miss");
-    const double evictions = metrics.counter("costcache/evict");
+    const double hits = valueOr(counters, "costcache/hit");
+    const double misses = valueOr(counters, "costcache/miss");
+    const double evictions = valueOr(counters, "costcache/evict");
     const double acquisitions = hits + misses;
     runner::Table t({"cost-table cache", "count"});
     t.addRow({"acquisitions", runner::fmt(acquisitions, 0)});
@@ -444,108 +402,81 @@ cacheReport(const MetricsProfile& metrics)
               acquisitions > 0.0
                   ? runner::fmtPct(hits / acquisitions, 1)
                   : std::string("n/a")});
-    out << t.str();
-    return out.str();
+    return t.str();
 }
 
 std::string
-serveReport(const MetricsProfile& metrics)
+serveReport(const obs::MetricsRegistry& metrics)
 {
-    std::ostringstream out;
-    if (!metrics.has("serve/frames/offered")) {
-        out << "no serve metrics in this dump (record one with "
-               "dream_serve --metrics F)\n";
-        return out.str();
-    }
+    const auto& counters = metrics.counters();
+    const auto& gauges = metrics.gauges();
+    if (!counters.count("serve/frames/offered"))
+        return "";
+    const auto count = [&](const std::string& name) {
+        return runner::fmt(valueOr(counters, name), 0);
+    };
+    const auto gauge = [&](const std::string& name, int digits) {
+        const auto it = gauges.find(name);
+        return it == gauges.end() ? std::string("n/a")
+                                  : runner::fmt(it->second, digits);
+    };
+    const auto pct = [&](const std::string& name) {
+        const auto it = gauges.find(name);
+        return it == gauges.end() ? std::string("n/a")
+                                  : runner::fmtPct(it->second, 1);
+    };
+
     runner::Table t({"serve telemetry", "value"});
-    t.addRow({"frames offered",
-              runner::fmt(metrics.counter("serve/frames/offered"),
-                          0)});
-    t.addRow({"frames admitted",
-              runner::fmt(metrics.counter("serve/frames/admitted"),
-                          0)});
-    t.addRow({"frames degraded",
-              runner::fmt(metrics.counter("serve/frames/degraded"),
-                          0)});
-    t.addRow({"frames rejected",
-              runner::fmt(metrics.counter("serve/frames/rejected"),
-                          0)});
-    t.addRow({"rolling reports",
-              runner::fmt(metrics.counter("serve/reports"), 0)});
-    const auto gaugeRow = [&](const char* label, const char* name,
-                              int digits) {
-        t.addRow({label, metrics.hasGauge(name)
-                             ? runner::fmt(metrics.gauge(name),
-                                           digits)
-                             : std::string("n/a")});
-    };
-    const auto pctRow = [&](const char* label, const char* name) {
-        t.addRow({label, metrics.hasGauge(name)
-                             ? runner::fmtPct(metrics.gauge(name), 1)
-                             : std::string("n/a")});
-    };
-    gaugeRow("rolling p50 latency (us)",
-             "serve/rolling/latency_p50_us", 1);
-    gaugeRow("rolling p99 latency (us)",
-             "serve/rolling/latency_p99_us", 1);
-    pctRow("rolling SLO-violation rate",
-           "serve/rolling/violation_rate");
-    pctRow("rolling drop rate", "serve/rolling/drop_rate");
-    pctRow("rolling reject rate", "serve/rolling/reject_rate");
-    gaugeRow("admission backlog (us)", "serve/backlog_us", 1);
-    out << t.str();
+    t.addRow({"frames offered", count("serve/frames/offered")});
+    t.addRow({"frames admitted", count("serve/frames/admitted")});
+    t.addRow({"frames degraded", count("serve/frames/degraded")});
+    t.addRow({"frames rejected", count("serve/frames/rejected")});
+    t.addRow({"rolling reports", count("serve/reports")});
+    t.addRow({"rolling p50 latency (us)",
+              gauge("serve/rolling/latency_p50_us", 1)});
+    t.addRow({"rolling p99 latency (us)",
+              gauge("serve/rolling/latency_p99_us", 1)});
+    t.addRow({"rolling SLO-violation rate",
+              pct("serve/rolling/violation_rate")});
+    t.addRow({"rolling drop rate", pct("serve/rolling/drop_rate")});
+    t.addRow({"rolling reject rate", pct("serve/rolling/reject_rate")});
+    t.addRow({"admission backlog (us)", gauge("serve/backlog_us", 1)});
+    std::string out = t.str();
 
     // Cluster runs (dream_serve --devices N) namespace each device's
     // telemetry under serve/dev<k>/; the plain serve/* keys above are
     // then the cluster rollup. Render the per-device breakdown too.
-    if (metrics.has("serve/dev0/frames/offered")) {
-        out << '\n';
-        runner::Table c({"device", "offered", "admitted", "degraded",
-                         "rejected", "p99 (us)", "viol", "backlog",
-                         "fairness"});
-        for (size_t k = 0;; ++k) {
-            const std::string p =
-                "serve/dev" + std::to_string(k) + "/";
-            if (!metrics.has(p + "frames/offered"))
-                break;
-            const auto cell = [&](const std::string& name,
-                                  int digits) {
-                return metrics.hasGauge(name)
-                           ? runner::fmt(metrics.gauge(name), digits)
-                           : std::string("n/a");
-            };
-            c.addRow(
-                {"dev" + std::to_string(k),
-                 runner::fmt(metrics.counter(p + "frames/offered"),
-                             0),
-                 runner::fmt(metrics.counter(p + "frames/admitted"),
-                             0),
-                 runner::fmt(metrics.counter(p + "frames/degraded"),
-                             0),
-                 runner::fmt(metrics.counter(p + "frames/rejected"),
-                             0),
-                 cell(p + "rolling/latency_p99_us", 1),
-                 metrics.hasGauge(p + "rolling/violation_rate")
-                     ? runner::fmtPct(
-                           metrics.gauge(p +
-                                         "rolling/violation_rate"),
-                           1)
-                     : std::string("n/a"),
-                 cell(p + "backlog_us", 0),
-                 cell(p + "fairness_ratio", 3)});
-        }
-        out << c.str();
-        if (metrics.hasGauge("serve/cluster/devices")) {
-            char line[96];
-            std::snprintf(
-                line, sizeof line,
-                "cluster: %d devices, fairness spread %.4f\n",
-                int(metrics.gauge("serve/cluster/devices")),
-                metrics.gauge("serve/cluster/fairness_spread", 1.0));
-            out << line;
-        }
+    if (!counters.count("serve/dev0/frames/offered"))
+        return out;
+    runner::Table c({"device", "offered", "admitted", "degraded",
+                     "rejected", "p99 (us)", "viol", "backlog",
+                     "fairness"});
+    for (size_t k = 0;; ++k) {
+        const std::string dev = "dev" + std::to_string(k);
+        const std::string p = "serve/" + dev + "/";
+        if (!counters.count(p + "frames/offered"))
+            break;
+        c.addRow({dev, count(p + "frames/offered"),
+                  count(p + "frames/admitted"),
+                  count(p + "frames/degraded"),
+                  count(p + "frames/rejected"),
+                  gauge(p + "rolling/latency_p99_us", 1),
+                  pct(p + "rolling/violation_rate"),
+                  gauge(p + "backlog_us", 0),
+                  gauge(p + "fairness_ratio", 3)});
     }
-    return out.str();
+    out += '\n' + c.str();
+    const auto devices = gauges.find("serve/cluster/devices");
+    if (devices != gauges.end()) {
+        char line[96];
+        std::snprintf(line, sizeof line,
+                      "cluster: %d devices, fairness spread %.4f\n",
+                      int(devices->second),
+                      valueOr(gauges, "serve/cluster/fairness_spread",
+                              1.0));
+        out += line;
+    }
+    return out;
 }
 
 } // namespace tools

@@ -2,13 +2,17 @@
  * @file
  * Reader/profiler for the telemetry event traces the engine records
  * under --trace-events (Chrome trace-event JSON, one file per grid
- * point — see obs::TraceEventSink). Validates the file shape the
- * acceptance gate cares about (top-level array, required fields per
- * phase, non-decreasing timestamps per track) and folds the events
- * into per-point profiles: per-accelerator busy time as the union of
- * job spans clamped to the run window — the same quantity the
- * simulator reports as RunStats::accelBusyUs — plus scheduler
- * decision-latency samples from the "sched" spans' wall_ns args.
+ * point — see obs::TraceEventSink) and for the metrics dumps of
+ * --metrics / --metrics-full (obs::MetricsRegistry::writeJson). Each
+ * reader makes one pass over its json::Document: the trace reader
+ * validates the file shape the acceptance gate cares about
+ * (top-level array, required fields per phase, non-decreasing
+ * timestamps per track) while it folds the events into per-point
+ * profiles: per-accelerator busy time as the union of job spans
+ * clamped to the run window — the same quantity the simulator
+ * reports as RunStats::accelBusyUs — plus the scheduler's events,
+ * plan() calls and decision latency from the "sched" spans' args.
+ * The metrics reader reads a dump back into an obs::MetricsRegistry.
  * Backs the tools/dream_prof CLI and the CI trace checker.
  */
 
@@ -16,32 +20,15 @@
 #define DREAM_TOOLS_TRACE_PROF_H
 
 #include <cstddef>
+#include <cstdint>
 #include <istream>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace dream {
 namespace tools {
-
-/**
- * One parsed trace event. Strings are decoded; arg values keep the
- * decoded string for JSON strings and the verbatim token for
- * numbers, so numeric args re-parse with strtod.
- */
-struct ProfEvent {
-    std::string name;
-    std::string cat;
-    char ph = '\0';    ///< 'X' span, 'i' instant, 'M' metadata
-    double tsUs = 0.0;
-    double durUs = 0.0; ///< spans only
-    long long pid = 0;
-    long long tid = 0;
-    std::vector<std::pair<std::string, std::string>> args;
-
-    /** Value of arg @p key, or nullptr when absent. */
-    const std::string* arg(const std::string& key) const;
-};
 
 /** One accelerator track of a point, folded from its job spans. */
 struct AccelProfile {
@@ -71,8 +58,14 @@ struct PointProfile {
     double windowUs = 0.0;  ///< dream_meta "window_us" (0 if absent)
     std::vector<AccelProfile> accels; ///< ascending tid
 
-    size_t schedInvocations = 0;
-    std::vector<double> decisionWallNs; ///< "sched" spans' wall_ns
+    /** "sched" spans: one per scheduling event. */
+    size_t schedEvents = 0;
+    /**
+     * Scheduler::plan() calls: the sum of the "sched" spans' "rounds"
+     * args, the quantity RunStats::schedulerInvocations counts.
+     */
+    uint64_t planCalls = 0;
+    obs::LatencyHistogram decisionWallNs; ///< "sched" spans' wall_ns
 
     size_t frameArrivals = 0;
     size_t frameDrops = 0;
@@ -81,18 +74,20 @@ struct PointProfile {
     size_t contextSwitches = 0; ///< "cs" spans across all tracks
 };
 
-/** A parsed trace file: raw events plus the per-point fold. */
+/** A parsed trace file: its event count plus the per-point fold. */
 struct TraceProfile {
-    std::vector<ProfEvent> events;   ///< file order
+    size_t eventCount = 0;
     std::vector<PointProfile> points; ///< ascending pid
 };
 
 /**
- * Parse and validate one trace-event JSON file: a top-level array of
- * event objects; every event carries name/ph/pid/tid; 'X' spans
- * carry ts and dur >= 0, 'i' instants carry ts; timestamps are
+ * Parse, validate and fold one trace-event JSON file: a top-level
+ * array of event objects; every event carries name/ph/pid/tid; 'X'
+ * spans carry ts and dur >= 0, 'i' instants carry ts; timestamps are
  * non-decreasing per (pid, tid) track in file order ('M' metadata is
- * timeless and exempt). @p name labels errors (the file path).
+ * timeless and exempt); a "sched" span's "rounds" arg is a decimal
+ * integer and its "wall_ns" a number, as is dream_meta's
+ * "window_us". @p name labels errors (the file path).
  *
  * @throws std::runtime_error "<name>:<line>:<col>: <what>" on
  * malformed JSON (duplicate keys included) or a validation failure,
@@ -112,32 +107,12 @@ TraceProfile readTraceEventJson(const std::string& path);
 std::string profileReport(const TraceProfile& profile);
 
 /**
- * Parsed counters and gauges of a metrics JSON dump (`bench
- * --metrics F` / `--metrics-full F`,
- * obs::MetricsRegistry::writeJson). Histograms are parsed past but
- * not kept: the profiler's consumers — the cost-cache efficiency
- * and serve-telemetry tables — only need scalar sections.
- */
-struct MetricsProfile {
-    /** Counter (name, value) pairs in file order. */
-    std::vector<std::pair<std::string, double>> counters;
-    /** Gauge (name, value) pairs in file order. */
-    std::vector<std::pair<std::string, double>> gauges;
-
-    /** Counter value, or @p fallback when absent. */
-    double counter(const std::string& name,
-                   double fallback = 0.0) const;
-    bool has(const std::string& name) const;
-
-    /** Gauge value, or @p fallback when absent. */
-    double gauge(const std::string& name, double fallback = 0.0) const;
-    bool hasGauge(const std::string& name) const;
-};
-
-/**
- * Parse one metrics JSON dump: a top-level object of "counters" /
- * "gauges" / "histograms" sections. @p name labels errors (the file
- * path).
+ * Read one metrics JSON dump (`bench --metrics F` /
+ * `--metrics-full F`, `dream_serve --metrics F`) back into a
+ * registry: a top-level object of "counters" / "gauges" /
+ * "histograms" sections. Counters and gauges are kept; histogram
+ * summaries are parsed past, since the profiler's tables only read
+ * scalars. @p name labels errors (the file path).
  *
  * @throws std::runtime_error "<name>:<line>:<col>: <what>" on
  * malformed input: bad JSON, a duplicated name, a section that is
@@ -145,11 +120,12 @@ struct MetricsProfile {
  * not a decimal integer in uint64_t range (the one form
  * obs::MetricsRegistry::writeJson writes).
  */
-MetricsProfile readMetricsJson(std::istream& in,
-                               const std::string& name = "<metrics>");
+obs::MetricsRegistry readMetricsJson(std::istream& in,
+                                     const std::string& name =
+                                         "<metrics>");
 
 /** readMetricsJson from a file; errors name @p path. */
-MetricsProfile readMetricsJson(const std::string& path);
+obs::MetricsRegistry readMetricsJson(const std::string& path);
 
 /**
  * Render the cost-table cache efficiency table from a metrics dump:
@@ -158,15 +134,15 @@ MetricsProfile readMetricsJson(const std::string& path);
  * by `--metrics-full`, excluded from canonical `--metrics` output —
  * so a dump without them yields an explanatory line instead.
  */
-std::string cacheReport(const MetricsProfile& metrics);
+std::string cacheReport(const obs::MetricsRegistry& metrics);
 
 /**
  * Render the serve-mode telemetry table from a metrics dump
  * (`dream_serve --metrics F`): admission counters and the final
- * rolling-window latency/SLO gauges. A dump without serve metrics
- * yields an explanatory line instead.
+ * rolling-window latency/SLO gauges, plus a per-device table for a
+ * cluster dump. A dump without serve metrics yields "".
  */
-std::string serveReport(const MetricsProfile& metrics);
+std::string serveReport(const obs::MetricsRegistry& metrics);
 
 } // namespace tools
 } // namespace dream

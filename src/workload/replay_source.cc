@@ -1,16 +1,9 @@
 #include "workload/replay_source.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace dream {
 namespace workload {
-
-bool
-TraceFrame::completed() const
-{
-    return !std::isnan(completionUs);
-}
 
 std::string
 FrameTrace::metaValue(const std::string& key) const

@@ -43,9 +43,6 @@ struct TraceFrame {
     bool inWindow = true;
     int variant = 0;
     double energyMj = 0.0;
-
-    /** True when the frame completed (completionUs is a number). */
-    bool completed() const;
 };
 
 /**

@@ -1,9 +1,7 @@
 #include "workload/scenario_suite.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -11,6 +9,7 @@
 #include <stdexcept>
 
 #include "hw/system.h"
+#include "util/flags.h"
 #include "util/json.h"
 
 namespace dream {
@@ -49,14 +48,13 @@ uint64_t
 parseU64(const json::Document& doc, const Value& v,
          const std::string& what)
 {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long u = std::strtoull(v.text.c_str(), &end, 10);
-    if (v.kind != Kind::Number ||
-        v.text.find_first_of(".eE-") != std::string::npos ||
-        end != v.text.c_str() + v.text.size() || errno == ERANGE)
-        doc.fail(v, what + " must be a non-negative 64-bit integer");
-    return uint64_t(u);
+    try {
+        if (v.kind == Kind::Number)
+            return flags::parseUint(v.text, 0,
+                                    std::numeric_limits<uint64_t>::max());
+    } catch (const flags::Error&) {
+    }
+    doc.fail(v, what + " must be a non-negative 64-bit integer");
 }
 
 /** A finite number: nan/inf parse as JSON numbers, so reject here. */

@@ -17,7 +17,7 @@ TEST(ParamSearch, ConvergesOnConvexBowl)
         return (a - 0.7) * (a - 0.7) + (b - 1.3) * (b - 1.3);
     };
     const core::ParamSearch search{};
-    const auto r = search.optimize(bowl, 1.9, 0.1);
+    const auto r = search.optimize(test::serialBatch(bowl), 1.9, 0.1);
     EXPECT_NEAR(r.alpha, 0.7, 0.15);
     EXPECT_NEAR(r.beta, 1.3, 0.15);
     EXPECT_LT(r.cost, 0.05);
@@ -29,7 +29,7 @@ TEST(ParamSearch, RespectsBounds)
 {
     const auto edge = [](double a, double b) { return -(a + b); };
     const core::ParamSearch search{};
-    const auto r = search.optimize(edge, 1.0, 1.0);
+    const auto r = search.optimize(test::serialBatch(edge), 1.0, 1.0);
     EXPECT_LE(r.alpha, 2.0);
     EXPECT_LE(r.beta, 2.0);
     EXPECT_GE(r.alpha, 0.0);
@@ -45,7 +45,7 @@ TEST(ParamSearch, TrajectoryMonotoneSteps)
         return (a - 1.0) * (a - 1.0) + (b - 1.0) * (b - 1.0);
     };
     const core::ParamSearch search{};
-    const auto r = search.optimize(bowl, 0.0, 2.0);
+    const auto r = search.optimize(test::serialBatch(bowl), 0.0, 2.0);
     // Accepted cost never increases along the trajectory.
     for (size_t i = 1; i < r.trajectory.size(); ++i)
         EXPECT_LE(r.trajectory[i].cost, r.trajectory[i - 1].cost + 1e-12);
@@ -62,7 +62,7 @@ TEST(ParamSearch, RadiusShrinksBelowThreshold)
         return 1.0;
     };
     const core::ParamSearch search{};
-    const auto r = search.optimize(counting, 1.0, 1.0);
+    const auto r = search.optimize(test::serialBatch(counting), 1.0, 1.0);
     // Radii 0.5, 0.25, 0.125, 0.0625 (the next, 0.03125, is below
     // the 0.05 threshold) -> 4 refinement steps + initial point.
     EXPECT_EQ(r.trajectory.size(), 5u);

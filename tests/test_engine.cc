@@ -31,6 +31,7 @@
 #include "engine/worker_pool.h"
 #include "runner/trace.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace dream {
 namespace {
@@ -810,7 +811,7 @@ TEST(SweepGrid, GeneratedScenarioAxisIsDeterministic)
 
 TEST(ParamSearch, BatchedOptimizeMatchesSerial)
 {
-    const core::CostFn cost = [](double a, double b) {
+    const auto cost = [](double a, double b) {
         return (a - 0.7) * (a - 0.7) + (b - 1.3) * (b - 1.3);
     };
     engine::WorkerPool pool(4);
@@ -823,8 +824,10 @@ TEST(ParamSearch, BatchedOptimizeMatchesSerial)
             return out;
         };
 
+    // The same search, its batches run point by point on this thread
+    // and across the pool's workers.
     const core::ParamSearch search{};
-    const auto serial = search.optimize(cost, 0.2, 1.8);
+    const auto serial = search.optimize(test::serialBatch(cost), 0.2, 1.8);
     const auto batched = search.optimize(batch, 0.2, 1.8);
 
     EXPECT_EQ(serial.alpha, batched.alpha);

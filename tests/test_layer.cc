@@ -83,14 +83,5 @@ TEST(Layer, EltwiseCountsOnePerElement)
     EXPECT_EQ(l.weightBytes(), 0ull);
 }
 
-TEST(Layer, KindNames)
-{
-    EXPECT_EQ(toString(LayerKind::Conv2d), "conv");
-    EXPECT_EQ(toString(LayerKind::FullyConnected), "fc");
-    EXPECT_EQ(toString(LayerKind::Rnn), "rnn");
-    EXPECT_EQ(toString(LayerKind::Pool), "pool");
-    EXPECT_EQ(toString(LayerKind::Eltwise), "eltwise");
-}
-
 } // namespace
 } // namespace dream

@@ -131,7 +131,7 @@ TEST(MapScore, ToGoIsAverageAcrossAccelerators)
     double expected = 0.0;
     for (const auto& l : req->path)
         expected += cb.costs().avgLatencyUs(l);
-    EXPECT_NEAR(engine.toGoUs(ctx, *req), expected, 1e-9);
+    EXPECT_NEAR(engine.score(ctx, *req, 0).toGoUs, expected, 1e-9);
 }
 
 TEST(MapScore, MinToGoUsesBestAcceleratorPerLayer)
@@ -145,7 +145,8 @@ TEST(MapScore, MinToGoUsesBestAcceleratorPerLayer)
     for (const auto& l : req->path)
         expected += cb.costs().minLatencyUs(l);
     EXPECT_NEAR(engine.minToGoUs(ctx, *req), expected, 1e-9);
-    EXPECT_LE(engine.minToGoUs(ctx, *req), engine.toGoUs(ctx, *req));
+    EXPECT_LE(engine.minToGoUs(ctx, *req),
+              engine.score(ctx, *req, 0).toGoUs);
 }
 
 TEST(MapScore, BestVariantMinToGoNotWorseThanCurrent)

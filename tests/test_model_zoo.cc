@@ -15,18 +15,7 @@ TEST(Model, Aggregates)
     const Model m = test::toyModel();
     EXPECT_EQ(m.totalMacs(), totalMacs(m.layers));
     EXPECT_GT(m.totalWeightBytes(), 0ull);
-    EXPECT_GT(m.peakActivationBytes(), 0ull);
     EXPECT_FALSE(m.isSupernet());
-}
-
-TEST(Model, PeakActivationIsMaxLiveSet)
-{
-    Model m;
-    m.layers.push_back(fc("small", 16, 16));
-    m.layers.push_back(conv("big", 64, 64, 32, 32, 3, 1));
-    const auto& big = m.layers[1];
-    EXPECT_EQ(m.peakActivationBytes(),
-              big.inputBytes() + big.outputBytes());
 }
 
 TEST(Model, VariantPathSharesPrefix)

@@ -201,7 +201,7 @@ TEST(TraceEventSink, WritesParsableChromeTraceJson)
 
     std::istringstream in(out.str());
     const auto profile = tools::readTraceEventJson(in, "test");
-    ASSERT_EQ(profile.events.size(), 7u);
+    ASSERT_EQ(profile.eventCount, 7u);
     ASSERT_EQ(profile.points.size(), 1u);
     const auto& pt = profile.points[0];
     EXPECT_EQ(pt.pid, 7);
@@ -211,22 +211,11 @@ TEST(TraceEventSink, WritesParsableChromeTraceJson)
     EXPECT_EQ(pt.accels[0].name, "accel0 WS0-2K");
     EXPECT_EQ(pt.accels[0].jobs, 1u);
     EXPECT_EQ(pt.accels[0].busyUs, 30.0);
-    EXPECT_EQ(pt.schedInvocations, 1u);
-    ASSERT_EQ(pt.decisionWallNs.size(), 1u);
-    EXPECT_EQ(pt.decisionWallNs[0], 250.0);
+    EXPECT_EQ(pt.schedEvents, 1u);
+    EXPECT_EQ(pt.planCalls, 1u);
+    ASSERT_EQ(pt.decisionWallNs.count(), 1u);
+    EXPECT_EQ(pt.decisionWallNs.min(), 250.0);
     EXPECT_EQ(pt.frameArrivals, 1u);
-
-    // The escaped instant arg round-trips through quote/unquote.
-    bool found = false;
-    for (const auto& ev : profile.events) {
-        if (ev.ph != 'i')
-            continue;
-        const std::string* task = ev.arg("task");
-        ASSERT_NE(task, nullptr);
-        EXPECT_EQ(*task, "a \"b\"\nc");
-        found = true;
-    }
-    EXPECT_TRUE(found);
 }
 
 TEST(TraceProf, RejectsBackwardTimestampsOnOneTrack)
@@ -302,6 +291,30 @@ TEST(TraceProf, RejectsMalformedEvents)
     test::expectRejectedAt(read, array_arg, "t", array_arg.find("[1]"),
                            "event 0: arg \"k\" must be a number or "
                            "a string");
+    // The window and decision-time args are numbers: a string is not
+    // read by its leading digits.
+    const std::string meta =
+        "[{\"name\": \"dream_meta\", \"ph\": \"M\", \"pid\": 0, "
+        "\"tid\": 0, \"args\": {\"window_us\": \"2s\"}}]";
+    test::expectRejectedAt(read, meta, "t", meta.find("\"2s\""),
+                           "event 0: non-numeric \"window_us\"");
+    const std::string wall =
+        "[{\"name\": \"s\", \"cat\": \"sched\", \"ph\": \"X\", "
+        "\"ts\": 1, \"dur\": 0, \"pid\": 0, \"tid\": 0, "
+        "\"args\": {\"wall_ns\": \"250ns\"}}]";
+    test::expectRejectedAt(read, wall, "t", wall.find("\"250ns\""),
+                           "event 0: non-numeric \"wall_ns\"");
+    // A sched span's plan() calls are a decimal count.
+    for (const std::string bad : {"1.5", "-1", "\"x\""}) {
+        const std::string rounds =
+            "[{\"name\": \"s\", \"cat\": \"sched\", \"ph\": \"X\", "
+            "\"ts\": 1, \"dur\": 0, \"pid\": 0, \"tid\": 0, "
+            "\"args\": {\"rounds\": " +
+            bad + "}}]";
+        test::expectRejectedAt(read, rounds, "t", rounds.rfind(bad),
+                               "event 0: \"rounds\" must be a decimal "
+                               "integer");
+    }
 }
 
 // ------------------------------------------- metrics-dump reader
@@ -322,15 +335,15 @@ TEST(MetricsProf, RoundTripsARegistryDumpIntoTheCacheReport)
     std::ostringstream full;
     m.writeJson(full, /*include_volatile=*/true);
     std::istringstream in(full.str());
-    const auto profile = tools::readMetricsJson(in, "t");
+    const obs::MetricsRegistry read = tools::readMetricsJson(in, "t");
 
-    EXPECT_TRUE(profile.has("costcache/hit"));
-    EXPECT_EQ(profile.counter("costcache/hit"), 9.0);
-    EXPECT_EQ(profile.counter("costcache/miss"), 3.0);
-    EXPECT_EQ(profile.counter("frames/total"), 42.0);
-    EXPECT_EQ(profile.counter("absent", -1.0), -1.0);
+    // Counters and gauges read back as written; histogram summaries
+    // are parsed past.
+    EXPECT_EQ(read.counters(), m.counters());
+    EXPECT_EQ(read.gauges(), m.gauges());
+    EXPECT_TRUE(read.histograms().empty());
 
-    const auto report = tools::cacheReport(profile);
+    const auto report = tools::cacheReport(read);
     EXPECT_NE(report.find("hits"), std::string::npos);
     EXPECT_NE(report.find("9"), std::string::npos);
     EXPECT_NE(report.find("75.0%"), std::string::npos);
@@ -384,11 +397,12 @@ TEST(MetricsProf, RejectsMalformedDumps)
                                "counters \"costcache/hit\" must be a "
                                "decimal integer in uint64_t range");
     std::istringstream max(head + "18446744073709551615}}");
-    EXPECT_EQ(tools::readMetricsJson(max, "t").counter("costcache/hit"),
-              18446744073709551615.0);
+    const auto counters = tools::readMetricsJson(max, "t").counters();
+    EXPECT_EQ(counters.at("costcache/hit"), 18446744073709551615u);
     // Gauges stay doubles.
     std::istringstream gauge("{\"gauges\": {\"busy\": -1.5e3}}");
-    EXPECT_EQ(tools::readMetricsJson(gauge, "t").gauge("busy"), -1.5e3);
+    EXPECT_EQ(tools::readMetricsJson(gauge, "t").gauges().at("busy"),
+              -1.5e3);
 }
 
 // ------------------------------------------- simulator telemetry
@@ -450,8 +464,60 @@ TEST(SimTelemetry, JobSpanUnionMatchesReportedBusyTime)
         EXPECT_LE(run.stats.accelBusyUs[i], run.stats.windowUs);
     }
     EXPECT_GT(pt.frameArrivals, 0u);
-    EXPECT_GT(pt.schedInvocations, 0u);
-    EXPECT_EQ(pt.decisionWallNs.size(), pt.schedInvocations);
+    EXPECT_GT(pt.schedEvents, 0u);
+    EXPECT_EQ(pt.decisionWallNs.count(), pt.schedEvents);
+    EXPECT_EQ(pt.planCalls, run.stats.schedulerInvocations);
+}
+
+TEST(SimTelemetry, TraceFoldCountsEveryDreamDecision)
+{
+    // DREAM-Full on VR_Gaming at three times its frame rates: the
+    // run switches context, drops frames, switches Supernet variants
+    // and calls plan() more than once per scheduling event, so every
+    // counter the trace reader folds is checked against RunStats.
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
+    auto scenario =
+        workload::makeScenario(workload::ScenarioPreset::VrGaming);
+    for (auto& task : scenario.tasks)
+        task.fps *= 3.0;
+    sim::SimConfig cfg;
+    cfg.windowUs = 5e5;
+    cfg.seed = 11;
+    obs::TraceEventSink trace{0};
+    trace.runMeta(obs::TraceArgs().num("window_us", cfg.windowUs));
+    obs::SimTelemetry telemetry;
+    telemetry.trace = &trace;
+    cfg.telemetry = &telemetry;
+    const auto dream = runner::makeScheduler(runner::SchedKind::DreamFull);
+    const sim::RunStats stats =
+        runner::runOnce(system, scenario, *dream, cfg);
+
+    std::ostringstream out;
+    trace.writeJson(out);
+    std::istringstream in(out.str());
+    const auto profile = tools::readTraceEventJson(in, "dream");
+    ASSERT_EQ(profile.points.size(), 1u);
+    const auto& pt = profile.points[0];
+    size_t dropped = 0, late = 0;
+    for (const sim::FrameRecord& fr : stats.frames) {
+        dropped += fr.dropped;
+        late += fr.isCompleted() && fr.completionUs > fr.deadlineUs;
+    }
+    EXPECT_GT(stats.contextSwitches, 0u);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(late, 0u);
+    EXPECT_EQ(pt.contextSwitches, stats.contextSwitches);
+    EXPECT_EQ(pt.frameDrops, dropped);
+    EXPECT_EQ(pt.deadlineViolations, late);
+    EXPECT_EQ(pt.frameArrivals, stats.frames.size());
+    EXPECT_EQ(pt.planCalls, stats.schedulerInvocations);
+    EXPECT_LT(pt.schedEvents, pt.planCalls);
+    EXPECT_GT(pt.variantSwitches, 0u);
+    EXPECT_NE(tools::profileReport(profile).find(
+                  "scheduler: events=" + std::to_string(pt.schedEvents) +
+                  " plan_calls=" +
+                  std::to_string(stats.schedulerInvocations) + "\n"),
+              std::string::npos);
 }
 
 TEST(SimTelemetry, AttachingTelemetryDoesNotChangeTheRun)

@@ -174,11 +174,9 @@ TEST(Trace, RoundTripIsLosslessIncludingMeta)
             EXPECT_EQ(got.completionUs, want.completionUs);
             EXPECT_EQ(got.latencyUs,
                       want.completionUs - want.arrivalUs);
-            EXPECT_TRUE(got.completed());
         } else {
             EXPECT_TRUE(std::isnan(got.completionUs));
             EXPECT_TRUE(std::isnan(got.latencyUs));
-            EXPECT_FALSE(got.completed());
         }
         EXPECT_EQ(got.violated, want.violated);
         EXPECT_EQ(got.dropped, want.dropped);
@@ -248,7 +246,6 @@ TEST(Trace, DroppedFramesWriteEmptyCellsNotSentinels)
     EXPECT_TRUE(std::isnan(trace.frames[0].completionUs));
     EXPECT_TRUE(std::isnan(trace.frames[0].latencyUs));
     EXPECT_TRUE(trace.frames[0].dropped);
-    EXPECT_FALSE(trace.frames[0].completed());
 }
 
 TEST(Trace, ReaderRejectsMalformedInput)

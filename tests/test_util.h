@@ -4,7 +4,8 @@
  * pair plus a hand-buildable SchedulerContext, so scoring, frame-drop
  * and Supernet logic can be tested without running the simulator; a
  * one-task, one-accelerator simulator fixture; a bit-identity
- * check of two runs' stats; and gtest parameter names.
+ * check of two runs' stats; a serial (alpha, beta) search cost; and
+ * gtest parameter names.
  */
 
 #ifndef DREAM_TESTS_TEST_UTIL_H
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptivity.h"
 #include "costmodel/cost_table.h"
 #include "hw/system.h"
 #include "models/model.h"
@@ -215,6 +217,19 @@ expectStatsBitIdentical(const workload::Scenario& scenario,
         EXPECT_EQ(a.tasks[t].sumLatencyUs, b.tasks[t].sumLatencyUs);
         EXPECT_EQ(a.tasks[t].variantStarts, b.tasks[t].variantStarts);
     }
+}
+
+/** A search cost that evaluates @p cost(alpha, beta) point by point. */
+template <class Cost>
+core::BatchCostFn
+serialBatch(Cost cost)
+{
+    return [cost](const std::vector<std::pair<double, double>>& pts) {
+        std::vector<double> out;
+        for (const auto& [a, b] : pts)
+            out.push_back(cost(a, b));
+        return out;
+    };
 }
 
 /** @p name with each character gtest rejects in a parameter name

@@ -2,8 +2,9 @@
  * @file
  * dream_prof: read telemetry event traces (`bench --trace-events
  * DIR`, Chrome trace-event JSON) and print per-accelerator
- * utilization and scheduler decision-latency tables per grid point.
- * `--check` validates only (array shape, required fields,
+ * utilization and scheduler tables per grid point, and metrics dumps
+ * (`--metrics FILE`) for the serve-telemetry and cost-table cache
+ * tables. `--check` validates only (array shape, required fields,
  * non-decreasing timestamps per track) and prints one OK line per
  * file — the CI trace gate. Inputs are trace files or directories
  * (scanned for *.trace.json). Exits 0 when every input is valid, 1
@@ -13,9 +14,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/trace_prof.h"
@@ -99,52 +100,50 @@ main(int argc, char** argv)
         return 2;
     }
 
-    bool first = true;
-    for (const auto& file : files) {
-        try {
-            const tools::TraceProfile profile =
-                tools::readTraceEventJson(file);
-            if (check_only) {
-                std::printf("OK %s (%zu events, %zu points)\n",
-                            file.c_str(), profile.events.size(),
-                            profile.points.size());
-                continue;
-            }
-            if (!first)
-                std::printf("\n");
-            first = false;
-            std::printf("--- %s ---\n", file.c_str());
-            std::fputs(tools::profileReport(profile).c_str(),
-                       stdout);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "dream_prof: %s\n", e.what());
-            return 1;
-        }
-    }
+    // Traces first, then metrics dumps, each in command-line order.
+    std::vector<std::pair<std::string, bool>> inputs; // (path, metrics?)
+    for (const auto& file : files)
+        inputs.push_back({file, false});
+    for (const auto& file : metrics_paths)
+        inputs.push_back({file, true});
 
-    for (const auto& file : metrics_paths) {
+    bool first = true;
+    for (const auto& [file, is_metrics] : inputs) {
+        std::string summary, report;
         try {
-            const tools::MetricsProfile metrics =
-                tools::readMetricsJson(file);
-            if (check_only) {
-                std::printf("OK %s (%zu counters)\n", file.c_str(),
-                            metrics.counters.size());
-                continue;
+            if (is_metrics) {
+                const obs::MetricsRegistry metrics =
+                    tools::readMetricsJson(file);
+                summary = std::to_string(metrics.counters().size()) +
+                          " counters";
+                // Serve dumps lead with their telemetry table; every
+                // dump gets the cache-efficiency table.
+                if (!check_only)
+                    report = tools::serveReport(metrics) +
+                             tools::cacheReport(metrics);
+            } else {
+                const tools::TraceProfile profile =
+                    tools::readTraceEventJson(file);
+                summary = std::to_string(profile.eventCount) +
+                          " events, " +
+                          std::to_string(profile.points.size()) +
+                          " points";
+                if (!check_only)
+                    report = tools::profileReport(profile);
             }
-            if (!first)
-                std::printf("\n");
-            first = false;
-            std::printf("--- %s ---\n", file.c_str());
-            // Serve dumps lead with their telemetry table; every
-            // dump gets the cache-efficiency table.
-            if (metrics.has("serve/frames/offered"))
-                std::fputs(tools::serveReport(metrics).c_str(),
-                           stdout);
-            std::fputs(tools::cacheReport(metrics).c_str(), stdout);
         } catch (const std::exception& e) {
             std::fprintf(stderr, "dream_prof: %s\n", e.what());
             return 1;
         }
+        if (check_only) {
+            std::printf("OK %s (%s)\n", file.c_str(), summary.c_str());
+            continue;
+        }
+        if (!first)
+            std::printf("\n");
+        first = false;
+        std::printf("--- %s ---\n", file.c_str());
+        std::fputs(report.c_str(), stdout);
     }
     return 0;
 }
