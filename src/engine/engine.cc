@@ -13,7 +13,8 @@
 
 #include "engine/worker_pool.h"
 #include "metrics/uxcost.h"
-#include "obs/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/trace_event.h"
 #include "runner/experiment.h"
 #include "runner/table.h"
 #include "runner/trace.h"
@@ -186,7 +187,6 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
     // carries what dream_prof needs (the window for utilization, the
     // key for the report).
     obs::TraceEventSink trace_sink{int64_t(point.index)};
-    obs::SimTelemetry telemetry;
     if (!opts.traceEventDir.empty()) {
         trace_sink.processName(point.key());
         trace_sink.runMeta(
@@ -195,12 +195,9 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
                 .num("window_us", point.windowUs)
                 .integer("seed", (long long) point.seed)
                 .integer("index", (long long) point.index));
-        telemetry.trace = &trace_sink;
+        cfg.trace = &trace_sink;
     }
-    if (metrics_out)
-        telemetry.metrics = metrics_out;
-    if (telemetry.trace || telemetry.metrics)
-        cfg.telemetry = &telemetry;
+    cfg.metrics = metrics_out;
 
     const sim::RunStats stats =
         runner::runOnce(system, scenario, *sched, cfg);

@@ -1,7 +1,6 @@
 #include "runner/experiment.h"
 
 #include "costmodel/cost_table_cache.h"
-#include "obs/telemetry.h"
 #include "sched/fcfs.h"
 #include "sched/planaria.h"
 #include "sched/static_fcfs.h"
@@ -101,9 +100,7 @@ runOnce(const hw::SystemConfig& system,
     // searches and replays repeat one (system, model set) pair many
     // times, and each repeat reuses one table.
     const std::shared_ptr<const cost::CostTable> costs =
-        cost::acquireCostTable(
-            system, scenario,
-            config.telemetry ? config.telemetry->metrics : nullptr);
+        cost::acquireCostTable(system, scenario, config.metrics);
     sim::Simulator simulator(system, scenario, *costs, config);
     return simulator.run(sched);
 }

@@ -54,8 +54,8 @@ bool parseSchedKind(const std::string& name, SchedKind* out);
 /**
  * The one offline run set-up: acquire the shared cost table of
  * (@p system, @p scenario) and run one sim::Simulator configured by
- * @p config (window, seed, arrival source, telemetry) under
- * @p sched. A telemetry metrics registry also records the cache
+ * @p config (window, seed, arrival source, hooks) under
+ * @p sched. A metrics registry in @p config also records the cache
  * outcome (the volatile costcache/{hit,miss,evict} counters, see
  * cost::acquireCostTable).
  */

@@ -3,7 +3,6 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -79,17 +78,21 @@ rowError(size_t row, const std::string& what)
                              std::to_string(row) + ": " + what);
 }
 
+/**
+ * A finite number no smaller than @p lo. A NaN arrival would stall
+ * the replay's event loop, and a negative one would break the
+ * stream's arrival order, so neither is read as a time.
+ */
 double
-parseDouble(const std::string& cell, size_t row, const char* column)
+parseDouble(const std::string& cell, size_t row, const char* column,
+            double lo = -HUGE_VAL)
 {
-    if (cell.empty())
-        rowError(row, std::string("empty '") + column + "' cell");
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end != cell.c_str() + cell.size())
+    try {
+        return flags::parseReal(cell, lo, HUGE_VAL);
+    } catch (const flags::Error& e) {
         rowError(row, std::string("malformed '") + column +
-                          "' value '" + cell + "'");
-    return v;
+                          "' value '" + cell + "' (" + e.what() + ")");
+    }
 }
 
 /** Empty cell -> NaN (never-completed frames). */
@@ -171,7 +174,7 @@ readFrameTraceCsv(std::istream& in)
         fr.task = parseInt(cells[0], row, "task");
         fr.model = cells[1];
         fr.frameIdx = parseInt(cells[2], row, "frame");
-        fr.arrivalUs = parseDouble(cells[3], row, "arrival_us");
+        fr.arrivalUs = parseDouble(cells[3], row, "arrival_us", 0.0);
         fr.deadlineUs = parseDouble(cells[4], row, "deadline_us");
         fr.completionUs =
             parseOptionalDouble(cells[5], row, "completion_us");

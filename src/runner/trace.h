@@ -69,7 +69,9 @@ std::string frameTraceCsv(const sim::RunStats& stats,
  *
  * @throws std::runtime_error on an unexpected header, a row with the
  * wrong cell count, or a malformed numeric/flag cell (the error
- * names the row and cell).
+ * names the row and cell): integer cells are decimal in
+ * [0, INT_MAX], time and energy cells are finite numbers, and an
+ * arrival is not negative.
  */
 workload::FrameTrace readFrameTraceCsv(std::istream& in);
 

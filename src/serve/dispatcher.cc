@@ -100,99 +100,84 @@ Dispatcher::route(workload::TaskId session, double now_us,
         throw std::invalid_argument(
             "Dispatcher: session id out of range");
 
-    size_t device = 0;
-    if (devices_ > 1) {
-        static const DeviceGauges kNoGauges;
-        const auto gauge = [&](size_t d) -> const DeviceGauges& {
-            return d < gauges.size() ? gauges[d] : kNoGauges;
-        };
-        switch (policy_) {
-        case RouterPolicy::RoundRobin:
-            device = nextRoundRobin_++ % devices_;
-            break;
-        case RouterPolicy::LeastLoaded: {
-            // Projected backlog: the admission gate's live backlog
-            // plus the best-case work the device's committed
-            // sessions still generate this window. Ties keep the
-            // lower index — deterministic.
-            double best = std::numeric_limits<double>::infinity();
-            for (size_t d = 0; d < devices_; ++d) {
-                double committed = gauge(d).backlogUs;
-                for (const workload::TaskId s : assigned_[d])
-                    committed += remainingDemandUs(s, now_us);
-                if (committed < best) {
-                    best = committed;
-                    device = d;
-                }
-            }
-            break;
-        }
-        case RouterPolicy::FinishTimeFairness: {
-            // Shockwave-style greedy with a load guardrail. Pass 1
-            // projects every device's shared finish time (admission
-            // backlog + committed best-case demand + the new
-            // session, over capacity), inflated by the device's
-            // rolling SLO-violation rate — live telemetry closing
-            // the loop on queueing the linear model misses. Pass 2
-            // considers only devices within kLoadSlack of the
-            // lightest projection and, among those, minimises the
-            // device's worst post-placement finish-time-fairness
-            // ratio (projected shared finish over the smallest
-            // isolated finish recorded at assignment). The
-            // guardrail matters: unconstrained worst-ratio greedy
-            // co-locates heavy sessions (stacking heavies never
-            // hurts the worst ratio as much as slowing a light
-            // session), and the deadline-driven devices punish that
-            // with queueing blowup the fractional-sharing model
-            // never sees.
-            const double demand_new = std::max(
-                remainingDemandUs(session, now_us),
-                frameWorkUs_[size_t(session)]);
-            const double iso_new =
-                std::max(demand_new / capacityUs_, 1e-9);
-            std::vector<double> shared(devices_, 0.0);
-            std::vector<double> iso_min(devices_, iso_new);
-            double lightest =
-                std::numeric_limits<double>::infinity();
-            for (size_t d = 0; d < devices_; ++d) {
-                double committed = demand_new;
-                for (const workload::TaskId s : assigned_[d]) {
-                    committed += remainingDemandUs(s, now_us);
-                    iso_min[d] = std::min(iso_min[d],
-                                          isoFinishUs_[size_t(s)]);
-                }
-                shared[d] = (1.0 + gauge(d).violationRate) *
-                            sharedFinishUs(committed, gauge(d));
-                lightest = std::min(lightest, shared[d]);
-            }
-            constexpr double kLoadSlack = 1.25;
-            double best = std::numeric_limits<double>::infinity();
-            for (size_t d = 0; d < devices_; ++d) {
-                if (shared[d] > lightest * kLoadSlack)
-                    continue;
-                const double rho = shared[d] / iso_min[d];
-                if (rho < best) {
-                    best = rho;
-                    device = d;
-                }
-            }
-            isoFinishUs_[size_t(session)] = iso_new;
-            break;
-        }
-        }
-    } else if (policy_ == RouterPolicy::RoundRobin) {
-        nextRoundRobin_++;
-    }
+    if (devices_ == 1)
+        return 0;
 
-    if (policy_ == RouterPolicy::FinishTimeFairness &&
-        isoFinishUs_[size_t(session)] <= 0.0) {
-        // Single-device clusters skip the scoring loop above but the
-        // denominator must still be recorded once per session.
-        isoFinishUs_[size_t(session)] = std::max(
-            std::max(remainingDemandUs(session, now_us),
-                     frameWorkUs_[size_t(session)]) /
-                capacityUs_,
-            1e-9);
+    size_t device = 0;
+    static const DeviceGauges kNoGauges;
+    const auto gauge = [&](size_t d) -> const DeviceGauges& {
+        return d < gauges.size() ? gauges[d] : kNoGauges;
+    };
+    switch (policy_) {
+    case RouterPolicy::RoundRobin:
+        device = nextRoundRobin_++ % devices_;
+        break;
+    case RouterPolicy::LeastLoaded: {
+        // Projected backlog: the admission gate's live backlog
+        // plus the best-case work the device's committed
+        // sessions still generate this window. Ties keep the
+        // lower index — deterministic.
+        double best = std::numeric_limits<double>::infinity();
+        for (size_t d = 0; d < devices_; ++d) {
+            double committed = gauge(d).backlogUs;
+            for (const workload::TaskId s : assigned_[d])
+                committed += remainingDemandUs(s, now_us);
+            if (committed < best) {
+                best = committed;
+                device = d;
+            }
+        }
+        break;
+    }
+    case RouterPolicy::FinishTimeFairness: {
+        // Shockwave-style greedy with a load guardrail. Pass 1
+        // projects every device's shared finish time (admission
+        // backlog + committed best-case demand + the new
+        // session, over capacity), inflated by the device's
+        // rolling SLO-violation rate — live telemetry closing
+        // the loop on queueing the linear model misses. Pass 2
+        // considers only devices within kLoadSlack of the
+        // lightest projection and, among those, minimises the
+        // device's worst post-placement finish-time-fairness
+        // ratio (projected shared finish over the smallest
+        // isolated finish recorded at assignment). The
+        // guardrail matters: unconstrained worst-ratio greedy
+        // co-locates heavy sessions (stacking heavies never
+        // hurts the worst ratio as much as slowing a light
+        // session), and the deadline-driven devices punish that
+        // with queueing blowup the fractional-sharing model
+        // never sees.
+        const double demand_new = std::max(
+            remainingDemandUs(session, now_us),
+            frameWorkUs_[size_t(session)]);
+        const double iso_new = std::max(demand_new / capacityUs_, 1e-9);
+        std::vector<double> shared(devices_, 0.0);
+        std::vector<double> iso_min(devices_, iso_new);
+        double lightest = std::numeric_limits<double>::infinity();
+        for (size_t d = 0; d < devices_; ++d) {
+            double committed = demand_new;
+            for (const workload::TaskId s : assigned_[d]) {
+                committed += remainingDemandUs(s, now_us);
+                iso_min[d] = std::min(iso_min[d], isoFinishUs_[size_t(s)]);
+            }
+            shared[d] = (1.0 + gauge(d).violationRate) *
+                        sharedFinishUs(committed, gauge(d));
+            lightest = std::min(lightest, shared[d]);
+        }
+        constexpr double kLoadSlack = 1.25;
+        double best = std::numeric_limits<double>::infinity();
+        for (size_t d = 0; d < devices_; ++d) {
+            if (shared[d] > lightest * kLoadSlack)
+                continue;
+            const double rho = shared[d] / iso_min[d];
+            if (rho < best) {
+                best = rho;
+                device = d;
+            }
+        }
+        isoFinishUs_[size_t(session)] = iso_new;
+        break;
+    }
     }
     assigned_[device].push_back(session);
     return device;

@@ -67,23 +67,21 @@ public:
                const workload::Scenario& scenario,
                const cost::CostTable& costs, double window_us);
 
-    RouterPolicy policy() const { return policy_; }
-
     /**
      * Route the session of root task @p session arriving at
      * @p now_us. @p gauges must have one entry per device (it may be
      * empty for a single-device cluster, where the answer is always
-     * 0). Records the assignment, so each session is routed once.
+     * 0 and nothing is recorded). Records the assignment, so each
+     * session is routed once.
      */
     size_t route(workload::TaskId session, double now_us,
                  const std::vector<DeviceGauges>& gauges);
 
+private:
     /** Best-case service demand @p session still generates in
      *  [now_us, window): frame rate x expected per-frame work. */
     double remainingDemandUs(workload::TaskId session,
                              double now_us) const;
-
-private:
     double sharedFinishUs(double committed_us,
                           const DeviceGauges& gauge) const;
 

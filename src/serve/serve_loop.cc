@@ -28,16 +28,15 @@ ServeLoop::ServeLoop(const hw::SystemConfig& system,
 }
 
 void
-ServeLoop::onFrameOutcome(const obs::FrameOutcome& outcome)
+ServeLoop::onFrameOutcome(double t_us, const sim::FrameRecord& frame)
 {
-    outcomes_.record(outcome.tUs);
-    if (outcome.violated)
-        violations_.record(outcome.tUs);
-    if (outcome.dropped)
-        drops_.record(outcome.tUs);
+    outcomes_.record(t_us);
+    if (frame.violated)
+        violations_.record(t_us);
+    if (frame.dropped)
+        drops_.record(t_us);
     else
-        latency_.record(outcome.tUs,
-                        outcome.completionUs - outcome.arrivalUs);
+        latency_.record(t_us, frame.completionUs - frame.arrivalUs);
 }
 
 ServeSnapshot
@@ -118,10 +117,8 @@ ServeLoop::begin(sim::Scheduler& sched,
     sim_config.windowUs = config_.windowUs;
     sim_config.seed = config_.seed;
     sim_config.arrivals = &arrivals;
-    telemetry_ = obs::SimTelemetry{};
-    telemetry_.metrics = device_.empty() ? config_.metrics : nullptr;
-    telemetry_.outcomes = this;
-    sim_config.telemetry = &telemetry_;
+    sim_config.metrics = device_.empty() ? config_.metrics : nullptr;
+    sim_config.outcomes = this;
     sim_ = std::make_unique<sim::Simulator>(system_, scenario_,
                                             costs_, sim_config);
 

@@ -30,7 +30,6 @@
 #include "hw/system.h"
 #include "obs/metrics.h"
 #include "obs/rolling.h"
-#include "obs/telemetry.h"
 #include "serve/admission.h"
 #include "serve/dispatcher.h"
 #include "sim/scheduler.h"
@@ -83,7 +82,7 @@ struct ServeResult {
  * table). Deterministic: every decision keys off virtual arrival
  * times, never wall time.
  */
-class ServeLoop : public obs::FrameOutcomeSink {
+class ServeLoop : public sim::FrameOutcomeSink {
 public:
     /**
      * @p device tags the loop: empty for a single device, "dev<k>"
@@ -126,7 +125,8 @@ public:
     DeviceGauges pollGauges(double t_us);
 
     /** FrameOutcomeSink: feeds the rolling windows. */
-    void onFrameOutcome(const obs::FrameOutcome& outcome) override;
+    void onFrameOutcome(double t_us,
+                        const sim::FrameRecord& frame) override;
 
 private:
     void advanceWithReports(double target_us);
@@ -148,7 +148,6 @@ private:
     std::unique_ptr<AdmissionController> admission_;
     /** Pass-through tally when the admission gate is disabled. */
     AdmissionStats tally_;
-    obs::SimTelemetry telemetry_;
     std::chrono::steady_clock::time_point wall0_;
     obs::RollingQuantileWindow latency_;
     obs::RollingEventCounter outcomes_;

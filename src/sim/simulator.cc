@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "costmodel/layer_cost.h"
-#include "obs/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/trace_event.h"
 #include "sim/context_switch.h"
 #include "sim/cost_cache.h"
 
@@ -122,8 +122,14 @@ Simulator::admitFrame(workload::FrameSpec&& spec)
     // task's worst-case energy counts the materialised path's.
     shareResolution(*req);
 
-    TaskStats& ts = stats_.tasks[spec.task];
-    if (inWindow(spec.deadlineUs, config_.windowUs)) {
+    FrameRecord& fr = frames_.emplace_back();
+    fr.task = spec.task;
+    fr.frameIdx = spec.frameIdx;
+    fr.arrivalUs = spec.arrivalUs;
+    fr.deadlineUs = spec.deadlineUs;
+    fr.inWindow = inWindow(spec.deadlineUs, config_.windowUs);
+    if (fr.inWindow) {
+        TaskStats& ts = stats_.tasks[spec.task];
         ts.totalFrames += 1;
         ts.worstCaseEnergyMj += req->resolution->worstCaseEnergyMj;
     }
@@ -132,8 +138,8 @@ Simulator::admitFrame(workload::FrameSpec&& spec)
     liveSlot_.push_back(ctx_.live.size());
     ctx_.live.push_back(req.get());
 
-    if (config_.telemetry && config_.telemetry->trace) {
-        config_.telemetry->trace->instant(
+    if (config_.trace) {
+        config_.trace->instant(
             framesTid_, "frame_arrival", "frame", nowUs_,
             obs::TraceArgs()
                 .integer("task", spec.task)
@@ -179,11 +185,69 @@ Simulator::retire(Request& req)
     ctx_.live[slot] = moved;
     liveSlot_[size_t(moved->id)] = slot;
     ctx_.live.pop_back();
-    // Drop the per-layer handles: finalizeStats reads only the record
-    // fields, so what a finished frame retains does not grow with its
-    // path length.
+    // Drop the per-layer handles: settle() reads only the request's
+    // scalar fields, so what a finished frame retains does not grow
+    // with its path length.
     req.path = models::Path();
     req.resolution.reset();
+}
+
+void
+Simulator::settle(const Request& req)
+{
+    // The one place a frame's outcome is decided: at its completion,
+    // at its drop, or, for a frame still live, at the window end.
+    FrameRecord& fr = frames_[size_t(req.id)];
+    fr.completionUs = req.completionUs;
+    fr.dropped = req.dropped;
+    // A frame unfinished at window end only counts as violated when
+    // its deadline lay inside the window — an out-of-window frame cut
+    // off mid-flight may still have met its deadline.
+    fr.violated = req.dropped ||
+                  (req.done && req.completionUs > req.deadlineUs) ||
+                  (fr.inWindow && !req.finished());
+    fr.variant = req.variant;
+    fr.energyMj = req.energyMj;
+
+    // Only in-window frames count; Supernet variant usage is tallied
+    // over started frames.
+    if (fr.inWindow) {
+        TaskStats& ts = stats_.tasks[fr.task];
+        if (fr.isCompleted()) {
+            ts.completedFrames += 1;
+            ts.sumLatencyUs += fr.completionUs - fr.arrivalUs;
+        }
+        ts.droppedFrames += fr.dropped;
+        ts.violatedFrames += fr.violated;
+        if (!ts.variantStarts.empty() && req.started())
+            ts.variantStarts[size_t(fr.variant)] += 1;
+    }
+
+    // A frame still live at the window end leaves no exit event.
+    if (!req.finished())
+        return;
+    if (config_.metrics && fr.isCompleted()) {
+        cachedHistogram(*config_.metrics, latencyHist_,
+                        "frame/latency_us")
+            .record(fr.completionUs - fr.arrivalUs);
+    }
+    if (config_.trace && fr.dropped) {
+        config_.trace->instant(framesTid_, "frame_drop", "frame", nowUs_,
+                               obs::TraceArgs()
+                                   .integer("task", fr.task)
+                                   .integer("frame", fr.frameIdx)
+                                   .num("deadline_us", fr.deadlineUs));
+    } else if (config_.trace && fr.violated) {
+        config_.trace->instant(
+            framesTid_, "deadline_violation", "frame", nowUs_,
+            obs::TraceArgs()
+                .integer("task", fr.task)
+                .integer("frame", fr.frameIdx)
+                .num("deadline_us", fr.deadlineUs)
+                .num("completion_us", fr.completionUs));
+    }
+    if (config_.outcomes)
+        config_.outcomes->onFrameOutcome(nowUs_, fr);
 }
 
 void
@@ -232,44 +296,7 @@ Simulator::completeJob(const Job& job)
     req.completionUs = job.endUs;
     retire(req);
     refreshReady(req.task);
-    TaskStats& ts = stats_.tasks[req.task];
-    const bool counted = inWindow(req.deadlineUs, config_.windowUs);
-    if (counted) {
-        ts.completedFrames += 1;
-        ts.sumLatencyUs += req.completionUs - req.arrivalUs;
-        if (req.completionUs > req.deadlineUs)
-            ts.violatedFrames += 1;
-    }
-
-    if (config_.telemetry) {
-        if (config_.telemetry->metrics) {
-            cachedHistogram(*config_.telemetry->metrics, latencyHist_,
-                            "frame/latency_us")
-                .record(req.completionUs - req.arrivalUs);
-        }
-        if (config_.telemetry->trace &&
-            req.completionUs > req.deadlineUs) {
-            config_.telemetry->trace->instant(
-                framesTid_, "deadline_violation", "frame", nowUs_,
-                obs::TraceArgs()
-                    .integer("task", req.task)
-                    .integer("frame", req.frameIdx)
-                    .num("deadline_us", req.deadlineUs)
-                    .num("completion_us", req.completionUs));
-        }
-        if (config_.telemetry->outcomes) {
-            obs::FrameOutcome fo;
-            fo.task = req.task;
-            fo.frameIdx = req.frameIdx;
-            fo.tUs = nowUs_;
-            fo.arrivalUs = req.arrivalUs;
-            fo.deadlineUs = req.deadlineUs;
-            fo.completionUs = req.completionUs;
-            fo.violated = req.completionUs > req.deadlineUs;
-            fo.dropped = false;
-            config_.telemetry->outcomes->onFrameOutcome(fo);
-        }
-    }
+    settle(req);
 
     // Launch dependent pipeline stages whose cascade gate fired.
     const auto children = scenario_.childrenOf(req.task);
@@ -341,8 +368,8 @@ Simulator::applySwitch(const VariantSwitch& sw)
     req.variant = sw.variant;
     shareResolution(req);
 
-    if (config_.telemetry && config_.telemetry->trace) {
-        config_.telemetry->trace->instant(
+    if (config_.trace) {
+        config_.trace->instant(
             framesTid_, "variant_switch", "frame", nowUs_,
             obs::TraceArgs()
                 .integer("task", req.task)
@@ -359,36 +386,11 @@ Simulator::applyDrop(const FrameDrop& drop)
     req.dropped = true;
     retire(req);
     refreshReady(req.task);
-    TaskStats& ts = stats_.tasks[req.task];
-    if (inWindow(req.deadlineUs, config_.windowUs)) {
-        ts.droppedFrames += 1;
-        ts.violatedFrames += 1;
-    }
     // Dropping a frame suppresses its dependent stages: dependency-
     // chain condition 3 restricts drops to leaf models, but guard
     // regardless by clearing the triggers.
     req.childTriggers.assign(req.childTriggers.size(), 0);
-
-    if (config_.telemetry && config_.telemetry->trace) {
-        config_.telemetry->trace->instant(
-            framesTid_, "frame_drop", "frame", nowUs_,
-            obs::TraceArgs()
-                .integer("task", req.task)
-                .integer("frame", req.frameIdx)
-                .num("deadline_us", req.deadlineUs));
-    }
-    if (config_.telemetry && config_.telemetry->outcomes) {
-        obs::FrameOutcome fo;
-        fo.task = req.task;
-        fo.frameIdx = req.frameIdx;
-        fo.tUs = nowUs_;
-        fo.arrivalUs = req.arrivalUs;
-        fo.deadlineUs = req.deadlineUs;
-        fo.completionUs = std::nan("");
-        fo.violated = true;
-        fo.dropped = true;
-        config_.telemetry->outcomes->onFrameOutcome(fo);
-    }
+    settle(req);
 }
 
 void
@@ -472,40 +474,36 @@ Simulator::applyDispatch(const Dispatch& d)
     acc.busyUntilUs = std::max(acc.busyUntilUs, job.endUs);
     acc.residentRequestId = req.id;
 
-    if (config_.telemetry) {
-        // Queue wait: arrival to first layer dispatch.
-        if (config_.telemetry->metrics && job.layerBegin == 0) {
-            cachedHistogram(*config_.telemetry->metrics, queueWaitHist_,
-                            "frame/queue_wait_us")
-                .record(nowUs_ - req.arrivalUs);
-        }
-        if (config_.telemetry->trace) {
-            obs::TraceEventSink& trace = *config_.telemetry->trace;
-            obs::TraceArgs args;
-            args.integer("task", req.task)
-                .integer("frame", req.frameIdx)
-                .integer("request", req.id)
-                .str("layers",
-                     std::to_string(job.layerBegin) + ':' +
-                         std::to_string(job.layerEnd))
-                .integer("slices", (long long) slices);
-            if (cs.any())
-                args.num("cs_us", cs_latency_us);
-            trace.span(d.accel,
-                       scenario_.tasks[req.task].model.name, "job",
-                       nowUs_, latency_us, args);
-            // The context-switch cost nests as a child span at the
-            // start of the job it delays (emitted after the longer
-            // enclosing span so same-ts slices nest correctly).
-            if (cs.any()) {
-                trace.span(d.accel, "context_switch", "cs", nowUs_,
-                           cs_latency_us,
-                           obs::TraceArgs()
-                               .integer("flush_bytes",
-                                        (long long) cs.flushBytes)
-                               .integer("fetch_bytes",
-                                        (long long) cs.fetchBytes));
-            }
+    // Queue wait: arrival to first layer dispatch.
+    if (config_.metrics && job.layerBegin == 0) {
+        cachedHistogram(*config_.metrics, queueWaitHist_,
+                        "frame/queue_wait_us")
+            .record(nowUs_ - req.arrivalUs);
+    }
+    if (config_.trace) {
+        obs::TraceEventSink& trace = *config_.trace;
+        obs::TraceArgs args;
+        args.integer("task", req.task)
+            .integer("frame", req.frameIdx)
+            .integer("request", req.id)
+            .str("layers", std::to_string(job.layerBegin) + ':' +
+                               std::to_string(job.layerEnd))
+            .integer("slices", (long long) slices);
+        if (cs.any())
+            args.num("cs_us", cs_latency_us);
+        trace.span(d.accel, scenario_.tasks[req.task].model.name, "job",
+                   nowUs_, latency_us, args);
+        // The context-switch cost nests as a child span at the start
+        // of the job it delays (emitted after the longer enclosing
+        // span so same-ts slices nest correctly).
+        if (cs.any()) {
+            trace.span(d.accel, "context_switch", "cs", nowUs_,
+                       cs_latency_us,
+                       obs::TraceArgs()
+                           .integer("flush_bytes",
+                                    (long long) cs.flushBytes)
+                           .integer("fetch_bytes",
+                                    (long long) cs.fetchBytes));
         }
     }
 
@@ -548,13 +546,13 @@ Simulator::applyPlan(const Plan& plan)
 void
 Simulator::invokeScheduler(Scheduler& sched)
 {
-    // Wall-clock decision timing is only taken when telemetry is
-    // attached; the result is inherently host-dependent, so it rides
-    // on the trace event (`wall_ns`) and a volatile histogram — never
-    // in the canonical --metrics dump.
-    obs::SimTelemetry* tel = config_.telemetry;
-    const auto t0 = tel ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
+    // Wall-clock decision timing is only taken when a trace or a
+    // registry records it; the result is inherently host-dependent,
+    // so it rides on the trace event (`wall_ns`) and a volatile
+    // histogram — never in the canonical --metrics dump.
+    const bool timed = config_.trace || config_.metrics;
+    const auto t0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
 
     int rounds = 0;
     bool converged = false;
@@ -574,28 +572,27 @@ Simulator::invokeScheduler(Scheduler& sched)
             std::to_string(kMaxPlanRounds) + " rounds at t=" +
             formatUs(nowUs_) + " us (it must converge to an empty plan)");
 
-    if (tel) {
-        const double wall_ns =
-            double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
-        if (tel->metrics) {
-            cachedHistogram(*tel->metrics, planRoundsHist_,
-                            "sched/plan_rounds")
-                .record(double(rounds));
-            if (!decisionWallHist_)
-                tel->metrics->markVolatile("sched/decision_wall_ns");
-            cachedHistogram(*tel->metrics, decisionWallHist_,
-                            "sched/decision_wall_ns")
-                .record(wall_ns);
-        }
-        if (tel->trace) {
-            tel->trace->span(schedTid_, "schedule", "sched", nowUs_,
-                             0.0,
-                             obs::TraceArgs()
-                                 .integer("rounds", rounds)
-                                 .num("wall_ns", wall_ns));
-        }
+    if (!timed)
+        return;
+    const double wall_ns =
+        double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count());
+    if (config_.metrics) {
+        cachedHistogram(*config_.metrics, planRoundsHist_,
+                        "sched/plan_rounds")
+            .record(double(rounds));
+        if (!decisionWallHist_)
+            config_.metrics->markVolatile("sched/decision_wall_ns");
+        cachedHistogram(*config_.metrics, decisionWallHist_,
+                        "sched/decision_wall_ns")
+            .record(wall_ns);
+    }
+    if (config_.trace) {
+        config_.trace->span(schedTid_, "schedule", "sched", nowUs_, 0.0,
+                            obs::TraceArgs()
+                                .integer("rounds", rounds)
+                                .num("wall_ns", wall_ns));
     }
 }
 
@@ -631,6 +628,7 @@ Simulator::beginStream(Scheduler& sched)
     wakeups_ = {};
     nowUs_ = 0.0;
     stats_ = RunStats{};
+    frames_.clear();
     stats_.windowUs = config_.windowUs;
     stats_.accelBusyUs.assign(accels_.size(), 0.0);
     busyStartUs_.assign(accels_.size(), 0.0);
@@ -655,12 +653,12 @@ Simulator::beginStream(Scheduler& sched)
             scenario_, config_.seed);
         source_ = ownedSource_.get();
     }
-    if (config_.telemetry && config_.telemetry->trace) {
+    if (config_.trace) {
         // Track naming: tid 0..N-1 = accelerators (paired with the
         // Table 2 config name), then the scheduler and the frame-
         // lifecycle instants. dream_prof keys its utilization table
         // off the "accel" prefix.
-        obs::TraceEventSink& trace = *config_.telemetry->trace;
+        obs::TraceEventSink& trace = *config_.trace;
         for (size_t i = 0; i < accels_.size(); ++i)
             trace.threadName(int64_t(i),
                              "accel" + std::to_string(i) + ' ' +
@@ -670,7 +668,6 @@ Simulator::beginStream(Scheduler& sched)
     }
 
     pendingArrivals_.clear();
-    nextArrival_ = 0;
     streamSched_ = &sched;
     streaming_ = true;
 
@@ -712,8 +709,8 @@ Simulator::advanceTo(double limit_us)
     // replays the offline run event-for-event.
     while (true) {
         double t = config_.windowUs;
-        if (nextArrival_ < pendingArrivals_.size())
-            t = std::min(t, pendingArrivals_[nextArrival_].arrivalUs);
+        if (!pendingArrivals_.empty())
+            t = std::min(t, pendingArrivals_.front().arrivalUs);
         if (!completions_.empty())
             t = std::min(t, completions_.top().endUs);
         if (!wakeups_.empty())
@@ -729,11 +726,10 @@ Simulator::advanceTo(double limit_us)
             completions_.pop();
             completeJob(job);
         }
-        while (nextArrival_ < pendingArrivals_.size() &&
-               pendingArrivals_[nextArrival_].arrivalUs <=
-                   nowUs_ + 1e-9) {
-            admitFrame(std::move(pendingArrivals_[nextArrival_]));
-            ++nextArrival_;
+        while (!pendingArrivals_.empty() &&
+               pendingArrivals_.front().arrivalUs <= nowUs_ + 1e-9) {
+            admitFrame(std::move(pendingArrivals_.front()));
+            pendingArrivals_.pop_front();
         }
         while (!wakeups_.empty() && wakeups_.top() <= nowUs_ + 1e-9)
             wakeups_.pop();
@@ -770,45 +766,21 @@ Simulator::finalizeStats()
             std::min(stats_.accelBusyUs[i], config_.windowUs);
     }
 
-    // Frames unfinished at window end with an in-window deadline are
-    // violations; Supernet variant usage is tallied over started
-    // frames; the per-frame trace is emitted in admission order.
-    // Every admitted frame is recorded — frames whose deadline falls
-    // beyond the window (inWindow == false) still contended for
-    // accelerator time, and a trace that omitted them could not be
-    // replayed faithfully.
-    for (const auto& reqp : requests_) {
-        const Request& req = *reqp;
-        const bool counted = inWindow(req.deadlineUs, config_.windowUs);
-        TaskStats& ts = stats_.tasks[req.task];
-        if (counted && !req.finished())
-            ts.violatedFrames += 1;
-        if (counted && !ts.variantStarts.empty() && req.started())
-            ts.variantStarts[size_t(req.variant)] += 1;
-        FrameRecord fr;
-        fr.task = req.task;
-        fr.frameIdx = req.frameIdx;
-        fr.arrivalUs = req.arrivalUs;
-        fr.deadlineUs = req.deadlineUs;
-        fr.completionUs = req.completionUs;
-        fr.dropped = req.dropped;
-        // A frame unfinished at window end only counts as violated
-        // when its deadline lay inside the window — an out-of-window
-        // frame cut off mid-flight may still have met its deadline.
-        fr.violated = req.dropped ||
-                      (req.done && req.completionUs > req.deadlineUs) ||
-                      (counted && !req.finished());
-        fr.inWindow = counted;
-        fr.variant = req.variant;
-        fr.energyMj = req.energyMj;
-        stats_.frames.push_back(fr);
-    }
+    // Every finished frame has settled; the ones still live settle
+    // now (in any order: settling a live frame only fills its record
+    // and tallies counts). Every admitted frame is recorded, in
+    // admission order — frames whose deadline falls beyond the window
+    // (inWindow == false) still contended for accelerator time, and a
+    // trace that omitted them could not be replayed faithfully.
+    for (const Request* req : ctx_.live)
+        settle(*req);
+    stats_.frames = std::move(frames_);
 
     // End-of-run metrics: deterministic sim-time aggregates only
     // (everything here derives from RunStats, which is byte-identical
     // for any worker count).
-    if (config_.telemetry && config_.telemetry->metrics) {
-        obs::MetricsRegistry& m = *config_.telemetry->metrics;
+    if (config_.metrics) {
+        obs::MetricsRegistry& m = *config_.metrics;
         uint64_t total = 0, completed = 0, violated = 0, dropped = 0;
         for (const auto& ts : stats_.tasks) {
             total += ts.totalFrames;

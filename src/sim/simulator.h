@@ -32,10 +32,25 @@ namespace dream {
 
 namespace obs {
 class LatencyHistogram;
-struct SimTelemetry;
+class MetricsRegistry;
+class TraceEventSink;
 }
 
 namespace sim {
+
+/**
+ * Receives each frame's outcome as it settles: one call per completed
+ * or dropped frame, at the virtual time @p t_us of that event, with
+ * the frame's record as RunStats::frames will hold it. Frames still
+ * live at the window end produce no outcome. The serve loop's rolling
+ * SLO windows hang off this hook; like the other hooks, attaching one
+ * observes the run without perturbing it.
+ */
+class FrameOutcomeSink {
+public:
+    virtual ~FrameOutcomeSink() = default;
+    virtual void onFrameOutcome(double t_us, const FrameRecord& frame) = 0;
+};
 
 /** Run parameters. */
 struct SimConfig {
@@ -53,12 +68,16 @@ struct SimConfig {
      */
     const workload::ArrivalSource* arrivals = nullptr;
     /**
-     * Optional externally-owned telemetry outputs (src/obs/). Null —
-     * the default — records nothing and costs one pointer test per
-     * hook site; the run itself is bit-identical either way (the
-     * instrumentation only observes). Must outlive every run() call.
+     * Optional externally-owned hooks (src/obs/), each tested at its
+     * own hook sites: the trace-event sink, the metrics registry and
+     * the frame-outcome sink. Null — the default — records nothing;
+     * the run itself is bit-identical either way (the hooks only
+     * observe), and the decision wall time is read only when a trace
+     * or a registry records it. Each must outlive every run() call.
      */
-    obs::SimTelemetry* telemetry = nullptr;
+    obs::TraceEventSink* trace = nullptr;
+    obs::MetricsRegistry* metrics = nullptr;
+    FrameOutcomeSink* outcomes = nullptr;
 };
 
 /**
@@ -136,6 +155,7 @@ private:
     void shareResolution(Request& req);
     const models::Path& variantPath(workload::TaskId task, int variant);
     void retire(Request& req);
+    void settle(const Request& req);
     void completeJob(const Job& job);
     void invokeScheduler(Scheduler& sched);
     bool applyPlan(const Plan& plan);
@@ -181,11 +201,15 @@ private:
                         std::greater<double>> wakeups_;
     double nowUs_ = 0.0;
     RunStats stats_;
+    /** One record per admitted frame, by request id (admission
+     *  order): created at admission, its outcome filled by settle(),
+     *  moved into RunStats::frames at the window end. Kept out of
+     *  stats_ so a scheduler copying *ctx.stats copies no records. */
+    std::vector<FrameRecord> frames_;
     SchedulerContext ctx_;
-    /** Stream state: offered-but-unadmitted arrivals (FIFO from
-     *  nextArrival_) and the bound scheduler. */
-    std::vector<workload::FrameSpec> pendingArrivals_;
-    size_t nextArrival_ = 0;
+    /** Stream state: offered-but-unadmitted arrivals (FIFO, popped
+     *  as they are admitted) and the bound scheduler. */
+    std::deque<workload::FrameSpec> pendingArrivals_;
     Scheduler* streamSched_ = nullptr;
     bool streaming_ = false;
     /** Start of the current busy interval per accelerator (valid

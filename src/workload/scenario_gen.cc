@@ -41,16 +41,19 @@ private:
     uint64_t state_;
 };
 
-/** The full model zoo as a pool. */
-std::vector<models::Model>
+/** The full model zoo every generator draws from, built once per
+ *  process. */
+const std::vector<models::Model>&
 zooPool()
 {
     using namespace models::zoo;
-    return {fbnetC(),       ssdMobileNetV2(), handPoseNet(),
-            ofaSupernet(),  kwsRes8(),        gnmt(),
-            skipNet(),      trailNet(),       sosNet(),
-            rapidRl(),      googLeNetCar(),   focalLengthDepth(),
-            edTcn(),        vggVoxCeleb()};
+    static const std::vector<models::Model> pool = {
+        fbnetC(),      ssdMobileNetV2(), handPoseNet(),
+        ofaSupernet(), kwsRes8(),        gnmt(),
+        skipNet(),     trailNet(),       sosNet(),
+        rapidRl(),     googLeNetCar(),   focalLengthDepth(),
+        edTcn(),       vggVoxCeleb()};
+    return pool;
 }
 
 /** Standard camera/display/audio frame rates within [lo, hi]. */
@@ -88,33 +91,32 @@ ScenarioGenerator::ScenarioGenerator(ScenarioGenSpec spec)
 {
     assert(spec_.minTasks >= 1 && spec_.minTasks <= spec_.maxTasks);
     assert(spec_.minFps > 0.0 && spec_.minFps <= spec_.maxFps);
-    if (spec_.pool.empty())
-        spec_.pool = zooPool();
+    const std::vector<models::Model>& pool = zooPool();
 
     if (spec_.supernetProb >= 0.0) {
-        for (size_t i = 0; i < spec_.pool.size(); ++i) {
-            (spec_.pool[i].isSupernet() ? supernetPool_ : plainPool_)
+        for (size_t i = 0; i < pool.size(); ++i) {
+            (pool[i].isSupernet() ? supernetPool_ : plainPool_)
                 .push_back(i);
         }
     }
 
     if (spec_.targetLoad > 0.0) {
-        // Cost the whole pool once, through the process-wide table
-        // cache: a probe scenario holding every pool model keys ONE
-        // shared table, reused by every generator with the
-        // same (loadSystem, pool) — and by the thousands of
-        // candidate specs a scenario hunt generates.
+        // Cost the whole zoo once, through the process-wide table
+        // cache: a probe scenario holding every zoo model keys ONE
+        // shared table, reused by every generator with the same
+        // loadSystem — and by the thousands of candidate specs a
+        // scenario hunt generates.
         const hw::SystemConfig system = loadSystemFor(spec_);
         Scenario probe;
         probe.name = "load-probe";
-        for (const auto& m : spec_.pool) {
+        for (const auto& m : pool) {
             TaskSpec t;
             t.model = m;
             probe.tasks.push_back(std::move(t));
         }
         const auto table = cost::acquireCostTable(system, probe);
-        poolLatencySec_.reserve(spec_.pool.size());
-        for (const auto& m : spec_.pool) {
+        poolLatencySec_.reserve(pool.size());
+        for (const auto& m : pool) {
             double sum_us = 0.0;
             for (const auto& l : m.layers)
                 sum_us += table->avgLatencyUs(l);
@@ -155,7 +157,7 @@ ScenarioGenerator::generate(uint64_t seed) const
         }
         const auto draw_model = [&]() {
             return subset ? (*subset)[rng.index(subset->size())]
-                          : rng.index(spec_.pool.size());
+                          : rng.index(zooPool().size());
         };
         size_t model_idx = draw_model();
 
@@ -196,7 +198,7 @@ ScenarioGenerator::generate(uint64_t seed) const
         } else {
             t.fps = rates[rng.index(rates.size())];
         }
-        t.model = spec_.pool[model_idx];
+        t.model = zooPool()[model_idx];
 
         // Dependencies only point at earlier tasks, so the dependency
         // graph is a forest by construction (chains and trees arise

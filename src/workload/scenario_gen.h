@@ -27,7 +27,10 @@ namespace workload {
  * presets (2-8 tasks, standard camera/display frame rates, mostly
  * shallow dependency trees, occasional activation windows).
  *
- * The dynamicity knobs below the pool (skip/early-exit overrides,
+ * Models are drawn from the full zoo (all fourteen Table 3 networks,
+ * including the dynamic ones).
+ *
+ * The dynamicity knobs below (skip/early-exit overrides,
  * Supernet presence, target aggregate load) all default to
  * "disabled": a default-constructed spec generates byte-identical
  * scenarios to the pre-knob generator, so existing seeded sweeps
@@ -51,11 +54,6 @@ struct ScenarioGenSpec {
     double activationProb = 0.2;
     /** Horizon used to size activation windows (microseconds). */
     double horizonUs = 2e6;
-    /**
-     * Model pool to draw from; empty selects the full zoo (all
-     * fourteen Table 3 networks, including the dynamic ones).
-     */
-    std::vector<models::Model> pool;
 
     // ------------------------------------------- dynamicity knobs
     /**
@@ -76,8 +74,8 @@ struct ScenarioGenSpec {
     /**
      * P(a task's model is Supernet-based). When >= 0, each task
      * first draws whether it is a Supernet task, then draws its
-     * model from the matching pool subset (falling back to the whole
-     * pool if the subset is empty). -1 keeps the unbiased draw.
+     * model from the matching zoo subset (falling back to the whole
+     * zoo if the subset is empty). -1 keeps the unbiased draw.
      */
     double supernetProb = -1.0;
     /**
@@ -89,7 +87,7 @@ struct ScenarioGenSpec {
      * (model, standard rate) pair whose load lands closest to an
      * even share of the remaining target. Latencies come from the
      * process-wide cost::CostTableCache (one shared table for the
-     * whole pool), so the bias costs one table build per process.
+     * whole zoo), so the bias costs one table build per process.
      * 0 disables the bias.
      */
     double targetLoad = 0.0;
@@ -130,17 +128,14 @@ public:
     /** Synthesize the scenario of @p seed (named "Gen<seed>"). */
     Scenario generate(uint64_t seed) const;
 
-    /** The spec in effect (pool populated). */
-    const ScenarioGenSpec& spec() const { return spec_; }
-
 private:
     ScenarioGenSpec spec_;
-    /** Pool indices of Supernet / plain models (supernetProb >= 0). */
+    /** Zoo indices of Supernet / plain models (supernetProb >= 0). */
     std::vector<size_t> supernetPool_;
     std::vector<size_t> plainPool_;
     /**
      * Whole-model latency (seconds, averaged across the loadSystem
-     * accelerators) per pool model; empty unless targetLoad > 0.
+     * accelerators) per zoo model; empty unless targetLoad > 0.
      * Costed once from the shared cost-table cache.
      */
     std::vector<double> poolLatencySec_;

@@ -13,8 +13,11 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -24,7 +27,6 @@
 #include "costmodel/cost_table_cache.h"
 #include "hw/system.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace_event.h"
 #include "runner/experiment.h"
 #include "sched/fcfs.h"
@@ -427,13 +429,11 @@ runWithTelemetry(bool attach)
     cfg.windowUs = 2e5;
     cfg.seed = 11;
     SimRun run;
-    obs::SimTelemetry telemetry;
     if (attach) {
         run.trace.runMeta(
             obs::TraceArgs().num("window_us", cfg.windowUs));
-        telemetry.trace = &run.trace;
-        telemetry.metrics = &run.metrics;
-        cfg.telemetry = &telemetry;
+        cfg.trace = &run.trace;
+        cfg.metrics = &run.metrics;
     }
     sched::FcfsScheduler fcfs;
     sim::Simulator simulator(system, scenario, costs, cfg);
@@ -469,28 +469,44 @@ TEST(SimTelemetry, JobSpanUnionMatchesReportedBusyTime)
     EXPECT_EQ(pt.planCalls, run.stats.schedulerInvocations);
 }
 
-TEST(SimTelemetry, TraceFoldCountsEveryDreamDecision)
+/** A FrameOutcomeSink that keeps every outcome it receives. */
+struct RecordingOutcomeSink : sim::FrameOutcomeSink {
+    std::vector<std::pair<double, sim::FrameRecord>> outcomes;
+
+    void
+    onFrameOutcome(double t_us, const sim::FrameRecord& frame) override
+    {
+        outcomes.emplace_back(t_us, frame);
+    }
+};
+
+/** DREAM-Full on VR_Gaming at three times its frame rates: the run
+ *  switches context, drops frames, switches Supernet variants, calls
+ *  plan() more than once per scheduling event and leaves frames live
+ *  at the window end. */
+sim::RunStats
+runDreamOverload(sim::SimConfig cfg)
 {
-    // DREAM-Full on VR_Gaming at three times its frame rates: the
-    // run switches context, drops frames, switches Supernet variants
-    // and calls plan() more than once per scheduling event, so every
-    // counter the trace reader folds is checked against RunStats.
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     auto scenario =
         workload::makeScenario(workload::ScenarioPreset::VrGaming);
     for (auto& task : scenario.tasks)
         task.fps *= 3.0;
-    sim::SimConfig cfg;
     cfg.windowUs = 5e5;
     cfg.seed = 11;
-    obs::TraceEventSink trace{0};
-    trace.runMeta(obs::TraceArgs().num("window_us", cfg.windowUs));
-    obs::SimTelemetry telemetry;
-    telemetry.trace = &trace;
-    cfg.telemetry = &telemetry;
     const auto dream = runner::makeScheduler(runner::SchedKind::DreamFull);
-    const sim::RunStats stats =
-        runner::runOnce(system, scenario, *dream, cfg);
+    return runner::runOnce(system, scenario, *dream, cfg);
+}
+
+TEST(SimTelemetry, TraceFoldCountsEveryDreamDecision)
+{
+    // Every counter the trace reader folds is checked against
+    // RunStats.
+    obs::TraceEventSink trace{0};
+    trace.runMeta(obs::TraceArgs().num("window_us", 5e5));
+    sim::SimConfig cfg;
+    cfg.trace = &trace;
+    const sim::RunStats stats = runDreamOverload(cfg);
 
     std::ostringstream out;
     trace.writeJson(out);
@@ -518,6 +534,98 @@ TEST(SimTelemetry, TraceFoldCountsEveryDreamDecision)
                   " plan_calls=" +
                   std::to_string(stats.schedulerInvocations) + "\n"),
               std::string::npos);
+}
+
+/** Every field of a frame record, NaN completions compared as
+ *  equal. */
+void
+expectSameRecord(const sim::FrameRecord& a, const sim::FrameRecord& b)
+{
+    EXPECT_EQ(a.task, b.task);
+    EXPECT_EQ(a.frameIdx, b.frameIdx);
+    EXPECT_EQ(a.arrivalUs, b.arrivalUs);
+    EXPECT_EQ(a.deadlineUs, b.deadlineUs);
+    EXPECT_EQ(a.isCompleted(), b.isCompleted());
+    if (a.isCompleted() && b.isCompleted()) {
+        EXPECT_EQ(a.completionUs, b.completionUs);
+    }
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.violated, b.violated);
+    EXPECT_EQ(a.inWindow, b.inWindow);
+    EXPECT_EQ(a.variant, b.variant);
+    EXPECT_EQ(a.energyMj, b.energyMj);
+}
+
+TEST(SimTelemetry, EachFrameSettlesIntoOneRecord)
+{
+    // Each frame's outcome is settled once: the record the outcome
+    // sink receives is the RunStats::frames entry, only frames that
+    // completed or dropped produce one, and the TaskStats tallies
+    // count the in-window records.
+    RecordingOutcomeSink sink;
+    sim::SimConfig cfg;
+    cfg.outcomes = &sink;
+    const sim::RunStats stats = runDreamOverload(cfg);
+
+    std::map<std::pair<int, int>, const sim::FrameRecord*> by_frame;
+    for (const sim::FrameRecord& fr : stats.frames)
+        by_frame[{fr.task, fr.frameIdx}] = &fr;
+    ASSERT_EQ(by_frame.size(), stats.frames.size());
+
+    std::set<std::pair<int, int>> received;
+    double last_t_us = 0.0;
+    for (const auto& [t_us, fr] : sink.outcomes) {
+        SCOPED_TRACE("task " + std::to_string(fr.task) + " frame " +
+                     std::to_string(fr.frameIdx));
+        const auto it = by_frame.find({fr.task, fr.frameIdx});
+        ASSERT_NE(it, by_frame.end());
+        expectSameRecord(fr, *it->second);
+        EXPECT_TRUE(received.insert({fr.task, fr.frameIdx}).second)
+            << "outcome received twice";
+        // Outcomes arrive in event order, a completion at its own
+        // event (the event loop groups times within 1e-9 us).
+        EXPECT_GE(t_us, last_t_us);
+        if (fr.isCompleted()) {
+            EXPECT_NEAR(t_us, fr.completionUs, 1e-9);
+        }
+        last_t_us = t_us;
+    }
+
+    size_t completed = 0, dropped = 0, live_violated = 0;
+    std::set<std::pair<int, int>> finished;
+    std::vector<sim::TaskStats> tallies(stats.tasks.size());
+    for (const sim::FrameRecord& fr : stats.frames) {
+        const bool live = !fr.isCompleted() && !fr.dropped;
+        if (!live)
+            finished.insert({fr.task, fr.frameIdx});
+        completed += fr.isCompleted();
+        dropped += fr.dropped;
+        if (!fr.inWindow)
+            continue;
+        // An in-window frame still live at the window end violated.
+        EXPECT_TRUE(!live || fr.violated);
+        live_violated += live;
+        sim::TaskStats& ts = tallies[size_t(fr.task)];
+        ts.totalFrames += 1;
+        ts.completedFrames += fr.isCompleted();
+        ts.droppedFrames += fr.dropped;
+        ts.violatedFrames += fr.violated;
+    }
+    EXPECT_EQ(received, finished);
+    for (size_t t = 0; t < stats.tasks.size(); ++t) {
+        SCOPED_TRACE("task " + std::to_string(t));
+        EXPECT_EQ(stats.tasks[t].totalFrames, tallies[t].totalFrames);
+        EXPECT_EQ(stats.tasks[t].completedFrames,
+                  tallies[t].completedFrames);
+        EXPECT_EQ(stats.tasks[t].droppedFrames, tallies[t].droppedFrames);
+        EXPECT_EQ(stats.tasks[t].violatedFrames,
+                  tallies[t].violatedFrames);
+    }
+    // The run completes, drops and leaves in-window frames live at
+    // the window end, which produce no outcome.
+    EXPECT_GT(completed, 0u);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(live_violated, 0u);
 }
 
 TEST(SimTelemetry, AttachingTelemetryDoesNotChangeTheRun)

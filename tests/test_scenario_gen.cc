@@ -14,7 +14,6 @@
 #include <set>
 #include <string>
 
-#include "models/zoo.h"
 #include "workload/scenario_gen.h"
 
 namespace dream {
@@ -90,21 +89,6 @@ TEST(ScenarioGenerator, GeneratedScenariosAreValidAndInBounds)
                 EXPECT_LT(t.dependsOn,
                           workload::TaskId(&t - s.tasks.data()));
             }
-        }
-    }
-}
-
-TEST(ScenarioGenerator, CustomPoolRestrictsModels)
-{
-    workload::ScenarioGenSpec spec;
-    spec.pool = {models::zoo::kwsRes8(), models::zoo::fbnetC()};
-    const std::string kws = models::zoo::kwsRes8().name;
-    const std::string fbnet = models::zoo::fbnetC().name;
-    workload::ScenarioGenerator gen(spec);
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-        for (const auto& t : gen.generate(seed).tasks) {
-            EXPECT_TRUE(t.model.name == kws || t.model.name == fbnet)
-                << t.model.name;
         }
     }
 }

@@ -299,7 +299,44 @@ TEST(Trace, ReaderRejectsMalformedInput)
         EXPECT_NE(what.find("row 2"), std::string::npos) << what;
         EXPECT_NE(what.find("'frame'"), std::string::npos) << what;
     }
-    // Valid minimal trace parses.
+    // Time and energy cells are finite numbers, and an arrival is not
+    // negative: a NaN arrival once stalled a replay, a negative one
+    // aborted it.
+    const auto times = [](const std::string& arrival,
+                          const std::string& deadline,
+                          const std::string& completion,
+                          const std::string& latency,
+                          const std::string& energy) {
+        return "0,cam,0," + arrival + ',' + deadline + ',' + completion +
+               ',' + latency + ",0,0,1,0," + energy + '\n';
+    };
+    for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+        SCOPED_TRACE(bad);
+        for (const std::string& line :
+             {times(bad, "20", "15", "5", "0.5"),
+              times("10", bad, "15", "5", "0.5"),
+              times("10", "20", bad, "5", "0.5"),
+              times("10", "20", "15", bad, "0.5"),
+              times("10", "20", "15", "5", bad)})
+            EXPECT_THROW(read(header + line), std::runtime_error) << line;
+    }
+    EXPECT_THROW(read(header + times("-5", "20", "15", "5", "0.5")),
+                 std::runtime_error);
+    EXPECT_THROW(read(header + times("", "20", "15", "5", "0.5")),
+                 std::runtime_error);
+    try {
+        read(header + times("10", "20", "15", "5", "0.5") +
+             times("10", "nan", "", "", "0.5"));
+        ADD_FAILURE() << "a NaN deadline was accepted";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("frame-trace CSV row 2"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'deadline_us'"), std::string::npos) << what;
+    }
+    // Valid minimal trace parses; a zero arrival is a time too.
+    EXPECT_EQ(read(header + times("0", "20", "", "", "0")).frames.size(),
+              1u);
     const auto trace =
         read("# k=v\n" + header + "0,cam,0,10,20,15,5,0,0,1,0,0.5\n");
     EXPECT_EQ(trace.frames.size(), 1u);
