@@ -6,8 +6,7 @@
 namespace dream {
 namespace obs {
 
-RollingQuantileWindow::RollingQuantileWindow(double span_us)
-    : spanUs_(span_us)
+RollingWindow::RollingWindow(double span_us) : spanUs_(span_us)
 {
     if (!(span_us > 0.0))
         throw std::invalid_argument(
@@ -15,58 +14,30 @@ RollingQuantileWindow::RollingQuantileWindow(double span_us)
 }
 
 void
-RollingQuantileWindow::evict(double now_us)
-{
-    const double cutoff = now_us - spanUs_;
-    while (!samples_.empty() && samples_.front().tUs <= cutoff)
-        samples_.pop_front();
-}
-
-void
-RollingQuantileWindow::record(double t_us, double value)
+RollingWindow::record(double t_us, std::optional<double> value)
 {
     advanceTo(t_us);
-    samples_.push_back(Sample{t_us, value});
+    events_.push_back(Event{t_us, value});
 }
 
 void
-RollingQuantileWindow::advanceTo(double t_us)
-{
-    lastUs_ = std::max(lastUs_, t_us);
-    evict(lastUs_);
-}
-
-LatencyHistogram
-RollingQuantileWindow::snapshot() const
-{
-    LatencyHistogram h;
-    for (const auto& s : samples_)
-        h.record(s.value);
-    return h;
-}
-
-RollingEventCounter::RollingEventCounter(double span_us)
-    : spanUs_(span_us)
-{
-    if (!(span_us > 0.0))
-        throw std::invalid_argument(
-            "rolling window span must be positive");
-}
-
-void
-RollingEventCounter::record(double t_us)
-{
-    advanceTo(t_us);
-    events_.push_back(t_us);
-}
-
-void
-RollingEventCounter::advanceTo(double t_us)
+RollingWindow::advanceTo(double t_us)
 {
     lastUs_ = std::max(lastUs_, t_us);
     const double cutoff = lastUs_ - spanUs_;
-    while (!events_.empty() && events_.front() <= cutoff)
+    while (!events_.empty() && events_.front().tUs <= cutoff)
         events_.pop_front();
+}
+
+LatencyHistogram
+RollingWindow::snapshot() const
+{
+    LatencyHistogram h;
+    for (const auto& e : events_) {
+        if (e.value)
+            h.record(*e.value);
+    }
+    return h;
 }
 
 } // namespace obs

@@ -1,8 +1,8 @@
 /**
  * @file
- * Sliding-window telemetry for serve mode: exact quantiles and event
- * rates over the trailing span of virtual time. Samples are keyed by
- * the simulator clock, never wall time, so rolling reports are as
+ * Sliding-window telemetry for serve mode: event counts and exact
+ * quantiles over the trailing span of virtual time. Samples are keyed
+ * by the simulator clock, never wall time, so rolling reports are as
  * deterministic as the run that produced them.
  */
 
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 
 #include "obs/metrics.h"
 
@@ -18,67 +19,44 @@ namespace dream {
 namespace obs {
 
 /**
- * Exact quantiles over the samples recorded in the trailing span of
- * virtual time. snapshot() builds a LatencyHistogram over the live
- * window, so a rolling window and a LatencyHistogram fed the same
- * samples agree bit-for-bit — the property tests/test_serve.cc pins.
+ * The events recorded in the trailing span of virtual time. Each
+ * event may carry a value: count() counts every event in the window,
+ * and snapshot() builds a LatencyHistogram over the values only, so a
+ * window and a LatencyHistogram fed the same values agree
+ * bit-for-bit — the property tests/test_serve.cc pins.
  *
- * Samples must be recorded in nondecreasing time order (the
- * simulator's event order guarantees this). Eviction keeps samples
+ * Events must be recorded in nondecreasing time order (the
+ * simulator's event order guarantees this). Eviction keeps events
  * with t > cutoff, cutoff = now - span.
  */
-class RollingQuantileWindow {
+class RollingWindow {
 public:
-    explicit RollingQuantileWindow(double span_us);
+    explicit RollingWindow(double span_us);
 
-    /** Record @p value at virtual time @p t_us (NaN values kept out
-     *  by LatencyHistogram at snapshot time). */
-    void record(double t_us, double value);
+    /** Record one event at virtual time @p t_us, with @p value a
+     *  sample of snapshot() (NaN values are kept out by
+     *  LatencyHistogram). */
+    void record(double t_us, std::optional<double> value = {});
 
-    /** Slide the window forward to @p t_us, evicting aged samples.
+    /** Slide the window forward to @p t_us, evicting aged events.
      *  Time never moves backwards; stale calls are no-ops. */
     void advanceTo(double t_us);
 
-    /** Exact-quantile histogram over the current window samples. */
-    LatencyHistogram snapshot() const;
-
-    uint64_t count() const { return uint64_t(samples_.size()); }
-    bool empty() const { return samples_.empty(); }
-
-private:
-    struct Sample {
-        double tUs;
-        double value;
-    };
-
-    void evict(double now_us);
-
-    double spanUs_;
-    double lastUs_ = 0.0;
-    std::deque<Sample> samples_;
-};
-
-/**
- * Count of events in the trailing span of virtual time, for rolling
- * rates (SLO violations, drops, rejects per window).
- */
-class RollingEventCounter {
-public:
-    explicit RollingEventCounter(double span_us);
-
-    /** Record one event at virtual time @p t_us. */
-    void record(double t_us);
-
-    /** Slide the window forward to @p t_us. */
-    void advanceTo(double t_us);
-
-    /** Events currently inside the window. */
+    /** Events currently inside the window, valued or not. */
     uint64_t count() const { return uint64_t(events_.size()); }
 
+    /** Exact-quantile histogram over the values in the window. */
+    LatencyHistogram snapshot() const;
+
 private:
+    struct Event {
+        double tUs;
+        std::optional<double> value;
+    };
+
     double spanUs_;
     double lastUs_ = 0.0;
-    std::deque<double> events_;
+    std::deque<Event> events_;
 };
 
 } // namespace obs

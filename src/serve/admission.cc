@@ -65,6 +65,12 @@ AdmissionController::offer(workload::FrameSpec& frame, double now_us,
     advanceTo(now_us);
     stats_.offered += 1;
 
+    // A gate with no bound admits everything and projects no backlog.
+    if (!config_.enabled()) {
+        stats_.admitted += 1;
+        return AdmissionDecision::Admit;
+    }
+
     // A full queue rejects outright: degrading shrinks work, not the
     // number of live frames.
     if (config_.maxQueueDepth > 0 &&

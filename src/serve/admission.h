@@ -61,7 +61,8 @@ struct AdmissionStats {
 /**
  * The admission gate. Deterministic: decisions depend only on the
  * offered frame sequence, the queue depths the caller reports, and
- * the cost table — never on wall time.
+ * the cost table — never on wall time. Every serving device has one;
+ * with no bound set it admits every frame and its backlog stays 0.
  *
  * The backlog model is intentionally simple (the gate must be cheap):
  * admitting a frame adds its best-case path latency (computed once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -35,14 +36,14 @@ Cluster::run(const SchedulerFactory& make_scheduler,
     scheds.reserve(n);
     loops.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-        loops.push_back(std::make_unique<ServeLoop>(
-            system_, scenario_, costs_, config_.serve,
-            n > 1 ? "dev" + std::to_string(k) : ""));
         scheds.push_back(make_scheduler());
         if (!scheds.back())
             throw std::invalid_argument(
                 "Cluster: scheduler factory returned null");
-        loops[k]->begin(*scheds[k], intake.source());
+        loops.push_back(std::make_unique<ServeLoop>(
+            system_, scenario_, costs_, config_.serve,
+            n > 1 ? "dev" + std::to_string(k) : "", *scheds.back(),
+            intake.source()));
     }
 
     Dispatcher dispatcher(config_.router, n, scenario_, costs_,
@@ -51,36 +52,35 @@ Cluster::run(const SchedulerFactory& make_scheduler,
     // The session table: root task -> device, -1 until routed.
     result.assignment.assign(scenario_.tasks.size(), -1);
     std::vector<DeviceGauges> gauges(n);
-    while (true) {
-        auto batch = intake.waitDrain();
-        if (batch.empty())
-            break; // closed and drained — end of the intake stream
-        for (auto& frame : batch) {
-            if (frame.task < 0 ||
-                size_t(frame.task) >= result.assignment.size())
-                throw std::invalid_argument(
-                    "Cluster: intake frame names no task");
-            const double t_route = frame.arrivalUs - 1e-9;
-            // Lock step: every device reaches the routing instant
-            // before the decision reads any gauge, so the decision
-            // depends only on virtual time. The 1e-9 margin is the
-            // event loop's grouping epsilon (serve_loop.cc).
-            for (size_t k = 0; k < n; ++k)
-                loops[k]->advanceTo(t_route);
-            // A replay intake carries recorded cascade children as
-            // frames of their own: each joins its root's session.
-            const workload::TaskId session = scenario_.rootOf(frame.task);
-            int& device = result.assignment[size_t(session)];
-            if (device < 0) {
-                if (n > 1) {
-                    for (size_t k = 0; k < n; ++k)
-                        gauges[k] = loops[k]->pollGauges(t_route);
-                }
-                device = int(dispatcher.route(session,
-                                              frame.arrivalUs, gauges));
+    // Each frame leaves the intake as it is served, so the intake's
+    // memory goes back while the devices' live sets grow.
+    std::deque<workload::FrameSpec> frames = intake.drain();
+    for (; !frames.empty(); frames.pop_front()) {
+        workload::FrameSpec& frame = frames.front();
+        if (frame.task < 0 ||
+            size_t(frame.task) >= result.assignment.size())
+            throw std::invalid_argument(
+                "Cluster: intake frame names no task");
+        const double t_route = frame.arrivalUs - 1e-9;
+        // Lock step: every device reaches the routing instant before
+        // the decision reads any gauge, so the decision depends only
+        // on virtual time. The 1e-9 margin is the event loop's
+        // grouping epsilon (serve_loop.cc).
+        for (size_t k = 0; k < n; ++k)
+            loops[k]->advanceTo(t_route);
+        // A replay intake carries recorded cascade children as frames
+        // of their own: each joins its root's session.
+        const workload::TaskId session = scenario_.rootOf(frame.task);
+        int& device = result.assignment[size_t(session)];
+        if (device < 0) {
+            if (n > 1) {
+                for (size_t k = 0; k < n; ++k)
+                    gauges[k] = loops[k]->pollGauges(t_route);
             }
-            loops[size_t(device)]->offer(std::move(frame));
+            device =
+                int(dispatcher.route(session, frame.arrivalUs, gauges));
         }
+        loops[size_t(device)]->offer(std::move(frame));
     }
 
     result.devices.reserve(n);

@@ -5,8 +5,8 @@
  * is a full serving pipeline — its own ServeLoop, AdmissionController
  * and Simulator — and every session (one root task plus its cascade
  * descendants) is served on exactly one device. The cluster drains
- * the intake StreamSource in global arrival order and offers each
- * frame straight to its device's loop: a session's first frame is
+ * the closed intake StreamSource once and offers each frame, in
+ * global arrival order, straight to its device's loop: a session's first frame is
  * routed by the Dispatcher, its later frames follow the session
  * table, and its cascade children materialise inside that device's
  * simulator. All device loops advance in virtual-time lock step:
@@ -79,8 +79,8 @@ struct ClusterResult {
 
 /**
  * The cluster. One instance runs one (system, scenario, cost table)
- * across N simulated devices; run() consumes an intake StreamSource
- * until it is closed and drained.
+ * across N simulated devices; run() serves every frame of a closed
+ * intake StreamSource.
  */
 class Cluster {
 public:
@@ -93,8 +93,10 @@ public:
             const workload::Scenario& scenario,
             const cost::CostTable& costs, ClusterConfig config);
 
-    /** Serve the intake stream to the window end. Throws
-     *  std::invalid_argument on a frame that names no task. */
+    /** Serve the intake stream to the window end. Every producer
+     *  pushes and closes @p intake first. Throws
+     *  std::invalid_argument on a frame that names no task, and
+     *  std::logic_error on an intake still open. */
     ClusterResult run(const SchedulerFactory& make_scheduler,
                       workload::StreamSource& intake);
 

@@ -99,15 +99,14 @@ Dispatcher::route(workload::TaskId session, double now_us,
     if (session < 0 || size_t(session) >= frameWorkUs_.size())
         throw std::invalid_argument(
             "Dispatcher: session id out of range");
+    if (gauges.size() != devices_)
+        throw std::invalid_argument(
+            "Dispatcher: one gauge entry per device is required");
 
     if (devices_ == 1)
         return 0;
 
     size_t device = 0;
-    static const DeviceGauges kNoGauges;
-    const auto gauge = [&](size_t d) -> const DeviceGauges& {
-        return d < gauges.size() ? gauges[d] : kNoGauges;
-    };
     switch (policy_) {
     case RouterPolicy::RoundRobin:
         device = nextRoundRobin_++ % devices_;
@@ -119,7 +118,7 @@ Dispatcher::route(workload::TaskId session, double now_us,
         // lower index — deterministic.
         double best = std::numeric_limits<double>::infinity();
         for (size_t d = 0; d < devices_; ++d) {
-            double committed = gauge(d).backlogUs;
+            double committed = gauges[d].backlogUs;
             for (const workload::TaskId s : assigned_[d])
                 committed += remainingDemandUs(s, now_us);
             if (committed < best) {
@@ -160,8 +159,8 @@ Dispatcher::route(workload::TaskId session, double now_us,
                 committed += remainingDemandUs(s, now_us);
                 iso_min[d] = std::min(iso_min[d], isoFinishUs_[size_t(s)]);
             }
-            shared[d] = (1.0 + gauge(d).violationRate) *
-                        sharedFinishUs(committed, gauge(d));
+            shared[d] = (1.0 + gauges[d].violationRate) *
+                        sharedFinishUs(committed, gauges[d]);
             lightest = std::min(lightest, shared[d]);
         }
         constexpr double kLoadSlack = 1.25;

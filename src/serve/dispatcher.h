@@ -69,10 +69,10 @@ public:
 
     /**
      * Route the session of root task @p session arriving at
-     * @p now_us. @p gauges must have one entry per device (it may be
-     * empty for a single-device cluster, where the answer is always
-     * 0 and nothing is recorded). Records the assignment, so each
-     * session is routed once.
+     * @p now_us. @p gauges has one entry per device; a list of any
+     * other size throws std::invalid_argument. A single device is
+     * always the answer 0, and nothing is recorded for it; otherwise
+     * the assignment is recorded, so each session is routed once.
      */
     size_t route(workload::TaskId session, double now_us,
                  const std::vector<DeviceGauges>& gauges);

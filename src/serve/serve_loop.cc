@@ -5,57 +5,78 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <ostream>
 #include <utility>
 
 namespace dream {
 namespace serve {
 
+namespace {
+
+sim::SimConfig
+simConfig(const ServeConfig& config, const std::string& device,
+          const workload::ArrivalSource& arrivals,
+          sim::FrameOutcomeSink* outcomes)
+{
+    sim::SimConfig c;
+    c.windowUs = config.windowUs;
+    c.seed = config.seed;
+    c.arrivals = &arrivals;
+    c.metrics = device.empty() ? config.metrics : nullptr;
+    c.outcomes = outcomes;
+    return c;
+}
+
+} // anonymous namespace
+
 ServeLoop::ServeLoop(const hw::SystemConfig& system,
                      const workload::Scenario& scenario,
                      const cost::CostTable& costs, ServeConfig config,
-                     std::string device)
-    : system_(system), scenario_(scenario), costs_(costs),
-      config_(std::move(config)), device_(std::move(device)),
-      label_(device_.empty() ? "serve" : "serve/" + device_),
-      latency_(config_.rollingSpanUs),
+                     const std::string& device, sim::Scheduler& sched,
+                     const workload::ArrivalSource& arrivals)
+    : config_(std::move(config)),
+      label_(device.empty() ? "serve" : "serve/" + device),
+      wall0_(std::chrono::steady_clock::now()),
+      sim_(system, scenario, costs,
+           simConfig(config_, device, arrivals, this)),
+      admission_(config_.admission, scenario, costs),
       outcomes_(config_.rollingSpanUs),
       violations_(config_.rollingSpanUs),
       drops_(config_.rollingSpanUs), offers_(config_.rollingSpanUs),
-      rejects_(config_.rollingSpanUs)
+      rejects_(config_.rollingSpanUs),
+      nextReportUs_(config_.reportIntervalUs > 0.0
+                        ? config_.reportIntervalUs
+                        : std::numeric_limits<double>::infinity())
 {
+    sim_.beginStream(sched);
 }
 
 void
 ServeLoop::onFrameOutcome(double t_us, const sim::FrameRecord& frame)
 {
-    outcomes_.record(t_us);
+    if (frame.dropped) {
+        outcomes_.record(t_us);
+        drops_.record(t_us);
+    } else {
+        outcomes_.record(t_us, frame.completionUs - frame.arrivalUs);
+    }
     if (frame.violated)
         violations_.record(t_us);
-    if (frame.dropped)
-        drops_.record(t_us);
-    else
-        latency_.record(t_us, frame.completionUs - frame.arrivalUs);
 }
 
 ServeSnapshot
-ServeLoop::takeSnapshot(double t_us)
+ServeLoop::measure(double t_us)
 {
-    if (admission_)
-        admission_->advanceTo(t_us);
-    latency_.advanceTo(t_us);
-    outcomes_.advanceTo(t_us);
-    violations_.advanceTo(t_us);
-    drops_.advanceTo(t_us);
-    offers_.advanceTo(t_us);
-    rejects_.advanceTo(t_us);
+    admission_.advanceTo(t_us);
+    for (obs::RollingWindow* w :
+         {&outcomes_, &violations_, &drops_, &offers_, &rejects_})
+        w->advanceTo(t_us);
 
     const double nan = std::nan("");
-    const obs::LatencyHistogram h = latency_.snapshot();
+    const obs::LatencyHistogram h = outcomes_.snapshot();
     ServeSnapshot s;
     s.tUs = t_us;
-    s.queueDepth = sim_->liveFrames();
+    s.queueDepth = sim_.liveFrames();
     s.windowSamples = h.count();
     s.p50Us = h.quantile(0.5);
     s.p99Us = h.quantile(0.99);
@@ -66,8 +87,14 @@ ServeLoop::takeSnapshot(double t_us)
     const uint64_t n_off = offers_.count();
     s.rejectRate =
         n_off ? double(rejects_.count()) / double(n_off) : nan;
-    s.backlogUs = admission_ ? admission_->backlogUs() : 0.0;
+    s.backlogUs = admission_.backlogUs();
+    return s;
+}
 
+void
+ServeLoop::report(double t_us)
+{
+    const ServeSnapshot s = measure(t_us);
     if (config_.log) {
         char buf[224];
         std::snprintf(buf, sizeof buf,
@@ -79,55 +106,19 @@ ServeLoop::takeSnapshot(double t_us)
                       100.0 * s.rejectRate, s.backlogUs);
         *config_.log << buf << '\n';
     }
-    return s;
+    snapshots_.push_back(s);
 }
 
 void
-ServeLoop::advanceWithReports(double target_us)
+ServeLoop::advanceTo(double t_us)
 {
-    const double limit = std::min(target_us, config_.windowUs);
+    const double limit = std::min(t_us, config_.windowUs);
     while (nextReportUs_ < limit) {
-        sim_->advanceTo(nextReportUs_);
-        snapshots_.push_back(takeSnapshot(nextReportUs_));
+        sim_.advanceTo(nextReportUs_);
+        report(nextReportUs_);
         nextReportUs_ += config_.reportIntervalUs;
     }
-    sim_->advanceTo(limit);
-}
-
-void
-ServeLoop::begin(sim::Scheduler& sched,
-                 const workload::ArrivalSource& arrivals)
-{
-    // Fresh rolling state per serve.
-    latency_ = obs::RollingQuantileWindow(config_.rollingSpanUs);
-    outcomes_ = obs::RollingEventCounter(config_.rollingSpanUs);
-    violations_ = obs::RollingEventCounter(config_.rollingSpanUs);
-    drops_ = obs::RollingEventCounter(config_.rollingSpanUs);
-    offers_ = obs::RollingEventCounter(config_.rollingSpanUs);
-    rejects_ = obs::RollingEventCounter(config_.rollingSpanUs);
-    snapshots_.clear();
-    nextReportUs_ = config_.reportIntervalUs > 0.0
-                        ? config_.reportIntervalUs
-                        : std::numeric_limits<double>::infinity();
-    tally_ = AdmissionStats{};
-
-    wall0_ = std::chrono::steady_clock::now();
-
-    sim::SimConfig sim_config;
-    sim_config.windowUs = config_.windowUs;
-    sim_config.seed = config_.seed;
-    sim_config.arrivals = &arrivals;
-    sim_config.metrics = device_.empty() ? config_.metrics : nullptr;
-    sim_config.outcomes = this;
-    sim_ = std::make_unique<sim::Simulator>(system_, scenario_,
-                                            costs_, sim_config);
-
-    admission_.reset();
-    if (config_.admission.enabled())
-        admission_ = std::make_unique<AdmissionController>(
-            config_.admission, scenario_, costs_);
-
-    sim_->beginStream(sched);
+    sim_.advanceTo(limit);
 }
 
 AdmissionDecision
@@ -138,41 +129,27 @@ ServeLoop::offer(workload::FrameSpec frame)
     // epsilon: a completion that lands within epsilon before the
     // arrival must still find the arrival pending, so both are
     // handled as one event group exactly like the offline run.
-    advanceWithReports(frame.arrivalUs - 1e-9);
+    advanceTo(frame.arrivalUs - 1e-9);
     offers_.record(frame.arrivalUs);
-    if (admission_) {
-        const AdmissionDecision decision = admission_->offer(
-            frame, frame.arrivalUs, sim_->liveFrames());
-        if (decision == AdmissionDecision::Reject) {
-            rejects_.record(frame.arrivalUs);
-            return decision;
-        }
-        sim_->offerArrival(std::move(frame));
-        return decision;
-    }
-    tally_.offered += 1;
-    tally_.admitted += 1;
-    sim_->offerArrival(std::move(frame));
-    return AdmissionDecision::Admit;
-}
-
-void
-ServeLoop::advanceTo(double t_us)
-{
-    advanceWithReports(t_us);
+    const AdmissionDecision decision =
+        admission_.offer(frame, frame.arrivalUs, sim_.liveFrames());
+    if (decision == AdmissionDecision::Reject)
+        rejects_.record(frame.arrivalUs);
+    else
+        sim_.offerArrival(std::move(frame));
+    return decision;
 }
 
 ServeResult
 ServeLoop::finish()
 {
-    advanceWithReports(config_.windowUs);
+    advanceTo(config_.windowUs);
 
     ServeResult result;
-    result.stats = sim_->finishStream();
-    snapshots_.push_back(takeSnapshot(config_.windowUs));
-    result.admission = admission_ ? admission_->stats() : tally_;
+    result.stats = sim_.finishStream();
+    report(config_.windowUs);
+    result.admission = admission_.stats();
     result.snapshots = std::move(snapshots_);
-    snapshots_.clear();
 
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -185,17 +162,12 @@ ServeLoop::finish()
 DeviceGauges
 ServeLoop::pollGauges(double t_us)
 {
-    if (admission_)
-        admission_->advanceTo(t_us);
-    outcomes_.advanceTo(t_us);
-    violations_.advanceTo(t_us);
-
+    const ServeSnapshot s = measure(t_us);
     DeviceGauges g;
-    g.backlogUs = admission_ ? admission_->backlogUs() : 0.0;
-    g.liveFrames = sim_ ? sim_->liveFrames() : 0;
-    const uint64_t n_out = outcomes_.count();
+    g.backlogUs = s.backlogUs;
+    g.liveFrames = s.queueDepth;
     g.violationRate =
-        n_out ? double(violations_.count()) / double(n_out) : 0.0;
+        std::isfinite(s.violationRate) ? s.violationRate : 0.0;
     return g;
 }
 

@@ -4,16 +4,17 @@
  * serve::Cluster offers it frames — no end-of-window barrier. Each
  * offered frame passes the admission gate, then the simulator is
  * advanced to its arrival time before the frame is offered, which
- * preserves the offline event order exactly: with admission disabled,
- * the final RunStats is bit-identical to Simulator::run() over the
- * same frames. Rolling-window telemetry (p50/p99 latency,
+ * preserves the offline event order exactly: with no admission bound
+ * set, the final RunStats is bit-identical to Simulator::run() over
+ * the same frames. Rolling-window telemetry (p50/p99 latency,
  * SLO-violation/drop/reject rates) is reported at fixed virtual-time
- * intervals and published through obs::MetricsRegistry.
+ * intervals and published through obs::MetricsRegistry; the reports
+ * and the dispatcher's gauges read the same rolling windows.
  *
- * serve::Cluster is the only caller, for one device or N: it calls
- * begin(), then offer() for each frame routed to this device and
- * advanceTo() to keep the devices in virtual-time lock step, then
- * finish().
+ * serve::Cluster is the only caller, for one device or N: it builds
+ * the loop ready to serve, calls offer() for each frame routed to
+ * this device and advanceTo() to keep the devices in virtual-time
+ * lock step, then finish().
  */
 
 #ifndef DREAM_SERVE_SERVE_LOOP_H
@@ -22,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,6 +85,10 @@ struct ServeResult {
 class ServeLoop : public sim::FrameOutcomeSink {
 public:
     /**
+     * A loop ready to serve: its simulator is bound to @p sched and
+     * its stream is open. @p arrivals materialises cascade children;
+     * it and @p sched must outlive finish().
+     *
      * @p device tags the loop: empty for a single device, "dev<k>"
      * for device k of a cluster. A single device publishes under
      * "serve/", logs as "[serve]" and attaches the simulator's own
@@ -97,20 +101,18 @@ public:
     ServeLoop(const hw::SystemConfig& system,
               const workload::Scenario& scenario,
               const cost::CostTable& costs, ServeConfig config,
-              std::string device);
-
-    /** Reset per-serve state, bind @p sched, and open the stream.
-     *  @p arrivals materialises cascade children; it must outlive
-     *  finish(). */
-    void begin(sim::Scheduler& sched,
-               const workload::ArrivalSource& arrivals);
+              const std::string& device, sim::Scheduler& sched,
+              const workload::ArrivalSource& arrivals);
+    /** The simulator reports outcomes to this loop: it stays put. */
+    ServeLoop(const ServeLoop&) = delete;
+    ServeLoop& operator=(const ServeLoop&) = delete;
 
     /** Advance to just short of the frame's arrival, gate it through
      *  admission, and offer it to the simulator. Frames must be
      *  offered in nondecreasing arrival order. */
     AdmissionDecision offer(workload::FrameSpec frame);
 
-    /** Drive the event loop (and rolling reports) up to
+    /** Drive the event loop, taking the rolling reports due, up to
      *  min(@p t_us, window). The clock never moves backwards. */
     void advanceTo(double t_us);
 
@@ -129,34 +131,29 @@ public:
                         const sim::FrameRecord& frame) override;
 
 private:
-    void advanceWithReports(double target_us);
-    ServeSnapshot takeSnapshot(double t_us);
+    /** The rolling view at @p t_us: advances the admission backlog
+     *  projection and every window to @p t_us first. */
+    ServeSnapshot measure(double t_us);
+    /** Take, log and keep the snapshot at @p t_us. */
+    void report(double t_us);
     void publishMetrics(const ServeResult& result, double wall_ms);
 
-    const hw::SystemConfig& system_;
-    const workload::Scenario& scenario_;
-    const cost::CostTable& costs_;
     ServeConfig config_;
-    /** Empty or "dev<k>" (see the constructor). */
-    std::string device_;
     /** "serve" or "serve/dev<k>": the log-line tag; the metric key
      *  prefix is this plus '/'. */
     std::string label_;
-
-    // Per-serve state (reset by begin()).
-    std::unique_ptr<sim::Simulator> sim_;
-    std::unique_ptr<AdmissionController> admission_;
-    /** Pass-through tally when the admission gate is disabled. */
-    AdmissionStats tally_;
     std::chrono::steady_clock::time_point wall0_;
-    obs::RollingQuantileWindow latency_;
-    obs::RollingEventCounter outcomes_;
-    obs::RollingEventCounter violations_;
-    obs::RollingEventCounter drops_;
-    obs::RollingEventCounter offers_;
-    obs::RollingEventCounter rejects_;
+    sim::Simulator sim_;
+    AdmissionController admission_;
+    /** Completed or dropped frames; a completed one carries its
+     *  latency. */
+    obs::RollingWindow outcomes_;
+    obs::RollingWindow violations_;
+    obs::RollingWindow drops_;
+    obs::RollingWindow offers_;
+    obs::RollingWindow rejects_;
     std::vector<ServeSnapshot> snapshots_;
-    double nextReportUs_ = 0.0;
+    double nextReportUs_;
 };
 
 } // namespace serve

@@ -84,8 +84,6 @@ struct Request {
      *  arrival time before any layer ran. Drives the queue-time term
      *  of the starvation score. */
     double lastEventUs = 0.0;
-    /** Accelerator that ran the previous layer (PrevAcc), or -1. */
-    int lastAccel = -1;
 
     /** Resolution of `path`: the run's shared one, set at admission
      *  and on a switch; ensureCostCache re-points it when it does not
@@ -128,8 +126,6 @@ struct Job {
 struct AcceleratorState {
     const hw::AcceleratorConfig* config = nullptr;
     uint32_t freeSlices = 0;
-    /** Task of the most recently started job (context-switch state). */
-    workload::TaskId lastTask = -1;
     /** Number of jobs currently running. */
     uint32_t runningJobs = 0;
     /** Completion time of the job finishing last on this accel. */

@@ -260,7 +260,6 @@ Simulator::completeJob(const Job& job)
     req.inFlight = false;
     req.nextLayer = job.layerEnd;
     req.lastEventUs = job.endUs;
-    req.lastAccel = job.accel;
 
     acc.freeSlices += job.slices;
     assert(acc.freeSlices <= acc.config->numSlices);
@@ -303,7 +302,6 @@ Simulator::completeJob(const Job& job)
     for (size_t i = 0; i < children.size(); ++i) {
         if (i < req.childTriggers.size() && req.childTriggers[i]) {
             admitFrame(source_->childFrame(children[i], req.frameIdx,
-                                           req.arrivalUs,
                                            req.completionUs));
         }
     }
@@ -470,7 +468,6 @@ Simulator::applyDispatch(const Dispatch& d)
     if (acc.runningJobs == 0)
         busyStartUs_[d.accel] = nowUs_;
     acc.runningJobs += 1;
-    acc.lastTask = req.task;
     acc.busyUntilUs = std::max(acc.busyUntilUs, job.endUs);
     acc.residentRequestId = req.id;
 

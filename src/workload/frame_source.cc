@@ -154,10 +154,8 @@ FrameSource::rootFrame(TaskId task, int frame_idx,
 
 FrameSpec
 FrameSource::childFrame(TaskId child, int frame_idx,
-                        double parent_arrival_us,
                         double parent_completion_us) const
 {
-    (void)parent_arrival_us;
     const TaskSpec& spec = scenario_.tasks[child];
     assert(spec.dependsOn != kNoParent);
     // Dependent stages carry their own FPS-derived deadline from the

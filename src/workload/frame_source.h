@@ -71,7 +71,6 @@ public:
      * cascade gate (FrameSpec::childTriggers) fired.
      */
     virtual FrameSpec childFrame(TaskId child, int frame_idx,
-                                 double parent_arrival_us,
                                  double parent_completion_us) const = 0;
 };
 
@@ -120,7 +119,6 @@ public:
      * FPS-derived period from its release.
      */
     FrameSpec childFrame(TaskId child, int frame_idx,
-                         double parent_arrival_us,
                          double parent_completion_us) const override;
 
     /**

@@ -64,7 +64,7 @@ ReplaySource::rootFrames(double window_us) const
 }
 
 FrameSpec
-ReplaySource::childFrame(TaskId, int, double, double) const
+ReplaySource::childFrame(TaskId, int, double) const
 {
     throw std::logic_error(
         "ReplaySource::childFrame: a replay injects recorded cascade "

@@ -108,7 +108,6 @@ public:
      * @throws std::logic_error.
      */
     FrameSpec childFrame(TaskId child, int frame_idx,
-                         double parent_arrival_us,
                          double parent_completion_us) const override;
 
     /** The trace being replayed. */

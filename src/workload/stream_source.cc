@@ -1,6 +1,5 @@
 #include "workload/stream_source.h"
 
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -15,39 +14,28 @@ StreamSource::StreamSource(const ArrivalSource& source)
 void
 StreamSource::push(FrameSpec frame)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (closed_)
-            throw std::logic_error("push() on a closed StreamSource");
-        if (frame.arrivalUs < lastArrivalUs_)
-            throw std::invalid_argument(
-                "stream frames must be pushed in nondecreasing "
-                "arrival order");
-        lastArrivalUs_ = frame.arrivalUs;
-        queue_.push_back(std::move(frame));
-    }
-    cv_.notify_all();
+    if (closed_)
+        throw std::logic_error("push() on a closed StreamSource");
+    if (frame.arrivalUs < lastArrivalUs_)
+        throw std::invalid_argument(
+            "stream frames must be pushed in nondecreasing "
+            "arrival order");
+    lastArrivalUs_ = frame.arrivalUs;
+    queue_.push_back(std::move(frame));
 }
 
 void
 StreamSource::close()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        closed_ = true;
-    }
-    cv_.notify_all();
+    closed_ = true;
 }
 
-std::vector<FrameSpec>
-StreamSource::waitDrain()
+std::deque<FrameSpec>
+StreamSource::drain()
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    std::vector<FrameSpec> out(std::make_move_iterator(queue_.begin()),
-                               std::make_move_iterator(queue_.end()));
-    queue_.clear();
-    return out;
+    if (!closed_)
+        throw std::logic_error("drain() on an open StreamSource");
+    return std::exchange(queue_, {});
 }
 
 } // namespace workload

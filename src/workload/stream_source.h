@@ -1,20 +1,18 @@
 /**
  * @file
  * The serving intake queue. Producers push root frames into a
- * StreamSource one at a time; serve::Cluster drains it and offers
- * each frame straight to its device's serve loop. It is not an
- * ArrivalSource: the frames it holds are consumed, never re-listed.
- * Cascade children materialise through source(), the FrameSource
- * (generative) or ReplaySource (replay) the intake was built over.
+ * StreamSource one at a time and close it; serve::Cluster then drains
+ * it once and offers each frame straight to its device's serve loop.
+ * It is not an ArrivalSource: the frames it holds are consumed, never
+ * re-listed. Cascade children materialise through source(), the
+ * FrameSource (generative) or ReplaySource (replay) the intake was
+ * built over.
  */
 
 #ifndef DREAM_WORKLOAD_STREAM_SOURCE_H
 #define DREAM_WORKLOAD_STREAM_SOURCE_H
 
-#include <condition_variable>
 #include <deque>
-#include <mutex>
-#include <vector>
 
 #include "workload/frame_source.h"
 
@@ -22,14 +20,13 @@ namespace dream {
 namespace workload {
 
 /**
- * Producer/consumer queue of root frames.
+ * Queue of root frames, filled before serving starts.
  *
  * Producers push() frames in nondecreasing arrival order and close()
- * the stream when done; the consumer (serve::Cluster) drains them
- * with waitDrain() until it returns empty. The queue is
- * mutex-guarded; determinism holds regardless of producer timing
- * because frames carry their own virtual arrival times and must be
- * pushed in order.
+ * the stream when done; the consumer (serve::Cluster) then takes
+ * them all with drain(). Nothing blocks and nothing is shared across
+ * threads: frames carry their own virtual arrival times, so serving
+ * does not depend on when they were pushed.
  */
 class StreamSource {
 public:
@@ -50,17 +47,12 @@ public:
     /** Mark the end of the stream; further push() calls throw. */
     void close();
 
-    /**
-     * Block until at least one frame is queued or the stream is
-     * closed, then move everything queued out. An empty result
-     * therefore means end-of-stream.
-     */
-    std::vector<FrameSpec> waitDrain();
+    /** Move the queue out: every frame, in push order. Throws
+     *  std::logic_error before close(). */
+    std::deque<FrameSpec> drain();
 
 private:
     const ArrivalSource* source_;
-    std::mutex mu_;
-    std::condition_variable cv_;
     std::deque<FrameSpec> queue_;
     double lastArrivalUs_ = 0.0;
     bool closed_ = false;

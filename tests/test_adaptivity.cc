@@ -125,5 +125,69 @@ TEST(OnlineTuner, RunsTrialRoundsAndConverges)
     EXPECT_LE(engine.beta(), 2.0);
 }
 
+TEST(OnlineTuner, IdleTunerRetriggersOnTaskSetAndLoadChanges)
+{
+    core::OnlineTuner tuner(core::DreamConfig::mapScore());
+    core::MapScoreEngine engine(1.0, 1.0);
+    test::ContextBuilder cb;
+    const auto t0 = cb.addTask(test::toyModel());
+    const auto t1 = cb.addTask(test::toyModel("second"));
+    cb.addRequest(t0, 0.0, 1e6);
+
+    // Drive the trial rounds to completion, as
+    // RunsTrialRoundsAndConverges does; return the last time used.
+    double now = 0.0;
+    double wake = tuner.update(cb.context(now), engine);
+    const auto settle = [&] {
+        for (int i = 0; i < 50 && tuner.tuning(); ++i) {
+            now = wake > now ? wake : now + 100.0;
+            wake = tuner.update(cb.context(now), engine);
+        }
+        ASSERT_FALSE(tuner.tuning());
+    };
+    settle();
+    EXPECT_EQ(tuner.retriggers(), 0);
+
+    // Idle with the same task set and no violations: no new round.
+    now += 100.0;
+    EXPECT_LT(tuner.update(cb.context(now), engine), 0.0);
+    EXPECT_FALSE(tuner.tuning());
+    EXPECT_EQ(tuner.retriggers(), 0);
+
+    // A live frame of a task the tuner has not seen starts a round.
+    cb.addRequest(t1, now, now + 1e6);
+    now += 100.0;
+    wake = tuner.update(cb.context(now), engine);
+    EXPECT_GT(wake, now);
+    EXPECT_TRUE(tuner.tuning());
+    EXPECT_EQ(tuner.retriggers(), 1);
+    settle();
+    // The idle check that started the round recorded the new task
+    // set and the violation fraction (0).
+    now += 100.0;
+    EXPECT_LT(tuner.update(cb.context(now), engine), 0.0);
+    EXPECT_EQ(tuner.retriggers(), 1);
+
+    // A violation-fraction move of exactly 0.15 is not a load change.
+    sim::TaskStats& stats = cb.stats().tasks[size_t(t0)];
+    stats.totalFrames = 100;
+    stats.violatedFrames = 15;
+    now += 100.0;
+    EXPECT_LT(tuner.update(cb.context(now), engine), 0.0);
+    EXPECT_FALSE(tuner.tuning());
+    EXPECT_EQ(tuner.retriggers(), 1);
+
+    // A move of more than 0.15 from the last check (0.15 -> 0.31)
+    // starts a round.
+    stats.violatedFrames = 31;
+    now += 100.0;
+    wake = tuner.update(cb.context(now), engine);
+    EXPECT_GT(wake, now);
+    EXPECT_TRUE(tuner.tuning());
+    EXPECT_EQ(tuner.retriggers(), 2);
+    settle();
+    EXPECT_EQ(tuner.retriggers(), 2);
+}
+
 } // namespace
 } // namespace dream

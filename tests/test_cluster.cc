@@ -246,6 +246,32 @@ TEST(ClusterDispatcher, LeastLoadedAvoidsTheBackloggedDevice)
     EXPECT_EQ(dispatcher.route(1, 0.0, gauges), 1u);
 }
 
+TEST(ClusterDispatcher, RejectsAGaugeListOfTheWrongSize)
+{
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
+    const auto scenario =
+        workload::makeScenario(workload::ScenarioPreset::ArCall);
+    const auto costs = buildCosts(system, scenario);
+    for (const auto policy : serve::allRouterPolicies()) {
+        for (const size_t devices : {size_t(1), size_t(3)}) {
+            serve::Dispatcher dispatcher(policy, devices, scenario, costs,
+                                         1e6);
+            for (const size_t size : {devices - 1, devices + 1})
+                EXPECT_THROW(dispatcher.route(
+                                 0, 0.0,
+                                 std::vector<serve::DeviceGauges>(size)),
+                             std::invalid_argument)
+                    << serve::toString(policy) << " " << size;
+            // A rejected list routes nothing: the first session with
+            // the right list still goes where a fresh router puts it.
+            EXPECT_EQ(dispatcher.route(
+                          0, 0.0,
+                          std::vector<serve::DeviceGauges>(devices)),
+                      0u);
+        }
+    }
+}
+
 // ----------------------------------------------------- Cluster
 
 TEST(Cluster, SingleDeviceIsBitIdenticalToOfflineRun)

@@ -97,7 +97,6 @@ TEST(MapScore, SwitchCostZeroWhenResident)
     auto& ctx = cb.context(0.0);
     // Mark the request resident on accelerator 0.
     cb.accels()[0].residentRequestId = req->id;
-    cb.accels()[0].lastTask = t;
     core::MapScoreEngine engine(1.0, 1.0);
     EXPECT_DOUBLE_EQ(engine.score(ctx, *req, 0).costSwitch, 0.0);
     // On the other accelerator its activations must be fetched.

@@ -496,10 +496,9 @@ public:
 
     workload::FrameSpec
     childFrame(workload::TaskId child, int frame_idx,
-               double parent_arrival_us,
                double parent_completion_us) const override
     {
-        return frames_.childFrame(child, frame_idx, parent_arrival_us,
+        return frames_.childFrame(child, frame_idx,
                                   parent_completion_us + 1e3);
     }
 

@@ -223,15 +223,17 @@ TEST(Serve, StreamSourceQueueSemantics)
     f.arrivalUs = 20.0;
     stream.push(f);
 
-    // waitDrain moves out everything queued, in push order.
-    const auto queued = stream.waitDrain();
+    // Serving starts only once the producers have closed the stream.
+    EXPECT_THROW(stream.drain(), std::logic_error);
+    stream.close();
+    EXPECT_THROW(stream.push(f), std::logic_error);
+
+    // drain() moves out everything queued, in push order, once.
+    const auto queued = stream.drain();
     ASSERT_EQ(queued.size(), 2u);
     EXPECT_EQ(queued[0].arrivalUs, 10.0);
     EXPECT_EQ(queued[1].arrivalUs, 20.0);
-
-    stream.close();
-    EXPECT_THROW(stream.push(f), std::logic_error);
-    EXPECT_TRUE(stream.waitDrain().empty());
+    EXPECT_TRUE(stream.drain().empty());
 }
 
 TEST(Serve, AdmissionRejectsWhenQueueDepthExceeded)
@@ -347,6 +349,40 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
               serve::AdmissionDecision::Reject);
 }
 
+TEST(Serve, AdmissionWithoutBoundsAdmitsEveryFrame)
+{
+    const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
+    workload::Scenario scenario;
+    scenario.name = "open";
+    workload::TaskSpec task;
+    task.model = test::toySupernet();
+    scenario.tasks.push_back(task);
+    cost::CostTable costs(system);
+    costs.addModel(task.model);
+
+    // No bound set: every frame is admitted on its own path, however
+    // deep the queue, and no backlog is projected.
+    const serve::AdmissionConfig config;
+    ASSERT_FALSE(config.enabled());
+    serve::AdmissionController gate(config, scenario, costs);
+    for (size_t i = 0; i < 100; ++i) {
+        workload::FrameSpec frame;
+        frame.task = 0;
+        frame.path = task.model.layers;
+        const void* path = frame.path.id();
+        EXPECT_EQ(gate.offer(frame, 0.0, 1000 * i),
+                  serve::AdmissionDecision::Admit);
+        EXPECT_EQ(frame.path.id(), path);
+        EXPECT_EQ(gate.backlogUs(), 0.0);
+    }
+    gate.advanceTo(1e6);
+    EXPECT_EQ(gate.backlogUs(), 0.0);
+    EXPECT_EQ(gate.stats().offered, 100u);
+    EXPECT_EQ(gate.stats().admitted, 100u);
+    EXPECT_EQ(gate.stats().degraded, 0u);
+    EXPECT_EQ(gate.stats().rejected, 0u);
+}
+
 TEST(Serve, AdmissionBacklogDrainsAtCapacity)
 {
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
@@ -378,7 +414,7 @@ TEST(Serve, AdmissionBacklogDrainsAtCapacity)
 
 TEST(Serve, RollingQuantilesMatchExactHistogram)
 {
-    obs::RollingQuantileWindow window(1e9);
+    obs::RollingWindow window(1e9);
     obs::LatencyHistogram exact;
     // A deterministic, unsorted sample set with duplicates.
     uint64_t x = 88172645463325252ull;
@@ -403,7 +439,7 @@ TEST(Serve, RollingQuantilesMatchExactHistogram)
 
 TEST(Serve, RollingWindowEvictsAgedSamples)
 {
-    obs::RollingQuantileWindow window(100.0);
+    obs::RollingWindow window(100.0);
     window.record(0.0, 1.0);
     window.record(50.0, 2.0);
     EXPECT_EQ(window.count(), 2u);
@@ -422,17 +458,26 @@ TEST(Serve, RollingWindowEvictsAgedSamples)
     window.advanceTo(0.0);
     EXPECT_EQ(window.count(), 1u);
     window.advanceTo(1e6);
-    EXPECT_TRUE(window.empty());
+    EXPECT_EQ(window.count(), 0u);
     EXPECT_TRUE(std::isnan(window.snapshot().quantile(0.5)));
 
-    obs::RollingEventCounter counter(100.0);
-    counter.record(0.0);
-    counter.record(90.0);
-    EXPECT_EQ(counter.count(), 2u);
-    counter.advanceTo(120.0);
-    EXPECT_EQ(counter.count(), 1u);
-    counter.advanceTo(500.0);
-    EXPECT_EQ(counter.count(), 0u);
+    // A plain event counts and ages out like a valued one, but stays
+    // out of the snapshot.
+    obs::RollingWindow events(100.0);
+    events.record(0.0);
+    events.record(90.0, 7.0);
+    events.record(95.0);
+    EXPECT_EQ(events.count(), 3u);
+    EXPECT_EQ(events.snapshot().count(), 1u);
+    EXPECT_EQ(events.snapshot().quantile(0.5), 7.0);
+    events.advanceTo(120.0);
+    EXPECT_EQ(events.count(), 2u);
+    EXPECT_EQ(events.snapshot().count(), 1u);
+    events.advanceTo(192.0);
+    EXPECT_EQ(events.count(), 1u);
+    EXPECT_EQ(events.snapshot().count(), 0u);
+    events.advanceTo(500.0);
+    EXPECT_EQ(events.count(), 0u);
 }
 
 TEST(Serve, RollingSnapshotsAreDeterministicAndOrdered)

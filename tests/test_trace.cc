@@ -421,7 +421,7 @@ TEST(Trace, ReplaySourceValidatesTraceAgainstScenario)
     fr.model = scenario.tasks[0].model.name;
     ok.frames.push_back(fr);
     const workload::ReplaySource replay(scenario, 1, ok);
-    EXPECT_THROW(replay.childFrame(0, 0, 0.0, 0.0), std::logic_error);
+    EXPECT_THROW(replay.childFrame(0, 0, 0.0), std::logic_error);
 }
 
 TEST(Trace, LoadRecordedPointResolvesAndRejectsMetadata)

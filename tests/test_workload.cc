@@ -166,7 +166,7 @@ TEST(FrameSource, ChildDeadlineFromRelease)
 {
     const auto s = makeScenario(ScenarioPreset::ArCall);
     FrameSource src(s, 3);
-    const auto child = src.childFrame(1, 4, 1000.0, 5000.0);
+    const auto child = src.childFrame(1, 4, 5000.0);
     EXPECT_EQ(child.task, 1);
     EXPECT_DOUBLE_EQ(child.arrivalUs, 5000.0);
     EXPECT_DOUBLE_EQ(child.deadlineUs,
@@ -234,7 +234,7 @@ TEST(FrameSource, ConcurrentCallersGetTheSameLists)
             for (const auto& f : src.rootFrames(5e6))
                 ids[t].push_back(f.path.id());
             for (int i = 0; i < 150; ++i)
-                ids[t].push_back(src.childFrame(1, i, 0.0, 1.0).path.id());
+                ids[t].push_back(src.childFrame(1, i, 1.0).path.id());
         });
     }
     for (auto& thread : threads)

@@ -108,6 +108,14 @@ main(int argc, char** argv)
     table.add({"--report", "", "FILE",
                "write the markdown report to FILE instead of stdout",
                flags::text(&report_path)});
+    table.check([&] {
+        // Fail before the hunt, not after every simulation has run.
+        for (const std::string* p : {&suite_path, &report_path}) {
+            if (!p->empty() && !std::ofstream(*p).is_open())
+                throw flags::Error("cannot open output file for writing: " +
+                                   *p);
+        }
+    });
     table.parse(argc, argv);
     const std::string system_name = hw::toString(sopts.system);
 

@@ -2,7 +2,8 @@
  * @file
  * dream_serve: the online serving front end. Drives N per-device
  * DREAM instances (serve::Cluster) in streaming mode — arrivals are
- * pushed into a workload::StreamSource one frame at a time, a
+ * pushed into a workload::StreamSource one frame at a time and the
+ * stream is closed before serving starts, a
  * serve::Dispatcher routes each session to a device, every device's
  * event loop advances incrementally as frames land, an optional
  * admission gate rejects or degrades overload per device, and
@@ -32,7 +33,8 @@
  *     "task frame_idx arrival_us" (whitespace- or comma-separated;
  *     '#' comments and blank lines skipped), materialised through
  *     the generative FrameSource of the --gen scenario (default:
- *     'default') and pushed onto StreamSource::push. Malformed or
+ *     'default') and pushed onto StreamSource::push; serving starts
+ *     at EOF. Malformed or
  *     out-of-range cells, arrivals outside [0, window), out-of-order
  *     arrivals and unknown tasks are clean errors (exit 2), never
  *     aborts.
