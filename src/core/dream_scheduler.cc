@@ -92,8 +92,8 @@ DreamScheduler::plan(const sim::SchedulerContext& ctx)
     // Smart frame drop: retire at most one doomed frame per round;
     // the simulator re-invokes us with the refreshed state.
     if (config_.smartDrop) {
-        if (const auto victim = dropEngine_.selectDrop(ctx, engine_)) {
-            p.drops.push_back({*victim});
+        if (const auto* victim = dropEngine_.selectDrop(ctx, engine_)) {
+            p.drops.push_back({victim->id});
             return p;
         }
     }
@@ -105,6 +105,12 @@ DreamScheduler::plan(const sim::SchedulerContext& ctx)
     // deadline — dispatching a 60 FPS vision layer onto a 10x-slower
     // dataflow "because it is idle" is worse than a short wait
     // (the current-system-load consideration of Section 3.1).
+    const size_t num_accels = ctx.numAccels();
+    bool any_idle = false;
+    for (size_t a = 0; a < num_accels && !any_idle; ++a)
+        any_idle = ctx.accel(a).idle();
+    if (!any_idle) // no pair to score
+        return p;
     const sim::Request* best_req = nullptr;
     size_t best_acc = 0;
     double best_score = -std::numeric_limits<double>::max();
@@ -114,7 +120,7 @@ DreamScheduler::plan(const sim::SchedulerContext& ctx)
         const cost::CostTable::LayerView nv =
             sim::ensureCostCache(*req, *ctx.costs).rows[req->nextLayer];
         const double best_lat = nv.agg().minLatencyUs;
-        for (size_t a = 0; a < ctx.numAccels(); ++a) {
+        for (size_t a = 0; a < num_accels; ++a) {
             if (!ctx.accel(a).idle())
                 continue;
             const double lat_here = nv.cost(a).latencyUs;

@@ -38,45 +38,43 @@ FrameDropEngine::dropBudgetAvailable(const sim::SchedulerContext& ctx,
            maxDropRate_ + 1e-12;
 }
 
-std::optional<int>
+const sim::Request*
 FrameDropEngine::selectDrop(const sim::SchedulerContext& ctx,
                             const MapScoreEngine& scores) const
 {
-    // Condition 2: more than one live job expected to violate. Only
-    // "at least two" matters, so the scan stops at the second one.
-    int expected_violations = 0;
-    for (const auto* req : ctx.live) {
-        if (expectedViolation(ctx, scores, *req) &&
-            ++expected_violations == 2)
-            break;
-    }
-    if (expected_violations < 2)
-        return std::nullopt;
-
     const sim::Request* victim = nullptr;
     double worst_ratio = 0.0;
     for (const auto* req : ctx.ready) { // droppable: not in flight
-        // Condition 1.
-        if (!expectedViolation(ctx, scores, *req))
+        // Condition 4: drop-rate bound.
+        if (!dropBudgetAvailable(ctx, req->task))
             continue;
         // Condition 3: only pipeline leaves may be dropped.
         if (!ctx.scenario->isLeaf(req->task))
             continue;
-        // Condition 4: drop-rate bound.
-        if (!dropBudgetAvailable(ctx, req->task))
+        // Condition 1, with expectedViolation's to-go kept for the
+        // ratio.
+        const double to_go = scores.minToGoBestVariantUs(ctx, *req);
+        const double slack = req->deadlineUs - ctx.nowUs;
+        if (to_go <= slack)
             continue;
-        const double slack =
-            std::max(req->deadlineUs - ctx.nowUs, 1.0);
-        const double ratio =
-            scores.minToGoBestVariantUs(ctx, *req) / slack;
+        const double ratio = to_go / std::max(slack, 1.0);
         if (ratio > worst_ratio) {
             worst_ratio = ratio;
             victim = req;
         }
     }
     if (!victim)
-        return std::nullopt;
-    return victim->id;
+        return nullptr;
+
+    // Condition 2: more than one live job expected to violate. Only
+    // "at least two" matters, so the walk stops at the second one.
+    int expected_violations = 0;
+    for (const auto* req : ctx.live) {
+        if (expectedViolation(ctx, scores, *req) &&
+            ++expected_violations == 2)
+            return victim;
+    }
+    return nullptr;
 }
 
 } // namespace core

@@ -15,13 +15,20 @@
  *
  * Conditions 1, 3 and 4 are evaluated on the ready frames (the
  * droppable task heads); among those that qualify, the one with the
- * highest minimum_to_go / slack ratio is dropped.
+ * highest minimum_to_go / slack ratio is the victim, the first head
+ * winning a tie.
+ *
+ * The conditions run cheapest first, which selects the same victim
+ * as the order above: per ready head, condition 4 (a division), then
+ * 3 (a scan of the task list), then 1 (one minimum_to_go, reused for
+ * the ratio). Condition 2 walks the live set only when a victim was
+ * found, since a drop needs all four. selectDrop returns the victim
+ * itself rather than an optional id, whose return goes through memory
+ * and stalls on store forwarding.
  */
 
 #ifndef DREAM_CORE_FRAME_DROP_H
 #define DREAM_CORE_FRAME_DROP_H
-
-#include <optional>
 
 #include "core/mapscore.h"
 #include "sim/scheduler.h"
@@ -39,11 +46,11 @@ public:
 
     /**
      * Evaluate condition 2 over the live frames and conditions 1, 3
-     * and 4 over the ready frames; return the request id to drop, if
-     * any.
+     * and 4 over the ready frames; return the ready frame to drop, or
+     * nullptr.
      */
-    std::optional<int> selectDrop(const sim::SchedulerContext& ctx,
-                                  const MapScoreEngine& scores) const;
+    const sim::Request* selectDrop(const sim::SchedulerContext& ctx,
+                                   const MapScoreEngine& scores) const;
 
     /**
      * Condition 1 helper: is @p req expected to violate its deadline

@@ -37,11 +37,9 @@ resolve(const models::Path& path, const cost::CostTable& costs)
 }
 
 const Resolution&
-ensureCostCache(const Request& req, const cost::CostTable& costs)
+reResolve(const Request& req, const cost::CostTable& costs)
 {
-    const Resolution* res = req.resolution.get();
-    if (!res || res->table != &costs || res->path.id() != req.path.id())
-        req.resolution = resolve(req.path, costs);
+    req.resolution = resolve(req.path, costs);
     return *req.resolution;
 }
 

@@ -30,14 +30,28 @@ std::shared_ptr<const Resolution> resolve(const models::Path& path,
                                           const cost::CostTable& costs);
 
 /**
+ * ensureCostCache's miss: resolve @p req's path under @p costs
+ * privately and re-point the request to the result, leaving the
+ * resolution it held (and every request sharing it) alone.
+ */
+const Resolution& reResolve(const Request& req,
+                            const cost::CostTable& costs);
+
+/**
  * The resolution of @p req's path under @p costs. Returns the
  * request's own when it was built for this path and this table;
- * otherwise resolves privately and re-points the request to the
- * result, leaving the resolution it held (and every request sharing
- * it) alone — a copied request read under another table does so.
+ * otherwise takes reResolve's path — a copied request read under
+ * another table does so. Scoring calls this several times per
+ * scheduling event, so the hit is inline.
  */
-const Resolution& ensureCostCache(const Request& req,
-                                  const cost::CostTable& costs);
+inline const Resolution&
+ensureCostCache(const Request& req, const cost::CostTable& costs)
+{
+    const Resolution* res = req.resolution.get();
+    if (res && res->table == &costs && res->path.id() == req.path.id())
+        return *res;
+    return reResolve(req, costs);
+}
 
 } // namespace sim
 } // namespace dream

@@ -109,6 +109,65 @@ TEST(DreamScheduler, SettlesWhenDeadlineDemands)
     EXPECT_EQ(plan.dispatches[0].accel, 1); // settle for OS
 }
 
+/** WS, then two OS accelerators of 1K and 2K PEs. */
+std::vector<hw::AcceleratorConfig>
+wsAndTwoOs()
+{
+    using hw::Dataflow;
+    return {test::accelerator("WS", Dataflow::WeightStationary),
+            test::accelerator("OS-1K", Dataflow::OutputStationary, 1024),
+            test::accelerator("OS-2K", Dataflow::OutputStationary)};
+}
+
+/** An RNN head on wsAndTwoOs(), WS (its best) busy until
+ *  @p ws_busy_until_us; the OS ones are both far off and idle. */
+struct SettleFixture {
+    SettleFixture(double deadline_us, double ws_busy_until_us)
+        : cb(wsAndTwoOs())
+    {
+        models::Model m;
+        m.name = "rnnish";
+        m.layers.push_back(models::rnn("lstm", 1024, 2048, 16));
+        req = cb.addRequest(cb.addTask(std::move(m)), 0.0, deadline_us);
+        cb.accels()[0].runningJobs = 1;
+        cb.accels()[0].freeSlices = 0;
+        cb.accels()[0].busyUntilUs = ws_busy_until_us;
+    }
+
+    test::ContextBuilder cb;
+    sim::Request* req = nullptr;
+};
+
+TEST(DreamScheduler, SafeWaitSkipsEveryFarOffAccelerator)
+{
+    SettleFixture f(1e6, 500.0);
+    auto& ctx = f.cb.context(0.0);
+    const auto cfg = core::DreamConfig::fixedParams();
+    const auto row = f.cb.costs().view(f.req->path[0]);
+    for (size_t a = 1; a < 3; ++a) {
+        ASSERT_GT(row.cost(a).latencyUs,
+                  cfg.settleFactor * row.agg().minLatencyUs);
+    }
+    core::DreamScheduler sched(cfg);
+    sched.reset(ctx);
+    // A safe wait skips both idle OS accelerators.
+    EXPECT_TRUE(sched.plan(ctx).dispatches.empty());
+}
+
+TEST(DreamScheduler, TightDeadlineSettlesOnTheBestFarOffAccelerator)
+{
+    SettleFixture f(2e4, 9e5);
+    auto& ctx = f.cb.context(0.0);
+    core::DreamScheduler sched(core::DreamConfig::fixedParams());
+    sched.reset(ctx);
+    const double s1 = sched.mapScore().score(ctx, *f.req, 1).mapScore;
+    const double s2 = sched.mapScore().score(ctx, *f.req, 2).mapScore;
+    ASSERT_NE(s1, s2);
+    const auto plan = sched.plan(ctx);
+    ASSERT_EQ(plan.dispatches.size(), 1u);
+    EXPECT_EQ(plan.dispatches[0].accel, s2 > s1 ? 2 : 1);
+}
+
 TEST(DreamScheduler, ResetRestoresConfiguredParams)
 {
     auto cfg = core::DreamConfig::fixedParams(0.3, 1.7);

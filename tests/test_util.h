@@ -62,24 +62,41 @@ toySupernet()
     return m;
 }
 
+/** A test accelerator: @p num_pes PEs of @p dataflow. */
+inline hw::AcceleratorConfig
+accelerator(const std::string& name, hw::Dataflow dataflow,
+            uint32_t num_pes = 2048)
+{
+    hw::AcceleratorConfig acc;
+    acc.name = name;
+    acc.numPes = num_pes;
+    acc.dataflow = dataflow;
+    return acc;
+}
+
+/** One WS and one OS accelerator of 2048 PEs. */
+inline std::vector<hw::AcceleratorConfig>
+wsAndOs()
+{
+    return {accelerator("WS", hw::Dataflow::WeightStationary),
+            accelerator("OS", hw::Dataflow::OutputStationary)};
+}
+
 /**
- * Hand-buildable scheduler context over a 2-accelerator (1 WS + 1 OS)
- * system and a synthetic scenario. Requests added via addRequest()
- * appear in both `ready` and `live`.
+ * Hand-buildable scheduler context over a synthetic scenario and a
+ * system of the given accelerators (by default 1 WS + 1 OS).
+ * Requests added via addRequest() appear in `live`, and in `ready`
+ * unless in flight.
  */
 class ContextBuilder {
 public:
-    ContextBuilder()
+    explicit ContextBuilder(
+        std::vector<hw::AcceleratorConfig> accelerators = wsAndOs())
     {
-        system_.name = "test-1WS+1OS";
-        hw::AcceleratorConfig ws;
-        ws.name = "WS";
-        ws.numPes = 2048;
-        ws.dataflow = hw::Dataflow::WeightStationary;
-        hw::AcceleratorConfig os = ws;
-        os.name = "OS";
-        os.dataflow = hw::Dataflow::OutputStationary;
-        system_.accelerators = {ws, os};
+        system_.name = "test";
+        for (const auto& acc : accelerators)
+            system_.name += "-" + acc.name;
+        system_.accelerators = std::move(accelerators);
         costs_ = std::make_unique<cost::CostTable>(system_);
         for (const auto& acc : system_.accelerators) {
             sim::AcceleratorState st;
@@ -166,11 +183,8 @@ struct SingleAccelFixture {
                                 double fps = 10.0)
     {
         system.name = "test-1WS";
-        hw::AcceleratorConfig ws;
-        ws.name = "WS";
-        ws.numPes = 2048;
-        ws.dataflow = hw::Dataflow::WeightStationary;
-        system.accelerators = {ws};
+        system.accelerators = {
+            accelerator("WS", hw::Dataflow::WeightStationary)};
 
         workload::TaskSpec task;
         task.model = std::move(model);

@@ -10,7 +10,7 @@
 # the docs cannot silently rot as the CLIs grow. The other direction
 # catches a removed flag: a --flag that tools/README.md or
 # src/engine/README.md mentions must be a literal of one of those
-# tables, or an add_argument flag of perfbench/run.py or
+# tables, or an add_argument flag of perfbench/run.py, tools/*.py or
 # tools/ci/*.py.
 #
 # Mapping:
@@ -69,7 +69,8 @@ accepted="$(
         flags_of "$src"
     done
     grep -hoE 'add_argument\("--[a-z0-9][a-z0-9-]*"' \
-        perfbench/run.py tools/ci/*.py | grep -oE -- '--[a-z0-9-]+'
+        perfbench/run.py tools/*.py tools/ci/*.py |
+        grep -oE -- '--[a-z0-9-]+'
 )"
 for doc in tools/README.md src/engine/README.md; do
     for flag in $(grep -oE -- '--[a-z0-9][a-z0-9-]*' "$doc" | sort -u); do

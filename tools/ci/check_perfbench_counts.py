@@ -56,7 +56,8 @@ def usage_error(message):
 
 
 def read_run(path):
-    """(workload, seed, kind, result) of one perfbench output file."""
+    """(workload, seed, kind, result, result line) of one perfbench
+    output file; the line is the JSON result as the run printed it."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -71,14 +72,14 @@ def read_run(path):
         result = json.loads(lines[-1])
     except ValueError:
         usage_error(f"{path}: the last line is not the JSON result")
-    return workload, int(seed), kind, result
+    return workload, int(seed), kind, result, lines[-1]
 
 
 def collect(paths):
     """{workload: {kind: result}} and the one seed of all runs."""
     runs, seeds, failed = {}, set(), False
     for path in paths:
-        workload, seed, kind, result = read_run(path)
+        workload, seed, kind, result, _ = read_run(path)
         seeds.add(seed)
         if kind in runs.setdefault(workload, {}):
             usage_error(f"{path}: a second {kind} run of {workload}")
